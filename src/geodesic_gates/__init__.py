@@ -29,10 +29,8 @@ from .frames import (
     FrameData,
     SystemConfig,
     dressing,
-    lab_hamiltonian,
     logical_from_lab,
     logical_target,
-    reduced_hamiltonian,
     three_qubit_dressing,
     two_qubit_dressing,
 )

@@ -190,6 +190,7 @@ def _curve_from_args(args):
             params = CurveParams(**data)
         except TypeError as exc:
             raise ConfigError(f"bad params file: {exc}") from None
+        args._params_section = data
         return params, params.phi_target, None
     raise ConfigError("either --preset or --params is required")
 
@@ -202,9 +203,11 @@ def _out_dir(args) -> Path:
 
 def _meta(args, extra: dict) -> dict:
     # the hash covers the semantic configuration only, so identical runs
-    # into different directories produce identical artifacts
+    # into different directories produce identical artifacts; input files
+    # enter through their loaded contents (the _*_section attributes), not
+    # their paths
     payload = {k: v for k, v in vars(args).items()
-               if k not in ("func", "out", "threads") and v is not None}
+               if k not in ("func", "out", "threads", "config", "params") and v is not None}
     payload.update(extra)
     return {"config_sha256": config_digest(payload), "seed": getattr(args, "seed", None),
             "version": __version__}

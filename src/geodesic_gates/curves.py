@@ -36,8 +36,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import product_reduce, su2_exp_batch
-
 CHI_MAX = 4.0 * np.pi
 
 #: Number of uniform chi-grid points shared by synthesis and all quadratures.
@@ -135,14 +133,6 @@ def theta_of_chi(params: CurveParams, chi):
     return np.pi / 2.0 + np.arctan(np.sin(chi) * phi_prime(params, chi))
 
 
-def theta_prime(params: CurveParams, chi):
-    """Analytic d theta / d chi."""
-    chi = np.asarray(chi, dtype=float)
-    s = np.sin(chi) * phi_prime(params, chi)
-    sp = np.cos(chi) * phi_prime(params, chi) + np.sin(chi) * phi_pprime(params, chi)
-    return sp / (1.0 + s * s)
-
-
 def arc_speed(params: CurveParams, chi):
     """Dimensionless arc speed t'(chi) = sqrt(1 + sin(chi)^2 phi'(chi)^2) >= 1."""
     chi = np.asarray(chi, dtype=float)
@@ -200,12 +190,6 @@ class CurveGrid:
         area_deriv = self.sin_chi * self.dphi + (1.0 - self.cos_chi) * self.ddphi
         # S(chi) = half the running enclosed area
         self.S = 0.5 * _cumtrapz_corrected(area_integrand, area_deriv, self.h)
-        wind_integrand = self.cos_chi * self.dphi
-        wind_deriv = -self.sin_chi * self.dphi + self.cos_chi * self.ddphi
-        #: running integral of cos(chi) phi' (the resonant-block phase part)
-        self.wind = _cumtrapz_corrected(wind_integrand, wind_deriv, self.h)
-        #: resonant-block accumulated rotation angle psi(chi) = int Omega dt
-        self.psi = (self.theta - self.theta[0]) + self.wind
         #: drive envelope per unit |beta|
         self.omega_over_beta = (self.dtheta + self.cos_chi * self.dphi) / self.tprime
 
@@ -298,27 +282,6 @@ def rotation_angle(params: CurveParams, grid_points: int = CHI_GRID_POINTS) -> f
     return dtheta + dphi
 
 
-def propagate_block_waveform(wave: Waveform, beta: float,
-                             n_steps: int | None = None) -> np.ndarray:
-    """Propagator of (beta Z + Omega(t) X)/2 for a sampled waveform.
-
-    Uses a fourth-order Magnus step on Gauss-Legendre nodes; for this
-    Hamiltonian the commutator term is exactly (beta/4)(Omega_2 - Omega_1) Y
-    per step, so every step stays a closed-form SU(2) exponential.
-    """
-    if n_steps is None:
-        n_steps = max(4000, 4 * (len(wave.samples) - 1))
-    dt = wave.T / n_steps
-    t0 = np.arange(n_steps) * dt
-    gauss = 0.5 * np.sqrt(3.0) / 3.0
-    om1 = wave.envelope(t0 + (0.5 - gauss) * dt)
-    om2 = wave.envelope(t0 + (0.5 + gauss) * dt)
-    x = 0.25 * (om1 + om2) * dt
-    z = np.full_like(x, 0.5 * beta * dt)
-    y = -np.sqrt(3.0) / 24.0 * dt * dt * beta * (om2 - om1)
-    return product_reduce(su2_exp_batch(x, y, z))
-
-
 # --- closed-form parameter relations -------------------------------------
 
 def closed_form_b3(a: float, b1: float, b2: float) -> float:
@@ -336,21 +299,27 @@ def shortest_b1(a: float) -> float:
     return (1.0 / 512.0) * (-3465.0) * np.pi * (3.0 + 4.0 * np.pi**2) * a
 
 
-def solve_b1_zero_area(a: float) -> float:
-    """Quadrature oracle: the b1 zeroing C_target with b2 = b3 = c = 0.
+def area_affine(a: float, grid_points: int = CHI_GRID_POINTS):
+    """Coefficients of C_target = c0 + k1 b1 + k2 b2 + k3 b3 at fixed a.
 
-    C_target is affine in the parameters, so two area evaluations determine
-    the root exactly.
+    C_target is affine in the ansatz parameters and c encloses no area, so
+    four quadratures determine it exactly. Every zero-area solve uses these.
     """
     base = CurveParams(a=a, phi_target=-32.0 * np.pi**3 * a)
-    c0 = area_functional(base)
-    c1 = area_functional(base.with_updates(b1=1.0))
-    return -c0 / (c1 - c0)
+    c0 = area_functional(base, grid_points)
+    k1 = area_functional(base.with_updates(b1=1.0), grid_points) - c0
+    k2 = area_functional(base.with_updates(b2=1.0), grid_points) - c0
+    k3 = area_functional(base.with_updates(b3=1.0), grid_points) - c0
+    return c0, k1, k2, k3
+
+
+def solve_b1_zero_area(a: float) -> float:
+    """Quadrature oracle: the b1 zeroing C_target with b2 = b3 = c = 0."""
+    c0, k1, _, _ = area_affine(a)
+    return -c0 / k1
 
 
 def solve_b3_zero_area(a: float, b1: float, b2: float) -> float:
     """Quadrature oracle for the area-zeroing b3 at given (a, b1, b2)."""
-    base = CurveParams(a=a, b1=b1, b2=b2, phi_target=-32.0 * np.pi**3 * a)
-    c0 = area_functional(base)
-    c1 = area_functional(base.with_updates(b3=1.0))
-    return -c0 / (c1 - c0)
+    c0, k1, k2, k3 = area_affine(a)
+    return -(c0 + k1 * b1 + k2 * b2) / k3

@@ -100,6 +100,8 @@ class FrameData:
 
     S: np.ndarray = field(repr=False)
     betas: tuple
+    #: per-block Z coefficient of the coupling-noise operator sum_n Z_target Z_n
+    coupling_coefs: tuple
     delta_tilde: float
     drive_scale: float
     rotating_freqs: tuple
@@ -134,20 +136,12 @@ def _drive_quadratures(n_qubits: int, target: int):
     return (embed_single(SIGMA_X, target, n_qubits), embed_single(SIGMA_Y, target, n_qubits))
 
 
-def lab_hamiltonian(config: SystemConfig, pulse: Waveform, t: float) -> np.ndarray:
-    """Full lab Hamiltonian H0 + Hc(t); pulse interpolated linearly."""
-    if t < -1e-12 or t > pulse.T + 1e-12:
-        raise ValueError(f"t = {t} outside the pulse window [0, {pulse.T}]")
-    frame = dressing(config)
-    omega = float(pulse.envelope(t))
-    xt, yt = _drive_quadratures(config.n_qubits, config.target_qubit)
-    wd = frame.omega_d
-    return lab_static(config) + 0.5 * omega * (np.cos(wd * t) * xt + np.sin(wd * t) * yt)
-
-
 def lab_hamiltonian_samples(config: SystemConfig, pulse: Waveform,
                             times: np.ndarray) -> np.ndarray:
-    """Vectorized lab Hamiltonian stack H(t_k), shape (N, d, d)."""
+    """Lab Hamiltonian stack H0 + Hc(t_k), shape (N, d, d); pulse interpolated linearly."""
+    times = np.asarray(times, dtype=float)
+    if times.size and (times.min() < -1e-12 or times.max() > pulse.T + 1e-12):
+        raise ValueError(f"sample times outside the pulse window [0, {pulse.T}]")
     frame = dressing(config)
     xt, yt = _drive_quadratures(config.n_qubits, config.target_qubit)
     omega = pulse.envelope(times)
@@ -187,7 +181,8 @@ def two_qubit_dressing(config: SystemConfig) -> FrameData:
         omega_d = w2_t - 0.5 * config.g2
         betas = (config.g2, 0.0)
         delta_tilde = -root - 0.5 * config.g2
-    return FrameData(S=S, betas=betas, delta_tilde=delta_tilde, drive_scale=c,
+    return FrameData(S=S, betas=betas, coupling_coefs=(1.0, -1.0),
+                     delta_tilde=delta_tilde, drive_scale=c,
                      rotating_freqs=(w1_t, omega_d), omega_d=omega_d,
                      epsilon=0.5 * np.tan(theta), n_qubits=2)
 
@@ -231,6 +226,7 @@ def three_qubit_dressing(config: SystemConfig) -> FrameData:
     w2_t = w + delta_tilde
     omega_d = w
     return FrameData(S=S, betas=(config.g2, 0.0, 0.0, -config.g2),
+                     coupling_coefs=(2.0, 0.0, 0.0, -2.0),
                      delta_tilde=delta_tilde, drive_scale=1.0 - lam**2 / 4.0,
                      rotating_freqs=(w1_t, w2_t, omega_d), omega_d=omega_d,
                      epsilon=lam / 4.0, n_qubits=3)
@@ -264,45 +260,23 @@ def _crosstalk_templates(config: SystemConfig):
     return ((1.0, a1, b1), (2.0, a2, b2))
 
 
-def crosstalk_term(config: SystemConfig, frame: FrameData, omega_lab: float, t: float) -> np.ndarray:
-    """Coherent control-crosstalk operator V_cr(t) in the rotating frame.
-
-    Two qubits: (tan(theta)/2) Omega_eff(t) (cos(dt~ t) XZ + sin(dt~ t) YZ).
-    Three qubits: the lambda and lambda^2 terms with lab envelope Omega(t):
-
-        Omega(t) [ (V11 + V12) lambda / 4
-                   + (g2 / 8 g1) lambda^2 (V21 + V22 + V212) ].
-    """
-    amp = omega_lab * (frame.drive_scale if config.n_qubits == 2 else 1.0)
-    out = 0.0
-    for mult, a_mat, b_mat in _crosstalk_templates(config):
-        phase = mult * frame.delta_tilde * t
-        out = out + amp * (np.cos(phase) * a_mat + np.sin(phase) * b_mat)
-    return out
-
-
-def reduced_hamiltonian(config: SystemConfig, frame: FrameData, envelope, t: float,
-                        include_crosstalk: bool = True) -> np.ndarray:
-    """Rotating-frame model: block-diagonal qubit blocks plus V_cr.
-
-    `envelope` supplies the effective drive Omega_eff(t) seen by the target
-    blocks (the synthesized waveform); the crosstalk term is built from the
-    lab envelope Omega_eff/drive_scale.
-    """
-    omega_eff = float(envelope(t))
-    dim = config.dim
-    h = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(h, block_z_diag(frame))
-    h = h + 0.5 * omega_eff * embed_single(SIGMA_X, config.target_qubit, config.n_qubits)
-    if include_crosstalk:
-        h = h + crosstalk_term(config, frame, omega_eff / frame.drive_scale, t)
-    return h
-
-
 def reduced_hamiltonian_samples(config: SystemConfig, frame: FrameData,
                                 omega_eff: np.ndarray, times: np.ndarray,
                                 include_crosstalk: bool = True) -> np.ndarray:
-    """Vectorized stack of reduced Hamiltonians, shape (N, d, d)."""
+    """Rotating-frame model at the times t_k, shape (N, d, d).
+
+    Block-diagonal qubit blocks (beta_i Z + Omega_eff X)/2, plus with
+    `include_crosstalk` the coherent control-crosstalk operator V_cr(t).
+    `omega_eff` is the effective drive seen by the target blocks (the
+    synthesized waveform). Two qubits:
+
+        V_cr = (tan(theta)/2) Omega_eff(t) (cos(dt~ t) XZ + sin(dt~ t) YZ).
+
+    Three qubits, with the lab envelope Omega = Omega_eff / drive_scale:
+
+        V_cr = Omega(t) [ (V11 + V12) lambda / 4
+                          + (g2 / 8 g1) lambda^2 (V21 + V22 + V212) ].
+    """
     n = len(times)
     dim = config.dim
     h = np.zeros((n, dim, dim), dtype=complex)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CHI_GRID_POINTS, CurveParams, curve_grid
-from .frames import FrameData, SystemConfig, DRIVE_MIDPOINT, DRIVE_RESONANT_LOWER
+from .frames import FrameData, SystemConfig, DRIVE_RESONANT_LOWER
 
 CHANNEL_FREQ = "freq_noise"
 CHANNEL_COUPLING = "coupling_noise"
@@ -200,20 +200,18 @@ class ChannelWeights:
 def _block_noise_coefficients(config: SystemConfig, frame: FrameData):
     """Per-block Z coefficients of the two quasi-static noise channels.
 
-    Frequency noise dw Z_target puts +1 on every block. Coupling noise
-    follows the block structure of the static coupling term it perturbs:
-    ZZ for the midpoint drive (+1, -1), IZ + ZZ when the drive is resonant
-    with a split frequency (2, 0), and (Z1 + Z2) Z3 in the chain
-    (2, 0, 0, -2).
+    Frequency noise dw Z_target puts +1 on every block; coupling noise
+    dJ sum_n Z_target Z_n puts frame.coupling_coefs, the table the simulator
+    builds its noise operator from: (1, -1) for two qubits, (2, 0, 0, -2)
+    in the chain. One entry differs from the simulator: with the 2q
+    resonant_lower drive the cost models coupling noise as IZ + ZZ, i.e.
+    (2, 0), while the simulator applies dJ ZZ = (1, -1).
     """
-    n_blocks = len(frame.betas)
-    freq = (1.0,) * n_blocks
-    if config.n_qubits == 2 and config.drive_choice == DRIVE_MIDPOINT:
-        coupling = (1.0, -1.0)
-    elif config.n_qubits == 2 and config.drive_choice == DRIVE_RESONANT_LOWER:
-        coupling = (2.0, 0.0)
-    else:
-        coupling = (2.0, 0.0, 0.0, -2.0)
+    freq = (1.0,) * len(frame.betas)
+    coupling = frame.coupling_coefs
+    if config.n_qubits == 2 and config.drive_choice == DRIVE_RESONANT_LOWER:
+        # the cost adds the split-frequency shift IZ: table + frequency channel
+        coupling = tuple(c + f for c, f in zip(coupling, freq))
     return freq, coupling
 
 

@@ -28,8 +28,11 @@ from scipy import optimize as sp_optimize
 from .curves import (
     CHI_GRID_POINTS,
     CurveParams,
+    area_affine,
     area_functional,
     coefficient_for_angle,
+    solve_b1_zero_area,
+    solve_b3_zero_area,
     synthesize_waveform,
 )
 from .frames import DRIVE_RESONANT_LOWER, FrameData, SystemConfig, dressing
@@ -93,11 +96,9 @@ def preset_curve(key: str) -> CurveParams:
                          phi_target=row.phi_target)
     if row.setting == "3q":
         if row.robust:
-            b3 = _solve_constrained(row.a, b1=-row.b1, b2=-row.b2, which="b3")
-            params = params.with_updates(b3=b3)
+            params = params.with_updates(b3=solve_b3_zero_area(row.a, -row.b1, -row.b2))
         else:
-            b1 = _solve_constrained(row.a, b1=0.0, b2=0.0, which="b1")
-            params = params.with_updates(b1=b1)
+            params = params.with_updates(b1=solve_b1_zero_area(row.a))
     return params
 
 
@@ -107,23 +108,6 @@ def preset_system(key: str, delta: float = 20.0) -> SystemConfig:
     if row.setting == "2q":
         return SystemConfig(n_qubits=2, delta=delta)
     return SystemConfig(n_qubits=3, delta=delta, drive_choice="center")
-
-
-def _area_affine(a: float, grid_points: int = CHI_GRID_POINTS):
-    """C_target = c0 + k1 b1 + k2 b2 + k3 b3 (affine, c has no area)."""
-    base = CurveParams(a=a, phi_target=-32.0 * np.pi**3 * a)
-    c0 = area_functional(base, grid_points)
-    k1 = area_functional(base.with_updates(b1=1.0), grid_points) - c0
-    k2 = area_functional(base.with_updates(b2=1.0), grid_points) - c0
-    k3 = area_functional(base.with_updates(b3=1.0), grid_points) - c0
-    return c0, k1, k2, k3
-
-
-def _solve_constrained(a: float, b1: float, b2: float, which: str) -> float:
-    c0, k1, k2, k3 = _area_affine(a)
-    if which == "b3":
-        return -(c0 + k1 * b1 + k2 * b2) / k3
-    return -(c0 + k2 * b2) / k1
 
 
 @dataclass(frozen=True)
@@ -225,7 +209,7 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
     eliminate = area_zero_required(system)
     if eliminate:
         names = tuple(n for n in cfg.free_params if n in ("b1", "b2", "c"))
-        c0, k1, k2, k3 = _area_affine(a, cfg.grid_points)
+        c0, k1, k2, k3 = area_affine(a, cfg.grid_points)
     else:
         names = tuple(n for n in cfg.free_params if n in ("b1", "c")) or ("b1", "c")
         c0 = k1 = k2 = k3 = 0.0

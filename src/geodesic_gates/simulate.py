@@ -31,13 +31,12 @@ from .frames import (
 )
 from .linalg import (
     SIGMA_X,
-    embed_single,
     expm_hermitian,
     gate_fidelity,
-    pauli_string,
     product_reduce,
     propagate_sampled,
     su2_exp_batch,
+    trace_fidelity,
 )
 
 MODEL_REDUCED = "reduced"
@@ -61,20 +60,15 @@ class NoiseSetting:
 
 
 def noise_operator(config: SystemConfig, noise: NoiseSetting) -> np.ndarray:
-    """dw Z_target + dJ sum_neighbors Z_target Z_neighbor (diagonal)."""
-    n = config.n_qubits
-    op = noise.delta_omega * embed_single(np.diag([1.0, -1.0]).astype(complex),
-                                          config.target_qubit, n)
-    if n == 2:
-        op = op + noise.delta_j * pauli_string("ZZ")
-    else:
-        op = op + noise.delta_j * (pauli_string("ZIZ") + pauli_string("IZZ"))
-    return op
+    """dw Z_target + dJ sum_neighbors Z_target Z_neighbor (diagonal).
 
-
-def _coupling_block_signs(config: SystemConfig) -> np.ndarray:
-    """Per-block Z coefficient of sum_n Z_target Z_n."""
-    return np.array([1.0, -1.0]) if config.n_qubits == 2 else np.array([2.0, 0.0, 0.0, -2.0])
+    Both terms are diagonal in the block basis; their per-block Z
+    coefficients are dw + dJ * frame.coupling_coefs (see `_block_betas`).
+    With the 2q resonant_lower drive the first-order cost models coupling
+    noise differently, see `magnus._block_noise_coefficients`.
+    """
+    z = noise.delta_omega + noise.delta_j * np.asarray(dressing(config).coupling_coefs)
+    return np.diag(np.outer(z, [1.0, -1.0]).ravel()).astype(complex)
 
 
 def _check_waveform(frame: FrameData, waveform: Waveform) -> None:
@@ -84,39 +78,48 @@ def _check_waveform(frame: FrameData, waveform: Waveform) -> None:
             f"but the system's design detuning is {frame.design_beta}")
 
 
-def _block_unitaries(wave: Waveform, z_coefs: np.ndarray, n_steps: int) -> np.ndarray:
-    """Propagators of (2 z_b Z + Omega(t) X)/2 ... for a grid of Z coefficients.
+def _block_betas(frame: FrameData, delta_omega, delta_j) -> np.ndarray:
+    """Z coefficient beta_b of each block (beta_b Z + Omega X)/2 under noise.
 
-    `z_coefs` has shape (..., ) of static Z/2 coefficients (i.e. the block
-    Hamiltonian is z_b * Z + Omega(t) X / 2 with z_b = beta_b/2 + noise).
-    Fourth-order Magnus steps on two Gauss nodes; the commutator term is
-    closed form. Returns shape z_coefs.shape + (2, 2).
+    The noise operator adds (dw + c_b dJ) Z to block b, with c_b from
+    frame.coupling_coefs. Returns shape (n_blocks,) + np.shape(delta_omega).
     """
+    coefs = np.reshape(frame.coupling_coefs, (-1,) + (1,) * np.ndim(delta_omega))
+    betas = np.reshape(frame.betas, coefs.shape)
+    return betas + 2.0 * (delta_omega + delta_j * coefs)
+
+
+def propagate_blocks(wave: Waveform, betas, n_steps: int | None = None) -> np.ndarray:
+    """Propagators of the blocks (beta Z + Omega(t) X)/2, one per entry of `betas`.
+
+    Fourth-order Magnus steps on two Gauss-Legendre nodes (Blanes, Casas,
+    Oteo & Ros, Phys. Rep. 470 (2009)). For this Hamiltonian the commutator
+    term is exactly (sqrt(3)/24) dt^2 beta (Omega_1 - Omega_2) Y per step, so
+    every step stays a closed-form SU(2) exponential. The default step count
+    is four per waveform sample interval. Returns shape np.shape(betas) + (2, 2).
+    """
+    if n_steps is None:
+        n_steps = 4 * (len(wave.samples) - 1)
     dt = wave.T / n_steps
     t0 = np.arange(n_steps) * dt
     om1 = wave.envelope(t0 + (0.5 - _GAUSS_OFFSET) * dt)
     om2 = wave.envelope(t0 + (0.5 + _GAUSS_OFFSET) * dt)
     x_row = 0.25 * (om1 + om2) * dt
-    y_base = -np.sqrt(3.0) / 24.0 * dt * (om2 - om1)
-    flat = np.atleast_1d(np.asarray(z_coefs, dtype=float)).ravel()
+    y_row = -np.sqrt(3.0) / 24.0 * dt * dt * (om2 - om1)
+    flat = np.atleast_1d(np.asarray(betas, dtype=float)).ravel()
     out = np.empty((flat.size, 2, 2), dtype=complex)
     chunk = max(1, _BATCH_ELEMENTS // n_steps)
     for lo in range(0, flat.size, chunk):
-        zc = flat[lo:lo + chunk]
-        x = np.broadcast_to(x_row, (zc.size, n_steps))
-        z = np.repeat(zc[:, None] * dt, n_steps, axis=1)
-        y = y_base[None, :] * (2.0 * zc[:, None])
-        out[lo:lo + chunk] = product_reduce(su2_exp_batch(x, y, z))
-    return out.reshape(np.shape(z_coefs) + (2, 2))
+        beta = flat[lo:lo + chunk, None]
+        x = np.broadcast_to(x_row, (beta.size, n_steps))
+        out[lo:lo + chunk] = product_reduce(su2_exp_batch(x, y_row * beta, 0.5 * dt * beta))
+    return out.reshape(np.shape(betas) + (2, 2))
 
 
-def _default_steps(wave: Waveform, crosstalk_on: bool, frame: FrameData) -> int:
-    if not crosstalk_on:
-        return 4 * (len(wave.samples) - 1)
-    # resolve the crosstalk oscillation at delta_tilde
+def _dense_steps(wave: Waveform, frame: FrameData) -> int:
+    """Midpoint step count resolving the crosstalk oscillation at delta_tilde."""
     per_unit = max(64.0, 10.0 * abs(frame.delta_tilde))
-    n = int(2 ** np.ceil(np.log2(max(16384, per_unit * wave.T))))
-    return n
+    return int(2 ** np.ceil(np.log2(max(16384, per_unit * wave.T))))
 
 
 def simulate_gate(system: SystemConfig, frame: FrameData, waveform: Waveform,
@@ -127,17 +130,15 @@ def simulate_gate(system: SystemConfig, frame: FrameData, waveform: Waveform,
     target = logical_target(system, gate_angle)
     if model == MODEL_REDUCED:
         if noise.crosstalk_on:
-            n = n_steps or _default_steps(waveform, True, frame)
+            n = n_steps or _dense_steps(waveform, frame)
             dt = waveform.T / n
             mids = (np.arange(n) + 0.5) * dt
             hams = reduced_hamiltonian_samples(system, frame, waveform.envelope(mids), mids)
             hams += noise_operator(system, noise)[None, :, :]
             u_final = propagate_sampled(hams, dt)
         else:
-            n = n_steps or _default_steps(waveform, False, frame)
-            signs = _coupling_block_signs(system)
-            z_coefs = 0.5 * np.asarray(frame.betas) + noise.delta_omega + noise.delta_j * signs
-            blocks = _block_unitaries(waveform, z_coefs, n)
+            blocks = propagate_blocks(
+                waveform, _block_betas(frame, noise.delta_omega, noise.delta_j), n_steps)
             u_final = np.zeros((system.dim, system.dim), dtype=complex)
             for b in range(len(frame.betas)):
                 u_final[2 * b:2 * b + 2, 2 * b:2 * b + 2] = blocks[b]
@@ -145,7 +146,7 @@ def simulate_gate(system: SystemConfig, frame: FrameData, waveform: Waveform,
         lab_wave = Waveform(T=waveform.T, dt=waveform.dt,
                             samples=waveform.samples / frame.drive_scale,
                             beta_design=waveform.beta_design)
-        n = n_steps or max(131072, _default_steps(waveform, True, frame))
+        n = n_steps or max(131072, _dense_steps(waveform, frame))
         dt = waveform.T / n
         mids = (np.arange(n) + 0.5) * dt
         hams = lab_hamiltonian_samples(system, lab_wave, mids)
@@ -184,22 +185,15 @@ def noise_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
     if domega_values.size > 201 or dj_values.size > 201:
         raise ValueError("sweep grids are limited to 201 points per axis")
     _check_waveform(frame, waveform)
-    target = logical_target(system, gate_angle)
     n_dw, n_dj = domega_values.size, dj_values.size
     infid = np.empty((n_dw, n_dj))
     if model == MODEL_REDUCED and not crosstalk_on:
-        signs = _coupling_block_signs(system)
-        betas = np.asarray(frame.betas)
         dw_grid, dj_grid = np.meshgrid(domega_values, dj_values, indexing="ij")
-        n = n_steps or _default_steps(waveform, False, frame)
+        blocks = propagate_blocks(waveform, _block_betas(frame, dw_grid, dj_grid), n_steps)
         rx = expm_hermitian(SIGMA_X, gate_angle / 2.0)
-        trace_sum = np.zeros((n_dw, n_dj), dtype=complex)
-        for b, beta in enumerate(betas):
-            z_coefs = 0.5 * beta + dw_grid + dj_grid * signs[b]
-            blocks = _block_unitaries(waveform, z_coefs, n)
-            trace_sum += np.einsum("ijba,ba->ij", blocks.conj(), rx, optimize=True)
-        dim = 2 * len(betas)
-        infid = 1.0 - np.abs(trace_sum) ** 2 / dim**2
+        # Tr(U^dag (I (x) R_X)) summed block by block
+        overlap = np.einsum("kijba,ba->ij", blocks.conj(), rx, optimize=True)
+        infid = 1.0 - trace_fidelity(overlap, system.dim)
     else:
         for i, dw in enumerate(domega_values):
             for j, dj in enumerate(dj_values):

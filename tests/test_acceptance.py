@@ -15,7 +15,6 @@ from geodesic_gates.curves import (
     CurveParams,
     area_functional,
     coefficient_for_angle,
-    propagate_block_waveform,
     rotation_angle,
     solve_b1_zero_area,
     synthesize_waveform,
@@ -41,6 +40,7 @@ from geodesic_gates.simulate import (
     NoiseSetting,
     matched_cosine_baseline,
     noise_sweep,
+    propagate_blocks,
     simulate_gate,
     slope_fit,
 )
@@ -65,7 +65,7 @@ def test_criterion_1_round_trip_all_presets():
             for sign in (1.0, -1.0):
                 beta = sign * frame.design_beta
                 wave = synthesize_waveform(params, beta, n_samples=16384)
-                u = propagate_block_waveform(wave, beta)
+                u = propagate_blocks(wave, beta)
                 infid = 1.0 - gate_fidelity(u, rx(params.phi_target))
                 worst = max(worst, infid)
                 assert infid < 1e-7, (key, sign, infid)
@@ -94,7 +94,7 @@ def test_criterion_2_zero_area_theorem():
             area = area_functional(params)
             assert abs(area) < 1e-8, (label, area)
             wave = synthesize_waveform(params, beta, n_samples=16384)
-            u0 = propagate_block_waveform(wave, 0.0)
+            u0 = propagate_blocks(wave, 0.0)
             infid = 1.0 - gate_fidelity(u0, rx(params.phi_target))
             worst = max(worst, infid)
             assert infid < 1e-6, (label, infid)

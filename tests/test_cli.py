@@ -195,3 +195,19 @@ def test_optimize_reads_optimizer_section(tmp_path):
     payload = read_json(tmp_path / "optimize_result.json")
     assert payload["seed"] == 5
     assert payload["optimizer_config"]["starts"] == 1
+
+
+def test_config_hash_ignores_input_file_names(tmp_path):
+    # the same params and run config saved under two names hash identically
+    params = {"a": -1.0 / (32.0 * np.pi**2), "b1": 5.86744, "c": -5.46421,
+              "phi_target": np.pi}
+    config = {"system": {"n_qubits": 2, "delta": 20.0}}
+    hashes = set()
+    for name in ("first", "second"):
+        write_json(tmp_path / f"{name}_params.json", params)
+        write_json(tmp_path / f"{name}_run.json", config)
+        assert main(["cost", "--params", str(tmp_path / f"{name}_params.json"),
+                     "--config", str(tmp_path / f"{name}_run.json"),
+                     "--out", str(tmp_path / name)]) == 0
+        hashes.add(read_json(tmp_path / name / "cost.json")["meta"]["config_sha256"])
+    assert len(hashes) == 1

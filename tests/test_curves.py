@@ -14,7 +14,6 @@ from geodesic_gates.curves import (
     curve_grid,
     phi,
     phi_prime,
-    propagate_block_waveform,
     rotation_angle,
     shortest_b1,
     solve_b1_zero_area,
@@ -23,6 +22,7 @@ from geodesic_gates.curves import (
     theta_of_chi,
 )
 from geodesic_gates.linalg import SIGMA_X, expm_hermitian, gate_fidelity
+from geodesic_gates.simulate import propagate_blocks
 
 CHI_MAX = 4.0 * np.pi
 
@@ -150,7 +150,7 @@ def test_round_trip_simple_curve():
     p = CurveParams.for_angle(np.pi)
     beta = 0.5
     wave = synthesize_waveform(p, beta, n_samples=8192)
-    u = propagate_block_waveform(wave, beta)
+    u = propagate_blocks(wave, beta)
     assert 1.0 - gate_fidelity(u, rx(np.pi)) < 1e-8
 
 
@@ -161,8 +161,8 @@ def test_round_trip_beta_sign_symmetry():
     wave_pos = synthesize_waveform(p, 0.5, n_samples=65536, grid_points=65536)
     wave_neg = synthesize_waveform(p, -0.5, n_samples=65536, grid_points=65536)
     assert np.allclose(wave_pos.samples, wave_neg.samples)
-    u_pos = propagate_block_waveform(wave_pos, 0.5)
-    u_neg = propagate_block_waveform(wave_neg, -0.5)
+    u_pos = propagate_blocks(wave_pos, 0.5)
+    u_neg = propagate_blocks(wave_neg, -0.5)
     assert np.max(np.abs(u_pos - u_neg)) < 1e-7
     assert 1.0 - gate_fidelity(u_neg, rx(np.pi)) < 1e-8
 
@@ -173,7 +173,7 @@ def test_round_trip_random_curves_and_betas():
         p = random_curve(rng)
         beta = float(rng.uniform(0.1, 2.0))
         wave = synthesize_waveform(p, beta, n_samples=4096)
-        u = propagate_block_waveform(wave, beta)
+        u = propagate_blocks(wave, beta)
         assert 1.0 - gate_fidelity(u, rx(rotation_angle(p))) < 1e-7
 
 
@@ -229,7 +229,7 @@ def test_zero_area_beta0_block_realizes_the_gate():
     p = CurveParams(a=a, b1=solve_b1_zero_area(a), phi_target=np.pi)
     assert abs(area_functional(p)) < 1e-8
     wave = synthesize_waveform(p, 1.0, n_samples=8192)
-    u0 = propagate_block_waveform(wave, 0.0)
+    u0 = propagate_blocks(wave, 0.0)
     assert 1.0 - gate_fidelity(u0, rx(np.pi)) < 1e-6
 
 

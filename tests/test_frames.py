@@ -8,14 +8,11 @@ from geodesic_gates.frames import (
     FrameData,
     SystemConfig,
     block_z_diag,
-    crosstalk_term,
     dressing,
-    lab_hamiltonian,
     lab_hamiltonian_samples,
     lab_static,
     logical_from_lab,
     logical_target,
-    reduced_hamiltonian,
     reduced_hamiltonian_samples,
     three_qubit_dressing,
     two_qubit_dressing,
@@ -77,9 +74,9 @@ def test_lab_hamiltonian_hermitian_and_window():
     cfg = SystemConfig(n_qubits=2, delta=20.0)
     pulse = Waveform(T=2.0, dt=0.5, samples=np.array([0.0, 1.0, 1.0, 0.5, 0.0]),
                      beta_design=0.5)
-    assert is_hermitian(lab_hamiltonian(cfg, pulse, 0.7))
+    assert is_hermitian(lab_hamiltonian_samples(cfg, pulse, np.array([0.7]))[0])
     with pytest.raises(ValueError):
-        lab_hamiltonian(cfg, pulse, 2.5)
+        lab_hamiltonian_samples(cfg, pulse, np.array([2.5]))
 
 
 def test_two_qubit_dressing_angle_oracle():
@@ -169,7 +166,7 @@ def test_reduced_hamiltonian_idle_is_block_detunings():
     for cfg in (SystemConfig(n_qubits=2, delta=20.0),
                 SystemConfig(n_qubits=3, delta=20.0, drive_choice="center")):
         frame = dressing(cfg)
-        h = reduced_hamiltonian(cfg, frame, lambda t: 0.0, 0.3)
+        h = reduced_hamiltonian_samples(cfg, frame, np.array([0.0]), np.array([0.3]))[0]
         assert offdiag_norm(h) < 1e-14
         assert np.max(np.abs(np.diag(h) - block_z_diag(frame))) < 1e-14
 
@@ -178,12 +175,21 @@ def test_reduced_crosstalk_entries_at_t0():
     cfg = SystemConfig(n_qubits=2, delta=20.0)
     frame = dressing(cfg)
     omega0 = 0.8
-    h = reduced_hamiltonian(cfg, frame, lambda t: omega0, 0.0)
+    h = reduced_hamiltonian_samples(cfg, frame, np.array([omega0]), np.array([0.0]))[0]
     theta = -0.5 * np.arctan(1.0 / 20.0)
     amp = 0.5 * np.tan(theta) * omega0
     assert abs(h[0, 2] - amp) < 1e-12
     assert abs(h[1, 3] + amp) < 1e-12
     assert is_hermitian(h)
+
+
+def _crosstalk_term(cfg, frame, omega_lab, t):
+    """V_cr(t) at lab envelope omega_lab: the reduced model with minus without crosstalk."""
+    omega_eff = np.array([omega_lab * frame.drive_scale])
+    times = np.array([t])
+    h_on = reduced_hamiltonian_samples(cfg, frame, omega_eff, times)
+    h_off = reduced_hamiltonian_samples(cfg, frame, omega_eff, times, include_crosstalk=False)
+    return (h_on - h_off)[0]
 
 
 def test_three_qubit_crosstalk_matches_hand_expansion():
@@ -202,9 +208,9 @@ def test_three_qubit_crosstalk_matches_hand_expansion():
             + s2 * (pauli_string("YXX") - pauli_string("XYX")))
     expected = omega * (0.25 * lam * (v1 + v2)
                         + (cfg.g2 / (8.0 * cfg.g1)) * lam**2 * (v21 + v22 + v212))
-    assert max_abs(crosstalk_term(cfg, frame, omega, t) - expected) < 1e-13
+    assert max_abs(_crosstalk_term(cfg, frame, omega, t) - expected) < 1e-13
     # spectral norm of the first-order part is 2 * (lambda/4) * Omega at t = 0
-    v_cr0 = crosstalk_term(cfg, frame, omega, 0.0)
+    v_cr0 = _crosstalk_term(cfg, frame, omega, 0.0)
     norm = np.linalg.norm(v_cr0, ord=2)
     assert abs(norm - 2.0 * lam / 4.0 * omega) < 2e-3
 

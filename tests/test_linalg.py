@@ -183,6 +183,8 @@ def test_fidelity_self_is_one():
     rng = np.random.default_rng(5)
     u = random_unitary(rng, 4)
     assert abs(gate_fidelity(u, u) - 1.0) < 1e-12
+    # a slightly non-unitary product must not report a fidelity above 1
+    assert gate_fidelity((1.0 + 1e-10) * u, u) == 1.0
 
 
 def test_fidelity_global_phase_invariance():

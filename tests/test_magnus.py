@@ -280,3 +280,23 @@ def test_full_susceptibility_record():
     assert np.allclose((record.ax, record.ay, record.az), susceptibility_beta(p))
     assert np.isfinite([record.ay0, record.az0]).all()
     assert record.channel == "freq_noise"
+
+
+def test_resonant_coupling_noise_differs_from_simulator_by_frequency_channel():
+    # the cost models 2q resonant_lower coupling noise as IZ + ZZ, (2, 0) per
+    # block; the simulator applies dJ ZZ, (1, -1). Every other setting agrees.
+    from geodesic_gates.magnus import _block_noise_coefficients
+    from geodesic_gates.simulate import NoiseSetting, noise_operator
+
+    for system in (SystemConfig(n_qubits=2),
+                   SystemConfig(n_qubits=2, drive_choice="resonant_lower"),
+                   SystemConfig(n_qubits=3, drive_choice="center")):
+        freq, coupling = _block_noise_coefficients(system, dressing(system))
+        noise_diag = np.diag(noise_operator(system, NoiseSetting(0.0, 0.25))).real
+        simulated = tuple(noise_diag[0::2] / 0.25)
+        if system.drive_choice == "resonant_lower":
+            assert coupling == (2.0, 0.0)
+            assert simulated == (1.0, -1.0)
+            assert coupling == tuple(s + f for s, f in zip(simulated, freq))
+        else:
+            assert coupling == simulated

@@ -4,15 +4,25 @@ import numpy as np
 import pytest
 
 from geodesic_gates.curves import synthesize_waveform
-from geodesic_gates.frames import dressing
-from geodesic_gates.linalg import SIGMA_X, expm_hermitian, gate_fidelity
+from geodesic_gates.frames import SystemConfig, dressing, reduced_hamiltonian_samples
+from geodesic_gates.linalg import (
+    SIGMA_X,
+    SIGMA_Z,
+    embed_single,
+    expm_hermitian,
+    gate_fidelity,
+    pauli_string,
+    propagate_sampled,
+)
 from geodesic_gates.optimizer import preset_curve, preset_system
 from geodesic_gates.simulate import (
     MODEL_LAB,
     NoiseSetting,
     cosine_baseline,
     matched_cosine_baseline,
+    noise_operator,
     noise_sweep,
+    propagate_blocks,
     simulate_gate,
     slope_fit,
 )
@@ -65,6 +75,48 @@ def test_single_point_sweep_matches_simulate():
     sweep = noise_sweep(system, frame, wave, [0.01], [-0.02], crosstalk_on=False)
     assert sweep.infidelity.shape == (1, 1)
     assert abs(sweep.infidelity[0, 0] - direct) < 1e-12
+
+
+@pytest.mark.parametrize("key", ["xpi-2q-robust", "xpi-3q-robust"])
+def test_block_fast_path_matches_dense_propagation(key):
+    # the crosstalk-off fast path against the midpoint rule on the same
+    # reduced model (no crosstalk) plus the same noise operator
+    system, frame, wave = _setup(key)
+    noise = NoiseSetting(0.03, -0.02, crosstalk_on=False)
+    u_fast, _ = simulate_gate(system, frame, wave, noise)
+    n = 2**16
+    dt = wave.T / n
+    mids = (np.arange(n) + 0.5) * dt
+    hams = reduced_hamiltonian_samples(system, frame, wave.envelope(mids), mids,
+                                       include_crosstalk=False)
+    hams += noise_operator(system, noise)
+    assert np.max(np.abs(u_fast - propagate_sampled(hams, dt))) < 1e-6
+
+
+def test_zero_noise_infidelity_is_not_negative():
+    # on this preset the accumulated non-unitarity of the step product pushes
+    # |Tr|^2/d^2 just above 1; the fidelity is clipped there
+    system, frame, wave = _setup("xhalfpi-2q-nonrobust")
+    noise = NoiseSetting(crosstalk_on=False)
+    _, direct = simulate_gate(system, frame, wave, noise, gate_angle=np.pi / 2.0)
+    sweep = noise_sweep(system, frame, wave, [0.0], [0.0], crosstalk_on=False,
+                        gate_angle=np.pi / 2.0)
+    assert 0.0 <= direct < 1e-12
+    assert 0.0 <= sweep.infidelity[0, 0] < 1e-12
+
+
+def test_noise_operator_matches_pauli_sum():
+    rng = np.random.default_rng(7)
+    for system, coupling in ((SystemConfig(n_qubits=2), pauli_string("ZZ")),
+                             (SystemConfig(n_qubits=2, drive_choice="resonant_lower"),
+                              pauli_string("ZZ")),
+                             (SystemConfig(n_qubits=3, drive_choice="center"),
+                              pauli_string("ZIZ") + pauli_string("IZZ"))):
+        z_target = embed_single(SIGMA_Z, system.target_qubit, system.n_qubits)
+        for _ in range(20):
+            dw, dj = rng.uniform(-0.5, 0.5, 2)
+            expected = dw * z_target + dj * coupling
+            assert np.array_equal(noise_operator(system, NoiseSetting(dw, dj)), expected)
 
 
 def test_sweep_grid_limits():
@@ -142,10 +194,8 @@ def test_cosine_baseline_shape_and_area():
 
 
 def test_cosine_baseline_resonant_block_exact():
-    from geodesic_gates.curves import propagate_block_waveform
-
     wave = cosine_baseline(np.pi, 6.0, n_samples=8193)
-    u = propagate_block_waveform(wave, 0.0)
+    u = propagate_blocks(wave, 0.0)
     target = expm_hermitian(SIGMA_X, np.pi / 2.0)
     assert 1.0 - gate_fidelity(u, target) < 1e-8
 
@@ -153,13 +203,11 @@ def test_cosine_baseline_resonant_block_exact():
 def test_cosine_baseline_detuned_block_fails():
     # on a detuned block at Delta = 20 J the plain cosine pulse is far worse
     # than the synthesized robust pulse
-    from geodesic_gates.curves import propagate_block_waveform
-
     system, frame, robust_wave = _setup("xpi-2q-robust")
     cosine = matched_cosine_baseline(np.pi, robust_wave)
     target = expm_hermitian(SIGMA_X, np.pi / 2.0)
-    u_cos = propagate_block_waveform(cosine, 0.5)
-    u_rob = propagate_block_waveform(robust_wave, 0.5)
+    u_cos = propagate_blocks(cosine, 0.5)
+    u_rob = propagate_blocks(robust_wave, 0.5)
     infid_cos = 1.0 - gate_fidelity(u_cos, target)
     infid_rob = 1.0 - gate_fidelity(u_rob, target)
     assert infid_cos > 1e3 * infid_rob
