@@ -5,7 +5,8 @@ round-trip float representation) and JSON (sorted keys, two-space indent).
 Every JSON summary embeds the command's config hash and seed so runs can be
 reproduced and compared byte for byte.
 
-Exit codes: 0 success, 2 invalid configuration, 3 optimizer non-convergence.
+Exit codes: 0 success, 2 invalid configuration, 3 optimizer non-convergence,
+4 numerical failure (a curve the chi grid cannot resolve).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ import numpy as np
 from . import __version__
 from .curves import (
     CurveParams,
+    GridResolutionError,
     area_functional,
     closed_form_b3,
     curve_grid,
@@ -158,16 +161,14 @@ def _system_from_args(args, default_key=None) -> SystemConfig:
             return SystemConfig.from_dict(section)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad system section: {exc}") from None
+    delta = getattr(args, "delta", 20.0) or 20.0
     if getattr(args, "setting", None):
         if args.setting not in SETTINGS:
             raise ConfigError(f"unknown setting {args.setting!r}; choose from {sorted(SETTINGS)}")
-        kw = dict(SETTINGS[args.setting])
-    elif default_key is not None:
-        return preset_system(default_key, delta=getattr(args, "delta", 20.0) or 20.0)
-    else:
-        raise ConfigError("a --setting or --preset is required")
-    kw["delta"] = getattr(args, "delta", 20.0) or 20.0
-    return SystemConfig(**kw)
+        return SystemConfig(**SETTINGS[args.setting], delta=delta)
+    if default_key is not None:
+        return preset_system(default_key, delta=delta)
+    raise ConfigError("a --setting or --preset is required")
 
 
 def _curve_from_args(args):
@@ -276,17 +277,10 @@ def cmd_cost(args) -> int:
 def cmd_optimize(args) -> int:
     system = _system_from_args(args)
     phi_target = parse_phi(args.phi)
-    cfg_kw = getattr(args, "_optimizer_section", None) or {}
-    cfg = OptimizerConfig.from_dict(cfg_kw) if cfg_kw else OptimizerConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.starts is not None:
-        overrides["starts"] = args.starts
-    if args.max_iters is not None:
-        overrides["max_iters"] = args.max_iters
-    if overrides:
-        cfg = OptimizerConfig.from_dict({**cfg.to_dict(), **overrides})
+    cfg = OptimizerConfig.from_dict(getattr(args, "_optimizer_section", None) or {})
+    overrides = {name: getattr(args, name) for name in ("seed", "starts", "max_iters")
+                 if getattr(args, name) is not None}
+    cfg = replace(cfg, **overrides)
     result = optimize(phi_target, system, cfg)
     out = _out_dir(args)
     payload = result.to_dict()
@@ -304,11 +298,9 @@ def cmd_simulate(args) -> int:
     params, phi_target, key = _curve_from_args(args)
     system = _system_from_args(args, default_key=key)
     frame = dressing(system)
+    wave = synthesize_waveform(params, frame.design_beta, n_samples=args.n_samples)
     if args.baseline == "cosine":
-        ref = synthesize_waveform(params, frame.design_beta, n_samples=args.n_samples)
-        wave = matched_cosine_baseline(phi_target, ref)
-    else:
-        wave = synthesize_waveform(params, frame.design_beta, n_samples=args.n_samples)
+        wave = matched_cosine_baseline(phi_target, wave)
     noise = NoiseSetting(delta_omega=args.domega, delta_j=args.dj,
                          crosstalk_on=args.crosstalk == "on")
     _, infid = simulate_gate(system, frame, wave, noise, model=args.model,
@@ -539,12 +531,12 @@ def main(argv=None) -> int:
     try:
         apply_run_config(args)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except GridResolutionError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

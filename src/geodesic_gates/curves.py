@@ -27,6 +27,11 @@ correction:
 
 with a = -Phi / (32*pi^3) pinning phi(4*pi) - phi(0) = Phi and phi'(0) =
 phi'(4*pi) = 0 holding structurally.
+
+phi is linear in (a, b1, b2, b3, c): it is written once, as a basis of five
+terms with their first and second chi-derivatives. phi, phi' and phi'' on
+the grid are the coefficient vector times that basis, and C_target is its
+dot product with fixed per-term area weights (c's weight is zero).
 """
 
 from __future__ import annotations
@@ -80,47 +85,45 @@ def _check_domain(params: CurveParams, chi) -> None:
         raise ValueError(f"chi outside [0, {params.chi_max}]")
 
 
+def _basis(chi) -> np.ndarray:
+    """Value, first and second chi-derivative of the five ansatz terms.
+
+    Shape (3, 5) + chi.shape, terms in the order (a, b1, b2, b3, c), so that
+    derivative k of phi is the coefficient vector contracted with row k.
+    """
+    chi = np.asarray(chi, dtype=float)
+    s, co = np.sin(chi / 2.0), np.cos(chi / 2.0)
+    # sin^3(chi/2) and its derivatives multiply each trigonometric factor f
+    w, wp, wpp = s**3, 1.5 * s * s * co, 0.75 * s * (2.0 * co * co - s * s)
+    f = np.stack([np.sin(chi / 4.0), np.sin(3.0 * chi / 4.0), co, np.ones_like(chi)])
+    fp = np.stack([0.25 * np.cos(chi / 4.0), 0.75 * np.cos(3.0 * chi / 4.0),
+                   -0.5 * s, np.zeros_like(chi)])
+    # every factor is sin or cos of k chi, so f'' = -k^2 f
+    k2 = np.array([1.0 / 16.0, 9.0 / 16.0, 0.25, 0.0]).reshape((4,) + (1,) * chi.ndim)
+    out = np.empty((3, 5) + chi.shape)
+    out[0, 0] = (chi - 6.0 * np.pi) * chi**2
+    out[1, 0] = 3.0 * chi**2 - 12.0 * np.pi * chi
+    out[2, 0] = 6.0 * chi - 12.0 * np.pi
+    out[0, 1:] = w * f
+    out[1, 1:] = wp * f + w * fp
+    out[2, 1:] = wpp * f + 2.0 * wp * fp - w * k2 * f
+    return out
+
+
+def _coefficients(params: CurveParams) -> np.ndarray:
+    return np.array([params.a, params.b1, params.b2, params.b3, params.c])
+
+
 def phi(params: CurveParams, chi):
     """Azimuthal angle phi(chi) of the curve."""
     _check_domain(params, chi)
-    chi = np.asarray(chi, dtype=float)
-    u = chi / 2.0
-    g = (params.b1 * np.sin(chi / 4.0) + params.b2 * np.sin(3.0 * chi / 4.0)
-         + params.b3 * np.cos(u) + params.c)
-    return params.a * (chi - 6.0 * np.pi) * chi**2 + np.sin(u) ** 3 * g
+    return np.einsum("i,i...->...", _coefficients(params), _basis(chi)[0])
 
 
 def phi_prime(params: CurveParams, chi):
     """Analytic d phi / d chi (no numeric differentiation)."""
     _check_domain(params, chi)
-    chi = np.asarray(chi, dtype=float)
-    u = chi / 2.0
-    s, co = np.sin(u), np.cos(u)
-    g = (params.b1 * np.sin(chi / 4.0) + params.b2 * np.sin(3.0 * chi / 4.0)
-         + params.b3 * co + params.c)
-    gp = (params.b1 / 4.0 * np.cos(chi / 4.0)
-          + 3.0 * params.b2 / 4.0 * np.cos(3.0 * chi / 4.0)
-          - params.b3 / 2.0 * s)
-    return params.a * (3.0 * chi**2 - 12.0 * np.pi * chi) + 1.5 * s**2 * co * g + s**3 * gp
-
-
-def phi_pprime(params: CurveParams, chi):
-    """Analytic d^2 phi / d chi^2 (needed for theta' and grid corrections)."""
-    _check_domain(params, chi)
-    chi = np.asarray(chi, dtype=float)
-    u = chi / 2.0
-    s, co = np.sin(u), np.cos(u)
-    g = (params.b1 * np.sin(chi / 4.0) + params.b2 * np.sin(3.0 * chi / 4.0)
-         + params.b3 * co + params.c)
-    gp = (params.b1 / 4.0 * np.cos(chi / 4.0)
-          + 3.0 * params.b2 / 4.0 * np.cos(3.0 * chi / 4.0)
-          - params.b3 / 2.0 * s)
-    gpp = (-params.b1 / 16.0 * np.sin(chi / 4.0)
-           - 9.0 * params.b2 / 16.0 * np.sin(3.0 * chi / 4.0)
-           - params.b3 / 4.0 * co)
-    return (params.a * (6.0 * chi - 12.0 * np.pi)
-            + 0.75 * (2.0 * s * co**2 - s**3) * g
-            + 3.0 * s**2 * co * gp + s**3 * gpp)
+    return np.einsum("i,i...->...", _coefficients(params), _basis(chi)[1])
 
 
 def theta_of_chi(params: CurveParams, chi):
@@ -129,13 +132,11 @@ def theta_of_chi(params: CurveParams, chi):
     The argument lies in the open lower half plane for every finite phi', so
     pi/2 + arctan(sin(chi) phi') is the continuous branch in (0, pi).
     """
-    chi = np.asarray(chi, dtype=float)
     return np.pi / 2.0 + np.arctan(np.sin(chi) * phi_prime(params, chi))
 
 
 def arc_speed(params: CurveParams, chi):
     """Dimensionless arc speed t'(chi) = sqrt(1 + sin(chi)^2 phi'(chi)^2) >= 1."""
-    chi = np.asarray(chi, dtype=float)
     s = np.sin(chi) * phi_prime(params, chi)
     return np.sqrt(1.0 + s * s)
 
@@ -145,13 +146,27 @@ def _cumtrapz_corrected(values: np.ndarray, derivs: np.ndarray, h: float) -> np.
 
     The running upper limit makes plain cumulative-trapezoid only O(h^2);
     subtracting (h^2/12)(f'(x_k) - f'(x_0)) restores O(h^4), which the
-    oscillatory crosstalk phases need.
+    oscillatory crosstalk phases need. Works along the last axis.
     """
     out = np.empty_like(values)
-    out[0] = 0.0
-    np.cumsum(0.5 * h * (values[1:] + values[:-1]), out=out[1:])
-    out -= (h * h / 12.0) * (derivs - derivs[0])
+    out[..., 0] = 0.0
+    np.cumsum(0.5 * h * (values[..., 1:] + values[..., :-1]), axis=-1, out=out[..., 1:])
+    out -= (h * h / 12.0) * (derivs - derivs[..., :1])
     return out
+
+
+class GridResolutionError(ArithmeticError):
+    """The shared chi grid cannot resolve the curve (a numerical failure)."""
+
+
+@lru_cache(maxsize=4)
+def _grid_tables(n: int):
+    """chi, sin(chi), cos(chi) and the ansatz basis on the n-point grid, read-only."""
+    chi = np.linspace(0.0, CHI_MAX, n)
+    tables = (chi, np.sin(chi), np.cos(chi), _basis(chi))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 class CurveGrid:
@@ -166,21 +181,15 @@ class CurveGrid:
         if abs(params.chi_max - CHI_MAX) > 1e-12:
             raise ValueError("curve construction requires chi_max = 4*pi")
         self.params = params
-        self.n = n
-        self.chi = np.linspace(0.0, params.chi_max, n)
+        self.chi, self.sin_chi, self.cos_chi, basis = _grid_tables(n)
         self.h = self.chi[1] - self.chi[0]
-        self.phi = phi(params, self.chi)
-        self.dphi = phi_prime(params, self.chi)
-        self.ddphi = phi_pprime(params, self.chi)
-        self.sin_chi = np.sin(self.chi)
-        self.cos_chi = np.cos(self.chi)
+        self.phi, self.dphi, self.ddphi = _coefficients(params) @ basis
         s = self.sin_chi * self.dphi
         sp = self.cos_chi * self.dphi + self.sin_chi * self.ddphi
-        self.s = s
         self.theta = np.pi / 2.0 + np.arctan(s)
         jumps = np.max(np.abs(np.diff(self.theta))) if n > 1 else 0.0
         if jumps > np.pi / 2.0:
-            raise ValueError("theta branch jump exceeds pi/2: chi grid too coarse")
+            raise GridResolutionError("theta branch jump exceeds pi/2: chi grid too coarse")
         self.dtheta = sp / (1.0 + s * s)
         self.tprime = np.sqrt(1.0 + s * s)
         # d t'/d chi = s s'/t', analytic, used for the cumulative correction
@@ -299,18 +308,24 @@ def shortest_b1(a: float) -> float:
     return (1.0 / 512.0) * (-3465.0) * np.pi * (3.0 + 4.0 * np.pi**2) * a
 
 
+@lru_cache(maxsize=4)
+def _area_weights(n: int) -> np.ndarray:
+    """Per-term C_target of the five basis functions, same quadrature as CurveGrid.S."""
+    chi, sin_chi, cos_chi, basis = _grid_tables(n)
+    integrand = (1.0 - cos_chi) * basis[1]
+    deriv = sin_chi * basis[1] + (1.0 - cos_chi) * basis[2]
+    return _cumtrapz_corrected(integrand, deriv, chi[1] - chi[0])[:, -1]
+
+
 def area_affine(a: float, grid_points: int = CHI_GRID_POINTS):
     """Coefficients of C_target = c0 + k1 b1 + k2 b2 + k3 b3 at fixed a.
 
-    C_target is affine in the ansatz parameters and c encloses no area, so
-    four quadratures determine it exactly. Every zero-area solve uses these.
+    C_target is linear in the ansatz coefficients, so it is their dot
+    product with fixed per-term weights; c encloses no area and drops out.
+    Every zero-area solve uses these.
     """
-    base = CurveParams(a=a, phi_target=-32.0 * np.pi**3 * a)
-    c0 = area_functional(base, grid_points)
-    k1 = area_functional(base.with_updates(b1=1.0), grid_points) - c0
-    k2 = area_functional(base.with_updates(b2=1.0), grid_points) - c0
-    k3 = area_functional(base.with_updates(b3=1.0), grid_points) - c0
-    return c0, k1, k2, k3
+    w_a, k1, k2, k3, _ = map(float, _area_weights(grid_points))
+    return a * w_a, k1, k2, k3
 
 
 def solve_b1_zero_area(a: float) -> float:

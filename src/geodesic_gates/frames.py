@@ -277,15 +277,12 @@ def reduced_hamiltonian_samples(config: SystemConfig, frame: FrameData,
         V_cr = Omega(t) [ (V11 + V12) lambda / 4
                           + (g2 / 8 g1) lambda^2 (V21 + V22 + V212) ].
     """
-    n = len(times)
-    dim = config.dim
-    h = np.zeros((n, dim, dim), dtype=complex)
-    idx = np.arange(dim)
-    h[:, idx, idx] = block_z_diag(frame)[None, :]
-    xt = embed_single(SIGMA_X, config.target_qubit, config.n_qubits)
+    h = np.zeros((len(times), config.dim, config.dim), dtype=complex)
+    h[:] = np.diag(block_z_diag(frame))
+    xt = _drive_quadratures(config.n_qubits, config.target_qubit)[0]
     h += (0.5 * omega_eff)[:, None, None] * xt
     if include_crosstalk:
-        amp = omega_eff / frame.drive_scale * (frame.drive_scale if config.n_qubits == 2 else 1.0)
+        amp = omega_eff if config.n_qubits == 2 else omega_eff / frame.drive_scale
         for mult, a_mat, b_mat in _crosstalk_templates(config):
             phase = mult * frame.delta_tilde * times
             h += (amp * np.cos(phase))[:, None, None] * a_mat
@@ -302,14 +299,8 @@ def logical_target(config: SystemConfig, gate_angle: float) -> np.ndarray:
 
 def frame_unwind_diag(frame: FrameData, t: float) -> np.ndarray:
     """Diagonal of R(t) = exp(-i K t), K = sum_i rot_freq_i Z_i / 2."""
-    n = frame.n_qubits
-    k = np.zeros(2**n)
-    for i, freq in enumerate(frame.rotating_freqs):
-        zdiag = np.array([1.0, -1.0])
-        full = np.ones(1)
-        for j in range(n):
-            full = np.kron(full, zdiag if j == i else np.ones(2))
-        k = k + 0.5 * freq * full
+    k = sum(0.5 * freq * np.diag(embed_single(SIGMA_Z, i + 1, frame.n_qubits)).real
+            for i, freq in enumerate(frame.rotating_freqs))
     return np.exp(-1.0j * k * t)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize as sp_optimize
@@ -227,7 +227,7 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
     # the area condition is handled structurally: eliminated exactly via b3
     # where required, moot for the midpoint drive; the penalty weight w1 only
     # matters for direct total_cost evaluations
-    objective_cfg = OptimizerConfig.from_dict({**cfg.to_dict(), "w1": 0.0})
+    objective_cfg = replace(cfg, w1=0.0)
     eval_count = 0
 
     def objective(vec: np.ndarray) -> float:

@@ -107,6 +107,16 @@ def test_optimize_nonconvergence_exit_3(tmp_path):
     assert code == 3
 
 
+def test_unresolvable_curve_exits_4(tmp_path, capsys):
+    # b1 = 1e6 makes theta jump by more than pi/2 between grid points: a
+    # numerical failure, not an invalid configuration
+    params = tmp_path / "p.json"
+    write_json(params, {"a": -0.0010079, "b1": 1e6, "phi_target": np.pi})
+    code = run(tmp_path, "synth", "--params", str(params), "--setting", "2q-midpoint")
+    assert code == 4
+    assert "numerical failure:" in capsys.readouterr().err
+
+
 def test_audit_exit_zero(tmp_path, capsys):
     assert run(tmp_path, "audit") == 0
     out = capsys.readouterr().out

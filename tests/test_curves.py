@@ -7,7 +7,9 @@ from scipy import integrate
 from conftest import random_curve
 from geodesic_gates.curves import (
     CurveParams,
+    _cached_grid,
     arc_speed,
+    area_affine,
     area_functional,
     closed_form_b3,
     coefficient_for_angle,
@@ -22,6 +24,7 @@ from geodesic_gates.curves import (
     theta_of_chi,
 )
 from geodesic_gates.linalg import SIGMA_X, expm_hermitian, gate_fidelity
+from geodesic_gates.optimizer import preset_curve
 from geodesic_gates.simulate import propagate_blocks
 
 CHI_MAX = 4.0 * np.pi
@@ -55,6 +58,17 @@ def test_phi_prime_matches_finite_difference():
     for chi in (0.7, 2.0 * np.pi, 3.3, 9.9):
         fd = (phi(p, chi + h) - phi(p, chi - h)) / (2.0 * h)
         assert abs(phi_prime(p, chi) - fd) < 1e-8
+
+
+def test_grid_ddphi_matches_central_difference_of_phi_prime():
+    for key in ("xpi-2q-robust", "xpi-3q-robust"):
+        grid = curve_grid(preset_curve(key))
+        chi = grid.chi[1:-1:97]
+        h = 1e-5
+        p = grid.params
+        fd = (phi_prime(p, chi + h) - phi_prime(p, chi - h)) / (2.0 * h)
+        scale = np.max(np.abs(grid.ddphi))
+        assert np.max(np.abs(grid.ddphi[1:-1:97] - fd)) < 1e-8 * scale
 
 
 def test_phi_domain_checked():
@@ -197,6 +211,22 @@ def test_area_affine_coefficients_exact():
     assert abs(area_functional(zero.with_updates(c=1.0))) < 1e-12
     unit_a = CurveParams(a=1.0, phi_target=-32.0 * np.pi**3)
     assert abs(area_functional(unit_a) + 8.0 * np.pi * (4.0 * np.pi**2 + 3.0)) < 1e-9
+
+
+def test_area_affine_matches_four_quadratures():
+    for phi_target in (np.pi, np.pi / 2.0):
+        base = CurveParams.for_angle(phi_target)
+        c0 = area_functional(base)
+        expected = (c0, *(area_functional(base.with_updates(**{name: 1.0})) - c0
+                          for name in ("b1", "b2", "b3")))
+        got = area_affine(base.a)
+        assert np.max(np.abs(np.subtract(got, expected))) < 1e-12
+
+
+def test_area_affine_builds_no_grid():
+    _cached_grid.cache_clear()
+    area_affine(coefficient_for_angle(np.pi / 4.0))
+    assert _cached_grid.cache_info().currsize == 0
 
 
 def test_area_is_affine_superposition():
