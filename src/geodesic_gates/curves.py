@@ -210,7 +210,10 @@ class CurveGrid:
         return np.trapezoid(integrand, dx=self.h, axis=-1)
 
 
-@lru_cache(maxsize=64)
+# The optimizer reads each grid only within the cost evaluation that built
+# it, so a few entries catch its repeat lookups; each 16384-point grid holds
+# about 1.2 MB.
+@lru_cache(maxsize=4)
 def _cached_grid(params: CurveParams, n: int) -> CurveGrid:
     return CurveGrid(params, n)
 

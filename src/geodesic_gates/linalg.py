@@ -11,7 +11,8 @@ The time-ordered propagator uses a piecewise-constant midpoint rule,
 which is unconditionally unitary per step. Batched variants (arrays of
 small matrices) are provided because single-step Python loops dominate the
 runtime otherwise; the batched product is reduced pairwise so the work is
-done by vectorized matmul.
+done by vectorized matmul. Products of SU(2) steps are reduced the same way
+on unit quaternions (`su2_ordered_exp`), four real arrays per stack.
 """
 
 from __future__ import annotations
@@ -84,25 +85,58 @@ def expm_hermitian_batch(hams: np.ndarray, dt: float) -> np.ndarray:
     return np.einsum("nij,nj,nkj->nik", evecs, phases, evecs.conj())
 
 
-def su2_exp_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """exp(-i (x X + y Y + z Z)) in closed form for arrays of coefficients.
-
-    Returns shape x.shape + (2, 2). Exact for each element, so long block
-    propagations avoid per-step eigensolves.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.broadcast_to(np.asarray(y, dtype=float), x.shape)
-    z = np.broadcast_to(np.asarray(z, dtype=float), x.shape)
+def _su2_quaternions(x, y, z) -> np.ndarray:
+    """Unit quaternions (w, a, b, c) of exp(-i (x X + y Y + z Z)), shape (4, ...)."""
+    x, y, z = np.broadcast_arrays(*np.atleast_1d(x, y, z))
     r = np.sqrt(x * x + y * y + z * z)
-    cos_r = np.cos(r)
-    # sin(r)/r with the r -> 0 limit handled explicitly
-    small = r < 1e-30
-    sinc = np.where(small, 1.0, np.sin(np.where(small, 1.0, r)) / np.where(small, 1.0, r))
-    out = np.empty(x.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = cos_r - 1.0j * sinc * z
-    out[..., 0, 1] = sinc * (-1.0j * x - y)
-    out[..., 1, 0] = sinc * (-1.0j * x + y)
-    out[..., 1, 1] = cos_r + 1.0j * sinc * z
+    q = np.empty((4,) + r.shape)
+    np.cos(r, out=q[0])
+    sinc = np.sin(r)
+    np.divide(sinc, r, out=sinc, where=r > 0.0)
+    sinc[r == 0.0] = 1.0
+    for k, v in enumerate((x, y, z), start=1):
+        np.multiply(sinc, v, out=q[k])
+    return q
+
+
+def su2_ordered_exp(x, y, z) -> np.ndarray:
+    """Ordered product of closed-form steps exp(-i (x_k X + y_k Y + z_k Z)).
+
+    The coefficient arrays broadcast together and the product runs over
+    their last axis, later steps to the left: U_{N-1} ... U_1 U_0. Each step
+    is the unit quaternion (w, a, b, c) with U = w I - i (a X + b Y + c Z),
+    w = cos r and (a, b, c) = (sin r / r) (x, y, z) for r = |(x, y, z)|. Two
+    steps multiply as
+
+        (w1, n1) (w2, n2) = (w1 w2 - n1.n2, w1 n2 + w2 n1 + n1 x n2),
+
+    so the pairwise reduction works on four real arrays instead of a stack
+    of complex 2x2 matrices, and the matrix is formed once, at the end.
+    Returns shape (...) + (2, 2).
+    """
+    q = _su2_quaternions(x, y, z)
+    while q.shape[-1] > 1:
+        n = q.shape[-1]
+        w1, a1, b1, c1 = q[..., 1::2]
+        w2, a2, b2, c2 = q[..., 0:n - 1:2]
+        # filled in place: np.stack plus np.concatenate ran about 15% slower
+        nxt = np.empty(q.shape[:-1] + ((n + 1) // 2,))
+        half = n // 2
+        nxt[0, ..., :half] = w1 * w2 - a1 * a2 - b1 * b2 - c1 * c2
+        nxt[1, ..., :half] = w1 * a2 + w2 * a1 + b1 * c2 - c1 * b2
+        nxt[2, ..., :half] = w1 * b2 + w2 * b1 + c1 * a2 - a1 * c2
+        nxt[3, ..., :half] = w1 * c2 + w2 * c1 + a1 * b2 - b1 * a2
+        if n % 2:
+            nxt[..., half] = q[..., n - 1]
+        q = nxt
+    # the rounding of each step's norm accumulates along the product (about
+    # 4e-13 over 32764 steps); projecting back onto the unit sphere removes it
+    w, a, b, c = q[..., 0] / np.sqrt(np.sum(q[..., 0] ** 2, axis=0))
+    out = np.empty(w.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = w - 1.0j * c
+    out[..., 0, 1] = -b - 1.0j * a
+    out[..., 1, 0] = b - 1.0j * a
+    out[..., 1, 1] = w + 1.0j * c
     return out
 
 

@@ -19,8 +19,9 @@ from geodesic_gates.linalg import (
     product_reduce,
     propagate,
     propagate_converged,
-    su2_exp_batch,
+    su2_ordered_exp,
 )
+from oracles import su2_exp_batch
 
 
 def random_unitary(rng, d):
@@ -112,6 +113,30 @@ def test_product_reduce_ordering():
     for k in range(7):
         expected = mats[k] @ expected
     assert max_abs(product_reduce(mats) - expected) < 1e-12
+
+
+def test_su2_ordered_exp_matches_complex_oracle():
+    # non-commuting steps, odd and even lengths, leading batch axes kept
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 7, 64, 1001):
+        x, y, z = rng.normal(scale=0.3, size=(3, 2, 3, n))
+        expected = product_reduce(su2_exp_batch(x, y, z))
+        assert max_abs(su2_ordered_exp(x, y, z) - expected) < 1e-12, n
+
+
+def test_su2_ordered_exp_broadcasts_and_stays_unitary():
+    rng = np.random.default_rng(15)
+    n = 32768
+    x = rng.normal(scale=1e-3, size=n)
+    beta = np.array([[0.5], [-0.3]])
+    u = su2_ordered_exp(x, 1e-4 * beta, 0.01 * beta)
+    assert u.shape == (2, 2, 2)
+    for k in range(2):
+        expected = product_reduce(su2_exp_batch(x, np.full(n, 1e-4 * beta[k, 0]),
+                                                np.full(n, 0.01 * beta[k, 0])))
+        assert max_abs(u[k] - expected) < 1e-12
+        assert max_abs(u[k].conj().T @ u[k] - np.eye(2)) < 1e-15
+    assert max_abs(su2_ordered_exp(0.0, 0.0, np.zeros(3)) - np.eye(2)) == 0.0
 
 
 def test_propagate_constant_hamiltonian():

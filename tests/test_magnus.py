@@ -12,7 +12,6 @@ from geodesic_gates.linalg import (
     SIGMA_Z,
     expm_hermitian,
     max_abs,
-    su2_exp_batch,
 )
 from geodesic_gates.magnus import (
     CHANNEL_COUPLING,
@@ -28,6 +27,7 @@ from geodesic_gates.magnus import (
     susceptibility_beta0,
 )
 from geodesic_gates.optimizer import preset_curve
+from oracles import su2_exp_batch
 
 RX90 = expm_hermitian(SIGMA_X, np.pi / 4.0)
 

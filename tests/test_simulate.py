@@ -14,7 +14,7 @@ from geodesic_gates.linalg import (
     pauli_string,
     propagate_sampled,
 )
-from geodesic_gates.optimizer import preset_curve, preset_system
+from geodesic_gates.optimizer import PRESET_KEYS, preset_curve, preset_system
 from geodesic_gates.simulate import (
     MODEL_LAB,
     NoiseSetting,
@@ -26,6 +26,7 @@ from geodesic_gates.simulate import (
     simulate_gate,
     slope_fit,
 )
+from oracles import propagate_blocks_oracle
 
 
 def _setup(key, n_samples=8192):
@@ -93,9 +94,44 @@ def test_block_fast_path_matches_dense_propagation(key):
     assert np.max(np.abs(u_fast - propagate_sampled(hams, dt))) < 1e-6
 
 
+@pytest.mark.parametrize("key", PRESET_KEYS)
+def test_propagate_blocks_matches_complex_oracle(key):
+    # quaternion steps with shared betas against one complex 2x2 stack per beta
+    _, frame, wave = _setup(key)
+    betas = np.concatenate([frame.betas, np.asarray(frame.betas) + 0.07, [-0.31]])
+    u = propagate_blocks(wave, betas)
+    assert u.shape == betas.shape + (2, 2)
+    assert np.max(np.abs(u - propagate_blocks_oracle(wave, betas))) < 1e-12
+
+
+def test_propagate_blocks_equal_betas_give_identical_blocks():
+    _, _, wave = _setup("xpi-2q-robust")
+    betas = np.array([[0.5, -0.3, 0.5], [0.1, 0.5, -0.3]])
+    u = propagate_blocks(wave, betas)
+    assert u.shape == (2, 3, 2, 2)
+    assert np.array_equal(u[0, 0], u[0, 2]) and np.array_equal(u[0, 0], u[1, 1])
+    assert np.array_equal(u[0, 1], u[1, 2])
+    assert not np.array_equal(u[0, 0], u[0, 1])
+    # values one ulp apart are not merged
+    pair = propagate_blocks(wave, [0.5, np.nextafter(0.5, 1.0)])
+    assert not np.array_equal(pair[0], pair[1])
+    assert np.max(np.abs(pair[0] - pair[1])) < 1e-12
+
+
+def test_crosstalk_off_sweep_matches_simulate_at_every_point():
+    system, frame, wave = _setup("xpi-3q-robust")
+    axis = np.linspace(-0.04, 0.04, 5)
+    sweep = noise_sweep(system, frame, wave, axis, axis, crosstalk_on=False)
+    for i, dw in enumerate(axis):
+        for j, dj in enumerate(axis):
+            noise = NoiseSetting(float(dw), float(dj), crosstalk_on=False)
+            _, direct = simulate_gate(system, frame, wave, noise)
+            assert abs(sweep.infidelity[i, j] - direct) < 1e-12, (dw, dj)
+
+
 def test_zero_noise_infidelity_is_not_negative():
-    # on this preset the accumulated non-unitarity of the step product pushes
-    # |Tr|^2/d^2 just above 1; the fidelity is clipped there
+    # a product of tens of thousands of steps can drift off the unitary group
+    # and push |Tr|^2/d^2 just above 1 on this preset; the fidelity is clipped
     system, frame, wave = _setup("xhalfpi-2q-nonrobust")
     noise = NoiseSetting(crosstalk_on=False)
     _, direct = simulate_gate(system, frame, wave, noise, gate_angle=np.pi / 2.0)
