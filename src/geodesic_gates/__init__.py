@@ -38,8 +38,6 @@ from .linalg import (
     expm_hermitian,
     gate_fidelity,
     pauli_string,
-    propagate,
-    propagate_converged,
 )
 from .magnus import (
     ChannelWeights,

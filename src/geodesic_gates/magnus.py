@@ -120,7 +120,7 @@ def magnus_oracle(u0_at, delta_h_at, T: float, dt: float) -> np.ndarray:
     """Brute-force first-order Magnus integral, trapezoid rule.
 
     A1(T) = int_0^T U0(t)^dag dH(t) U0(t) dt with U0 supplied at grid points
-    (typically cached propagators from linalg.propagate).
+    (typically cached cumulative propagators of the block model).
     """
     n = max(1, int(np.ceil(T / dt - 1e-12)))
     step = T / n

@@ -11,8 +11,11 @@ The reduced model without control crosstalk is block diagonal: block b is
 `propagate_blocks` therefore propagates each distinct beta of a whole noise
 grid once, as closed-form SU(2) steps (fourth-order Magnus on Gauss nodes)
 multiplied as unit quaternions, and scatters the blocks back to the points.
-With crosstalk on, or in the lab frame, the midpoint rule with batched
-eigendecompositions is used.
+With crosstalk on, or in the lab frame, the same fourth-order Magnus steps
+are taken on the full d x d Hamiltonian: one batched eigendecomposition per
+step, `_DENSE_CHUNK` steps at a time. The noise is a constant diagonal
+operator N, so a sweep builds the noise-free steps once and adds N to each
+point's steps (`_dense_gate`).
 """
 
 from __future__ import annotations
@@ -32,10 +35,14 @@ from .frames import (
     reduced_hamiltonian_samples,
 )
 from .linalg import (
+    MAGNUS4_WEIGHT,
     SIGMA_X,
     expm_hermitian,
+    expm_hermitian_batch,
     gate_fidelity,
-    propagate_sampled,
+    gauss_nodes,
+    magnus4_hamiltonians,
+    product_reduce,
     su2_ordered_exp,
     trace_fidelity,
 )
@@ -43,10 +50,12 @@ from .linalg import (
 MODEL_REDUCED = "reduced"
 MODEL_LAB = "lab"
 
-_GAUSS_OFFSET = 0.5 * np.sqrt(3.0) / 3.0
 # chunk size cap for (distinct beta x time) step arrays: a chunk's steps,
 # quaternions and temporaries take about 30 MB; larger chunks run no faster
 _BATCH_ELEMENTS = 500_000
+# steps per time chunk of the dense path, so memory does not grow with
+# n_steps; 512 to 2048 run equally fast, 8192 about 15% slower (8x8 steps)
+_DENSE_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -100,19 +109,17 @@ def propagate_blocks(wave: Waveform, betas, n_steps: int | None = None) -> np.nd
     term is exactly (sqrt(3)/24) dt^2 beta (Omega_1 - Omega_2) Y per step, so
     every step stays a closed-form SU(2) exponential, and `su2_ordered_exp`
     multiplies the steps as unit quaternions. The default step count is four
-    per waveform sample interval.
+    per waveform sample interval (`_step_grid`).
 
     The result depends on beta alone, so each distinct value of `betas`
     (exact float equality, no rounding) is propagated once and scattered
     back: equal entries get bit-identical blocks. Returns shape
     np.shape(betas) + (2, 2).
     """
-    if n_steps is None:
-        n_steps = 4 * (len(wave.samples) - 1)
-    dt = wave.T / n_steps
-    t0 = np.arange(n_steps) * dt
-    om1 = wave.envelope(t0 + (0.5 - _GAUSS_OFFSET) * dt)
-    om2 = wave.envelope(t0 + (0.5 + _GAUSS_OFFSET) * dt)
+    dt, t1, t2 = _step_grid(wave, n_steps, 4)
+    n_steps = t1.size
+    om1 = wave.envelope(t1)
+    om2 = wave.envelope(t2)
     x_row = 0.25 * (om1 + om2) * dt
     y_row = -np.sqrt(3.0) / 24.0 * dt * dt * (om2 - om1)
     distinct, where = np.unique(np.asarray(betas, dtype=float), return_inverse=True)
@@ -124,46 +131,102 @@ def propagate_blocks(wave: Waveform, betas, n_steps: int | None = None) -> np.nd
     return out[where.reshape(np.shape(betas))]
 
 
-def _dense_steps(wave: Waveform, frame: FrameData) -> int:
-    """Midpoint step count resolving the crosstalk oscillation at delta_tilde."""
-    per_unit = max(64.0, 10.0 * abs(frame.delta_tilde))
-    return int(2 ** np.ceil(np.log2(max(16384, per_unit * wave.T))))
+def _step_grid(wave: Waveform, n_steps: int | None, per_interval: int):
+    """(dt, t1, t2): equal steps over [0, T] and their Gauss-Legendre nodes.
+
+    `n_steps` defaults to `per_interval` steps per waveform sample interval.
+    The envelope is linear within each interval, so steps aligned with the
+    samples never straddle a kink and keep their full order.
+    """
+    if n_steps is None:
+        n_steps = per_interval * (len(wave.samples) - 1)
+    return gauss_nodes(wave.T, n_steps)
+
+
+def _dense_per_interval(wave: Waveform, frame: FrameData) -> int:
+    """Steps per sample interval resolving the crosstalk oscillation at delta_tilde.
+
+    The fewest that give T max(64, 10 |delta_tilde|) steps in all.
+    """
+    need = wave.T * max(64.0, 10.0 * abs(frame.delta_tilde))
+    return max(1, int(np.ceil(need / (len(wave.samples) - 1))))
+
+
+def _magnus_steps(system: SystemConfig, frame: FrameData, waveform: Waveform,
+                  model: str, n_steps: int | None):
+    """Noise-free fourth-order Magnus steps of a dense model, in time chunks.
+
+    Returns (dt, chunks); each chunk is a pair (H_eff, H2 - H1) of stacks
+    over at most `_DENSE_CHUNK` consecutive steps, in time order, with H1, H2
+    the Hamiltonian at the step's two Gauss nodes. The chunks are generated
+    lazily, so a single gate never holds more than one of them.
+    """
+    if model == MODEL_REDUCED:
+        def sample(t):
+            return reduced_hamiltonian_samples(system, frame, waveform.envelope(t), t)
+    elif model == MODEL_LAB:
+        lab_wave = Waveform(T=waveform.T, dt=waveform.dt,
+                            samples=waveform.samples / frame.drive_scale,
+                            beta_design=waveform.beta_design)
+
+        def sample(t):
+            return lab_hamiltonian_samples(system, lab_wave, t)
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    dt, t1, t2 = _step_grid(waveform, n_steps, _dense_per_interval(waveform, frame))
+
+    def chunks():
+        for lo in range(0, t1.size, _DENSE_CHUNK):
+            h1 = sample(t1[lo:lo + _DENSE_CHUNK])
+            h2 = sample(t2[lo:lo + _DENSE_CHUNK])
+            yield magnus4_hamiltonians(h1, h2, dt), h2 - h1
+
+    return dt, chunks()
+
+
+def _dense_gate(system: SystemConfig, frame: FrameData, waveform: Waveform, model: str,
+                dt: float, chunks, noise: NoiseSetting, gate_angle: float):
+    """(U_final, infidelity) of the dense model from the `_magnus_steps` chunks.
+
+    The constant diagonal noise N = diag(n) enters each step's H_eff without
+    a new commutator: [H2 + N, H1 + N] = [H2, H1] + [H2 - H1, N] with
+    [D, N]_ij = D_ij (n_j - n_i), so H_eff gains N - i (sqrt(3)/12) dt
+    (H2 - H1)_ij (n_j - n_i).
+    """
+    n = np.diag(noise_operator(system, noise)).real
+    skew = (-1.0j * MAGNUS4_WEIGHT * dt) * (n[None, :] - n[:, None])
+    u_final = None
+    for h_eff, diff in chunks:
+        hams = h_eff + (skew * diff + np.diag(n))
+        u_chunk = product_reduce(expm_hermitian_batch(hams, dt))
+        u_final = u_chunk if u_final is None else u_chunk @ u_final
+    if model == MODEL_LAB:
+        u_final = logical_from_lab(u_final, system, frame, waveform.T)
+    return u_final, 1.0 - gate_fidelity(u_final, logical_target(system, gate_angle))
 
 
 def simulate_gate(system: SystemConfig, frame: FrameData, waveform: Waveform,
                   noise: NoiseSetting = NoiseSetting(), model: str = MODEL_REDUCED,
                   gate_angle: float = np.pi, n_steps: int | None = None):
-    """Propagate one gate and return (U_final, infidelity vs R_X target)."""
+    """Propagate one gate and return (U_final, infidelity vs R_X target).
+
+    The reduced model without crosstalk takes the block fast path
+    (`propagate_blocks`, four steps per sample interval by default); the
+    reduced model with crosstalk and the lab model take dense fourth-order
+    Magnus steps, by default one per sample interval or the smallest multiple
+    of that which resolves delta_tilde (`_dense_per_interval`). `n_steps`
+    overrides the step count and must be positive.
+    """
     _check_waveform(frame, waveform)
-    target = logical_target(system, gate_angle)
-    if model == MODEL_REDUCED:
-        if noise.crosstalk_on:
-            n = n_steps or _dense_steps(waveform, frame)
-            dt = waveform.T / n
-            mids = (np.arange(n) + 0.5) * dt
-            hams = reduced_hamiltonian_samples(system, frame, waveform.envelope(mids), mids)
-            hams += noise_operator(system, noise)[None, :, :]
-            u_final = propagate_sampled(hams, dt)
-        else:
-            blocks = propagate_blocks(
-                waveform, _block_betas(frame, noise.delta_omega, noise.delta_j), n_steps)
-            u_final = np.zeros((system.dim, system.dim), dtype=complex)
-            for b in range(len(frame.betas)):
-                u_final[2 * b:2 * b + 2, 2 * b:2 * b + 2] = blocks[b]
-    elif model == MODEL_LAB:
-        lab_wave = Waveform(T=waveform.T, dt=waveform.dt,
-                            samples=waveform.samples / frame.drive_scale,
-                            beta_design=waveform.beta_design)
-        n = n_steps or max(131072, _dense_steps(waveform, frame))
-        dt = waveform.T / n
-        mids = (np.arange(n) + 0.5) * dt
-        hams = lab_hamiltonian_samples(system, lab_wave, mids)
-        hams += noise_operator(system, noise)[None, :, :]
-        u_lab = propagate_sampled(hams, dt)
-        u_final = logical_from_lab(u_lab, system, frame, waveform.T)
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return u_final, 1.0 - gate_fidelity(u_final, target)
+    if model == MODEL_REDUCED and not noise.crosstalk_on:
+        blocks = propagate_blocks(
+            waveform, _block_betas(frame, noise.delta_omega, noise.delta_j), n_steps)
+        u_final = np.zeros((system.dim, system.dim), dtype=complex)
+        for b in range(len(frame.betas)):
+            u_final[2 * b:2 * b + 2, 2 * b:2 * b + 2] = blocks[b]
+        return u_final, 1.0 - gate_fidelity(u_final, logical_target(system, gate_angle))
+    dt, chunks = _magnus_steps(system, frame, waveform, model, n_steps)
+    return _dense_gate(system, frame, waveform, model, dt, chunks, noise, gate_angle)
 
 
 @dataclass(frozen=True)
@@ -203,13 +266,16 @@ def noise_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
         overlap = np.einsum("kijba,ba->ij", blocks.conj(), rx, optimize=True)
         infid = 1.0 - trace_fidelity(overlap, system.dim)
     else:
+        # the noise-free steps are shared by every point; `simulate_gate` runs
+        # the same arithmetic on the same chunks, so the values agree bit for bit
+        dt, chunks = _magnus_steps(system, frame, waveform, model, n_steps)
+        chunks = list(chunks)
         for i, dw in enumerate(domega_values):
             for j, dj in enumerate(dj_values):
                 noise = NoiseSetting(delta_omega=float(dw), delta_j=float(dj),
                                      crosstalk_on=crosstalk_on)
-                _, infid[i, j] = simulate_gate(system, frame, waveform, noise,
-                                               model=model, gate_angle=gate_angle,
-                                               n_steps=n_steps)
+                _, infid[i, j] = _dense_gate(system, frame, waveform, model, dt, chunks,
+                                             noise, gate_angle)
     meta = {"gate_angle": gate_angle, "crosstalk_on": crosstalk_on,
             "beta_design": waveform.beta_design, "T": waveform.T}
     meta.update(metadata or {})

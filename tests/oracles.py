@@ -4,9 +4,11 @@ Each one is a plain, independent form of something the package computes a
 faster way, kept here so the fast path can be checked against it.
 """
 
+from typing import Callable
+
 import numpy as np
 
-from geodesic_gates.linalg import product_reduce
+from geodesic_gates.linalg import expm_hermitian_batch, gate_fidelity, product_reduce
 
 
 def su2_exp_batch(x, y, z) -> np.ndarray:
@@ -50,3 +52,49 @@ def propagate_blocks_oracle(wave, betas, n_steps=None) -> np.ndarray:
     out = np.stack([product_reduce(su2_exp_batch(x, y * beta, np.full(n_steps, 0.5 * dt * beta)))
                     for beta in flat])
     return out.reshape(np.shape(betas) + (2, 2))
+
+
+def propagate(hamiltonian_at: Callable[[float], np.ndarray], T: float, dt: float) -> np.ndarray:
+    """Time-ordered propagator U(T) with the piecewise-constant midpoint rule,
+
+        U(T) = exp(-i H(t_{N-1} + dt/2) dt) ... exp(-i H(t_0 + dt/2) dt).
+
+    `dt` is a target step; the actual step is T/N with N = ceil(T/dt) so the
+    final grid point lands exactly on T. Halving dt changes the result at
+    O(dt^2).
+    """
+    if T <= 0 or dt <= 0:
+        raise ValueError("propagate requires T > 0 and dt > 0")
+    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    step = T / n_steps
+    mids = (np.arange(n_steps) + 0.5) * step
+    hams = np.stack([np.asarray(hamiltonian_at(t), dtype=complex) for t in mids])
+    return propagate_sampled(hams, step)
+
+
+def propagate_sampled(hams: np.ndarray, dt: float) -> np.ndarray:
+    """Propagator from midpoint-sampled Hamiltonians, shape (N, d, d)."""
+    return product_reduce(expm_hermitian_batch(hams, dt))
+
+
+def propagate_converged(
+    hamiltonian_at: Callable[[float], np.ndarray],
+    T: float,
+    n_start: int = 4000,
+    tol: float = 1e-10,
+    max_doublings: int = 10,
+) -> np.ndarray:
+    """Midpoint propagator with the step count doubled until converged.
+
+    Doubling stops once the fidelity between successive refinements changes
+    by less than `tol`.
+    """
+    u_prev = propagate(hamiltonian_at, T, T / n_start)
+    n = n_start
+    for _ in range(max_doublings):
+        n *= 2
+        u_next = propagate(hamiltonian_at, T, T / n)
+        if 1.0 - gate_fidelity(u_prev, u_next) < tol:
+            return u_next
+        u_prev = u_next
+    return u_prev

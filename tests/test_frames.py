@@ -24,8 +24,8 @@ from geodesic_gates.linalg import (
     is_hermitian,
     max_abs,
     pauli_string,
-    propagate_sampled,
 )
+from oracles import propagate_sampled
 
 
 def offdiag_norm(mat):

@@ -12,16 +12,16 @@ from geodesic_gates.linalg import (
     expm_hermitian,
     expm_hermitian_batch,
     gate_fidelity,
+    gauss_nodes,
     is_hermitian,
     is_unitary,
+    magnus4_hamiltonians,
     max_abs,
     pauli_string,
     product_reduce,
-    propagate,
-    propagate_converged,
     su2_ordered_exp,
 )
-from oracles import su2_exp_batch
+from oracles import propagate, propagate_converged, su2_exp_batch
 
 
 def random_unitary(rng, d):
@@ -174,6 +174,47 @@ def test_propagate_quadratic_convergence():
     errs = [max_abs(propagate(ham, T, dt) - ref) for dt in dts]
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert 1.8 < slope < 2.2
+
+
+def _magnus4(ham, T, n):
+    dt, t1, t2 = gauss_nodes(T, n)
+    h1 = np.stack([ham(t) for t in t1])
+    h2 = np.stack([ham(t) for t in t2])
+    return product_reduce(expm_hermitian_batch(magnus4_hamiltonians(h1, h2, dt), dt))
+
+
+def test_magnus4_quartic_convergence():
+    # the dense stepper on the same noncommuting H(t): error shrinks as dt^4
+    T = 3.0
+
+    def ham(t):
+        return 0.5 * np.cos(t) * SIGMA_X + 0.4 * SIGMA_Z
+
+    ref = _magnus4(ham, T, 2**12)
+    ns = [16, 32, 64, 128]
+    errs = [max_abs(_magnus4(ham, T, n) - ref) for n in ns]
+    slope = np.polyfit(np.log([T / n for n in ns]), np.log(errs), 1)[0]
+    assert 3.8 < slope < 4.2
+    # and it agrees with the midpoint oracle at its converged step count
+    assert max_abs(ref - propagate(ham, T, T / 2**16)) < 1e-8
+
+
+def test_magnus4_step_is_hermitian_and_exact_for_commuting_samples():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    h1 = a + a.conj().swapaxes(-1, -2)
+    h2 = h1 + 0.3 * rng.normal() * h1[::-1]
+    heff = magnus4_hamiltonians(h1, h2, 0.2)
+    assert all(is_hermitian(h) for h in heff)
+    # equal samples commute: the step is exp(-i H dt) exactly
+    assert max_abs(magnus4_hamiltonians(h1, h1, 0.2) - h1) < 1e-15
+
+
+def test_gauss_nodes_grid():
+    dt, t1, t2 = gauss_nodes(3.0, 4)
+    assert dt == 0.75
+    assert np.allclose(0.5 * (t1 + t2), (np.arange(4) + 0.5) * dt, atol=1e-15)
+    assert np.allclose(t2 - t1, dt / np.sqrt(3.0), atol=1e-15)
 
 
 def test_propagate_preserves_unitarity():

@@ -12,11 +12,11 @@ from geodesic_gates.linalg import (
     expm_hermitian,
     gate_fidelity,
     pauli_string,
-    propagate_sampled,
 )
 from geodesic_gates.optimizer import PRESET_KEYS, preset_curve, preset_system
 from geodesic_gates.simulate import (
     MODEL_LAB,
+    MODEL_REDUCED,
     NoiseSetting,
     cosine_baseline,
     matched_cosine_baseline,
@@ -25,8 +25,9 @@ from geodesic_gates.simulate import (
     propagate_blocks,
     simulate_gate,
     slope_fit,
+    _dense_per_interval,
 )
-from oracles import propagate_blocks_oracle
+from oracles import propagate_blocks_oracle, propagate_sampled
 
 
 def _setup(key, n_samples=8192):
@@ -69,6 +70,14 @@ def test_lab_and_reduced_agree_at_zero_noise():
     assert abs(infid_red - infid_lab) < 1e-5
 
 
+def test_lab_and_reduced_agree_two_qubit_relative():
+    # the 2q dressing is exact, so only the integrators separate the models
+    system, frame, wave = _setup("xpi-2q-robust")
+    _, infid_red = simulate_gate(system, frame, wave, NoiseSetting())
+    _, infid_lab = simulate_gate(system, frame, wave, NoiseSetting(), model=MODEL_LAB)
+    assert abs(infid_lab - infid_red) / infid_red < 1e-4
+
+
 def test_single_point_sweep_matches_simulate():
     system, frame, wave = _setup("xpi-2q-robust")
     noise = NoiseSetting(0.01, -0.02, crosstalk_on=False)
@@ -92,6 +101,60 @@ def test_block_fast_path_matches_dense_propagation(key):
                                        include_crosstalk=False)
     hams += noise_operator(system, noise)
     assert np.max(np.abs(u_fast - propagate_sampled(hams, dt))) < 1e-6
+
+
+@pytest.mark.parametrize("key", ["xpi-2q-robust", "xpi-3q-robust"])
+@pytest.mark.parametrize("model", [MODEL_REDUCED, MODEL_LAB])
+def test_dense_step_doubling(key, model):
+    # the discretization error of the default dense step grid, estimated by
+    # doubling the steps
+    system, frame, wave = _setup(key)
+    noise = NoiseSetting(0.02, 0.01)
+    u_default, _ = simulate_gate(system, frame, wave, noise, model=model)
+    n_default = _dense_per_interval(wave, frame) * (len(wave.samples) - 1)
+    u_double, _ = simulate_gate(system, frame, wave, noise, model=model,
+                                n_steps=2 * n_default)
+    assert np.max(np.abs(u_default - u_double)) < 1e-9
+
+
+@pytest.mark.parametrize("key", ["xpi-2q-robust", "xpi-3q-robust"])
+def test_dense_stepper_matches_midpoint_oracle(key):
+    # the crosstalk-on Magnus path against the midpoint rule on the same
+    # reduced model plus the same noise operator
+    system, frame, wave = _setup(key)
+    noise = NoiseSetting(0.03, -0.02)
+    u_dense, _ = simulate_gate(system, frame, wave, noise)
+    n = 2**16
+    dt = wave.T / n
+    mids = (np.arange(n) + 0.5) * dt
+    hams = reduced_hamiltonian_samples(system, frame, wave.envelope(mids), mids)
+    hams += noise_operator(system, noise)
+    assert np.max(np.abs(u_dense - propagate_sampled(hams, dt))) < 1e-6
+
+
+def test_crosstalk_on_sweep_matches_simulate_at_every_point():
+    # the sweep shares the noise-free steps between points; simulate_gate
+    # rebuilds them, and the two must agree
+    system, frame, wave = _setup("xpi-3q-robust")
+    axis = np.linspace(-0.04, 0.04, 3)
+    sweep = noise_sweep(system, frame, wave, axis, axis, crosstalk_on=True)
+    for i, dw in enumerate(axis):
+        for j, dj in enumerate(axis):
+            _, direct = simulate_gate(system, frame, wave, NoiseSetting(float(dw), float(dj)))
+            assert abs(sweep.infidelity[i, j] - direct) < 1e-12, (dw, dj)
+
+
+def test_step_counts_must_be_positive():
+    system, frame, wave = _setup("xpi-2q-robust")
+    for bad in (0, -8):
+        for noise, model in ((NoiseSetting(crosstalk_on=False), MODEL_REDUCED),
+                             (NoiseSetting(), MODEL_REDUCED), (NoiseSetting(), MODEL_LAB)):
+            with pytest.raises(ValueError, match="n_steps"):
+                simulate_gate(system, frame, wave, noise, model=model, n_steps=bad)
+        with pytest.raises(ValueError, match="n_steps"):
+            propagate_blocks(wave, frame.betas, n_steps=bad)
+        with pytest.raises(ValueError, match="n_steps"):
+            noise_sweep(system, frame, wave, [0.0], [0.0], n_steps=bad)
 
 
 @pytest.mark.parametrize("key", PRESET_KEYS)
