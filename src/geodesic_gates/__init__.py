@@ -11,19 +11,16 @@ from .curves import (
     CHI_GRID_POINTS,
     CurveParams,
     Waveform,
-    arc_speed,
     area_functional,
     closed_form_b3,
     coefficient_for_angle,
     curve_grid,
     phi,
-    phi_prime,
     rotation_angle,
     shortest_b1,
     solve_b1_zero_area,
     solve_b3_zero_area,
     synthesize_waveform,
-    theta_of_chi,
 )
 from .frames import (
     FrameData,
@@ -45,7 +42,6 @@ from .magnus import (
     channel_costs,
     crosstalk_amplitudes,
     full_susceptibility,
-    magnus_oracle,
     robust_cost,
     susceptibility_beta,
     susceptibility_beta0,

@@ -127,31 +127,37 @@ _CONFIG_SECTIONS = {
               "crosstalk": "crosstalk"},
     "output": {"dir": "out", "format": "format"},
 }
-_FLAG_DEFAULTS = {
-    "preset": None, "phi": None, "setting": None, "grid": 41, "range": 0.1,
-    "model": MODEL_REDUCED, "crosstalk": "on", "out": ".", "format": "csv",
-}
 
 
-def apply_run_config(args) -> None:
-    """Fold a JSON run-config file into the parsed arguments.
+def _given_flags(argv) -> set:
+    """Names of the flags `argv` gives: a reparse with every default suppressed."""
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for option in (o for command in sub.choices.values() for o in command._actions):
+        option.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def apply_run_config(args, argv) -> None:
+    """Fold a JSON run-config file into the arguments parsed from `argv`.
 
     Sections: system (SystemConfig fields), gate, optimizer, sweep, output.
-    A value from the file applies only where the flag still holds its
-    built-in default, so explicit flags always win.
+    A value from the file applies only where `argv` does not give its flag,
+    so explicit flags always win, even when they equal the default.
     """
     if not getattr(args, "config", None):
         return
     data = read_json(Path(args.config))
-    if not isinstance(data, dict):
-        raise ConfigError("run config must be a JSON object")
+    sections = ("system", "optimizer", *_CONFIG_SECTIONS)
+    if not isinstance(data, dict) or not all(isinstance(data.get(s, {}), dict) for s in sections):
+        raise ConfigError(f"run config and its sections {sections} must be JSON objects")
     args._system_section = data.get("system")
     args._optimizer_section = data.get("optimizer")
+    given = _given_flags(argv)
     for section, mapping in _CONFIG_SECTIONS.items():
         for key, attr in mapping.items():
-            if section in data and key in data[section] and hasattr(args, attr):
-                if getattr(args, attr) == _FLAG_DEFAULTS.get(attr):
-                    setattr(args, attr, data[section][key])
+            if key in data.get(section, {}) and hasattr(args, attr) and attr not in given:
+                setattr(args, attr, data[section][key])
 
 
 def _system_from_args(args, default_key=None) -> SystemConfig:
@@ -277,7 +283,10 @@ def cmd_cost(args) -> int:
 def cmd_optimize(args) -> int:
     system = _system_from_args(args)
     phi_target = parse_phi(args.phi)
-    cfg = OptimizerConfig.from_dict(getattr(args, "_optimizer_section", None) or {})
+    try:
+        cfg = OptimizerConfig.from_dict(getattr(args, "_optimizer_section", None) or {})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad optimizer section: {exc}") from None
     overrides = {name: getattr(args, name) for name in ("seed", "starts", "max_iters")
                  if getattr(args, name) is not None}
     cfg = replace(cfg, **overrides)
@@ -430,7 +439,7 @@ def audit_report() -> dict:
         "reproduces the negated published b3 to table rounding",
         "crosstalk amplitude bookkeeping constants (geometric-frame offset "
         "R_X(pi/2), phases exp(+-i pi/4)) are fixed by matching the brute-force "
-        "Magnus oracle; see magnus.crosstalk_block",
+        "Magnus oracle; see crosstalk_block in tests/oracles.py",
     ]
     return report
 
@@ -529,7 +538,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        apply_run_config(args)
+        apply_run_config(args, argv)
         return args.func(args)
     except (ConfigError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

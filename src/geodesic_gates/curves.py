@@ -120,27 +120,6 @@ def phi(params: CurveParams, chi):
     return np.einsum("i,i...->...", _coefficients(params), _basis(chi)[0])
 
 
-def phi_prime(params: CurveParams, chi):
-    """Analytic d phi / d chi (no numeric differentiation)."""
-    _check_domain(params, chi)
-    return np.einsum("i,i...->...", _coefficients(params), _basis(chi)[1])
-
-
-def theta_of_chi(params: CurveParams, chi):
-    """Euler angle theta(chi) = Arg(sin(chi) phi' - i) + pi, continuous branch.
-
-    The argument lies in the open lower half plane for every finite phi', so
-    pi/2 + arctan(sin(chi) phi') is the continuous branch in (0, pi).
-    """
-    return np.pi / 2.0 + np.arctan(np.sin(chi) * phi_prime(params, chi))
-
-
-def arc_speed(params: CurveParams, chi):
-    """Dimensionless arc speed t'(chi) = sqrt(1 + sin(chi)^2 phi'(chi)^2) >= 1."""
-    s = np.sin(chi) * phi_prime(params, chi)
-    return np.sqrt(1.0 + s * s)
-
-
 def _cumtrapz_corrected(values: np.ndarray, derivs: np.ndarray, h: float) -> np.ndarray:
     """Cumulative trapezoid with the leading h^2/12 endpoint term removed.
 
@@ -248,10 +227,6 @@ class Waveform:
     @property
     def peak_amplitude(self) -> float:
         return float(np.max(np.abs(self.samples)))
-
-    @property
-    def pulse_area(self) -> float:
-        return float(np.trapezoid(self.samples, dx=self.dt))
 
 
 def synthesize_waveform(params: CurveParams, beta: float,

@@ -21,10 +21,15 @@ R(t) = exp(-i K t), K = sum_i rot_freq_i Z_i / 2, leaves the block model
 where V_cr is the coherent control-crosstalk term oscillating at the
 effective detuning delta_tilde. Basis ordering is |q1 q2 (q3)> with qubit 1
 most significant and Z|0> = +|0>.
+
+Both dense models, the lab frame and the reduced model with crosstalk, are
+H(t) = h0 + Omega(t) sum_m [cos(nu_m t) a_m + sin(nu_m t) b_m]: one term
+table each (`dense_terms`), read by one sampler (`hamiltonian_samples`).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -37,6 +42,9 @@ from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 DRIVE_MIDPOINT = "midpoint"
 DRIVE_RESONANT_LOWER = "resonant_lower"
 DRIVE_CENTER = "center"
+
+MODEL_REDUCED = "reduced"
+MODEL_LAB = "lab"
 
 
 @dataclass(frozen=True)
@@ -51,8 +59,11 @@ class SystemConfig:
     drive_choice: str = DRIVE_MIDPOINT
 
     def __post_init__(self):
-        if self.n_qubits not in (2, 3):
-            raise ValueError("n_qubits must be 2 or 3")
+        if not isinstance(self.n_qubits, numbers.Integral) or self.n_qubits not in (2, 3):
+            raise ValueError(f"n_qubits must be 2 or 3, got {self.n_qubits!r}")
+        if not all(isinstance(x, numbers.Real)
+                   for x in (self.delta, self.g1, self.g2, self.omega_ref)):
+            raise TypeError(f"delta, g1, g2 and omega_ref must be real numbers: {self}")
         if self.delta == 0:
             raise ValueError("delta must be nonzero")
         if self.n_qubits == 2 and self.drive_choice not in (DRIVE_MIDPOINT, DRIVE_RESONANT_LOWER):
@@ -115,7 +126,6 @@ class FrameData:
         return max(abs(b) for b in self.betas)
 
 
-@lru_cache(maxsize=32)
 def lab_static(config: SystemConfig) -> np.ndarray:
     """Undriven lab Hamiltonian H0."""
     w = config.qubit_frequencies
@@ -129,26 +139,6 @@ def lab_static(config: SystemConfig) -> np.ndarray:
                                     + pauli_string("IXX") + pauli_string("IYY"))
         h = h + 0.25 * config.g2 * (pauli_string("ZIZ") + pauli_string("IZZ"))
     return h
-
-
-@lru_cache(maxsize=32)
-def _drive_quadratures(n_qubits: int, target: int):
-    return (embed_single(SIGMA_X, target, n_qubits), embed_single(SIGMA_Y, target, n_qubits))
-
-
-def lab_hamiltonian_samples(config: SystemConfig, pulse: Waveform,
-                            times: np.ndarray) -> np.ndarray:
-    """Lab Hamiltonian stack H0 + Hc(t_k), shape (N, d, d); pulse interpolated linearly."""
-    times = np.asarray(times, dtype=float)
-    if times.size and (times.min() < -1e-12 or times.max() > pulse.T + 1e-12):
-        raise ValueError(f"sample times outside the pulse window [0, {pulse.T}]")
-    frame = dressing(config)
-    xt, yt = _drive_quadratures(config.n_qubits, config.target_qubit)
-    omega = pulse.envelope(times)
-    wd = frame.omega_d
-    drive = (0.5 * omega * np.cos(wd * times))[:, None, None] * xt \
-        + (0.5 * omega * np.sin(wd * times))[:, None, None] * yt
-    return lab_static(config)[None, :, :] + drive
 
 
 def two_qubit_dressing(config: SystemConfig) -> FrameData:
@@ -243,51 +233,63 @@ def block_z_diag(frame: FrameData) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _crosstalk_templates(config: SystemConfig):
-    """Constant matrices multiplying Omega(t) {cos, sin}(k dt~ t) in V_cr."""
-    if config.n_qubits == 2:
-        frame = dressing(config)
-        # epsilon = tan(theta)/2; the effective envelope multiplies these
-        return ((1.0, frame.epsilon * pauli_string("XZ"), frame.epsilon * pauli_string("YZ")),)
-    lam = config.g1 / config.delta
-    c2 = config.g2 / (8.0 * config.g1) * lam**2
-    a1 = 0.25 * lam * (pauli_string("XIZ") - pauli_string("IXZ")) \
-        - c2 * (pauli_string("XZZ") + pauli_string("ZXZ"))
-    b1 = 0.25 * lam * (pauli_string("YIZ") + pauli_string("IYZ")) \
-        - c2 * (pauli_string("YZZ") - pauli_string("ZYZ"))
-    a2 = c2 * (pauli_string("XXX") + pauli_string("YYX"))
-    b2 = c2 * (pauli_string("YXX") - pauli_string("XYX"))
-    return ((1.0, a1, b1), (2.0, a2, b2))
+def dense_terms(config: SystemConfig, model: str):
+    """Term table (h0, nu, a, b) of a dense model; the arrays are read-only.
 
-
-def reduced_hamiltonian_samples(config: SystemConfig, frame: FrameData,
-                                omega_eff: np.ndarray, times: np.ndarray,
-                                include_crosstalk: bool = True) -> np.ndarray:
-    """Rotating-frame model at the times t_k, shape (N, d, d).
-
-    Block-diagonal qubit blocks (beta_i Z + Omega_eff X)/2, plus with
-    `include_crosstalk` the coherent control-crosstalk operator V_cr(t).
-    `omega_eff` is the effective drive seen by the target blocks (the
-    synthesized waveform). Two qubits:
-
-        V_cr = (tan(theta)/2) Omega_eff(t) (cos(dt~ t) XZ + sin(dt~ t) YZ).
-
-    Three qubits, with the lab envelope Omega = Omega_eff / drive_scale:
-
-        V_cr = Omega(t) [ (V11 + V12) lambda / 4
-                          + (g2 / 8 g1) lambda^2 (V21 + V22 + V212) ].
+    H(t) = h0 + Omega(t) sum_m [cos(nu_m t) a_m + sin(nu_m t) b_m], with
+    Omega(t) the synthesized envelope and every amplitude folded into a_m, b_m.
+    Lab: h0 = H0 and one drive term at omega_d, X_t and Y_t over 2 drive_scale.
+    Reduced: h0 the block detunings, term 0 the target drive X_t/2 at nu = 0,
+    then V_cr: (tan(theta)/2) (XZ, YZ) at delta_tilde for two qubits; for the
+    chain, over drive_scale, (V11 + V12) lambda/4 + (g2/8g1) lambda^2 (V21 + V22)
+    at delta_tilde and (g2/8g1) lambda^2 V212 at 2 delta_tilde.
     """
-    h = np.zeros((len(times), config.dim, config.dim), dtype=complex)
-    h[:] = np.diag(block_z_diag(frame))
-    xt = _drive_quadratures(config.n_qubits, config.target_qubit)[0]
-    h += (0.5 * omega_eff)[:, None, None] * xt
-    if include_crosstalk:
-        amp = omega_eff if config.n_qubits == 2 else omega_eff / frame.drive_scale
-        for mult, a_mat, b_mat in _crosstalk_templates(config):
-            phase = mult * frame.delta_tilde * times
-            h += (amp * np.cos(phase))[:, None, None] * a_mat
-            h += (amp * np.sin(phase))[:, None, None] * b_mat
-    return h
+    if model not in (MODEL_LAB, MODEL_REDUCED):
+        raise ValueError(f"unknown model {model!r}")
+    frame = dressing(config)
+    xt, yt = (embed_single(pauli, config.target_qubit, config.n_qubits)
+              for pauli in (SIGMA_X, SIGMA_Y))
+    p = pauli_string
+    if model == MODEL_LAB:
+        h0 = lab_static(config)
+        terms = [(frame.omega_d, xt / (2.0 * frame.drive_scale), yt / (2.0 * frame.drive_scale))]
+    else:
+        h0 = np.diag(block_z_diag(frame))
+        terms = [(0.0, 0.5 * xt, 0.0 * xt)]
+        if config.n_qubits == 2:
+            terms.append((frame.delta_tilde, frame.epsilon * p("XZ"), frame.epsilon * p("YZ")))
+        else:
+            lam = config.g1 / config.delta
+            c1 = 0.25 * lam / frame.drive_scale
+            c2 = config.g2 / (8.0 * config.g1) * lam**2 / frame.drive_scale
+            terms.append((frame.delta_tilde,
+                          c1 * (p("XIZ") - p("IXZ")) - c2 * (p("XZZ") + p("ZXZ")),
+                          c1 * (p("YIZ") + p("IYZ")) - c2 * (p("YZZ") - p("ZYZ"))))
+            terms.append((2.0 * frame.delta_tilde,
+                          c2 * (p("XXX") + p("YYX")), c2 * (p("YXX") - p("XYX"))))
+    nu, a, b = zip(*terms)
+    tables = (np.array(h0, dtype=complex), np.array(nu, dtype=float),
+              np.array(a, dtype=complex), np.array(b, dtype=complex))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def hamiltonian_samples(config: SystemConfig, model: str, pulse: Waveform,
+                        times: np.ndarray) -> np.ndarray:
+    """H(t_k) of a dense model, h0 + (coefficients (N, 2M)) @ (templates (2M, d^2)).
+
+    `pulse` is the synthesized envelope, interpolated linearly. Shape (N, d, d).
+    """
+    times = np.asarray(times, dtype=float)
+    if times.size and (times.min() < -1e-12 or times.max() > pulse.T + 1e-12):
+        raise ValueError(f"sample times outside the pulse window [0, {pulse.T}]")
+    h0, nu, a, b = dense_terms(config, model)
+    omega = pulse.envelope(times)[:, None]
+    phase = times[:, None] * nu
+    coefs = np.concatenate([omega * np.cos(phase), omega * np.sin(phase)], axis=1)
+    templates = np.concatenate([a, b]).reshape(2 * nu.size, -1)
+    return h0 + (coefs @ templates).reshape(times.size, *h0.shape)
 
 
 def logical_target(config: SystemConfig, gate_angle: float) -> np.ndarray:

@@ -71,11 +71,6 @@ def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
     return max_abs(mat - mat.conj().T) < tol
 
 
-def is_unitary(mat: np.ndarray, tol: float = 1e-10) -> bool:
-    d = mat.shape[0]
-    return max_abs(mat.conj().T @ mat - np.eye(d)) < tol
-
-
 def expm_hermitian(ham: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """exp(-i * scale * ham) for Hermitian `ham`, via eigendecomposition."""
     if not is_hermitian(ham, tol=1e-10):

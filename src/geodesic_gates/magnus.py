@@ -24,7 +24,7 @@ Inter-block control crosstalk contributes two complex amplitudes
 where Omega dt = (theta' + cos(chi) phi') dchi and dt~ is the crosstalk
 detuning. A brute-force Magnus oracle (trapezoid of U0^dag dH U0 over
 cached propagators) backs every analytic integral; the exact bookkeeping
-between the two frames is in :func:`crosstalk_block` and the tests.
+between the two frames is in `crosstalk_block` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -114,60 +114,6 @@ def crosstalk_amplitudes(params: CurveParams, delta_tilde: float, beta: float,
     ct2 = trapz_endpoint_corrected(
         pref * np.sin(g.chi / 2.0) * np.exp(1.0j * (g.S - g.theta)) * rot, g.h)
     return complex(ct1), complex(ct2)
-
-
-def magnus_oracle(u0_at, delta_h_at, T: float, dt: float) -> np.ndarray:
-    """Brute-force first-order Magnus integral, trapezoid rule.
-
-    A1(T) = int_0^T U0(t)^dag dH(t) U0(t) dt with U0 supplied at grid points
-    (typically cached cumulative propagators of the block model).
-    """
-    n = max(1, int(np.ceil(T / dt - 1e-12)))
-    step = T / n
-    total = None
-    for k in range(n + 1):
-        t = k * step
-        u = u0_at(t)
-        term = u.conj().T @ delta_h_at(t) @ u
-        weight = 0.5 if k in (0, n) else 1.0
-        total = weight * term if total is None else total + weight * term
-    return total * step
-
-
-def crosstalk_block(params: CurveParams, delta_tilde: float, beta: float,
-                    grid_points: int = CHI_GRID_POINTS) -> np.ndarray:
-    """Analytic prediction of the full inter-block Magnus 2x2 block.
-
-    For the 4-dim model H = diag((beta Z + Omega X)/2, Omega X / 2) with
-    perturbation dH = Omega(t)(cos(dt~ t) XZ + sin(dt~ t) YZ), the upper
-    right block of int U0^dag dH U0 dt equals
-
-        int Omega e^{-i dt~ t} R_X(pi/2) M(chi) dt,
-        M = U_geo^dag Z R_X(psi) = [[p, conj(q)], [q, -conj(p)]],
-
-    p = cos(chi/2) cos(A) + i sin(chi/2) sin(B), q = -sin(chi/2) cos(B)
-    + i cos(chi/2) sin(A), A = theta + phi - S - pi/4, B = theta - S - pi/4.
-    The R_X(pi/2) factor is the frame offset between the geometric Euler
-    product and the from-identity propagator. This is the object the
-    published (ct1, ct2) integrals parameterize; tests match it entrywise
-    against the brute-force oracle.
-    """
-    g = curve_grid(params, grid_points)
-    t_phys = g.arc / abs(beta)
-    pref = g.dtheta + g.cos_chi * g.dphi
-    a_ang = g.theta + g.phi - g.S - np.pi / 4.0
-    b_ang = g.theta - g.S - np.pi / 4.0
-    half = g.chi / 2.0
-    p = np.cos(half) * np.cos(a_ang) + 1.0j * np.sin(half) * np.sin(b_ang)
-    q = -np.sin(half) * np.cos(b_ang) + 1.0j * np.cos(half) * np.sin(a_ang)
-    rot = np.exp(-1.0j * delta_tilde * t_phys)
-    i_p = trapz_endpoint_corrected(pref * rot * p, g.h)
-    i_q = trapz_endpoint_corrected(pref * rot * q, g.h)
-    j_p = trapz_endpoint_corrected(pref * rot * p.conj(), g.h)
-    j_q = trapz_endpoint_corrected(pref * rot * q.conj(), g.h)
-    m_int = np.array([[i_p, j_q], [i_q, -j_p]])
-    rx90 = np.array([[1.0, -1.0j], [-1.0j, 1.0]]) / np.sqrt(2.0)
-    return rx90 @ m_int
 
 
 def full_susceptibility(params: CurveParams, delta_tilde: float, beta: float,

@@ -12,10 +12,10 @@ The reduced model without control crosstalk is block diagonal: block b is
 grid once, as closed-form SU(2) steps (fourth-order Magnus on Gauss nodes)
 multiplied as unit quaternions, and scatters the blocks back to the points.
 With crosstalk on, or in the lab frame, the same fourth-order Magnus steps
-are taken on the full d x d Hamiltonian: one batched eigendecomposition per
-step, `_DENSE_CHUNK` steps at a time. The noise is a constant diagonal
-operator N, so a sweep builds the noise-free steps once and adds N to each
-point's steps (`_dense_gate`).
+are taken on the full d x d Hamiltonian from `frames.hamiltonian_samples`:
+one batched eigendecomposition per step, `_DENSE_CHUNK` steps at a time.
+The noise is a constant diagonal operator N, so a sweep builds the
+noise-free steps once and adds N to each point's steps (`_dense_gate`).
 """
 
 from __future__ import annotations
@@ -26,13 +26,14 @@ import numpy as np
 
 from .curves import Waveform
 from .frames import (
+    MODEL_LAB,
+    MODEL_REDUCED,
     FrameData,
     SystemConfig,
     dressing,
-    lab_hamiltonian_samples,
+    hamiltonian_samples,
     logical_from_lab,
     logical_target,
-    reduced_hamiltonian_samples,
 )
 from .linalg import (
     MAGNUS4_WEIGHT,
@@ -46,9 +47,6 @@ from .linalg import (
     su2_ordered_exp,
     trace_fidelity,
 )
-
-MODEL_REDUCED = "reduced"
-MODEL_LAB = "lab"
 
 # chunk size cap for (distinct beta x time) step arrays: a chunk's steps,
 # quaternions and temporaries take about 30 MB; larger chunks run no faster
@@ -161,24 +159,12 @@ def _magnus_steps(system: SystemConfig, frame: FrameData, waveform: Waveform,
     the Hamiltonian at the step's two Gauss nodes. The chunks are generated
     lazily, so a single gate never holds more than one of them.
     """
-    if model == MODEL_REDUCED:
-        def sample(t):
-            return reduced_hamiltonian_samples(system, frame, waveform.envelope(t), t)
-    elif model == MODEL_LAB:
-        lab_wave = Waveform(T=waveform.T, dt=waveform.dt,
-                            samples=waveform.samples / frame.drive_scale,
-                            beta_design=waveform.beta_design)
-
-        def sample(t):
-            return lab_hamiltonian_samples(system, lab_wave, t)
-    else:
-        raise ValueError(f"unknown model {model!r}")
     dt, t1, t2 = _step_grid(waveform, n_steps, _dense_per_interval(waveform, frame))
 
     def chunks():
         for lo in range(0, t1.size, _DENSE_CHUNK):
-            h1 = sample(t1[lo:lo + _DENSE_CHUNK])
-            h2 = sample(t2[lo:lo + _DENSE_CHUNK])
+            h1 = hamiltonian_samples(system, model, waveform, t1[lo:lo + _DENSE_CHUNK])
+            h2 = hamiltonian_samples(system, model, waveform, t2[lo:lo + _DENSE_CHUNK])
             yield magnus4_hamiltonians(h1, h2, dt), h2 - h1
 
     return dt, chunks()

@@ -25,7 +25,6 @@ from geodesic_gates.magnus import (
     CHANNEL_COUPLING,
     CHANNEL_FREQ,
     channel_costs,
-    crosstalk_block,
     susceptibility_beta,
     susceptibility_beta0,
 )
@@ -44,6 +43,7 @@ from geodesic_gates.simulate import (
     simulate_gate,
     slope_fit,
 )
+from oracles import crosstalk_block
 from test_magnus import (
     oracle_beta0_components,
     oracle_beta_components,

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from geodesic_gates.cli import main, read_json, write_json
 
 
@@ -192,6 +193,32 @@ def test_run_config_flag_overrides_file(tmp_path):
     assert main(["cost", "--config", str(cfg_path), "--preset", "xpi-2q-nonrobust",
                  "--out", str(tmp_path)]) == 0
     assert read_json(tmp_path / "cost.json")["preset"] == "xpi-2q-nonrobust"
+
+
+def test_run_config_loses_to_flag_equal_to_default(tmp_path):
+    # --grid 41 is the parser default, and given explicitly it still wins
+    cfg_path = tmp_path / "run.json"
+    write_json(cfg_path, {"sweep": {"grid": 5}})
+    argv = ["sweep", "--preset", "xpi-2q-robust", "--crosstalk", "off", "--n-samples", "1024",
+            "--config", str(cfg_path)]
+    assert main([*argv, "--out", str(tmp_path / "file")]) == 0
+    assert read_json(tmp_path / "file" / "sweep_summary.json")["grid"] == 5
+    assert main([*argv, "--grid", "41", "--out", str(tmp_path / "flag")]) == 0
+    assert read_json(tmp_path / "flag" / "sweep_summary.json")["grid"] == 41
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"optimizer": {"bogus": 1}}, ["optimize", "--setting", "2q-midpoint", "--phi", "pi"]),
+    ({"optimizer": {"channel_weights": {"bogus": 1.0}}},
+     ["optimize", "--setting", "2q-midpoint", "--phi", "pi"]),
+    ({"system": {"n_qubits": 2, "delta": "x"}}, ["cost", "--preset", "xpi-2q-robust"]),
+    ({"sweep": 5}, ["cost", "--preset", "xpi-2q-robust"]),
+], ids=["optimizer-key", "channel-weights-key", "system-delta", "section-not-object"])
+def test_bad_run_config_value_exits_2(tmp_path, capsys, config, argv):
+    cfg_path = tmp_path / "run.json"
+    write_json(cfg_path, config)
+    assert main([*argv, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_optimize_reads_optimizer_section(tmp_path):

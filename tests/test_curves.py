@@ -8,24 +8,22 @@ from conftest import random_curve
 from geodesic_gates.curves import (
     CurveParams,
     _cached_grid,
-    arc_speed,
     area_affine,
     area_functional,
     closed_form_b3,
     coefficient_for_angle,
     curve_grid,
     phi,
-    phi_prime,
     rotation_angle,
     shortest_b1,
     solve_b1_zero_area,
     solve_b3_zero_area,
     synthesize_waveform,
-    theta_of_chi,
 )
 from geodesic_gates.linalg import SIGMA_X, expm_hermitian, gate_fidelity
 from geodesic_gates.optimizer import preset_curve
 from geodesic_gates.simulate import propagate_blocks
+from oracles import arc_speed, phi_prime, theta_of_chi
 
 CHI_MAX = 4.0 * np.pi
 

@@ -5,27 +5,30 @@ import pytest
 
 from geodesic_gates.curves import CurveParams, Waveform, synthesize_waveform
 from geodesic_gates.frames import (
+    MODEL_LAB,
+    MODEL_REDUCED,
     FrameData,
     SystemConfig,
     block_z_diag,
     dressing,
-    lab_hamiltonian_samples,
+    hamiltonian_samples,
     lab_static,
     logical_from_lab,
     logical_target,
-    reduced_hamiltonian_samples,
     three_qubit_dressing,
     two_qubit_dressing,
 )
 from geodesic_gates.linalg import (
     SIGMA_X,
+    SIGMA_Y,
+    embed_single,
     expm_hermitian,
     gate_fidelity,
     is_hermitian,
     max_abs,
     pauli_string,
 )
-from oracles import propagate_sampled
+from oracles import propagate_sampled, reduced_block_samples
 
 
 def offdiag_norm(mat):
@@ -74,9 +77,28 @@ def test_lab_hamiltonian_hermitian_and_window():
     cfg = SystemConfig(n_qubits=2, delta=20.0)
     pulse = Waveform(T=2.0, dt=0.5, samples=np.array([0.0, 1.0, 1.0, 0.5, 0.0]),
                      beta_design=0.5)
-    assert is_hermitian(lab_hamiltonian_samples(cfg, pulse, np.array([0.7]))[0])
+    assert is_hermitian(hamiltonian_samples(cfg, MODEL_LAB, pulse, np.array([0.7]))[0])
     with pytest.raises(ValueError):
-        lab_hamiltonian_samples(cfg, pulse, np.array([2.5]))
+        hamiltonian_samples(cfg, MODEL_LAB, pulse, np.array([2.5]))
+
+
+@pytest.mark.parametrize("cfg", [
+    SystemConfig(n_qubits=2, delta=20.0, omega_ref=3.0),
+    SystemConfig(n_qubits=3, delta=20.0, omega_ref=3.0, drive_choice="center"),
+])
+def test_lab_samples_drive_is_envelope_over_drive_scale(cfg):
+    # the lab model reads the synthesized envelope, so its drive amplitude
+    # is Omega / drive_scale
+    frame = dressing(cfg)
+    rng = np.random.default_rng(17)
+    pulse = Waveform(T=3.0, dt=0.5, samples=rng.uniform(-1.0, 1.0, 7), beta_design=0.0)
+    times = rng.uniform(0.0, pulse.T, 32)
+    xt = embed_single(SIGMA_X, cfg.target_qubit, cfg.n_qubits)
+    yt = embed_single(SIGMA_Y, cfg.target_qubit, cfg.n_qubits)
+    amp = (pulse.envelope(times) / (2.0 * frame.drive_scale))[:, None, None]
+    wd_t = (frame.omega_d * times)[:, None, None]
+    expected = lab_static(cfg) + amp * (np.cos(wd_t) * xt + np.sin(wd_t) * yt)
+    assert max_abs(hamiltonian_samples(cfg, MODEL_LAB, pulse, times) - expected) < 1e-13
 
 
 def test_two_qubit_dressing_angle_oracle():
@@ -166,7 +188,8 @@ def test_reduced_hamiltonian_idle_is_block_detunings():
     for cfg in (SystemConfig(n_qubits=2, delta=20.0),
                 SystemConfig(n_qubits=3, delta=20.0, drive_choice="center")):
         frame = dressing(cfg)
-        h = reduced_hamiltonian_samples(cfg, frame, np.array([0.0]), np.array([0.3]))[0]
+        idle = Waveform(T=1.0, dt=1.0, samples=np.zeros(2), beta_design=0.0)
+        h = hamiltonian_samples(cfg, MODEL_REDUCED, idle, np.array([0.3]))[0]
         assert offdiag_norm(h) < 1e-14
         assert np.max(np.abs(np.diag(h) - block_z_diag(frame))) < 1e-14
 
@@ -175,7 +198,8 @@ def test_reduced_crosstalk_entries_at_t0():
     cfg = SystemConfig(n_qubits=2, delta=20.0)
     frame = dressing(cfg)
     omega0 = 0.8
-    h = reduced_hamiltonian_samples(cfg, frame, np.array([omega0]), np.array([0.0]))[0]
+    pulse = Waveform(T=1.0, dt=1.0, samples=np.full(2, omega0), beta_design=0.0)
+    h = hamiltonian_samples(cfg, MODEL_REDUCED, pulse, np.array([0.0]))[0]
     theta = -0.5 * np.arctan(1.0 / 20.0)
     amp = 0.5 * np.tan(theta) * omega0
     assert abs(h[0, 2] - amp) < 1e-12
@@ -185,10 +209,11 @@ def test_reduced_crosstalk_entries_at_t0():
 
 def _crosstalk_term(cfg, frame, omega_lab, t):
     """V_cr(t) at lab envelope omega_lab: the reduced model with minus without crosstalk."""
-    omega_eff = np.array([omega_lab * frame.drive_scale])
+    pulse = Waveform(T=1.0, dt=1.0, samples=np.full(2, omega_lab * frame.drive_scale),
+                     beta_design=0.0)
     times = np.array([t])
-    h_on = reduced_hamiltonian_samples(cfg, frame, omega_eff, times)
-    h_off = reduced_hamiltonian_samples(cfg, frame, omega_eff, times, include_crosstalk=False)
+    h_on = hamiltonian_samples(cfg, MODEL_REDUCED, pulse, times)
+    h_off = reduced_block_samples(cfg, pulse, times)
     return (h_on - h_off)[0]
 
 
@@ -240,11 +265,9 @@ def test_frame_consistency_two_qubit():
     frame = dressing(cfg)
     params = CurveParams.for_angle(np.pi, b1=5.86744, c=-5.46421)
     wave = synthesize_waveform(params, frame.design_beta, n_samples=8192)
-    u_red = _propagate(lambda ts: reduced_hamiltonian_samples(cfg, frame, wave.envelope(ts), ts),
+    u_red = _propagate(lambda ts: hamiltonian_samples(cfg, MODEL_REDUCED, wave, ts),
                        wave.T, 65536)
-    lab_wave = Waveform(T=wave.T, dt=wave.dt, samples=wave.samples / frame.drive_scale,
-                        beta_design=wave.beta_design)
-    u_lab = _propagate(lambda ts: lab_hamiltonian_samples(cfg, lab_wave, ts), wave.T, 262144)
+    u_lab = _propagate(lambda ts: hamiltonian_samples(cfg, MODEL_LAB, wave, ts), wave.T, 262144)
     u_log = logical_from_lab(u_lab, cfg, frame, wave.T)
     # the transform is exact; the residual is integrator discretization
     assert max_abs(u_log - u_red) < 1e-7

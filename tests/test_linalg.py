@@ -14,14 +14,13 @@ from geodesic_gates.linalg import (
     gate_fidelity,
     gauss_nodes,
     is_hermitian,
-    is_unitary,
     magnus4_hamiltonians,
     max_abs,
     pauli_string,
     product_reduce,
     su2_ordered_exp,
 )
-from oracles import propagate, propagate_converged, su2_exp_batch
+from oracles import is_unitary, propagate, propagate_converged, su2_exp_batch
 
 
 def random_unitary(rng, d):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geodesic_gates.curves import synthesize_waveform
-from geodesic_gates.frames import SystemConfig, dressing, reduced_hamiltonian_samples
+from geodesic_gates.frames import SystemConfig, dressing, hamiltonian_samples
 from geodesic_gates.linalg import (
     SIGMA_X,
     SIGMA_Z,
@@ -27,7 +27,7 @@ from geodesic_gates.simulate import (
     slope_fit,
     _dense_per_interval,
 )
-from oracles import propagate_blocks_oracle, propagate_sampled
+from oracles import propagate_blocks_oracle, propagate_sampled, pulse_area, reduced_block_samples
 
 
 def _setup(key, n_samples=8192):
@@ -97,8 +97,7 @@ def test_block_fast_path_matches_dense_propagation(key):
     n = 2**16
     dt = wave.T / n
     mids = (np.arange(n) + 0.5) * dt
-    hams = reduced_hamiltonian_samples(system, frame, wave.envelope(mids), mids,
-                                       include_crosstalk=False)
+    hams = reduced_block_samples(system, wave, mids)
     hams += noise_operator(system, noise)
     assert np.max(np.abs(u_fast - propagate_sampled(hams, dt))) < 1e-6
 
@@ -127,7 +126,7 @@ def test_dense_stepper_matches_midpoint_oracle(key):
     n = 2**16
     dt = wave.T / n
     mids = (np.arange(n) + 0.5) * dt
-    hams = reduced_hamiltonian_samples(system, frame, wave.envelope(mids), mids)
+    hams = hamiltonian_samples(system, MODEL_REDUCED, wave, mids)
     hams += noise_operator(system, noise)
     assert np.max(np.abs(u_dense - propagate_sampled(hams, dt))) < 1e-6
 
@@ -287,7 +286,7 @@ def test_cosine_baseline_shape_and_area():
     assert abs(wave.peak_amplitude - 2.0 * np.pi / T) < 1e-12
     mid = wave.envelope(T / 2.0)
     assert abs(mid - 2.0 * np.pi / T) < 1e-12
-    assert abs(wave.pulse_area - np.pi) < 1e-12
+    assert abs(pulse_area(wave) - np.pi) < 1e-12
     with pytest.raises(ValueError):
         cosine_baseline(np.pi, -1.0)
 
