@@ -129,21 +129,13 @@ _CONFIG_SECTIONS = {
 }
 
 
-def _given_flags(argv) -> set:
-    """Names of the flags `argv` gives: a reparse with every default suppressed."""
-    parser = build_parser()
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for option in (o for command in sub.choices.values() for o in command._actions):
-        option.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
 def apply_run_config(args, argv) -> None:
     """Fold a JSON run-config file into the arguments parsed from `argv`.
 
     Sections: system (SystemConfig fields), gate, optimizer, sweep, output.
     A value from the file applies only where `argv` does not give its flag,
-    so explicit flags always win, even when they equal the default.
+    so explicit flags always win, even when they equal the default. Values
+    pass their flag's type and choices, as on the command line.
     """
     if not getattr(args, "config", None):
         return
@@ -153,11 +145,23 @@ def apply_run_config(args, argv) -> None:
         raise ConfigError(f"run config and its sections {sections} must be JSON objects")
     args._system_section = data.get("system")
     args._optimizer_section = data.get("optimizer")
-    given = _given_flags(argv)
+    # the flags `argv` gives: a reparse with every default suppressed
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for option in (o for command in sub.choices.values() for o in command._actions):
+        option.default = argparse.SUPPRESS
+    given = vars(parser.parse_args(argv))
+    command = sub.choices[args.command]
+    actions = {action.dest: action for action in command._actions}
     for section, mapping in _CONFIG_SECTIONS.items():
         for key, attr in mapping.items():
-            if key in data.get(section, {}) and hasattr(args, attr) and attr not in given:
-                setattr(args, attr, data[section][key])
+            if key in data.get(section, {}) and attr in actions:
+                try:
+                    value = command._get_values(actions[attr], [str(data[section][key])])
+                except argparse.ArgumentError as exc:
+                    raise ConfigError(f"run config {section}.{key}: {exc}") from None
+                if attr not in given:
+                    setattr(args, attr, value)
 
 
 def _system_from_args(args, default_key=None) -> SystemConfig:
@@ -169,8 +173,6 @@ def _system_from_args(args, default_key=None) -> SystemConfig:
             raise ConfigError(f"bad system section: {exc}") from None
     delta = getattr(args, "delta", 20.0) or 20.0
     if getattr(args, "setting", None):
-        if args.setting not in SETTINGS:
-            raise ConfigError(f"unknown setting {args.setting!r}; choose from {sorted(SETTINGS)}")
         return SystemConfig(**SETTINGS[args.setting], delta=delta)
     if default_key is not None:
         return preset_system(default_key, delta=delta)
@@ -340,7 +342,8 @@ def cmd_sweep(args) -> int:
     axis = np.linspace(-args.range, args.range, n)
     crosstalk = args.crosstalk == "on"
     threads = resolve_threads(args)
-    if crosstalk and threads > 1:
+    # the block path is one vectorized call; only dense points gain from threads
+    if (crosstalk or args.model == MODEL_LAB) and threads > 1:
         result = _threaded_sweep(system, frame, wave, axis, axis, args.model,
                                  crosstalk, phi_target, threads)
     else:
@@ -376,25 +379,10 @@ def cmd_sweep(args) -> int:
 
 def _threaded_sweep(system, frame, wave, dw_axis, dj_axis, model, crosstalk,
                     phi_target, threads):
-    from .simulate import SweepResult
-
-    points = [(i, j, float(dw), float(dj))
-              for i, dw in enumerate(dw_axis) for j, dj in enumerate(dj_axis)]
-    infid = np.empty((len(dw_axis), len(dj_axis)))
-
-    def work(point):
-        i, j, dw, dj = point
-        _, val = simulate_gate(system, frame, wave,
-                               NoiseSetting(dw, dj, crosstalk), model=model,
-                               gate_angle=phi_target)
-        return i, j, val
-
+    """`noise_sweep` with its dense points spread over `threads` worker threads."""
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, j, val in pool.map(work, points):
-            infid[i, j] = val
-    return SweepResult(axis_domega=np.asarray(dw_axis), axis_dj=np.asarray(dj_axis),
-                       infidelity=infid, model=model,
-                       metadata={"gate_angle": phi_target, "crosstalk_on": crosstalk})
+        return noise_sweep(system, frame, wave, dw_axis, dj_axis, model=model,
+                           crosstalk_on=crosstalk, gate_angle=phi_target, map=pool.map)
 
 
 def audit_report() -> dict:

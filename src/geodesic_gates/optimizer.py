@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -125,6 +126,13 @@ class OptimizerConfig:
     box_halfwidth: float = 300.0
     include_preset_start: bool = True
     grid_points: int = CHI_GRID_POINTS
+
+    def __post_init__(self):
+        ints = (self.starts, self.seed, self.max_iters, self.grid_points, self.include_preset_start)
+        reals = (self.w1, self.w2, self.tol, self.box_halfwidth, *vars(self.channel_weights).values())
+        if not all(isinstance(x, numbers.Integral) for x in ints) or not all(
+                isinstance(x, numbers.Real) for x in reals):
+            raise TypeError(f"optimizer counts must be integers and weights real numbers: {self}")
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in

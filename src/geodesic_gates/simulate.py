@@ -14,15 +14,19 @@ multiplied as unit quaternions, and scatters the blocks back to the points.
 With crosstalk on, or in the lab frame, the same fourth-order Magnus steps
 are taken on the full d x d Hamiltonian from `frames.hamiltonian_samples`:
 one batched eigendecomposition per step, `_DENSE_CHUNK` steps at a time.
-The noise is a constant diagonal operator N, so a sweep builds the
-noise-free steps once and adds N to each point's steps (`_dense_gate`).
+The noise is a constant diagonal operator N, so `noise_sweep`, the one loop
+over sweep points, builds the noise-free steps once, adds N to each point's
+steps (`_dense_gate`) and maps the points through a `map` callable (the CLI
+passes a thread pool's). Every point equals `simulate_gate` bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .curves import Waveform
 from .frames import (
@@ -205,14 +209,23 @@ def simulate_gate(system: SystemConfig, frame: FrameData, waveform: Waveform,
     """
     _check_waveform(frame, waveform)
     if model == MODEL_REDUCED and not noise.crosstalk_on:
-        blocks = propagate_blocks(
-            waveform, _block_betas(frame, noise.delta_omega, noise.delta_j), n_steps)
-        u_final = np.zeros((system.dim, system.dim), dtype=complex)
-        for b in range(len(frame.betas)):
-            u_final[2 * b:2 * b + 2, 2 * b:2 * b + 2] = blocks[b]
-        return u_final, 1.0 - gate_fidelity(u_final, logical_target(system, gate_angle))
+        blocks, infid = _block_sweep(system, frame, waveform, noise.delta_omega,
+                                     noise.delta_j, gate_angle, n_steps)
+        return block_diag(*blocks[:, 0, 0]), float(infid[0, 0])
     dt, chunks = _magnus_steps(system, frame, waveform, model, n_steps)
     return _dense_gate(system, frame, waveform, model, dt, chunks, noise, gate_angle)
+
+
+def _block_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
+                 domega_values, dj_values, gate_angle: float, n_steps: int | None):
+    """(blocks (n_blocks, n_dw, n_dj, 2, 2), infidelity) of the block model on a grid."""
+    dw_grid, dj_grid = np.meshgrid(domega_values, dj_values, indexing="ij")
+    blocks = propagate_blocks(waveform, _block_betas(frame, dw_grid, dj_grid), n_steps)
+    # Tr(U^dag (I (x) R_X)) in a fixed order; a reduction's order varies with the grid shape
+    terms = blocks.conj() * expm_hermitian(SIGMA_X, gate_angle / 2.0)
+    overlap = sum(terms[k, ..., b, a] for k in range(len(frame.betas))
+                  for b in (0, 1) for a in (0, 1))
+    return blocks, 1.0 - trace_fidelity(overlap, system.dim)
 
 
 @dataclass(frozen=True)
@@ -235,38 +248,28 @@ class SweepResult:
 def noise_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
                 domega_values, dj_values, model: str = MODEL_REDUCED,
                 crosstalk_on: bool = True, gate_angle: float = np.pi,
-                n_steps: int | None = None, metadata: dict | None = None) -> SweepResult:
-    """Infidelity at every grid point; evaluations independent, deterministic."""
+                n_steps: int | None = None, map=map) -> SweepResult:
+    """Infidelity at each grid point, bit for bit `simulate_gate`'s; dense points use `map`."""
     domega_values = np.atleast_1d(np.asarray(domega_values, dtype=float))
     dj_values = np.atleast_1d(np.asarray(dj_values, dtype=float))
     if domega_values.size > 201 or dj_values.size > 201:
         raise ValueError("sweep grids are limited to 201 points per axis")
+    # NoiseSetting's bound, at the grid corner: the block path builds no NoiseSetting
+    NoiseSetting(np.max(np.abs(domega_values), initial=0), np.max(np.abs(dj_values), initial=0))
     _check_waveform(frame, waveform)
-    n_dw, n_dj = domega_values.size, dj_values.size
-    infid = np.empty((n_dw, n_dj))
     if model == MODEL_REDUCED and not crosstalk_on:
-        dw_grid, dj_grid = np.meshgrid(domega_values, dj_values, indexing="ij")
-        blocks = propagate_blocks(waveform, _block_betas(frame, dw_grid, dj_grid), n_steps)
-        rx = expm_hermitian(SIGMA_X, gate_angle / 2.0)
-        # Tr(U^dag (I (x) R_X)) summed block by block
-        overlap = np.einsum("kijba,ba->ij", blocks.conj(), rx, optimize=True)
-        infid = 1.0 - trace_fidelity(overlap, system.dim)
+        _, infid = _block_sweep(system, frame, waveform, domega_values, dj_values,
+                                gate_angle, n_steps)
     else:
-        # the noise-free steps are shared by every point; `simulate_gate` runs
-        # the same arithmetic on the same chunks, so the values agree bit for bit
         dt, chunks = _magnus_steps(system, frame, waveform, model, n_steps)
-        chunks = list(chunks)
-        for i, dw in enumerate(domega_values):
-            for j, dj in enumerate(dj_values):
-                noise = NoiseSetting(delta_omega=float(dw), delta_j=float(dj),
-                                     crosstalk_on=crosstalk_on)
-                _, infid[i, j] = _dense_gate(system, frame, waveform, model, dt, chunks,
-                                             noise, gate_angle)
+        gate = partial(_dense_gate, system, frame, waveform, model, dt, list(chunks),
+                       gate_angle=gate_angle)
+        noises = [NoiseSetting(float(dw), float(dj), crosstalk_on)
+                  for dw in domega_values for dj in dj_values]
+        infid = np.reshape([i for _, i in map(gate, noises)], (domega_values.size, dj_values.size))
     meta = {"gate_angle": gate_angle, "crosstalk_on": crosstalk_on,
             "beta_design": waveform.beta_design, "T": waveform.T}
-    meta.update(metadata or {})
-    return SweepResult(axis_domega=domega_values, axis_dj=dj_values,
-                       infidelity=infid, model=model, metadata=meta)
+    return SweepResult(domega_values, dj_values, infid, model, meta)
 
 
 def slope_fit(noise_values, infidelities, floor: float = 0.0,

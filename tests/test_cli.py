@@ -172,6 +172,27 @@ def test_threads_env_fallback(monkeypatch):
     assert resolve_threads(ns_explicit) == 5
 
 
+@pytest.mark.parametrize("model", ["reduced", "lab"])
+def test_sweep_artifacts_do_not_depend_on_threads(tmp_path, monkeypatch, model):
+    from geodesic_gates import cli
+
+    pools = []
+
+    def spy(*args):
+        pools.append(args[-1])
+        return threaded_sweep(*args)
+
+    threaded_sweep = cli._threaded_sweep
+    monkeypatch.setattr(cli, "_threaded_sweep", spy)
+    argv = ["sweep", "--preset", "xpi-2q-robust", "--grid", "3", "--n-samples", "256",
+            "--crosstalk", "on", "--model", model]
+    for threads in ("1", "2"):
+        assert run(tmp_path / threads, *argv, "--threads", threads) == 0
+    assert pools == [2]
+    for name in ("sweep.csv", "sweep_summary.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_run_config_file_sections(tmp_path):
     config = {
         "system": {"n_qubits": 3, "delta": 20.0, "g1": 1.0, "g2": 1.0,
@@ -213,7 +234,13 @@ def test_run_config_loses_to_flag_equal_to_default(tmp_path):
      ["optimize", "--setting", "2q-midpoint", "--phi", "pi"]),
     ({"system": {"n_qubits": 2, "delta": "x"}}, ["cost", "--preset", "xpi-2q-robust"]),
     ({"sweep": 5}, ["cost", "--preset", "xpi-2q-robust"]),
-], ids=["optimizer-key", "channel-weights-key", "system-delta", "section-not-object"])
+    ({"sweep": {"grid": "x"}}, ["sweep", "--preset", "xpi-2q-robust", "--crosstalk", "off"]),
+    ({"optimizer": {"starts": "x"}}, ["optimize", "--setting", "2q-midpoint", "--phi", "pi"]),
+    ({"sweep": {"crosstalk": "maybe"}}, ["sweep", "--preset", "xpi-2q-robust", "--grid", "3"]),
+    ({"output": {"format": "xml"}}, ["cost", "--preset", "xpi-2q-robust"]),
+], ids=["optimizer-key", "channel-weights-key", "system-delta", "section-not-object",
+        "sweep-grid-type", "optimizer-starts-type", "sweep-crosstalk-choice",
+        "output-format-choice"])
 def test_bad_run_config_value_exits_2(tmp_path, capsys, config, argv):
     cfg_path = tmp_path / "run.json"
     write_json(cfg_path, config)

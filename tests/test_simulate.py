@@ -141,6 +141,7 @@ def test_crosstalk_on_sweep_matches_simulate_at_every_point():
         for j, dj in enumerate(axis):
             _, direct = simulate_gate(system, frame, wave, NoiseSetting(float(dw), float(dj)))
             assert abs(sweep.infidelity[i, j] - direct) < 1e-12, (dw, dj)
+            assert sweep.infidelity[i, j] == direct, (dw, dj)
 
 
 def test_step_counts_must_be_positive():
@@ -189,6 +190,7 @@ def test_crosstalk_off_sweep_matches_simulate_at_every_point():
             noise = NoiseSetting(float(dw), float(dj), crosstalk_on=False)
             _, direct = simulate_gate(system, frame, wave, noise)
             assert abs(sweep.infidelity[i, j] - direct) < 1e-12, (dw, dj)
+            assert sweep.infidelity[i, j] == direct, (dw, dj)
 
 
 def test_zero_noise_infidelity_is_not_negative():
@@ -221,6 +223,9 @@ def test_sweep_grid_limits():
     system, frame, wave = _setup("xpi-2q-robust")
     with pytest.raises(ValueError):
         noise_sweep(system, frame, wave, np.zeros(202), [0.0])
+    # the crosstalk-off path builds no NoiseSetting per point; its axes meet the same bound
+    with pytest.raises(ValueError, match="<= 0.5"):
+        noise_sweep(system, frame, wave, [0.8], [0.0], crosstalk_on=False)
 
 
 def test_nonrobust_infidelity_minimum_at_origin():
