@@ -9,13 +9,12 @@ direct time-domain simulation of the two- and three-qubit models.
 
 from .curves import (
     CHI_GRID_POINTS,
+    CurveGrid,
     CurveParams,
     Waveform,
     area_functional,
     closed_form_b3,
     coefficient_for_angle,
-    curve_grid,
-    phi,
     rotation_angle,
     shortest_b1,
     solve_b1_zero_area,

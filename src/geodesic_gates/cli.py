@@ -23,18 +23,19 @@ import numpy as np
 
 from . import __version__
 from .curves import (
+    CurveGrid,
     CurveParams,
     GridResolutionError,
     area_functional,
     closed_form_b3,
-    curve_grid,
     rotation_angle,
     shortest_b1,
     solve_b1_zero_area,
     synthesize_waveform,
+    waveform_from_grid,
 )
 from .frames import DRIVE_CENTER, DRIVE_MIDPOINT, DRIVE_RESONANT_LOWER, SystemConfig, dressing
-from .magnus import ChannelWeights, channel_costs, full_susceptibility, robust_cost, susceptibility_beta
+from .magnus import ChannelWeights, channel_costs, full_susceptibility, susceptibility_beta
 from .optimizer import (
     OptimizerConfig,
     config_digest,
@@ -109,15 +110,19 @@ def parse_phi(text: str) -> float:
 
 
 def resolve_threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("GEODESIC_GATES_THREADS")
-    if env:
+    """--threads, else GEODESIC_GATES_THREADS, else the CPU count; at least 1."""
+    threads, source = getattr(args, "threads", None), "--threads"
+    if threads is None:
+        env, source = os.environ.get("GEODESIC_GATES_THREADS"), "GEODESIC_GATES_THREADS"
+        if not env:
+            return os.cpu_count() or 1
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
-            raise ConfigError(f"GEODESIC_GATES_THREADS={env!r} is not an integer") from None
-    return os.cpu_count() or 1
+            raise ConfigError(f"{source}={env!r} is not an integer") from None
+    if threads < 1:
+        raise ConfigError(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 #: config-file sections mapped onto argument names; explicit flags win
@@ -227,8 +232,8 @@ def cmd_synth(args) -> int:
     system = _system_from_args(args, default_key=key)
     frame = dressing(system)
     beta = args.beta if args.beta is not None else frame.design_beta
-    wave = synthesize_waveform(params, beta, n_samples=args.n_samples)
-    grid = curve_grid(params)
+    grid = CurveGrid(params)
+    wave = waveform_from_grid(grid, beta, n_samples=args.n_samples)
     out = _out_dir(args)
     write_table(out, "waveform", ["t", "omega"],
                 zip(map(float, wave.times), map(float, wave.samples)), args.format)
@@ -237,8 +242,8 @@ def cmd_synth(args) -> int:
                 args.format)
     summary = {
         "T": wave.T,
-        "Phi": rotation_angle(params),
-        "C_target": area_functional(params),
+        "Phi": rotation_angle(grid),
+        "C_target": area_functional(grid),
         "peak_amplitude": wave.peak_amplitude,
         "beta": beta,
         "preset": key,
@@ -257,10 +262,11 @@ def cmd_cost(args) -> int:
     system = _system_from_args(args, default_key=key)
     frame = dressing(system)
     weights = ChannelWeights()
-    channels = channel_costs(params, system, frame)
-    cost = robust_cost(params, system, frame, weights)
-    area = area_functional(params)
-    sus = full_susceptibility(params, frame.delta_tilde, frame.design_beta)
+    grid = CurveGrid(params)
+    channels = channel_costs(grid, system, frame)
+    cost = weights.cost(channels)
+    area = area_functional(grid)
+    sus = full_susceptibility(grid, frame.delta_tilde, frame.design_beta)
     out = _out_dir(args)
     payload = {
         "area_C_target": area,
@@ -396,9 +402,9 @@ def audit_report() -> dict:
     """
     report = {"rows": {}, "findings": []}
     for key, row in presets().items():
-        printed = CurveParams(a=row.a, b1=row.b1, b2=row.b2, b3=row.b3, c=row.c,
-                              phi_target=row.phi_target)
-        corrected = preset_curve(key)
+        printed = CurveGrid(CurveParams(a=row.a, b1=row.b1, b2=row.b2, b3=row.b3, c=row.c,
+                                        phi_target=row.phi_target))
+        corrected = CurveGrid(preset_curve(key))
         entry = {
             "table": {"b1": row.b1, "b2": row.b2, "b3": row.b3, "c": row.c},
             "C_target_as_printed": area_functional(printed),
@@ -470,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bulk output format preference")
         p.add_argument("--seed", type=int, default=seed_default)
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: machine parallelism or "
-                            "GEODESIC_GATES_THREADS)")
+                       help="worker threads, at least 1 (default: "
+                            "GEODESIC_GATES_THREADS or machine parallelism)")
         p.add_argument("--delta", type=float, default=20.0,
                        help="qubit frequency spacing Delta in units of J")
 

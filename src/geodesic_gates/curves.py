@@ -32,6 +32,11 @@ phi is linear in (a, b1, b2, b3, c): it is written once, as a basis of five
 terms with their first and second chi-derivatives. phi, phi' and phi'' on
 the grid are the coefficient vector times that basis, and C_target is its
 dot product with fixed per-term area weights (c's weight is zero).
+
+Every curve functional takes a `CurveGrid`, the curve evaluated once on the
+uniform chi grid. A caller that needs several functionals of one parameter
+set builds the grid once and passes it to each; `synthesize_waveform` is the
+per-parameter-set entry point that builds its own.
 """
 
 from __future__ import annotations
@@ -79,12 +84,6 @@ class CurveParams:
         return replace(self, **kwargs)
 
 
-def _check_domain(params: CurveParams, chi) -> None:
-    chi = np.asarray(chi)
-    if np.any(chi < -1e-12) or np.any(chi > params.chi_max + 1e-12):
-        raise ValueError(f"chi outside [0, {params.chi_max}]")
-
-
 def _basis(chi) -> np.ndarray:
     """Value, first and second chi-derivative of the five ansatz terms.
 
@@ -112,12 +111,6 @@ def _basis(chi) -> np.ndarray:
 
 def _coefficients(params: CurveParams) -> np.ndarray:
     return np.array([params.a, params.b1, params.b2, params.b3, params.c])
-
-
-def phi(params: CurveParams, chi):
-    """Azimuthal angle phi(chi) of the curve."""
-    _check_domain(params, chi)
-    return np.einsum("i,i...->...", _coefficients(params), _basis(chi)[0])
 
 
 def _cumtrapz_corrected(values: np.ndarray, derivs: np.ndarray, h: float) -> np.ndarray:
@@ -149,11 +142,11 @@ def _grid_tables(n: int):
 
 
 class CurveGrid:
-    """All curve quantities evaluated on the shared uniform chi grid.
+    """All curve quantities evaluated on the uniform n-point chi grid.
 
-    Building the grid once and reusing it keeps waveform synthesis, the
-    susceptibility integrals and the area functional on an identical
-    discretization, so oracle comparisons see no grid-mismatch noise.
+    Passing one grid to waveform synthesis, the susceptibility integrals and
+    the area functional keeps them on an identical discretization, so oracle
+    comparisons see no grid-mismatch noise.
     """
 
     def __init__(self, params: CurveParams, n: int = CHI_GRID_POINTS):
@@ -189,19 +182,6 @@ class CurveGrid:
         return np.trapezoid(integrand, dx=self.h, axis=-1)
 
 
-# The optimizer reads each grid only within the cost evaluation that built
-# it, so a few entries catch its repeat lookups; each 16384-point grid holds
-# about 1.2 MB.
-@lru_cache(maxsize=4)
-def _cached_grid(params: CurveParams, n: int) -> CurveGrid:
-    return CurveGrid(params, n)
-
-
-def curve_grid(params: CurveParams, n: int = CHI_GRID_POINTS) -> CurveGrid:
-    """Shared (cached) grid evaluation of a curve."""
-    return _cached_grid(params, n)
-
-
 @dataclass(frozen=True)
 class Waveform:
     """Control envelope Omega(t) sampled on a uniform time grid.
@@ -229,9 +209,7 @@ class Waveform:
         return float(np.max(np.abs(self.samples)))
 
 
-def synthesize_waveform(params: CurveParams, beta: float,
-                        n_samples: int = 8192,
-                        grid_points: int = CHI_GRID_POINTS) -> Waveform:
+def waveform_from_grid(grid: CurveGrid, beta: float, n_samples: int = 8192) -> Waveform:
     """Waveform realizing the curve on a block with detuning beta.
 
     Omega(chi) = (theta' + cos(chi) phi') / t' * |beta| is resampled from the
@@ -244,7 +222,6 @@ def synthesize_waveform(params: CurveParams, beta: float,
         raise ValueError("beta = 0 blocks consume a waveform, they cannot set its scale")
     if n_samples < 256:
         raise ValueError("n_samples must be at least 256")
-    grid = curve_grid(params, grid_points)
     scale = abs(beta)
     t_nodes = grid.arc / scale
     omega_nodes = grid.omega_over_beta * scale
@@ -255,15 +232,20 @@ def synthesize_waveform(params: CurveParams, beta: float,
                     beta_design=beta)
 
 
-def area_functional(params: CurveParams, grid_points: int = CHI_GRID_POINTS) -> float:
+def synthesize_waveform(params: CurveParams, beta: float,
+                        n_samples: int = 8192,
+                        grid_points: int = CHI_GRID_POINTS) -> Waveform:
+    """`waveform_from_grid` on the curve's own `grid_points`-point grid."""
+    return waveform_from_grid(CurveGrid(params, grid_points), beta, n_samples)
+
+
+def area_functional(grid: CurveGrid) -> float:
     """Enclosed-area cost C_target = int (1 - cos chi) phi' dchi over [0, 4*pi]."""
-    grid = curve_grid(params, grid_points)
     return 2.0 * float(grid.S[-1])
 
 
-def rotation_angle(params: CurveParams, grid_points: int = CHI_GRID_POINTS) -> float:
+def rotation_angle(grid: CurveGrid) -> float:
     """Gate rotation angle delta_theta + delta_phi of the closed curve."""
-    grid = curve_grid(params, grid_points)
     dtheta = float(grid.theta[-1] - grid.theta[0])
     dphi = float(grid.phi[-1] - grid.phi[0])
     return dtheta + dphi
@@ -295,14 +277,14 @@ def _area_weights(n: int) -> np.ndarray:
     return _cumtrapz_corrected(integrand, deriv, chi[1] - chi[0])[:, -1]
 
 
-def area_affine(a: float, grid_points: int = CHI_GRID_POINTS):
+def area_affine(a: float):
     """Coefficients of C_target = c0 + k1 b1 + k2 b2 + k3 b3 at fixed a.
 
     C_target is linear in the ansatz coefficients, so it is their dot
     product with fixed per-term weights; c encloses no area and drops out.
-    Every zero-area solve uses these.
+    Every zero-area solve uses these; none of them builds a `CurveGrid`.
     """
-    w_a, k1, k2, k3, _ = map(float, _area_weights(grid_points))
+    w_a, k1, k2, k3, _ = map(float, _area_weights(CHI_GRID_POINTS))
     return a * w_a, k1, k2, k3
 
 

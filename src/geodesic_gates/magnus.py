@@ -25,6 +25,9 @@ where Omega dt = (theta' + cos(chi) phi') dchi and dt~ is the crosstalk
 detuning. A brute-force Magnus oracle (trapezoid of U0^dag dH U0 over
 cached propagators) backs every analytic integral; the exact bookkeeping
 between the two frames is in `crosstalk_block` in tests/oracles.py.
+
+Every integral reads one `CurveGrid`. `robust_cost` is the per-parameter-set
+entry point: it builds the grid once and passes it to all of them.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CHI_GRID_POINTS, CurveParams, curve_grid
+from .curves import CurveGrid, CurveParams
 from .frames import FrameData, SystemConfig, DRIVE_RESONANT_LOWER
 
 CHANNEL_FREQ = "freq_noise"
@@ -69,9 +72,8 @@ class Susceptibility:
     channel: str
 
 
-def susceptibility_beta(params: CurveParams, grid_points: int = CHI_GRID_POINTS):
+def susceptibility_beta(g: CurveGrid):
     """Pauli components (A_X, A_Y, A_Z) of the detuned-block Z response."""
-    g = curve_grid(params, grid_points)
     cos_t, sin_t = np.cos(g.theta), np.sin(g.theta)
     cos_p, sin_p = np.cos(g.phi), np.sin(g.phi)
     ax = g.trapz(-cos_t * g.sin_chi * g.tprime)
@@ -80,23 +82,20 @@ def susceptibility_beta(params: CurveParams, grid_points: int = CHI_GRID_POINTS)
     return float(ax), float(ay), float(az)
 
 
-def susceptibility_beta0(params: CurveParams, delta_theta: float = 0.0,
-                         grid_points: int = CHI_GRID_POINTS):
+def susceptibility_beta0(g: CurveGrid, delta_theta: float = 0.0):
     """(A_Y, A_Z) of the resonant-block Z response.
 
     The phase is the running rotation angle of the block,
     delta_theta + [theta(chi)-theta(0)] + [phi(chi)-phi(0)] - 2 S(chi);
     `delta_theta` admits an extra winding offset for looped curves.
     """
-    g = curve_grid(params, grid_points)
     psi = delta_theta + (g.theta - g.theta[0]) + (g.phi - g.phi[0]) - 2.0 * g.S
     ay0 = g.trapz(np.sin(psi) * g.tprime)
     az0 = g.trapz(np.cos(psi) * g.tprime)
     return float(ay0), float(az0)
 
 
-def crosstalk_amplitudes(params: CurveParams, delta_tilde: float, beta: float,
-                         grid_points: int = CHI_GRID_POINTS):
+def crosstalk_amplitudes(g: CurveGrid, delta_tilde: float, beta: float):
     """The two complex crosstalk amplitudes (ct1, ct2).
 
     `beta` sets the chi -> time map inside the oscillating phase
@@ -105,7 +104,6 @@ def crosstalk_amplitudes(params: CurveParams, delta_tilde: float, beta: float,
     """
     if beta == 0.0:
         raise ValueError("crosstalk amplitudes need beta != 0 for the time map")
-    g = curve_grid(params, grid_points)
     t_phys = g.arc / abs(beta)
     pref = g.dtheta + g.cos_chi * g.dphi
     rot = np.exp(1.0j * delta_tilde * t_phys)
@@ -116,13 +114,12 @@ def crosstalk_amplitudes(params: CurveParams, delta_tilde: float, beta: float,
     return complex(ct1), complex(ct2)
 
 
-def full_susceptibility(params: CurveParams, delta_tilde: float, beta: float,
-                        channel: str = CHANNEL_FREQ,
-                        grid_points: int = CHI_GRID_POINTS) -> Susceptibility:
-    """All first-order components of one parameter set in a single record."""
-    ax, ay, az = susceptibility_beta(params, grid_points)
-    ay0, az0 = susceptibility_beta0(params, grid_points=grid_points)
-    ct1, ct2 = crosstalk_amplitudes(params, delta_tilde, beta, grid_points)
+def full_susceptibility(grid: CurveGrid, delta_tilde: float, beta: float,
+                        channel: str = CHANNEL_FREQ) -> Susceptibility:
+    """All first-order components of one curve in a single record."""
+    ax, ay, az = susceptibility_beta(grid)
+    ay0, az0 = susceptibility_beta0(grid)
+    ct1, ct2 = crosstalk_amplitudes(grid, delta_tilde, beta)
     return Susceptibility(ax=ax, ay=ay, az=az, ay0=ay0, az0=az0,
                           ct1=ct1, ct2=ct2, channel=channel)
 
@@ -141,6 +138,11 @@ class ChannelWeights:
     @classmethod
     def from_dict(cls, data: dict) -> "ChannelWeights":
         return cls(**data)
+
+    def cost(self, costs: dict) -> float:
+        """|C_robust|^2 = sum_k c_k |d_{dk} A1|^2 from the `channel_costs` dict."""
+        return (self.freq * costs[CHANNEL_FREQ] + self.coupling * costs[CHANNEL_COUPLING]
+                + self.crosstalk * costs[CHANNEL_CROSSTALK])
 
 
 def _block_noise_coefficients(config: SystemConfig, frame: FrameData):
@@ -161,11 +163,11 @@ def _block_noise_coefficients(config: SystemConfig, frame: FrameData):
     return freq, coupling
 
 
-def _block_norms(params: CurveParams, frame: FrameData, grid_points: int):
+def _block_norms(grid: CurveGrid, frame: FrameData):
     """Squared susceptibility norm of each block, in physical-time units."""
     scale = 1.0 / frame.design_beta
-    beta_vec = np.array(susceptibility_beta(params, grid_points)) * scale
-    beta0_vec = np.array(susceptibility_beta0(params, grid_points=grid_points)) * scale
+    beta_vec = np.array(susceptibility_beta(grid)) * scale
+    beta0_vec = np.array(susceptibility_beta0(grid)) * scale
     norms = []
     for b in frame.betas:
         vec = beta_vec if b != 0.0 else beta0_vec
@@ -173,11 +175,10 @@ def _block_norms(params: CurveParams, frame: FrameData, grid_points: int):
     return norms
 
 
-def channel_costs(params: CurveParams, config: SystemConfig, frame: FrameData,
-                  grid_points: int = CHI_GRID_POINTS) -> dict:
+def channel_costs(grid: CurveGrid, config: SystemConfig, frame: FrameData) -> dict:
     """Per-channel squared susceptibilities entering |C_robust|^2."""
     freq_coef, coupling_coef = _block_noise_coefficients(config, frame)
-    norms = _block_norms(params, frame, grid_points)
+    norms = _block_norms(grid, frame)
     freq = sum(c * c * n for c, n in zip(freq_coef, norms))
     coupling = sum(c * c * n for c, n in zip(coupling_coef, norms))
     # one crosstalk amplitude pair per neighbor; the second chain neighbor
@@ -185,16 +186,12 @@ def channel_costs(params: CurveParams, config: SystemConfig, frame: FrameData,
     detunings = [frame.delta_tilde] if config.n_qubits == 2 else [frame.delta_tilde, -frame.delta_tilde]
     crosstalk = 0.0
     for dt_eff in detunings:
-        ct1, ct2 = crosstalk_amplitudes(params, dt_eff, frame.design_beta, grid_points)
+        ct1, ct2 = crosstalk_amplitudes(grid, dt_eff, frame.design_beta)
         crosstalk += frame.epsilon**2 * (abs(ct1) ** 2 + abs(ct2) ** 2)
     return {CHANNEL_FREQ: freq, CHANNEL_COUPLING: coupling, CHANNEL_CROSSTALK: crosstalk}
 
 
 def robust_cost(params: CurveParams, config: SystemConfig, frame: FrameData,
-                weights: ChannelWeights = ChannelWeights(),
-                grid_points: int = CHI_GRID_POINTS) -> float:
-    """|C_robust|^2 = sum_k c_k |d_{dk} A1|^2 over the three noise channels."""
-    costs = channel_costs(params, config, frame, grid_points)
-    return (weights.freq * costs[CHANNEL_FREQ]
-            + weights.coupling * costs[CHANNEL_COUPLING]
-            + weights.crosstalk * costs[CHANNEL_CROSSTALK])
+                weights: ChannelWeights = ChannelWeights()) -> float:
+    """|C_robust|^2 of one parameter set, from one `CurveGrid`."""
+    return weights.cost(channel_costs(CurveGrid(params), config, frame))

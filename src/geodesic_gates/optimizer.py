@@ -27,14 +27,13 @@ import numpy as np
 from scipy import optimize as sp_optimize
 
 from .curves import (
-    CHI_GRID_POINTS,
+    CurveGrid,
     CurveParams,
     area_affine,
     area_functional,
     coefficient_for_angle,
     solve_b1_zero_area,
     solve_b3_zero_area,
-    synthesize_waveform,
 )
 from .frames import DRIVE_RESONANT_LOWER, FrameData, SystemConfig, dressing
 from .magnus import ChannelWeights, robust_cost
@@ -125,10 +124,9 @@ class OptimizerConfig:
     tol: float = 1e-12
     box_halfwidth: float = 300.0
     include_preset_start: bool = True
-    grid_points: int = CHI_GRID_POINTS
 
     def __post_init__(self):
-        ints = (self.starts, self.seed, self.max_iters, self.grid_points, self.include_preset_start)
+        ints = (self.starts, self.seed, self.max_iters, self.include_preset_start)
         reals = (self.w1, self.w2, self.tol, self.box_halfwidth, *vars(self.channel_weights).values())
         if not all(isinstance(x, numbers.Integral) for x in ints) or not all(
                 isinstance(x, numbers.Real) for x in reals):
@@ -137,7 +135,7 @@ class OptimizerConfig:
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in
              ("w1", "w2", "starts", "seed", "max_iters", "tol", "box_halfwidth",
-              "include_preset_start", "grid_points")}
+              "include_preset_start")}
         d["channel_weights"] = self.channel_weights.to_dict()
         d["free_params"] = list(self.free_params)
         return d
@@ -159,10 +157,13 @@ def area_zero_required(system: SystemConfig) -> bool:
 
 def total_cost(params: CurveParams, system: SystemConfig, frame: FrameData,
                cfg: OptimizerConfig) -> float:
-    """C_total = w1 |C_target|^2 + w2 |C_robust|^2."""
-    area = area_functional(params, cfg.grid_points) if cfg.w1 != 0.0 else 0.0
+    """C_total = w1 |C_target|^2 + w2 |C_robust|^2.
+
+    At w1 = 0, as in `optimize`, this is one `robust_cost` call and one grid.
+    """
+    area = area_functional(CurveGrid(params)) if cfg.w1 != 0.0 else 0.0
     return cfg.w1 * area * area + cfg.w2 * robust_cost(
-        params, system, frame, cfg.channel_weights, cfg.grid_points)
+        params, system, frame, cfg.channel_weights)
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
     eliminate = area_zero_required(system)
     if eliminate:
         names = tuple(n for n in cfg.free_params if n in ("b1", "b2", "c"))
-        c0, k1, k2, k3 = area_affine(a, cfg.grid_points)
+        c0, k1, k2, k3 = area_affine(a)
     else:
         names = tuple(n for n in cfg.free_params if n in ("b1", "c")) or ("b1", "c")
         c0 = k1 = k2 = k3 = 0.0
@@ -267,10 +268,10 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
             best = (idx, float(res.fun), np.array(res.x), bool(res.success))
     _, cost, x_best, success = best
     params = build(x_best)
-    wave = synthesize_waveform(params, frame.design_beta, n_samples=1024)
     converged = success or cost <= cfg.tol
     return OptimizeResult(params=params, cost=cost, converged=converged,
-                          gate_time=wave.T, start_costs=tuple(start_costs),
+                          gate_time=CurveGrid(params).arc_length / frame.design_beta,
+                          start_costs=tuple(start_costs),
                           n_evaluations=eval_count, seed=cfg.seed)
 
 

@@ -22,7 +22,7 @@ passes a thread pool's). Every point equals `simulate_gate` bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -230,13 +230,12 @@ def _block_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Infidelity over a (dw, dJ) grid plus provenance for serialization."""
+    """Infidelity over a (dw, dJ) grid."""
 
     axis_domega: np.ndarray
     axis_dj: np.ndarray
     infidelity: np.ndarray  # shape (len(axis_domega), len(axis_dj))
     model: str
-    metadata: dict = field(default_factory=dict)
 
     def rows(self):
         """Long-format rows (domega, dj, infidelity), row-major."""
@@ -252,8 +251,8 @@ def noise_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
     """Infidelity at each grid point, bit for bit `simulate_gate`'s; dense points use `map`."""
     domega_values = np.atleast_1d(np.asarray(domega_values, dtype=float))
     dj_values = np.atleast_1d(np.asarray(dj_values, dtype=float))
-    if domega_values.size > 201 or dj_values.size > 201:
-        raise ValueError("sweep grids are limited to 201 points per axis")
+    if not (0 < domega_values.size <= 201 and 0 < dj_values.size <= 201):
+        raise ValueError("sweep grids need 1 to 201 points per axis")
     # NoiseSetting's bound, at the grid corner: the block path builds no NoiseSetting
     NoiseSetting(np.max(np.abs(domega_values), initial=0), np.max(np.abs(dj_values), initial=0))
     _check_waveform(frame, waveform)
@@ -267,9 +266,7 @@ def noise_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
         noises = [NoiseSetting(float(dw), float(dj), crosstalk_on)
                   for dw in domega_values for dj in dj_values]
         infid = np.reshape([i for _, i in map(gate, noises)], (domega_values.size, dj_values.size))
-    meta = {"gate_angle": gate_angle, "crosstalk_on": crosstalk_on,
-            "beta_design": waveform.beta_design, "T": waveform.T}
-    return SweepResult(domega_values, dj_values, infid, model, meta)
+    return SweepResult(domega_values, dj_values, infid, model)
 
 
 def slope_fit(noise_values, infidelities, floor: float = 0.0,

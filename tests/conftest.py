@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geodesic_gates.curves import CurveParams, area_functional, coefficient_for_angle
+from geodesic_gates.curves import CurveGrid, CurveParams, area_functional, coefficient_for_angle
 from geodesic_gates.frames import SystemConfig
 from geodesic_gates.magnus import susceptibility_beta
 from geodesic_gates.optimizer import preset_curve
@@ -34,11 +34,11 @@ def quadrature_richardson_check():
     stated absolute error targets before any test relies on them.
     """
     params = preset_curve("xpi-3q-robust")
-    area_coarse = area_functional(params, grid_points=16384)
-    area_fine = area_functional(params, grid_points=32768)
+    area_coarse = area_functional(CurveGrid(params, 16384))
+    area_fine = area_functional(CurveGrid(params, 32768))
     assert abs(area_coarse - area_fine) < 1e-10
-    sus_coarse = np.array(susceptibility_beta(params, grid_points=16384))
-    sus_fine = np.array(susceptibility_beta(params, grid_points=32768))
+    sus_coarse = np.array(susceptibility_beta(CurveGrid(params, 16384)))
+    sus_fine = np.array(susceptibility_beta(CurveGrid(params, 32768)))
     assert np.max(np.abs(sus_coarse - sus_fine)) < 1e-9
 
 

@@ -10,11 +10,10 @@ import numpy as np
 
 from geodesic_gates.curves import (
     CHI_GRID_POINTS,
+    CurveGrid,
     CurveParams,
     _basis,
-    _check_domain,
     _coefficients,
-    curve_grid,
 )
 from geodesic_gates.frames import MODEL_REDUCED, dense_terms
 from geodesic_gates.linalg import (
@@ -24,6 +23,18 @@ from geodesic_gates.linalg import (
     product_reduce,
 )
 from geodesic_gates.magnus import trapz_endpoint_corrected
+
+
+def _check_domain(params: CurveParams, chi) -> None:
+    chi = np.asarray(chi)
+    if np.any(chi < -1e-12) or np.any(chi > params.chi_max + 1e-12):
+        raise ValueError(f"chi outside [0, {params.chi_max}]")
+
+
+def phi(params: CurveParams, chi):
+    """Azimuthal angle phi(chi) of the curve."""
+    _check_domain(params, chi)
+    return np.einsum("i,i...->...", _coefficients(params), _basis(chi)[0])
 
 
 def phi_prime(params: CurveParams, chi):
@@ -103,7 +114,7 @@ def crosstalk_block(params: CurveParams, delta_tilde: float, beta: float,
     published (ct1, ct2) integrals parameterize; tests match it entrywise
     against the brute-force oracle.
     """
-    g = curve_grid(params, grid_points)
+    g = CurveGrid(params, grid_points)
     t_phys = g.arc / abs(beta)
     pref = g.dtheta + g.cos_chi * g.dphi
     a_ang = g.theta + g.phi - g.S - np.pi / 4.0

@@ -12,6 +12,7 @@ import pytest
 from conftest import random_curve, record_acceptance
 from geodesic_gates.cli import audit_report
 from geodesic_gates.curves import (
+    CurveGrid,
     CurveParams,
     area_functional,
     coefficient_for_angle,
@@ -91,7 +92,7 @@ def test_criterion_2_zero_area_theorem():
     worst = 0.0
     try:
         for label, params, beta in cases:
-            area = area_functional(params)
+            area = area_functional(CurveGrid(params))
             assert abs(area) < 1e-8, (label, area)
             wave = synthesize_waveform(params, beta, n_samples=16384)
             u0 = propagate_blocks(wave, 0.0)
@@ -115,13 +116,13 @@ def test_criterion_3_magnus_oracle_equivalence():
         for trial in range(20):
             params = random_curve(rng, scale=8.0)
             beta = float(rng.uniform(0.4, 1.5))
-            analytic = np.array(susceptibility_beta(params))
+            analytic = np.array(susceptibility_beta(CurveGrid(params)))
             oracle = oracle_beta_components(params, beta)
             rel = np.max(np.abs(analytic - oracle)) / np.linalg.norm(oracle)
             worst = max(worst, rel)
             assert rel < 1e-5, ("beta block", trial, rel)
 
-            analytic0 = np.array(susceptibility_beta0(params))
+            analytic0 = np.array(susceptibility_beta0(CurveGrid(params)))
             oracle0 = np.array(oracle_beta0_components(params, beta))
             rel0 = np.max(np.abs(analytic0 - oracle0)) / max(np.linalg.norm(oracle0), 1.0)
             worst = max(worst, rel0)
@@ -242,7 +243,7 @@ def test_criterion_7_case1_noise_equivalence():
     rng = np.random.default_rng(4096)
     worst = 0.0
     for _ in range(10):
-        costs = channel_costs(random_curve(rng), system, frame)
+        costs = channel_costs(CurveGrid(random_curve(rng)), system, frame)
         worst = max(worst, abs(costs[CHANNEL_FREQ] - costs[CHANNEL_COUPLING]))
     record_acceptance(7, worst < 1e-9,
                       f"Case-1 equivalence: |freq - coupling| <= {worst:.1e} < 1e-9 "

@@ -1,8 +1,10 @@
 """Command-line surface: files, formats, exit codes, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +94,12 @@ def test_sweep_small_grid_values(tmp_path):
     assert len(lines) == 26
 
 
+def test_sweep_empty_grid_writes_nothing(tmp_path):
+    assert run(tmp_path, "sweep", "--preset", "xpi-2q-robust", "--grid", "0",
+               "--crosstalk", "off") == 2
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_optimize_deterministic_artifacts(tmp_path):
     args = ("optimize", "--setting", "2q-midpoint", "--phi", "pi",
             "--seed", "42", "--starts", "2", "--max-iters", "400")
@@ -147,9 +155,15 @@ def test_csv_round_trip_byte_identical(tmp_path):
 
 
 def test_module_entrypoint_runs():
+    # the child finds the package where this process imported it from
+    import geodesic_gates
+
+    src = str(Path(geodesic_gates.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "geodesic_gates.cli", "--version"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
 
 
@@ -170,6 +184,15 @@ def test_threads_env_fallback(monkeypatch):
         raise AssertionError("expected ConfigError")
     ns_explicit = argparse.Namespace(threads=5)
     assert resolve_threads(ns_explicit) == 5
+    # counts below 1 are configuration errors, from the flag and the variable
+    for value in ("0", "-4"):
+        monkeypatch.setenv("GEODESIC_GATES_THREADS", value)
+        with pytest.raises(ConfigError):
+            resolve_threads(ns)
+    monkeypatch.setenv("GEODESIC_GATES_THREADS", "3")
+    for value in (0, -3):
+        with pytest.raises(ConfigError):
+            resolve_threads(argparse.Namespace(threads=value))
 
 
 @pytest.mark.parametrize("model", ["reduced", "lab"])

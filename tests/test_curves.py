@@ -6,24 +6,24 @@ from scipy import integrate
 
 from conftest import random_curve
 from geodesic_gates.curves import (
+    CurveGrid,
     CurveParams,
-    _cached_grid,
     area_affine,
     area_functional,
     closed_form_b3,
     coefficient_for_angle,
-    curve_grid,
-    phi,
     rotation_angle,
     shortest_b1,
     solve_b1_zero_area,
     solve_b3_zero_area,
     synthesize_waveform,
 )
+from geodesic_gates.frames import dressing
 from geodesic_gates.linalg import SIGMA_X, expm_hermitian, gate_fidelity
-from geodesic_gates.optimizer import preset_curve
+from geodesic_gates.magnus import robust_cost
+from geodesic_gates.optimizer import preset_curve, preset_system
 from geodesic_gates.simulate import propagate_blocks
-from oracles import arc_speed, phi_prime, theta_of_chi
+from oracles import arc_speed, phi, phi_prime, theta_of_chi
 
 CHI_MAX = 4.0 * np.pi
 
@@ -60,7 +60,7 @@ def test_phi_prime_matches_finite_difference():
 
 def test_grid_ddphi_matches_central_difference_of_phi_prime():
     for key in ("xpi-2q-robust", "xpi-3q-robust"):
-        grid = curve_grid(preset_curve(key))
+        grid = CurveGrid(preset_curve(key))
         chi = grid.chi[1:-1:97]
         h = 1e-5
         p = grid.params
@@ -121,7 +121,7 @@ def test_arc_speed_at_least_one():
 
 def test_arc_length_matches_adaptive_quadrature():
     p = CurveParams.for_angle(np.pi)  # pure cubic curve
-    grid = curve_grid(p)
+    grid = CurveGrid(p)
     oracle, err = integrate.quad(lambda x: float(arc_speed(p, x)), 0.0, CHI_MAX,
                                  limit=200, epsabs=1e-12, epsrel=1e-12)
     assert err < 1e-10
@@ -138,7 +138,7 @@ def test_synthesized_waveform_vanishes_at_ends():
 
 def test_waveform_duration_is_arclength_over_beta():
     p = TWO_QUBIT_ROBUST_PI
-    grid = curve_grid(p)
+    grid = CurveGrid(p)
     for beta in (0.25, 0.5, 2.0):
         wave = synthesize_waveform(p, beta)
         assert abs(wave.T - grid.arc_length / beta) < 1e-12
@@ -186,7 +186,7 @@ def test_round_trip_random_curves_and_betas():
         beta = float(rng.uniform(0.1, 2.0))
         wave = synthesize_waveform(p, beta, n_samples=4096)
         u = propagate_blocks(wave, beta)
-        assert 1.0 - gate_fidelity(u, rx(rotation_angle(p))) < 1e-7
+        assert 1.0 - gate_fidelity(u, rx(rotation_angle(CurveGrid(p)))) < 1e-7
 
 
 def test_area_matches_independent_quadrature():
@@ -195,7 +195,7 @@ def test_area_matches_independent_quadrature():
         lambda x: (1.0 - np.cos(x)) * float(phi_prime(p, x)), 0.0, CHI_MAX,
         limit=300, epsabs=1e-12, epsrel=1e-12)
     assert err < 1e-10
-    value = area_functional(p)
+    value = area_functional(CurveGrid(p))
     assert abs(value - oracle) < 1e-10
     assert abs(value) > 1.0  # the pure cubic curve has substantial area
 
@@ -203,28 +203,40 @@ def test_area_matches_independent_quadrature():
 def test_area_affine_coefficients_exact():
     # analytically derived values of the affine area form
     zero = CurveParams(a=0.0, phi_target=0.0)
-    assert abs(area_functional(zero.with_updates(b1=1.0)) - 2048.0 / 3465.0) < 1e-12
-    assert abs(area_functional(zero.with_updates(b2=1.0)) + 2048.0 / 1365.0) < 1e-12
-    assert abs(area_functional(zero.with_updates(b3=1.0)) + np.pi / 2.0) < 1e-12
-    assert abs(area_functional(zero.with_updates(c=1.0))) < 1e-12
+    assert abs(area_functional(CurveGrid(zero.with_updates(b1=1.0))) - 2048.0 / 3465.0) < 1e-12
+    assert abs(area_functional(CurveGrid(zero.with_updates(b2=1.0))) + 2048.0 / 1365.0) < 1e-12
+    assert abs(area_functional(CurveGrid(zero.with_updates(b3=1.0))) + np.pi / 2.0) < 1e-12
+    assert abs(area_functional(CurveGrid(zero.with_updates(c=1.0)))) < 1e-12
     unit_a = CurveParams(a=1.0, phi_target=-32.0 * np.pi**3)
-    assert abs(area_functional(unit_a) + 8.0 * np.pi * (4.0 * np.pi**2 + 3.0)) < 1e-9
+    assert abs(area_functional(CurveGrid(unit_a)) + 8.0 * np.pi * (4.0 * np.pi**2 + 3.0)) < 1e-9
 
 
 def test_area_affine_matches_four_quadratures():
     for phi_target in (np.pi, np.pi / 2.0):
         base = CurveParams.for_angle(phi_target)
-        c0 = area_functional(base)
-        expected = (c0, *(area_functional(base.with_updates(**{name: 1.0})) - c0
+        c0 = area_functional(CurveGrid(base))
+        expected = (c0, *(area_functional(CurveGrid(base.with_updates(**{name: 1.0}))) - c0
                           for name in ("b1", "b2", "b3")))
         got = area_affine(base.a)
         assert np.max(np.abs(np.subtract(got, expected))) < 1e-12
 
 
-def test_area_affine_builds_no_grid():
-    _cached_grid.cache_clear()
+def test_area_affine_builds_no_grid(monkeypatch):
+    builds = []
+    build = CurveGrid.__init__
+
+    def spy(self, *args, **kwargs):
+        builds.append(args)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(CurveGrid, "__init__", spy)
     area_affine(coefficient_for_angle(np.pi / 4.0))
-    assert _cached_grid.cache_info().currsize == 0
+    assert builds == []
+    # one cost evaluation reads every integral off one grid
+    key = "xpi-3q-robust"
+    system = preset_system(key)
+    robust_cost(preset_curve(key), system, dressing(system))
+    assert len(builds) == 1
 
 
 def test_area_is_affine_superposition():
@@ -241,33 +253,33 @@ def test_area_is_affine_superposition():
             c=lam * p.c + (1 - lam) * q.c,
             phi_target=np.pi,
         )
-        expected = lam * area_functional(p) + (1 - lam) * area_functional(q)
-        assert abs(area_functional(mix) - expected) < 1e-9
+        expected = lam * area_functional(CurveGrid(p)) + (1 - lam) * area_functional(CurveGrid(q))
+        assert abs(area_functional(CurveGrid(mix)) - expected) < 1e-9
 
 
 def test_solve_b1_zeroes_the_area():
     for a in (-1.0 / (32.0 * np.pi**2), -1.0 / (64.0 * np.pi**2)):
         b1 = solve_b1_zero_area(a)
         p = CurveParams(a=a, b1=b1, phi_target=-32.0 * np.pi**3 * a)
-        assert abs(area_functional(p)) < 1e-10
+        assert abs(area_functional(CurveGrid(p))) < 1e-10
 
 
 def test_zero_area_beta0_block_realizes_the_gate():
     a = coefficient_for_angle(np.pi)
     p = CurveParams(a=a, b1=solve_b1_zero_area(a), phi_target=np.pi)
-    assert abs(area_functional(p)) < 1e-8
+    assert abs(area_functional(CurveGrid(p))) < 1e-8
     wave = synthesize_waveform(p, 1.0, n_samples=8192)
     u0 = propagate_blocks(wave, 0.0)
     assert 1.0 - gate_fidelity(u0, rx(np.pi)) < 1e-6
 
 
 def test_rotation_angle_simple_and_presets():
-    assert abs(rotation_angle(CurveParams.for_angle(np.pi)) - np.pi) < 1e-12
+    assert abs(rotation_angle(CurveGrid(CurveParams.for_angle(np.pi))) - np.pi) < 1e-12
     from geodesic_gates.optimizer import preset_curve
 
-    assert abs(rotation_angle(preset_curve("xpi-3q-robust")) - np.pi) < 1e-8
-    assert abs(rotation_angle(preset_curve("xhalfpi-3q-robust")) - np.pi / 2.0) < 1e-8
-    assert abs(rotation_angle(preset_curve("xhalfpi-2q-robust")) - np.pi / 2.0) < 1e-8
+    assert abs(rotation_angle(CurveGrid(preset_curve("xpi-3q-robust"))) - np.pi) < 1e-8
+    assert abs(rotation_angle(CurveGrid(preset_curve("xhalfpi-3q-robust"))) - np.pi / 2.0) < 1e-8
+    assert abs(rotation_angle(CurveGrid(preset_curve("xhalfpi-2q-robust"))) - np.pi / 2.0) < 1e-8
 
 
 def test_closed_form_b3_against_quadrature():
@@ -300,4 +312,4 @@ def test_table_values_match_zero_area_magnitudes():
 
 def test_grid_requires_standard_chi_max():
     with pytest.raises(ValueError):
-        curve_grid(CurveParams(a=0.0, chi_max=2.0 * np.pi, phi_target=0.0))
+        CurveGrid(CurveParams(a=0.0, chi_max=2.0 * np.pi, phi_target=0.0))

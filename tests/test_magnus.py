@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_curve
-from geodesic_gates.curves import CurveParams, curve_grid, synthesize_waveform
+from geodesic_gates.curves import CurveGrid, CurveParams, synthesize_waveform
 from geodesic_gates.frames import SystemConfig, dressing
 from geodesic_gates.linalg import (
     SIGMA_X,
@@ -117,7 +117,7 @@ def oracle_crosstalk_block(params, delta_tilde, beta, n=131072):
 
 def test_beta_susceptibility_flat_curve():
     p = CurveParams(a=0.0, phi_target=0.0)  # theta = pi/2, phi = 0 everywhere
-    ax, ay, az = susceptibility_beta(p)
+    ax, ay, az = susceptibility_beta(CurveGrid(p))
     assert abs(ax) < 1e-12
     assert abs(ay - 4.0 * np.pi) < 1e-10
     assert abs(az) < 1e-12
@@ -125,7 +125,7 @@ def test_beta_susceptibility_flat_curve():
 
 def test_beta0_susceptibility_offset_phase():
     p = CurveParams(a=0.0, phi_target=0.0)
-    ay0, az0 = susceptibility_beta0(p, delta_theta=np.pi)
+    ay0, az0 = susceptibility_beta0(CurveGrid(p), delta_theta=np.pi)
     assert abs(az0 + 4.0 * np.pi) < 1e-10
     assert abs(ay0) < 1e-10
 
@@ -136,25 +136,25 @@ def test_beta0_running_area_closes_with_zero_area():
 
     a = -1.0 / (32.0 * np.pi**2)
     p = CurveParams(a=a, b1=solve_b1_zero_area(a), phi_target=np.pi)
-    grid = curve_grid(p)
+    grid = CurveGrid(p)
     assert abs(grid.S[-1]) < 1e-10
 
 
 def test_crosstalk_zero_drive_vanishes():
     p = CurveParams(a=0.0, phi_target=0.0)
-    ct1, ct2 = crosstalk_amplitudes(p, delta_tilde=-20.0, beta=1.0)
+    ct1, ct2 = crosstalk_amplitudes(CurveGrid(p), delta_tilde=-20.0, beta=1.0)
     assert abs(ct1) < 1e-12
     assert abs(ct2) < 1e-12
 
 
 def test_crosstalk_rotating_phase_averaging():
     p = preset_curve("xpi-2q-robust")
-    small = crosstalk_amplitudes(p, delta_tilde=-20.0, beta=0.5)
-    large = crosstalk_amplitudes(p, delta_tilde=-200.0, beta=0.5)
+    small = crosstalk_amplitudes(CurveGrid(p), delta_tilde=-20.0, beta=0.5)
+    large = crosstalk_amplitudes(CurveGrid(p), delta_tilde=-200.0, beta=0.5)
     assert abs(large[0]) < abs(small[0])
     assert abs(large[1]) < abs(small[1])
     with pytest.raises(ValueError):
-        crosstalk_amplitudes(p, delta_tilde=-20.0, beta=0.0)
+        crosstalk_amplitudes(CurveGrid(p), delta_tilde=-20.0, beta=0.0)
 
 
 def test_magnus_oracle_trivial_cases():
@@ -171,7 +171,7 @@ def test_beta_block_matches_oracle():
     rng = np.random.default_rng(41)
     for _ in range(3):
         p = random_curve(rng)
-        analytic = np.array(susceptibility_beta(p))
+        analytic = np.array(susceptibility_beta(CurveGrid(p)))
         oracle = oracle_beta_components(p, beta=0.7)
         assert np.max(np.abs(analytic - oracle)) / np.linalg.norm(oracle) < 1e-5
 
@@ -180,7 +180,7 @@ def test_beta0_block_matches_oracle():
     rng = np.random.default_rng(42)
     for _ in range(3):
         p = random_curve(rng)
-        analytic = np.array(susceptibility_beta0(p))
+        analytic = np.array(susceptibility_beta0(CurveGrid(p)))
         oracle = np.array(oracle_beta0_components(p, beta=0.7))
         assert np.max(np.abs(analytic - oracle)) / max(np.linalg.norm(oracle), 1.0) < 1e-5
 
@@ -200,7 +200,7 @@ def test_crosstalk_amplitudes_recovered_from_oracle_block():
     # the [[p, q*], [q, -p*]] structure, then phases exp(+-i pi/4)
     p = preset_curve("xpi-2q-robust")
     delta_tilde = -np.sqrt(401.0)
-    ct1, ct2 = crosstalk_amplitudes(p, delta_tilde, beta=0.5)
+    ct1, ct2 = crosstalk_amplitudes(CurveGrid(p), delta_tilde, beta=0.5)
     oracle = oracle_crosstalk_block(p, delta_tilde, beta=0.5)
     o_geo = RX90.conj().T @ oracle
     i_p, j_q, i_q, j_p = o_geo[0, 0], o_geo[0, 1], o_geo[1, 0], -o_geo[1, 1]
@@ -228,7 +228,7 @@ def test_case1_channel_equivalence():
     frame = dressing(cfg)
     rng = np.random.default_rng(44)
     for _ in range(5):
-        costs = channel_costs(random_curve(rng), cfg, frame)
+        costs = channel_costs(CurveGrid(random_curve(rng)), cfg, frame)
         assert abs(costs[CHANNEL_FREQ] - costs[CHANNEL_COUPLING]) < 1e-9
 
 
@@ -240,8 +240,9 @@ def test_case2_one_way_implication():
     rng = np.random.default_rng(45)
     for _ in range(5):
         p = random_curve(rng)
-        costs = channel_costs(p, cfg, frame)
-        beta_norm_sq = float(np.dot(susceptibility_beta(p), susceptibility_beta(p)))
+        costs = channel_costs(CurveGrid(p), cfg, frame)
+        beta_norm_sq = float(np.dot(susceptibility_beta(CurveGrid(p)),
+                                    susceptibility_beta(CurveGrid(p))))
         scale = 1.0 / frame.design_beta**2
         # structural identity: coupling = 4 * |A_beta|^2, freq = |A_beta|^2 + |A_0|^2
         assert abs(costs[CHANNEL_COUPLING] - 4.0 * beta_norm_sq * scale) < 1e-9
@@ -249,7 +250,7 @@ def test_case2_one_way_implication():
     # counterexample to the converse: a curve whose detuned-block integral is
     # (almost) zero while the resonant block stays noisy
     p = preset_curve("xpi-2q-robust")
-    costs = channel_costs(p, cfg, frame)
+    costs = channel_costs(CurveGrid(p), cfg, frame)
     assert costs[CHANNEL_COUPLING] < 1e-5
     assert costs[CHANNEL_FREQ] > 0.1
 
@@ -264,8 +265,8 @@ def test_robust_cost_preset_ordering():
 
 def test_robust_preset_susceptibility_collapse():
     # the published robust rows shrink |(A_X, A_Y, A_Z)| by >= 100x
-    robust = np.linalg.norm(susceptibility_beta(preset_curve("xpi-2q-robust")))
-    plain = np.linalg.norm(susceptibility_beta(preset_curve("xpi-2q-nonrobust")))
+    robust = np.linalg.norm(susceptibility_beta(CurveGrid(preset_curve("xpi-2q-robust"))))
+    plain = np.linalg.norm(susceptibility_beta(CurveGrid(preset_curve("xpi-2q-nonrobust"))))
     assert robust * 100.0 < plain
 
 
@@ -275,8 +276,8 @@ def test_crosstalk_channel_ordering_two_qubit():
     # by higher-order terms instead; see the audit notes)
     cfg = SystemConfig(n_qubits=2, delta=20.0)
     frame = dressing(cfg)
-    robust = channel_costs(preset_curve("xpi-2q-robust"), cfg, frame)[CHANNEL_CROSSTALK]
-    plain = channel_costs(preset_curve("xpi-2q-nonrobust"), cfg, frame)[CHANNEL_CROSSTALK]
+    robust = channel_costs(CurveGrid(preset_curve("xpi-2q-robust")), cfg, frame)[CHANNEL_CROSSTALK]
+    plain = channel_costs(CurveGrid(preset_curve("xpi-2q-nonrobust")), cfg, frame)[CHANNEL_CROSSTALK]
     assert robust < plain
 
 
@@ -294,8 +295,8 @@ def test_full_susceptibility_record():
     cfg = SystemConfig(n_qubits=2, delta=20.0)
     frame = dressing(cfg)
     p = preset_curve("xpi-2q-robust")
-    record = full_susceptibility(p, frame.delta_tilde, frame.design_beta)
-    assert np.allclose((record.ax, record.ay, record.az), susceptibility_beta(p))
+    record = full_susceptibility(CurveGrid(p), frame.delta_tilde, frame.design_beta)
+    assert np.allclose((record.ax, record.ay, record.az), susceptibility_beta(CurveGrid(p)))
     assert np.isfinite([record.ay0, record.az0]).all()
     assert record.channel == "freq_noise"
 

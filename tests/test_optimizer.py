@@ -1,7 +1,7 @@
 """Presets and the deterministic multi-start search."""
 
 import numpy as np
-from geodesic_gates.curves import area_functional, rotation_angle, solve_b1_zero_area
+from geodesic_gates.curves import CurveGrid, area_functional, rotation_angle, solve_b1_zero_area
 from geodesic_gates.frames import SystemConfig, dressing
 from geodesic_gates.magnus import robust_cost
 from geodesic_gates.optimizer import (
@@ -31,9 +31,9 @@ def test_preset_curves_sign_corrected_and_area_resolved():
     for key in ("xpi-3q-nonrobust", "xpi-3q-robust", "xhalfpi-3q-nonrobust",
                 "xhalfpi-3q-robust"):
         params = preset_curve(key)
-        assert abs(area_functional(params)) < 1e-8
+        assert abs(area_functional(CurveGrid(params))) < 1e-8
         row = presets()[key]
-        assert abs(rotation_angle(params) - row.phi_target) < 1e-8
+        assert abs(rotation_angle(CurveGrid(params)) - row.phi_target) < 1e-8
         # the re-solved coefficient stays within table rounding of the
         # negated published value
         if row.robust:
@@ -121,7 +121,7 @@ def test_optimize_three_qubit_constraint_preserved():
     system = SystemConfig(n_qubits=3, delta=20.0, drive_choice="center")
     cfg = OptimizerConfig(starts=1, max_iters=10, seed=1)
     result = optimize(np.pi, system, cfg)
-    assert abs(area_functional(result.params)) < 1e-8
+    assert abs(area_functional(CurveGrid(result.params))) < 1e-8
     assert abs(result.params.a + 1.0 / (32.0 * np.pi**2)) < 1e-15
 
 

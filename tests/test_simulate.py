@@ -116,6 +116,18 @@ def test_dense_step_doubling(key, model):
     assert np.max(np.abs(u_default - u_double)) < 1e-9
 
 
+@pytest.mark.parametrize("key", PRESET_KEYS)
+def test_block_step_doubling(key):
+    # the same estimate for the crosstalk-off block path, whose default grid
+    # is four steps per waveform sample interval
+    system, frame, wave = _setup(key)
+    noise = NoiseSetting(0.02, 0.01, crosstalk_on=False)
+    u_default, _ = simulate_gate(system, frame, wave, noise)
+    u_double, _ = simulate_gate(system, frame, wave, noise,
+                                n_steps=2 * 4 * (len(wave.samples) - 1))
+    assert np.max(np.abs(u_default - u_double)) < 1e-11
+
+
 @pytest.mark.parametrize("key", ["xpi-2q-robust", "xpi-3q-robust"])
 def test_dense_stepper_matches_midpoint_oracle(key):
     # the crosstalk-on Magnus path against the midpoint rule on the same
@@ -226,6 +238,9 @@ def test_sweep_grid_limits():
     # the crosstalk-off path builds no NoiseSetting per point; its axes meet the same bound
     with pytest.raises(ValueError, match="<= 0.5"):
         noise_sweep(system, frame, wave, [0.8], [0.0], crosstalk_on=False)
+    for crosstalk in (True, False):
+        with pytest.raises(ValueError, match="1 to 201"):
+            noise_sweep(system, frame, wave, [], [0.0], crosstalk_on=crosstalk)
 
 
 def test_nonrobust_infidelity_minimum_at_origin():
