@@ -37,10 +37,8 @@ from .linalg import (
 )
 from .magnus import (
     ChannelWeights,
-    Susceptibility,
     channel_costs,
     crosstalk_amplitudes,
-    full_susceptibility,
     robust_cost,
     susceptibility_beta,
     susceptibility_beta0,

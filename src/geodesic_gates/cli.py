@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,13 @@ from .curves import (
     waveform_from_grid,
 )
 from .frames import DRIVE_CENTER, DRIVE_MIDPOINT, DRIVE_RESONANT_LOWER, SystemConfig, dressing
-from .magnus import ChannelWeights, channel_costs, full_susceptibility, susceptibility_beta
+from .magnus import (
+    ChannelWeights,
+    channel_costs,
+    crosstalk_amplitudes,
+    susceptibility_beta,
+    susceptibility_beta0,
+)
 from .optimizer import (
     OptimizerConfig,
     config_digest,
@@ -139,8 +145,10 @@ def apply_run_config(args, argv) -> None:
 
     Sections: system (SystemConfig fields), gate, optimizer, sweep, output.
     A value from the file applies only where `argv` does not give its flag,
-    so explicit flags always win, even when they equal the default. Values
-    pass their flag's type and choices, as on the command line.
+    so explicit flags always win, even when they equal the default: a given
+    --delta replaces the system section's delta, and a given --setting its
+    n_qubits and drive_choice. Values pass their flag's type and choices, as
+    on the command line.
     """
     if not getattr(args, "config", None):
         return
@@ -148,14 +156,22 @@ def apply_run_config(args, argv) -> None:
     sections = ("system", "optimizer", *_CONFIG_SECTIONS)
     if not isinstance(data, dict) or not all(isinstance(data.get(s, {}), dict) for s in sections):
         raise ConfigError(f"run config and its sections {sections} must be JSON objects")
-    args._system_section = data.get("system")
-    args._optimizer_section = data.get("optimizer")
     # the flags `argv` gives: a reparse with every default suppressed
     parser = build_parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for option in (o for command in sub.choices.values() for o in command._actions):
         option.default = argparse.SUPPRESS
     given = vars(parser.parse_args(argv))
+    system = data.get("system")
+    if system:
+        system = dict(system)
+        if "delta" in given:
+            system["delta"] = args.delta
+        if "setting" in given:
+            system.update(SETTINGS[args.setting])
+    # the hash covers the system that runs: _meta reads these sections
+    args._system_section = system
+    args._optimizer_section = data.get("optimizer")
     command = sub.choices[args.command]
     actions = {action.dest: action for action in command._actions}
     for section, mapping in _CONFIG_SECTIONS.items():
@@ -173,14 +189,13 @@ def _system_from_args(args, default_key=None) -> SystemConfig:
     section = getattr(args, "_system_section", None)
     if section:
         try:
-            return SystemConfig.from_dict(section)
+            return SystemConfig(**section)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad system section: {exc}") from None
-    delta = getattr(args, "delta", 20.0) or 20.0
-    if getattr(args, "setting", None):
-        return SystemConfig(**SETTINGS[args.setting], delta=delta)
+    if args.setting:
+        return SystemConfig(**SETTINGS[args.setting], delta=args.delta)
     if default_key is not None:
-        return preset_system(default_key, delta=delta)
+        return preset_system(default_key, delta=args.delta)
     raise ConfigError("a --setting or --preset is required")
 
 
@@ -266,19 +281,19 @@ def cmd_cost(args) -> int:
     channels = channel_costs(grid, system, frame)
     cost = weights.cost(channels)
     area = area_functional(grid)
-    sus = full_susceptibility(grid, frame.delta_tilde, frame.design_beta)
+    ax, ay, az = susceptibility_beta(grid)
+    ay0, az0 = susceptibility_beta0(grid)
+    ct1, ct2 = crosstalk_amplitudes(grid, frame.delta_tilde, frame.design_beta)
     out = _out_dir(args)
     payload = {
         "area_C_target": area,
         "channels": channels,
         "robust_cost": cost,
         "susceptibility": {
-            "ax": sus.ax, "ay": sus.ay, "az": sus.az,
-            "ay0": sus.ay0, "az0": sus.az0,
-            "ct1": [sus.ct1.real, sus.ct1.imag],
-            "ct2": [sus.ct2.real, sus.ct2.imag],
+            "ax": ax, "ay": ay, "az": az, "ay0": ay0, "az0": az0,
+            "ct1": [ct1.real, ct1.imag], "ct2": [ct2.real, ct2.imag],
         },
-        "weights": weights.to_dict(),
+        "weights": asdict(weights),
         "preset": key,
         "meta": _meta(args, {"command": "cost"}),
     }
@@ -300,10 +315,10 @@ def cmd_optimize(args) -> int:
     cfg = replace(cfg, **overrides)
     result = optimize(phi_target, system, cfg)
     out = _out_dir(args)
-    payload = result.to_dict()
-    payload["optimizer_config"] = cfg.to_dict()
-    payload["system"] = system.to_dict()
-    payload["meta"] = _meta(args, {"command": "optimize", "optimizer": cfg.to_dict()})
+    payload = asdict(result)
+    payload["optimizer_config"] = asdict(cfg)
+    payload["system"] = asdict(system)
+    payload["meta"] = _meta(args, {"command": "optimize", "optimizer": payload["optimizer_config"]})
     write_json(out / "optimize_result.json", payload)
     print(f"optimize: cost={result.cost:.6e} converged={result.converged} "
           f"T={result.gate_time:.6g} b1={result.params.b1:.6g} b2={result.params.b2:.6g} "

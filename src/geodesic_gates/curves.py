@@ -41,7 +41,7 @@ per-parameter-set entry point that builds its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -73,15 +73,6 @@ class CurveParams:
     c: float = 0.0
     chi_max: float = CHI_MAX
     phi_target: float = np.pi
-
-    @classmethod
-    def for_angle(cls, phi_target: float, b1: float = 0.0, b2: float = 0.0,
-                  b3: float = 0.0, c: float = 0.0) -> "CurveParams":
-        return cls(a=coefficient_for_angle(phi_target), b1=b1, b2=b2, b3=b3,
-                   c=c, phi_target=phi_target)
-
-    def with_updates(self, **kwargs) -> "CurveParams":
-        return replace(self, **kwargs)
 
 
 def _basis(chi) -> np.ndarray:

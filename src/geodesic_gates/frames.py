@@ -71,8 +71,9 @@ class SystemConfig:
         if self.n_qubits == 3:
             if self.drive_choice != DRIVE_CENTER:
                 raise ValueError("three-qubit drive_choice must be center")
-            if abs(self.g1 / self.delta) >= 1.0:
-                raise ValueError("three-qubit model needs |g1/delta| < 1")
+            if abs(self.g1 / self.delta) > 0.2:
+                raise ValueError(f"three-qubit dressing needs |lambda| = |g1/delta| <= 0.2, "
+                                 f"got {self.g1 / self.delta}")
 
     @property
     def dim(self) -> int:
@@ -90,20 +91,6 @@ class SystemConfig:
         w = self.omega_ref
         return (w - self.delta, w + self.delta, w)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SystemConfig":
-        return cls(**data)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "delta": self.delta,
-            "g1": self.g1,
-            "g2": self.g2,
-            "omega_ref": self.omega_ref,
-            "drive_choice": self.drive_choice,
-        }
-
 
 @dataclass(frozen=True)
 class FrameData:
@@ -115,10 +102,17 @@ class FrameData:
     coupling_coefs: tuple
     delta_tilde: float
     drive_scale: float
+    #: rotating-frame frequency of each qubit; the driven qubit's, last, is omega_d
     rotating_freqs: tuple
-    omega_d: float
     epsilon: float          # crosstalk strength multiplying Omega(t) in V_cr
-    n_qubits: int
+
+    @property
+    def omega_d(self) -> float:
+        return self.rotating_freqs[-1]
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.rotating_freqs)
 
     @property
     def design_beta(self) -> float:
@@ -173,8 +167,7 @@ def two_qubit_dressing(config: SystemConfig) -> FrameData:
         delta_tilde = -root - 0.5 * config.g2
     return FrameData(S=S, betas=betas, coupling_coefs=(1.0, -1.0),
                      delta_tilde=delta_tilde, drive_scale=c,
-                     rotating_freqs=(w1_t, omega_d), omega_d=omega_d,
-                     epsilon=0.5 * np.tan(theta), n_qubits=2)
+                     rotating_freqs=(w1_t, omega_d), epsilon=0.5 * np.tan(theta))
 
 
 # Pauli-string generators of the three-qubit dressing rotations
@@ -193,12 +186,11 @@ def three_qubit_dressing(config: SystemConfig) -> FrameData:
     S = S3 S2 S1 with S1 = exp(i alpha (P1+P2)/4), S2 = exp(i kappa (P1-P2)/4),
     S3 = exp(i gamma P3/2); alpha = lambda/2 - (g2/4g1) lambda^2,
     kappa = -lambda/2 - (g2/4g1) lambda^2, gamma = arctan(lambda^2/(4+lambda^2))/2.
+    Valid for |lambda| <= 0.2, which `SystemConfig` enforces.
     """
     if config.n_qubits != 3:
         raise ValueError("three_qubit_dressing needs a 3-qubit config")
     lam = config.g1 / config.delta
-    if abs(lam) > 0.2:
-        raise ValueError(f"lambda = g1/delta = {lam} outside the validity range |lambda| <= 0.2")
     alpha = 0.5 * lam - (config.g2 / (4.0 * config.g1)) * lam**2
     kappa = -0.5 * lam - (config.g2 / (4.0 * config.g1)) * lam**2
     gamma = 0.5 * np.arctan(lam**2 / (4.0 + lam**2))
@@ -212,14 +204,11 @@ def three_qubit_dressing(config: SystemConfig) -> FrameData:
     S = s3 @ s2 @ s1
     delta_tilde = config.delta * (1.0 + lam**2 / 4.0 + lam**4 / 32.0)
     w = config.omega_ref
-    w1_t = w - delta_tilde
-    w2_t = w + delta_tilde
-    omega_d = w
     return FrameData(S=S, betas=(config.g2, 0.0, 0.0, -config.g2),
                      coupling_coefs=(2.0, 0.0, 0.0, -2.0),
                      delta_tilde=delta_tilde, drive_scale=1.0 - lam**2 / 4.0,
-                     rotating_freqs=(w1_t, w2_t, omega_d), omega_d=omega_d,
-                     epsilon=lam / 4.0, n_qubits=3)
+                     rotating_freqs=(w - delta_tilde, w + delta_tilde, w),
+                     epsilon=lam / 4.0)
 
 
 @lru_cache(maxsize=32)

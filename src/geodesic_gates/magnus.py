@@ -58,20 +58,6 @@ def trapz_endpoint_corrected(y: np.ndarray, h: float):
     return base - h * h / 12.0 * (d_end - d_start)
 
 
-@dataclass(frozen=True)
-class Susceptibility:
-    """Per-channel first-order Magnus coefficients of one parameter set."""
-
-    ax: float
-    ay: float
-    az: float
-    ay0: float
-    az0: float
-    ct1: complex
-    ct2: complex
-    channel: str
-
-
 def susceptibility_beta(g: CurveGrid):
     """Pauli components (A_X, A_Y, A_Z) of the detuned-block Z response."""
     cos_t, sin_t = np.cos(g.theta), np.sin(g.theta)
@@ -114,16 +100,6 @@ def crosstalk_amplitudes(g: CurveGrid, delta_tilde: float, beta: float):
     return complex(ct1), complex(ct2)
 
 
-def full_susceptibility(grid: CurveGrid, delta_tilde: float, beta: float,
-                        channel: str = CHANNEL_FREQ) -> Susceptibility:
-    """All first-order components of one curve in a single record."""
-    ax, ay, az = susceptibility_beta(grid)
-    ay0, az0 = susceptibility_beta0(grid)
-    ct1, ct2 = crosstalk_amplitudes(grid, delta_tilde, beta)
-    return Susceptibility(ax=ax, ay=ay, az=az, ay0=ay0, az0=az0,
-                          ct1=ct1, ct2=ct2, channel=channel)
-
-
 @dataclass(frozen=True)
 class ChannelWeights:
     """Weights c_k of the robustness cost channels."""
@@ -131,13 +107,6 @@ class ChannelWeights:
     freq: float = 1.0
     coupling: float = 1.0
     crosstalk: float = 1.0
-
-    def to_dict(self) -> dict:
-        return {"freq": self.freq, "coupling": self.coupling, "crosstalk": self.crosstalk}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChannelWeights":
-        return cls(**data)
 
     def cost(self, costs: dict) -> float:
         """|C_robust|^2 = sum_k c_k |d_{dk} A1|^2 from the `channel_costs` dict."""

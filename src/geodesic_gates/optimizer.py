@@ -29,13 +29,12 @@ from scipy import optimize as sp_optimize
 from .curves import (
     CurveGrid,
     CurveParams,
-    area_affine,
     area_functional,
     coefficient_for_angle,
     solve_b1_zero_area,
     solve_b3_zero_area,
 )
-from .frames import DRIVE_RESONANT_LOWER, FrameData, SystemConfig, dressing
+from .frames import FrameData, SystemConfig, dressing
 from .magnus import ChannelWeights, robust_cost
 
 PRESET_KEYS = (
@@ -96,9 +95,9 @@ def preset_curve(key: str) -> CurveParams:
                          phi_target=row.phi_target)
     if row.setting == "3q":
         if row.robust:
-            params = params.with_updates(b3=solve_b3_zero_area(row.a, -row.b1, -row.b2))
+            params = replace(params, b3=solve_b3_zero_area(row.a, -row.b1, -row.b2))
         else:
-            params = params.with_updates(b1=solve_b1_zero_area(row.a))
+            params = replace(params, b1=solve_b1_zero_area(row.a))
     return params
 
 
@@ -131,20 +130,16 @@ class OptimizerConfig:
         if not all(isinstance(x, numbers.Integral) for x in ints) or not all(
                 isinstance(x, numbers.Real) for x in reals):
             raise TypeError(f"optimizer counts must be integers and weights real numbers: {self}")
-
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in
-             ("w1", "w2", "starts", "seed", "max_iters", "tol", "box_halfwidth",
-              "include_preset_start")}
-        d["channel_weights"] = self.channel_weights.to_dict()
-        d["free_params"] = list(self.free_params)
-        return d
+        if self.starts < 1 or self.max_iters < 1:
+            raise ValueError(f"starts and max_iters must be at least 1, got "
+                             f"{self.starts} and {self.max_iters}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":
+        """Inverse of `dataclasses.asdict`: rebuilds the nested weights and the tuple."""
         data = dict(data)
         if "channel_weights" in data:
-            data["channel_weights"] = ChannelWeights.from_dict(data["channel_weights"])
+            data["channel_weights"] = ChannelWeights(**data["channel_weights"])
         if "free_params" in data:
             data["free_params"] = tuple(data["free_params"])
         return cls(**data)
@@ -152,7 +147,7 @@ class OptimizerConfig:
 
 def area_zero_required(system: SystemConfig) -> bool:
     """Zero enclosed area is needed whenever a resonant block exists."""
-    return system.n_qubits == 3 or system.drive_choice == DRIVE_RESONANT_LOWER
+    return 0.0 in dressing(system).betas
 
 
 def total_cost(params: CurveParams, system: SystemConfig, frame: FrameData,
@@ -175,19 +170,6 @@ class OptimizeResult:
     start_costs: tuple
     n_evaluations: int
     seed: int
-
-    def to_dict(self) -> dict:
-        p = self.params
-        return {
-            "params": {"a": p.a, "b1": p.b1, "b2": p.b2, "b3": p.b3, "c": p.c,
-                       "chi_max": p.chi_max, "phi_target": p.phi_target},
-            "cost": self.cost,
-            "converged": self.converged,
-            "gate_time": self.gate_time,
-            "start_costs": list(self.start_costs),
-            "n_evaluations": self.n_evaluations,
-            "seed": self.seed,
-        }
 
 
 def _matching_preset_key(gate_angle: float, system: SystemConfig, robust: bool = True):
@@ -218,10 +200,8 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
     eliminate = area_zero_required(system)
     if eliminate:
         names = tuple(n for n in cfg.free_params if n in ("b1", "b2", "c"))
-        c0, k1, k2, k3 = area_affine(a)
     else:
         names = tuple(n for n in cfg.free_params if n in ("b1", "c")) or ("b1", "c")
-        c0 = k1 = k2 = k3 = 0.0
     if not names:
         raise ValueError("no free parameters selected")
 
@@ -230,7 +210,7 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
         b1 = vals.get("b1", 0.0)
         b2 = vals.get("b2", 0.0)
         c = vals.get("c", 0.0)
-        b3 = -(c0 + k1 * b1 + k2 * b2) / k3 if eliminate else 0.0
+        b3 = solve_b3_zero_area(a, b1, b2) if eliminate else 0.0
         return CurveParams(a=a, b1=b1, b2=b2, b3=b3, c=c, phi_target=gate_angle)
 
     # the area condition is handled structurally: eliminated exactly via b3
@@ -251,9 +231,9 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
         if key is not None:
             row = preset_curve(key)
             starts.append(np.array([getattr(row, n) for n in names]))
-    while len(starts) < max(1, cfg.starts):
+    while len(starts) < cfg.starts:
         starts.append(rng.uniform(-cfg.box_halfwidth, cfg.box_halfwidth, size=len(names)))
-    starts = starts[: max(1, cfg.starts)]
+    starts = starts[: cfg.starts]
 
     best = None
     start_costs = []

@@ -64,6 +64,12 @@ def preset_curves():
     return {key: preset_curve(key) for key in PRESET_KEYS}
 
 
+def curve_for_angle(phi_target, **coefficients) -> CurveParams:
+    """The curve of gate angle `phi_target` with the given b1, b2, b3, c."""
+    return CurveParams(a=coefficient_for_angle(phi_target), phi_target=phi_target,
+                       **coefficients)
+
+
 def random_curve(rng, phi_target=np.pi, scale=8.0) -> CurveParams:
     """Seeded random ansatz parameters at moderate amplitude."""
     return CurveParams(

@@ -271,14 +271,15 @@ def test_criterion_8_cosine_baseline_ordering():
 def test_criterion_9_determinism():
     """Seeded optimization is bit-reproducible."""
     import json
+    from dataclasses import asdict
 
     system = SystemConfig(n_qubits=2, delta=20.0)
     cfg = OptimizerConfig(starts=2, max_iters=120, seed=42)
     first = optimize(np.pi, system, cfg)
     second = optimize(np.pi, system, cfg)
     identical = (first.params == second.params
-                 and json.dumps(first.to_dict(), sort_keys=True)
-                 == json.dumps(second.to_dict(), sort_keys=True))
+                 and json.dumps(asdict(first), sort_keys=True)
+                 == json.dumps(asdict(second), sort_keys=True))
     record_acceptance(9, identical,
                       "determinism: repeated seeded optimize runs serialize "
                       "byte-identically")

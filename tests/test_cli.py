@@ -61,11 +61,26 @@ def test_synth_json_format(tmp_path):
 
 
 def test_cost_ratio_robust_vs_nonrobust(tmp_path):
+    from geodesic_gates.curves import CurveGrid
+    from geodesic_gates.frames import dressing
+    from geodesic_gates.magnus import (crosstalk_amplitudes, susceptibility_beta,
+                                       susceptibility_beta0)
+    from geodesic_gates.optimizer import preset_curve, preset_system
+
     assert run(tmp_path / "r", "cost", "--preset", "xpi-2q-robust") == 0
     assert run(tmp_path / "n", "cost", "--preset", "xpi-2q-nonrobust") == 0
     robust = read_json(tmp_path / "r" / "cost.json")["robust_cost"]
     plain = read_json(tmp_path / "n" / "cost.json")["robust_cost"]
     assert robust * 100.0 < plain
+    # the susceptibility block is the library's integrals, exactly
+    for key, name in (("xpi-2q-robust", "r"), ("xpi-2q-nonrobust", "n")):
+        grid = CurveGrid(preset_curve(key))
+        frame = dressing(preset_system(key))
+        ct1, ct2 = crosstalk_amplitudes(grid, frame.delta_tilde, frame.design_beta)
+        expected = dict(zip(("ax", "ay", "az"), susceptibility_beta(grid)))
+        expected.update(zip(("ay0", "az0"), susceptibility_beta0(grid)))
+        expected.update(ct1=[ct1.real, ct1.imag], ct2=[ct2.real, ct2.imag])
+        assert read_json(tmp_path / name / "cost.json")["susceptibility"] == expected
 
 
 def test_simulate_command(tmp_path):
@@ -110,10 +125,25 @@ def test_optimize_deterministic_artifacts(tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("flag, value", [("--starts", "0"), ("--starts", "-3"),
+                                         ("--max-iters", "-2")])
+def test_optimize_count_below_one_exits_2(tmp_path, capsys, flag, value):
+    argv = ["optimize", "--setting", "2q-midpoint", "--phi", "pi", "--starts", "1",
+            "--max-iters", "5"]
+    assert run(tmp_path, *argv, flag, value) == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
 def test_optimize_nonconvergence_exit_3(tmp_path):
     code = run(tmp_path, "optimize", "--setting", "3q-chain", "--phi", "pi",
                "--seed", "1", "--starts", "1", "--max-iters", "1")
     assert code == 3
+
+
+def test_delta_zero_exits_2(tmp_path, capsys):
+    assert run(tmp_path, "cost", "--preset", "xpi-2q-robust", "--delta", "0") == 2
+    assert "delta must be nonzero" in capsys.readouterr().err
+    assert not (tmp_path / "cost.json").exists()
 
 
 def test_unresolvable_curve_exits_4(tmp_path, capsys):
@@ -261,14 +291,33 @@ def test_run_config_loses_to_flag_equal_to_default(tmp_path):
     ({"optimizer": {"starts": "x"}}, ["optimize", "--setting", "2q-midpoint", "--phi", "pi"]),
     ({"sweep": {"crosstalk": "maybe"}}, ["sweep", "--preset", "xpi-2q-robust", "--grid", "3"]),
     ({"output": {"format": "xml"}}, ["cost", "--preset", "xpi-2q-robust"]),
+    ({"optimizer": {"starts": 0}}, ["optimize", "--setting", "2q-midpoint", "--phi", "pi"]),
 ], ids=["optimizer-key", "channel-weights-key", "system-delta", "section-not-object",
         "sweep-grid-type", "optimizer-starts-type", "sweep-crosstalk-choice",
-        "output-format-choice"])
+        "output-format-choice", "optimizer-starts-zero"])
 def test_bad_run_config_value_exits_2(tmp_path, capsys, config, argv):
     cfg_path = tmp_path / "run.json"
     write_json(cfg_path, config)
     assert main([*argv, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset, flags", [
+    ("xpi-2q-robust", ["--delta", "40"]),
+    ("xpi-3q-robust", ["--setting", "3q-chain"]),
+], ids=["delta", "setting"])
+def test_run_config_system_section_loses_to_flags(tmp_path, preset, flags):
+    # the file's system section is 2q at Delta = 20 J; a given flag replaces
+    # its delta, or its n_qubits and drive_choice
+    cfg_path = tmp_path / "run.json"
+    write_json(cfg_path, {"system": {"n_qubits": 2, "delta": 20.0}})
+    argv = ["cost", "--preset", preset, *flags]
+    assert main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "file")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "flags")]) == 0
+    with_file = read_json(tmp_path / "file" / "cost.json")
+    flags_only = read_json(tmp_path / "flags" / "cost.json")
+    assert with_file["channels"] == flags_only["channels"]
+    assert with_file["robust_cost"] == flags_only["robust_cost"]
 
 
 def test_optimize_reads_optimizer_section(tmp_path):

@@ -1,10 +1,12 @@
 """Curve geometry: ansatz, Euler angle, synthesis, area and closed forms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import random_curve
+from conftest import curve_for_angle, random_curve
 from geodesic_gates.curves import (
     CurveGrid,
     CurveParams,
@@ -27,7 +29,7 @@ from oracles import arc_speed, phi, phi_prime, theta_of_chi
 
 CHI_MAX = 4.0 * np.pi
 
-TWO_QUBIT_ROBUST_PI = CurveParams.for_angle(np.pi, b1=5.86744, c=-5.46421)
+TWO_QUBIT_ROBUST_PI = curve_for_angle(np.pi, b1=5.86744, c=-5.46421)
 
 
 def rx(angle):
@@ -35,7 +37,7 @@ def rx(angle):
 
 
 def test_boundary_condition_pins_total_winding():
-    p = CurveParams.for_angle(np.pi)
+    p = curve_for_angle(np.pi)
     assert abs(p.a + 1.0 / (32.0 * np.pi**2)) < 1e-15
     assert abs(phi(p, CHI_MAX) - phi(p, 0.0) - np.pi) < 1e-12
 
@@ -70,7 +72,7 @@ def test_grid_ddphi_matches_central_difference_of_phi_prime():
 
 
 def test_phi_domain_checked():
-    p = CurveParams.for_angle(np.pi)
+    p = curve_for_angle(np.pi)
     with pytest.raises(ValueError):
         phi(p, -0.5)
     with pytest.raises(ValueError):
@@ -85,7 +87,7 @@ def test_theta_at_flat_points_is_half_pi():
 
 def test_theta_saturates_toward_pi():
     # large positive sin(chi) phi' pushes theta toward pi
-    p = CurveParams.for_angle(np.pi, b1=500.0)
+    p = curve_for_angle(np.pi, b1=500.0)
     chi = np.pi / 2.0
     s = np.sin(chi) * phi_prime(p, chi)
     assert s > 50.0
@@ -120,7 +122,7 @@ def test_arc_speed_at_least_one():
 
 
 def test_arc_length_matches_adaptive_quadrature():
-    p = CurveParams.for_angle(np.pi)  # pure cubic curve
+    p = curve_for_angle(np.pi)  # pure cubic curve
     grid = CurveGrid(p)
     oracle, err = integrate.quad(lambda x: float(arc_speed(p, x)), 0.0, CHI_MAX,
                                  limit=200, epsabs=1e-12, epsrel=1e-12)
@@ -151,7 +153,7 @@ def test_gate_time_decreases_with_detuning():
 
 
 def test_synthesize_rejects_bad_input():
-    p = CurveParams.for_angle(np.pi)
+    p = curve_for_angle(np.pi)
     with pytest.raises(ValueError):
         synthesize_waveform(p, beta=0.0)
     with pytest.raises(ValueError):
@@ -159,7 +161,7 @@ def test_synthesize_rejects_bad_input():
 
 
 def test_round_trip_simple_curve():
-    p = CurveParams.for_angle(np.pi)
+    p = curve_for_angle(np.pi)
     beta = 0.5
     wave = synthesize_waveform(p, beta, n_samples=8192)
     u = propagate_blocks(wave, beta)
@@ -190,7 +192,7 @@ def test_round_trip_random_curves_and_betas():
 
 
 def test_area_matches_independent_quadrature():
-    p = CurveParams.for_angle(np.pi)
+    p = curve_for_angle(np.pi)
     oracle, err = integrate.quad(
         lambda x: (1.0 - np.cos(x)) * float(phi_prime(p, x)), 0.0, CHI_MAX,
         limit=300, epsabs=1e-12, epsrel=1e-12)
@@ -203,19 +205,19 @@ def test_area_matches_independent_quadrature():
 def test_area_affine_coefficients_exact():
     # analytically derived values of the affine area form
     zero = CurveParams(a=0.0, phi_target=0.0)
-    assert abs(area_functional(CurveGrid(zero.with_updates(b1=1.0))) - 2048.0 / 3465.0) < 1e-12
-    assert abs(area_functional(CurveGrid(zero.with_updates(b2=1.0))) + 2048.0 / 1365.0) < 1e-12
-    assert abs(area_functional(CurveGrid(zero.with_updates(b3=1.0))) + np.pi / 2.0) < 1e-12
-    assert abs(area_functional(CurveGrid(zero.with_updates(c=1.0)))) < 1e-12
+    assert abs(area_functional(CurveGrid(replace(zero, b1=1.0))) - 2048.0 / 3465.0) < 1e-12
+    assert abs(area_functional(CurveGrid(replace(zero, b2=1.0))) + 2048.0 / 1365.0) < 1e-12
+    assert abs(area_functional(CurveGrid(replace(zero, b3=1.0))) + np.pi / 2.0) < 1e-12
+    assert abs(area_functional(CurveGrid(replace(zero, c=1.0)))) < 1e-12
     unit_a = CurveParams(a=1.0, phi_target=-32.0 * np.pi**3)
     assert abs(area_functional(CurveGrid(unit_a)) + 8.0 * np.pi * (4.0 * np.pi**2 + 3.0)) < 1e-9
 
 
 def test_area_affine_matches_four_quadratures():
     for phi_target in (np.pi, np.pi / 2.0):
-        base = CurveParams.for_angle(phi_target)
+        base = curve_for_angle(phi_target)
         c0 = area_functional(CurveGrid(base))
-        expected = (c0, *(area_functional(CurveGrid(base.with_updates(**{name: 1.0}))) - c0
+        expected = (c0, *(area_functional(CurveGrid(replace(base, **{name: 1.0}))) - c0
                           for name in ("b1", "b2", "b3")))
         got = area_affine(base.a)
         assert np.max(np.abs(np.subtract(got, expected))) < 1e-12
@@ -274,7 +276,7 @@ def test_zero_area_beta0_block_realizes_the_gate():
 
 
 def test_rotation_angle_simple_and_presets():
-    assert abs(rotation_angle(CurveGrid(CurveParams.for_angle(np.pi))) - np.pi) < 1e-12
+    assert abs(rotation_angle(CurveGrid(curve_for_angle(np.pi))) - np.pi) < 1e-12
     from geodesic_gates.optimizer import preset_curve
 
     assert abs(rotation_angle(CurveGrid(preset_curve("xpi-3q-robust"))) - np.pi) < 1e-8

@@ -1,9 +1,12 @@
 """Model frames: lab Hamiltonians, dressing transforms, reduced models."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from geodesic_gates.curves import CurveParams, Waveform, synthesize_waveform
+from conftest import curve_for_angle
+from geodesic_gates.curves import Waveform, synthesize_waveform
 from geodesic_gates.frames import (
     MODEL_LAB,
     MODEL_REDUCED,
@@ -263,7 +266,7 @@ def test_frame_consistency_two_qubit():
     # lab propagation unwound to the logical frame equals the reduced model
     cfg = SystemConfig(n_qubits=2, delta=20.0)
     frame = dressing(cfg)
-    params = CurveParams.for_angle(np.pi, b1=5.86744, c=-5.46421)
+    params = curve_for_angle(np.pi, b1=5.86744, c=-5.46421)
     wave = synthesize_waveform(params, frame.design_beta, n_samples=8192)
     u_red = _propagate(lambda ts: hamiltonian_samples(cfg, MODEL_REDUCED, wave, ts),
                        wave.T, 65536)
@@ -279,4 +282,4 @@ def test_frame_consistency_two_qubit():
 
 def test_system_config_json_round_trip():
     cfg = SystemConfig(n_qubits=3, delta=20.0, drive_choice="center")
-    assert SystemConfig.from_dict(cfg.to_dict()) == cfg
+    assert SystemConfig(**asdict(cfg)) == cfg

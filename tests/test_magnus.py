@@ -289,18 +289,6 @@ def test_three_qubit_robust_cost_ordering():
     assert robust < plain
 
 
-def test_full_susceptibility_record():
-    from geodesic_gates.magnus import full_susceptibility
-
-    cfg = SystemConfig(n_qubits=2, delta=20.0)
-    frame = dressing(cfg)
-    p = preset_curve("xpi-2q-robust")
-    record = full_susceptibility(CurveGrid(p), frame.delta_tilde, frame.design_beta)
-    assert np.allclose((record.ax, record.ay, record.az), susceptibility_beta(CurveGrid(p)))
-    assert np.isfinite([record.ay0, record.az0]).all()
-    assert record.channel == "freq_noise"
-
-
 def test_resonant_coupling_noise_differs_from_simulator_by_frequency_channel():
     # the cost models 2q resonant_lower coupling noise as IZ + ZZ, (2, 0) per
     # block; the simulator applies dJ ZZ, (1, -1). Every other setting agrees.

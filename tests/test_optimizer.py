@@ -1,5 +1,7 @@
 """Presets and the deterministic multi-start search."""
 
+from dataclasses import asdict
+
 import numpy as np
 from geodesic_gates.curves import CurveGrid, area_functional, rotation_angle, solve_b1_zero_area
 from geodesic_gates.frames import SystemConfig, dressing
@@ -134,4 +136,4 @@ def test_optimize_reports_nonconvergence():
 
 def test_optimizer_config_roundtrip():
     cfg = OptimizerConfig(starts=5, seed=9)
-    assert OptimizerConfig.from_dict(cfg.to_dict()) == cfg
+    assert OptimizerConfig.from_dict(asdict(cfg)) == cfg
