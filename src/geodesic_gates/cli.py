@@ -3,7 +3,8 @@
 Outputs are CSV (header row, '.' decimal, newline-terminated, shortest
 round-trip float representation) and JSON (sorted keys, two-space indent).
 Every JSON summary embeds the command's config hash and seed so runs can be
-reproduced and compared byte for byte.
+reproduced and compared byte for byte. Each command declares only the flags
+it reads.
 
 Exit codes: 0 success, 2 invalid configuration, 3 optimizer non-convergence,
 4 numerical failure (a curve the chi grid cannot resolve).
@@ -53,6 +54,7 @@ from .optimizer import (
 from .simulate import (
     MODEL_LAB,
     MODEL_REDUCED,
+    SLOPE_MIN_POINTS,
     NoiseSetting,
     matched_cosine_baseline,
     noise_sweep,
@@ -117,7 +119,7 @@ def parse_phi(text: str) -> float:
 
 def resolve_threads(args) -> int:
     """--threads, else GEODESIC_GATES_THREADS, else the CPU count; at least 1."""
-    threads, source = getattr(args, "threads", None), "--threads"
+    threads, source = args.threads, "--threads"
     if threads is None:
         env, source = os.environ.get("GEODESIC_GATES_THREADS"), "GEODESIC_GATES_THREADS"
         if not env:
@@ -150,7 +152,7 @@ def apply_run_config(args, argv) -> None:
     n_qubits and drive_choice. Values pass their flag's type and choices, as
     on the command line.
     """
-    if not getattr(args, "config", None):
+    if not args.config:
         return
     data = read_json(Path(args.config))
     sections = ("system", "optimizer", *_CONFIG_SECTIONS)
@@ -169,7 +171,6 @@ def apply_run_config(args, argv) -> None:
             system["delta"] = args.delta
         if "setting" in given:
             system.update(SETTINGS[args.setting])
-    # the hash covers the system that runs: _meta reads these sections
     args._system_section = system
     args._optimizer_section = data.get("optimizer")
     command = sub.choices[args.command]
@@ -200,50 +201,50 @@ def _system_from_args(args, default_key=None) -> SystemConfig:
 
 
 def _curve_from_args(args):
-    """Resolve (CurveParams, phi_target, preset_key) from flags."""
-    key = getattr(args, "preset", None)
+    """Resolve (CurveParams, preset_key) from flags; a given --phi must match the curve."""
+    key = args.preset
     if key is not None:
         if key not in presets():
             raise ConfigError(f"unknown preset {key!r}; choose from {sorted(presets())}")
-        row = presets()[key]
-        if getattr(args, "phi", None) is not None:
-            phi_req = parse_phi(args.phi)
-            if abs(phi_req - row.phi_target) > 1e-12:
-                raise ConfigError(
-                    f"--phi {phi_req!r} does not match preset {key} "
-                    f"(phi = {row.phi_target!r})")
-        return preset_curve(key), row.phi_target, key
-    if getattr(args, "params", None) is not None:
-        data = read_json(Path(args.params))
+        params, source = preset_curve(key), f"preset {key}"
+    elif args.params is not None:
         try:
-            params = CurveParams(**data)
+            params = CurveParams(**read_json(Path(args.params)))
         except TypeError as exc:
             raise ConfigError(f"bad params file: {exc}") from None
-        args._params_section = data
-        return params, params.phi_target, None
-    raise ConfigError("either --preset or --params is required")
+        source = "the params file"
+    else:
+        raise ConfigError("either --preset or --params is required")
+    if args.phi is not None:
+        phi_req = parse_phi(args.phi)
+        if abs(phi_req - params.phi_target) > 1e-12:
+            raise ConfigError(f"--phi {phi_req!r} does not match {source} "
+                              f"(phi = {params.phi_target!r})")
+    return params, key
 
 
 def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out", ".") or ".")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _meta(args, extra: dict) -> dict:
-    # the hash covers the semantic configuration only, so identical runs
-    # into different directories produce identical artifacts; input files
-    # enter through their loaded contents (the _*_section attributes), not
-    # their paths
+def _meta(args, **records) -> dict:
+    # the hash covers the semantic configuration only: the command, the flags
+    # it read and the records it resolved from them (system, curve, optimizer),
+    # never file names, thread counts or run-config sections as written, so
+    # identical runs into different directories produce identical artifacts;
+    # --delta and --setting enter through the system record
     payload = {k: v for k, v in vars(args).items()
-               if k not in ("func", "out", "threads", "config", "params") and v is not None}
-    payload.update(extra)
+               if k not in ("func", "out", "threads", "config", "params", "delta", "setting")
+               and not k.startswith("_") and v is not None}
+    payload.update((name, asdict(record)) for name, record in records.items())
     return {"config_sha256": config_digest(payload), "seed": getattr(args, "seed", None),
             "version": __version__}
 
 
 def cmd_synth(args) -> int:
-    params, phi_target, key = _curve_from_args(args)
+    params, key = _curve_from_args(args)
     system = _system_from_args(args, default_key=key)
     frame = dressing(system)
     beta = args.beta if args.beta is not None else frame.design_beta
@@ -264,7 +265,7 @@ def cmd_synth(args) -> int:
         "preset": key,
         "params": {"a": params.a, "b1": params.b1, "b2": params.b2,
                    "b3": params.b3, "c": params.c},
-        "meta": _meta(args, {"command": "synth"}),
+        "meta": _meta(args, system=system, curve=params),
     }
     write_json(out / "synth_summary.json", summary)
     print(f"synth: T={wave.T:.6g} Phi={summary['Phi']:.6g} "
@@ -273,7 +274,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    params, phi_target, key = _curve_from_args(args)
+    params, key = _curve_from_args(args)
     system = _system_from_args(args, default_key=key)
     frame = dressing(system)
     weights = ChannelWeights()
@@ -295,7 +296,7 @@ def cmd_cost(args) -> int:
         },
         "weights": asdict(weights),
         "preset": key,
-        "meta": _meta(args, {"command": "cost"}),
+        "meta": _meta(args, system=system, curve=params),
     }
     write_json(out / "cost.json", payload)
     print(f"cost: |C_robust|^2={cost:.6e} C_target={area:.3e} "
@@ -318,7 +319,7 @@ def cmd_optimize(args) -> int:
     payload = asdict(result)
     payload["optimizer_config"] = asdict(cfg)
     payload["system"] = asdict(system)
-    payload["meta"] = _meta(args, {"command": "optimize", "optimizer": payload["optimizer_config"]})
+    payload["meta"] = _meta(args, system=system, optimizer=cfg)
     write_json(out / "optimize_result.json", payload)
     print(f"optimize: cost={result.cost:.6e} converged={result.converged} "
           f"T={result.gate_time:.6g} b1={result.params.b1:.6g} b2={result.params.b2:.6g} "
@@ -327,7 +328,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    params, phi_target, key = _curve_from_args(args)
+    params, key = _curve_from_args(args)
+    phi_target = params.phi_target
     system = _system_from_args(args, default_key=key)
     frame = dressing(system)
     wave = synthesize_waveform(params, frame.design_beta, n_samples=args.n_samples)
@@ -347,7 +349,7 @@ def cmd_simulate(args) -> int:
         "T": wave.T,
         "preset": key,
         "baseline": args.baseline,
-        "meta": _meta(args, {"command": "simulate"}),
+        "meta": _meta(args, system=system, curve=params),
     }
     write_json(out / "simulate.json", payload)
     print(f"simulate[{args.model}]: infidelity={infid:.6e} (T={wave.T:.6g})")
@@ -355,7 +357,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    params, phi_target, key = _curve_from_args(args)
+    params, key = _curve_from_args(args)
+    phi_target = params.phi_target
     system = _system_from_args(args, default_key=key)
     frame = dressing(system)
     wave = synthesize_waveform(params, frame.design_beta, n_samples=args.n_samples)
@@ -375,7 +378,7 @@ def cmd_sweep(args) -> int:
     floor = float(result.infidelity[n // 2, n // 2]) if n % 2 else float(np.min(result.infidelity))
     slopes = {}
     pos = axis[axis > 0]
-    if pos.size >= 6:
+    if pos.size >= SLOPE_MIN_POINTS:
         for name, values in (("domega", result.infidelity[axis > 0, n // 2]),
                              ("dj", result.infidelity[n // 2, axis > 0])):
             try:
@@ -391,7 +394,7 @@ def cmd_sweep(args) -> int:
         "range": args.range,
         "crosstalk_on": crosstalk,
         "preset": key,
-        "meta": _meta(args, {"command": "sweep"}),
+        "meta": _meta(args, system=system, curve=params),
     }
     write_json(out / "sweep_summary.json", summary)
     print(f"sweep[{result.model}]: {n}x{n} grid, floor={floor:.3e}, slopes={slopes}")
@@ -457,7 +460,7 @@ def cmd_audit(args) -> int:
     report = audit_report()
     out = _out_dir(args)
     payload = dict(report)
-    payload["meta"] = _meta(args, {"command": "audit"})
+    payload["meta"] = _meta(args)
     write_json(out / "audit.json", payload)
     print("preset                  | C_tgt printed | C_tgt correct | |A| printed   | |A| corrected")
     for key, entry in report["rows"].items():
@@ -483,39 +486,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_default=None):
+    def common(p, delta=True):
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--config", default=None,
                        help="JSON run config (system/gate/optimizer/sweep/output sections)")
+        if delta:
+            p.add_argument("--delta", type=float, default=20.0,
+                           help="qubit frequency spacing Delta in units of J")
+
+    def table_format(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="bulk output format preference")
-        p.add_argument("--seed", type=int, default=seed_default)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads, at least 1 (default: "
-                            "GEODESIC_GATES_THREADS or machine parallelism)")
-        p.add_argument("--delta", type=float, default=20.0,
-                       help="qubit frequency spacing Delta in units of J")
 
-    def curve_opts(p):
+    def curve_opts(p, n_samples=True):
         p.add_argument("--preset", default=None)
         p.add_argument("--params", default=None, help="JSON file with CurveParams fields")
         p.add_argument("--phi", default=None, help="gate angle (pi, pi/2 or a float)")
         p.add_argument("--setting", default=None, choices=sorted(SETTINGS))
-        p.add_argument("--n-samples", type=int, default=8192)
+        if n_samples:
+            p.add_argument("--n-samples", type=int, default=8192)
 
     p = sub.add_parser("synth", help="synthesize a waveform from a curve")
-    common(p); curve_opts(p)
+    common(p); table_format(p); curve_opts(p)
     p.add_argument("--beta", type=float, default=None, help="block detuning (default: design)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("cost", help="evaluate area and robustness functionals")
-    common(p); curve_opts(p)
+    common(p); curve_opts(p, n_samples=False)
     p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("optimize", help="multi-start search over ansatz parameters")
-    common(p, seed_default=None)
+    common(p)
     p.add_argument("--setting", required=True, choices=sorted(SETTINGS))
     p.add_argument("--phi", required=True)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--starts", type=int, default=None)
     p.add_argument("--max-iters", type=int, default=None)
     p.set_defaults(func=cmd_optimize)
@@ -530,7 +534,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="2-D quasi-static noise sweep")
-    common(p); curve_opts(p)
+    common(p); table_format(p); curve_opts(p)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads, at least 1 (default: "
+                        "GEODESIC_GATES_THREADS or machine parallelism)")
     p.add_argument("--model", choices=(MODEL_REDUCED, MODEL_LAB), default=MODEL_REDUCED)
     p.add_argument("--grid", type=int, default=41)
     p.add_argument("--range", type=float, default=0.1)
@@ -538,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("audit", help="reconcile published tables against oracles")
-    common(p)
+    common(p, delta=False)
     p.set_defaults(func=cmd_audit)
     return parser
 

@@ -223,11 +223,9 @@ def waveform_from_grid(grid: CurveGrid, beta: float, n_samples: int = 8192) -> W
                     beta_design=beta)
 
 
-def synthesize_waveform(params: CurveParams, beta: float,
-                        n_samples: int = 8192,
-                        grid_points: int = CHI_GRID_POINTS) -> Waveform:
-    """`waveform_from_grid` on the curve's own `grid_points`-point grid."""
-    return waveform_from_grid(CurveGrid(params, grid_points), beta, n_samples)
+def synthesize_waveform(params: CurveParams, beta: float, n_samples: int = 8192) -> Waveform:
+    """`waveform_from_grid` on the curve's own default grid."""
+    return waveform_from_grid(CurveGrid(params), beta, n_samples)
 
 
 def area_functional(grid: CurveGrid) -> float:

@@ -29,7 +29,6 @@ from scipy import optimize as sp_optimize
 from .curves import (
     CurveGrid,
     CurveParams,
-    area_functional,
     coefficient_for_angle,
     solve_b1_zero_area,
     solve_b3_zero_area,
@@ -113,10 +112,7 @@ def preset_system(key: str, delta: float = 20.0) -> SystemConfig:
 class OptimizerConfig:
     """Knobs of the multi-start search."""
 
-    w1: float = 1.0e4
-    w2: float = 1.0
     channel_weights: ChannelWeights = field(default_factory=ChannelWeights)
-    free_params: tuple = ("b1", "b2", "c")
     starts: int = 16
     seed: int = 42
     max_iters: int = 400
@@ -126,7 +122,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         ints = (self.starts, self.seed, self.max_iters, self.include_preset_start)
-        reals = (self.w1, self.w2, self.tol, self.box_halfwidth, *vars(self.channel_weights).values())
+        reals = (self.tol, self.box_halfwidth, *vars(self.channel_weights).values())
         if not all(isinstance(x, numbers.Integral) for x in ints) or not all(
                 isinstance(x, numbers.Real) for x in reals):
             raise TypeError(f"optimizer counts must be integers and weights real numbers: {self}")
@@ -136,12 +132,10 @@ class OptimizerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":
-        """Inverse of `dataclasses.asdict`: rebuilds the nested weights and the tuple."""
+        """Inverse of `dataclasses.asdict`: rebuilds the nested weights."""
         data = dict(data)
         if "channel_weights" in data:
             data["channel_weights"] = ChannelWeights(**data["channel_weights"])
-        if "free_params" in data:
-            data["free_params"] = tuple(data["free_params"])
         return cls(**data)
 
 
@@ -152,13 +146,13 @@ def area_zero_required(system: SystemConfig) -> bool:
 
 def total_cost(params: CurveParams, system: SystemConfig, frame: FrameData,
                cfg: OptimizerConfig) -> float:
-    """C_total = w1 |C_target|^2 + w2 |C_robust|^2.
+    """The search objective: `robust_cost` under the configured channel weights.
 
-    At w1 = 0, as in `optimize`, this is one `robust_cost` call and one grid.
+    The area condition needs no penalty term: `optimize` eliminates b3
+    exactly where a resonant block requires zero area, and the midpoint
+    two-qubit drive has no resonant block.
     """
-    area = area_functional(CurveGrid(params)) if cfg.w1 != 0.0 else 0.0
-    return cfg.w1 * area * area + cfg.w2 * robust_cost(
-        params, system, frame, cfg.channel_weights)
+    return robust_cost(params, system, frame, cfg.channel_weights)
 
 
 @dataclass(frozen=True)
@@ -188,41 +182,30 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
     """Minimize the robustness cost over the free ansatz parameters.
 
     a is pinned by the gate angle. Where a resonant block requires zero
-    area, b3 is eliminated exactly via the affine area relation and the
-    remaining free parameters default to (b1, b2, c); for the midpoint
-    two-qubit drive the area term is moot, b2 = b3 = 0, and (b1, c) are
-    free. Restart 0 starts from the matching published row when one exists,
-    the rest from seeded uniform draws in the box; with a fixed seed the
-    result is reproducible bit for bit, and ties break by restart index.
+    area, b3 is eliminated exactly via the affine area relation and
+    (b1, b2, c) are free; for the midpoint two-qubit drive the area is moot,
+    b2 = b3 = 0, and (b1, c) are free. Restart 0 starts from the matching
+    published row when one exists, the rest from seeded uniform draws in the
+    box; with a fixed seed the result is reproducible bit for bit, and ties
+    break by restart index.
     """
     frame = dressing(system)
     a = coefficient_for_angle(gate_angle)
     eliminate = area_zero_required(system)
-    if eliminate:
-        names = tuple(n for n in cfg.free_params if n in ("b1", "b2", "c"))
-    else:
-        names = tuple(n for n in cfg.free_params if n in ("b1", "c")) or ("b1", "c")
-    if not names:
-        raise ValueError("no free parameters selected")
+    names = ("b1", "b2", "c") if eliminate else ("b1", "c")
 
     def build(vec: np.ndarray) -> CurveParams:
         vals = dict(zip(names, vec))
-        b1 = vals.get("b1", 0.0)
-        b2 = vals.get("b2", 0.0)
-        c = vals.get("c", 0.0)
+        b1, b2, c = vals["b1"], vals.get("b2", 0.0), vals["c"]
         b3 = solve_b3_zero_area(a, b1, b2) if eliminate else 0.0
         return CurveParams(a=a, b1=b1, b2=b2, b3=b3, c=c, phi_target=gate_angle)
 
-    # the area condition is handled structurally: eliminated exactly via b3
-    # where required, moot for the midpoint drive; the penalty weight w1 only
-    # matters for direct total_cost evaluations
-    objective_cfg = replace(cfg, w1=0.0)
     eval_count = 0
 
     def objective(vec: np.ndarray) -> float:
         nonlocal eval_count
         eval_count += 1
-        return total_cost(build(vec), system, frame, objective_cfg)
+        return total_cost(build(vec), system, frame, cfg)
 
     rng = np.random.default_rng(cfg.seed)
     starts = []

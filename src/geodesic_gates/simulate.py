@@ -269,8 +269,12 @@ def noise_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
     return SweepResult(domega_values, dj_values, infid, model)
 
 
+#: fewest points above the floor plateau a log-log slope is fitted to
+SLOPE_MIN_POINTS = 6
+
+
 def slope_fit(noise_values, infidelities, floor: float = 0.0,
-              subtract_floor: bool = False, min_points: int = 6) -> float:
+              subtract_floor: bool = False) -> float:
     """Least-squares log-log slope, excluding points within 10x of the floor.
 
     `floor` is the zero-noise infidelity; points with I <= 10 * floor sit on
@@ -287,9 +291,9 @@ def slope_fit(noise_values, infidelities, floor: float = 0.0,
         y = y - floor
         mask &= y > 0
     x, y = x[mask], y[mask]
-    if x.size < min_points:
+    if x.size < SLOPE_MIN_POINTS:
         raise ValueError(f"only {x.size} usable points above the floor plateau "
-                         f"(need {min_points})")
+                         f"(need {SLOPE_MIN_POINTS})")
     slope, _ = np.polyfit(np.log(x), np.log(y), 1)
     return float(slope)
 

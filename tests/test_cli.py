@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -290,11 +291,16 @@ def test_run_config_loses_to_flag_equal_to_default(tmp_path):
     ({"sweep": {"grid": "x"}}, ["sweep", "--preset", "xpi-2q-robust", "--crosstalk", "off"]),
     ({"optimizer": {"starts": "x"}}, ["optimize", "--setting", "2q-midpoint", "--phi", "pi"]),
     ({"sweep": {"crosstalk": "maybe"}}, ["sweep", "--preset", "xpi-2q-robust", "--grid", "3"]),
-    ({"output": {"format": "xml"}}, ["cost", "--preset", "xpi-2q-robust"]),
+    ({"output": {"format": "xml"}}, ["synth", "--preset", "xpi-2q-robust"]),
     ({"optimizer": {"starts": 0}}, ["optimize", "--setting", "2q-midpoint", "--phi", "pi"]),
+    ({"optimizer": {"w1": 0.0}}, ["optimize", "--setting", "2q-midpoint", "--phi", "pi"]),
+    ({"optimizer": {"w2": 1.0}}, ["optimize", "--setting", "2q-midpoint", "--phi", "pi"]),
+    ({"optimizer": {"free_params": ["b2"]}},
+     ["optimize", "--setting", "2q-midpoint", "--phi", "pi"]),
 ], ids=["optimizer-key", "channel-weights-key", "system-delta", "section-not-object",
         "sweep-grid-type", "optimizer-starts-type", "sweep-crosstalk-choice",
-        "output-format-choice", "optimizer-starts-zero"])
+        "output-format-choice", "optimizer-starts-zero", "optimizer-w1", "optimizer-w2",
+        "optimizer-free-params"])
 def test_bad_run_config_value_exits_2(tmp_path, capsys, config, argv):
     cfg_path = tmp_path / "run.json"
     write_json(cfg_path, config)
@@ -322,7 +328,8 @@ def test_run_config_system_section_loses_to_flags(tmp_path, preset, flags):
 
 def test_optimize_reads_optimizer_section(tmp_path):
     config = {"optimizer": {"starts": 1, "seed": 5, "max_iters": 5,
-                            "w1": 0.0, "w2": 0.0}}
+                            "channel_weights": {"freq": 0.0, "coupling": 0.0,
+                                                "crosstalk": 0.0}}}
     cfg_path = tmp_path / "run.json"
     write_json(cfg_path, config)
     code = main(["optimize", "--setting", "2q-midpoint", "--phi", "pi",
@@ -347,3 +354,76 @@ def test_config_hash_ignores_input_file_names(tmp_path):
                      "--out", str(tmp_path / name)]) == 0
         hashes.add(read_json(tmp_path / name / "cost.json")["meta"]["config_sha256"])
     assert len(hashes) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--preset", "xpi-2q-robust", "--seed", "3"],
+    ["cost", "--preset", "xpi-2q-robust", "--seed", "3"],
+    ["simulate", "--preset", "xpi-2q-robust", "--crosstalk", "off", "--seed", "3"],
+    ["sweep", "--preset", "xpi-2q-robust", "--grid", "3", "--crosstalk", "off", "--seed", "3"],
+    ["audit", "--seed", "3"],
+    ["cost", "--preset", "xpi-2q-robust", "--format", "json"],
+    ["optimize", "--setting", "2q-midpoint", "--phi", "pi", "--starts", "1", "--max-iters", "5",
+     "--format", "json"],
+    ["simulate", "--preset", "xpi-2q-robust", "--crosstalk", "off", "--format", "json"],
+    ["audit", "--format", "json"],
+    ["synth", "--preset", "xpi-2q-robust", "--threads", "2"],
+    ["cost", "--preset", "xpi-2q-robust", "--threads", "2"],
+    ["optimize", "--setting", "2q-midpoint", "--phi", "pi", "--starts", "1", "--max-iters", "5",
+     "--threads", "2"],
+    ["simulate", "--preset", "xpi-2q-robust", "--crosstalk", "off", "--threads", "2"],
+    ["audit", "--threads", "2"],
+    ["cost", "--preset", "xpi-2q-robust", "--n-samples", "300"],
+    ["audit", "--delta", "30"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_unread_flag_exits_2(tmp_path, argv):
+    # each command declares only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_config_hash_covers_resolved_system(tmp_path):
+    # one system, given by preset default, by flags, or by a system section
+    # that spells out a default or omits it, gives one hash
+    write_json(tmp_path / "short.json", {"system": {"n_qubits": 2, "delta": 20.0}})
+    write_json(tmp_path / "long.json",
+               {"system": {"n_qubits": 2, "delta": 20.0, "drive_choice": "midpoint"}})
+    hashes = set()
+    for name, flags in (("preset", []), ("flags", ["--setting", "2q-midpoint", "--delta", "20"]),
+                        ("short", ["--config", str(tmp_path / "short.json")]),
+                        ("long", ["--config", str(tmp_path / "long.json")])):
+        assert run(tmp_path / name, "cost", "--preset", "xpi-2q-robust", *flags) == 0
+        hashes.add(read_json(tmp_path / name / "cost.json")["meta"]["config_sha256"])
+    assert len(hashes) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["synth"], ["cost"], ["simulate", "--crosstalk", "off"],
+    ["sweep", "--grid", "3", "--crosstalk", "off"],
+], ids=lambda command: command[0])
+def test_params_phi_mismatch_exits_2(tmp_path, capsys, command):
+    # the params file's phi_target is pi, like a preset's, so --phi is checked against it
+    params = tmp_path / "p.json"
+    write_json(params, {"a": -1.0 / (32.0 * np.pi**2), "b1": 5.86744, "c": -5.46421,
+                        "phi_target": np.pi})
+    argv = [*command, "--params", str(params), "--setting", "2q-midpoint"]
+    assert run(tmp_path / "bad", *argv, "--phi", "pi/2") == 2
+    assert "does not match" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    assert run(tmp_path / "good", *argv, "--phi", "pi") == 0
+
+
+def test_readme_run_config_example(tmp_path):
+    from geodesic_gates.frames import SystemConfig
+    from geodesic_gates.optimizer import OptimizerConfig
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    config = json.loads(block)
+    SystemConfig(**config["system"])
+    OptimizerConfig.from_dict(config["optimizer"])
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(block)
+    assert main(["cost", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0

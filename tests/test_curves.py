@@ -19,6 +19,7 @@ from geodesic_gates.curves import (
     solve_b1_zero_area,
     solve_b3_zero_area,
     synthesize_waveform,
+    waveform_from_grid,
 )
 from geodesic_gates.frames import dressing
 from geodesic_gates.linalg import SIGMA_X, expm_hermitian, gate_fidelity
@@ -172,8 +173,9 @@ def test_round_trip_beta_sign_symmetry():
     # U(-beta) = X U(+beta) X exactly, so the unitary difference is twice the
     # waveform discretization residual; dense sampling brings it under 1e-7
     p = TWO_QUBIT_ROBUST_PI
-    wave_pos = synthesize_waveform(p, 0.5, n_samples=65536, grid_points=65536)
-    wave_neg = synthesize_waveform(p, -0.5, n_samples=65536, grid_points=65536)
+    grid = CurveGrid(p, 65536)
+    wave_pos = waveform_from_grid(grid, 0.5, n_samples=65536)
+    wave_neg = waveform_from_grid(grid, -0.5, n_samples=65536)
     assert np.allclose(wave_pos.samples, wave_neg.samples)
     u_pos = propagate_blocks(wave_pos, 0.5)
     u_neg = propagate_blocks(wave_neg, -0.5)

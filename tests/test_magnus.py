@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_curve
-from geodesic_gates.curves import CurveGrid, CurveParams, synthesize_waveform
+from geodesic_gates.curves import CurveGrid, CurveParams, waveform_from_grid
 from geodesic_gates.frames import SystemConfig, dressing
 from geodesic_gates.linalg import (
     SIGMA_X,
@@ -80,8 +80,7 @@ def adjoint_z(u, v):
 
 def oracle_beta_components(params, beta, n=131072):
     """Brute-force (A_X, A_Y, A_Z) in the geometric frame, chi units."""
-    wave = synthesize_waveform(params, beta, n_samples=_ORACLE_SAMPLES,
-                               grid_points=_ORACLE_SAMPLES)
+    wave = waveform_from_grid(CurveGrid(params, _ORACLE_SAMPLES), beta, _ORACLE_SAMPLES)
     us = cumulative_propagators(wave, beta, n)
     integrand = adjoint_z(us, us)
     a_true = np.trapezoid(integrand, dx=wave.T / n, axis=0)
@@ -90,8 +89,7 @@ def oracle_beta_components(params, beta, n=131072):
 
 
 def oracle_beta0_components(params, beta, n=131072):
-    wave = synthesize_waveform(params, beta, n_samples=_ORACLE_SAMPLES,
-                               grid_points=_ORACLE_SAMPLES)
+    wave = waveform_from_grid(CurveGrid(params, _ORACLE_SAMPLES), beta, _ORACLE_SAMPLES)
     us = cumulative_propagators(wave, 0.0, n)
     integrand = adjoint_z(us, us)
     a_true = np.trapezoid(integrand, dx=wave.T / n, axis=0)
@@ -101,8 +99,7 @@ def oracle_beta0_components(params, beta, n=131072):
 
 def oracle_crosstalk_block(params, delta_tilde, beta, n=131072):
     """Upper-right block of int U0^dag dH U0 dt for the 2-block model."""
-    wave = synthesize_waveform(params, beta, n_samples=_ORACLE_SAMPLES,
-                               grid_points=_ORACLE_SAMPLES)
+    wave = waveform_from_grid(CurveGrid(params, _ORACLE_SAMPLES), beta, _ORACLE_SAMPLES)
     us_beta = cumulative_propagators(wave, beta, n)
     us_zero = cumulative_propagators(wave, 0.0, n)
     times = np.arange(n + 1) * (wave.T / n)
