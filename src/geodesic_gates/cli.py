@@ -7,7 +7,8 @@ reproduced and compared byte for byte. Each command declares only the flags
 it reads.
 
 Exit codes: 0 success, 2 invalid configuration, 3 optimizer non-convergence,
-4 numerical failure (a curve the chi grid cannot resolve).
+4 numerical failure (a curve the chi grid cannot resolve, or an
+eigendecomposition that does not converge).
 """
 
 from __future__ import annotations
@@ -109,12 +110,13 @@ def write_table(out_dir: Path, stem: str, header, rows, fmt: str) -> Path:
 
 def parse_phi(text: str) -> float:
     canned = {"pi": np.pi, "pi/2": np.pi / 2.0, "pi/4": np.pi / 4.0, "2pi": 2.0 * np.pi}
-    if text in canned:
-        return canned[text]
     try:
-        return float(text)
+        phi = canned[text] if text in canned else float(text)
     except ValueError:
-        raise ConfigError(f"cannot parse gate angle {text!r}") from None
+        phi = np.nan  # refused below, like a non-finite float
+    if not np.isfinite(phi):
+        raise ConfigError(f"gate angle {text!r} is not pi, pi/2, pi/4, 2pi or a finite float")
+    return phi
 
 
 def resolve_threads(args) -> int:
@@ -133,71 +135,51 @@ def resolve_threads(args) -> int:
     return threads
 
 
-#: config-file sections mapped onto argument names; explicit flags win
-_CONFIG_SECTIONS = {
-    "gate": {"preset": "preset", "phi": "phi", "setting": "setting"},
-    "sweep": {"grid": "grid", "range": "range", "model": "model",
-              "crosstalk": "crosstalk"},
-    "output": {"dir": "out", "format": "format"},
+#: run-config keys that stand for flags, by section; `output.dir` is --out
+_CONFIG_FLAGS = {
+    "gate": ("preset", "phi", "setting"),
+    "sweep": ("grid", "range", "model", "crosstalk"),
+    "output": ("dir", "format"),
 }
 
 
-def apply_run_config(args, argv) -> None:
-    """Fold a JSON run-config file into the arguments parsed from `argv`.
+def run_config_argv(args, argv) -> tuple:
+    """The --config file, and `argv` with its flag keys right after the subcommand.
 
-    Sections: system (SystemConfig fields), gate, optimizer, sweep, output.
-    A value from the file applies only where `argv` does not give its flag,
-    so explicit flags always win, even when they equal the default: a given
-    --delta replaces the system section's delta, and a given --setting its
-    n_qubits and drive_choice. Values pass their flag's type and choices, as
-    on the command line.
+    Each `_CONFIG_FLAGS` key the file gives becomes one `--flag=value` token,
+    whose `=` keeps a value such as -0.05 a value. Placed ahead of argv's own
+    flags, the file's values pass argparse's types and choices, and a flag
+    given in argv comes later and wins. Other keys are dropped.
     """
-    if not args.config:
-        return
-    data = read_json(Path(args.config))
-    sections = ("system", "optimizer", *_CONFIG_SECTIONS)
-    if not isinstance(data, dict) or not all(isinstance(data.get(s, {}), dict) for s in sections):
+    config = read_json(Path(args.config)) if args.config else {}
+    sections = ("system", "optimizer", *_CONFIG_FLAGS)
+    if not isinstance(config, dict) or not all(isinstance(config.get(s, {}), dict) for s in sections):
         raise ConfigError(f"run config and its sections {sections} must be JSON objects")
-    # the flags `argv` gives: a reparse with every default suppressed
-    parser = build_parser()
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for option in (o for command in sub.choices.values() for o in command._actions):
-        option.default = argparse.SUPPRESS
-    given = vars(parser.parse_args(argv))
-    system = data.get("system")
-    if system:
-        system = dict(system)
-        if "delta" in given:
-            system["delta"] = args.delta
-        if "setting" in given:
-            system.update(SETTINGS[args.setting])
-    args._system_section = system
-    args._optimizer_section = data.get("optimizer")
-    command = sub.choices[args.command]
-    actions = {action.dest: action for action in command._actions}
-    for section, mapping in _CONFIG_SECTIONS.items():
-        for key, attr in mapping.items():
-            if key in data.get(section, {}) and attr in actions:
-                try:
-                    value = command._get_values(actions[attr], [str(data[section][key])])
-                except argparse.ArgumentError as exc:
-                    raise ConfigError(f"run config {section}.{key}: {exc}") from None
-                if attr not in given:
-                    setattr(args, attr, value)
+    tokens = [f"--{'out' if key == 'dir' else key}={config[section][key]}"
+              for section, keys in _CONFIG_FLAGS.items() for key in keys
+              if key in config.get(section, {})]
+    return config, [args.command, *tokens, *argv[1:]]
 
 
 def _system_from_args(args, default_key=None) -> SystemConfig:
-    section = getattr(args, "_system_section", None)
-    if section:
-        try:
-            return SystemConfig(**section)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad system section: {exc}") from None
+    """The system section, else --setting, else the preset's system.
+
+    A --setting, from argv or the gate section, replaces the system section's
+    n_qubits and drive_choice, and a --delta its delta.
+    """
+    fields = dict(args._run_config.get("system", {}))
     if args.setting:
-        return SystemConfig(**SETTINGS[args.setting], delta=args.delta)
-    if default_key is not None:
-        return preset_system(default_key, delta=args.delta)
-    raise ConfigError("a --setting or --preset is required")
+        fields.update(SETTINGS[args.setting])
+    elif not fields:
+        if default_key is None:
+            raise ConfigError("a --setting or --preset is required")
+        fields = asdict(preset_system(default_key))
+    if args.delta is not None:
+        fields["delta"] = args.delta
+    try:
+        return SystemConfig(**fields)
+    except TypeError as exc:
+        raise ConfigError(f"bad system section: {exc}") from None
 
 
 def _curve_from_args(args):
@@ -239,8 +221,8 @@ def _meta(args, **records) -> dict:
                if k not in ("func", "out", "threads", "config", "params", "delta", "setting")
                and not k.startswith("_") and v is not None}
     payload.update((name, asdict(record)) for name, record in records.items())
-    return {"config_sha256": config_digest(payload), "seed": getattr(args, "seed", None),
-            "version": __version__}
+    seed = records["optimizer"].seed if "optimizer" in records else None
+    return {"config_sha256": config_digest(payload), "seed": seed, "version": __version__}
 
 
 def cmd_synth(args) -> int:
@@ -308,7 +290,7 @@ def cmd_optimize(args) -> int:
     system = _system_from_args(args)
     phi_target = parse_phi(args.phi)
     try:
-        cfg = OptimizerConfig.from_dict(getattr(args, "_optimizer_section", None) or {})
+        cfg = OptimizerConfig.from_dict(args._run_config.get("optimizer", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad optimizer section: {exc}") from None
     overrides = {name: getattr(args, name) for name in ("seed", "starts", "max_iters")
@@ -491,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="JSON run config (system/gate/optimizer/sweep/output sections)")
         if delta:
-            p.add_argument("--delta", type=float, default=20.0,
-                           help="qubit frequency spacing Delta in units of J")
+            p.add_argument("--delta", type=float, default=None,
+                           help="qubit frequency spacing Delta in units of J (default: 20)")
 
     def table_format(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -551,17 +533,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        apply_run_config(args, argv)
+        config, argv = run_config_argv(args, argv)
+        try:  # a key the command has no flag for comes back unknown and is dropped
+            args, _ = parser.parse_known_args(argv)
+        except SystemExit as exc:  # argparse has reported the file's bad value
+            print(f"error: that value is from run config {args.config}", file=sys.stderr)
+            return exc.code
+        args._run_config = config
         return args.func(args)
-    except (ConfigError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GridResolutionError as exc:
+    except (GridResolutionError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except (ConfigError, ValueError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -41,6 +41,8 @@ per-parameter-set entry point that builds its own.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -50,6 +52,21 @@ CHI_MAX = 4.0 * np.pi
 
 #: Number of uniform chi-grid points shared by synthesis and all quadratures.
 CHI_GRID_POINTS = 16384
+
+
+def real_fields(record, *names) -> None:
+    """Store the named fields of a frozen record as floats; each must be a finite real.
+
+    A record, and any hash of it, then does not depend on whether a number
+    was spelled 20 or 20.0.
+    """
+    values = [getattr(record, name) for name in names]
+    if not all(isinstance(x, numbers.Real) for x in values):
+        raise TypeError(f"{', '.join(names)} must be real numbers: {record}")
+    if not all(math.isfinite(x) for x in values):
+        raise ValueError(f"{', '.join(names)} must be finite: {record}")
+    for name, x in zip(names, values):
+        object.__setattr__(record, name, float(x))
 
 
 def coefficient_for_angle(phi_target: float) -> float:
@@ -73,6 +90,9 @@ class CurveParams:
     c: float = 0.0
     chi_max: float = CHI_MAX
     phi_target: float = np.pi
+
+    def __post_init__(self):
+        real_fields(self, "a", "b1", "b2", "b3", "c", "chi_max", "phi_target")
 
 
 def _basis(chi) -> np.ndarray:
@@ -209,6 +229,8 @@ def waveform_from_grid(grid: CurveGrid, beta: float, n_samples: int = 8192) -> W
     reflects the curve about the polar axis and leaves both the envelope and
     the final gate unchanged.
     """
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
     if beta == 0.0:
         raise ValueError("beta = 0 blocks consume a waveform, they cannot set its scale")
     if n_samples < 256:

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import Waveform
+from .curves import Waveform, real_fields
 from .linalg import embed_single, expm_hermitian, pauli_string
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -61,9 +61,7 @@ class SystemConfig:
     def __post_init__(self):
         if not isinstance(self.n_qubits, numbers.Integral) or self.n_qubits not in (2, 3):
             raise ValueError(f"n_qubits must be 2 or 3, got {self.n_qubits!r}")
-        if not all(isinstance(x, numbers.Real)
-                   for x in (self.delta, self.g1, self.g2, self.omega_ref)):
-            raise TypeError(f"delta, g1, g2 and omega_ref must be real numbers: {self}")
+        real_fields(self, "delta", "g1", "g2", "omega_ref")
         if self.delta == 0:
             raise ValueError("delta must be nonzero")
         if self.n_qubits == 2 and self.drive_choice not in (DRIVE_MIDPOINT, DRIVE_RESONANT_LOWER):

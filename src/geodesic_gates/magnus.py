@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveGrid, CurveParams
+from .curves import CurveGrid, CurveParams, real_fields
 from .frames import FrameData, SystemConfig, DRIVE_RESONANT_LOWER
 
 CHANNEL_FREQ = "freq_noise"
@@ -107,6 +107,9 @@ class ChannelWeights:
     freq: float = 1.0
     coupling: float = 1.0
     crosstalk: float = 1.0
+
+    def __post_init__(self):
+        real_fields(self, "freq", "coupling", "crosstalk")
 
     def cost(self, costs: dict) -> float:
         """|C_robust|^2 = sum_k c_k |d_{dk} A1|^2 from the `channel_costs` dict."""

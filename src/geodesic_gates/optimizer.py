@@ -30,6 +30,7 @@ from .curves import (
     CurveGrid,
     CurveParams,
     coefficient_for_angle,
+    real_fields,
     solve_b1_zero_area,
     solve_b3_zero_area,
 )
@@ -100,12 +101,12 @@ def preset_curve(key: str) -> CurveParams:
     return params
 
 
-def preset_system(key: str, delta: float = 20.0) -> SystemConfig:
+def preset_system(key: str) -> SystemConfig:
     """Default system configuration for a preset row (J = g1 = g2 = 1)."""
     row = presets()[key]
     if row.setting == "2q":
-        return SystemConfig(n_qubits=2, delta=delta)
-    return SystemConfig(n_qubits=3, delta=delta, drive_choice="center")
+        return SystemConfig(n_qubits=2)
+    return SystemConfig(n_qubits=3, drive_choice="center")
 
 
 @dataclass(frozen=True)
@@ -122,10 +123,9 @@ class OptimizerConfig:
 
     def __post_init__(self):
         ints = (self.starts, self.seed, self.max_iters, self.include_preset_start)
-        reals = (self.tol, self.box_halfwidth, *vars(self.channel_weights).values())
-        if not all(isinstance(x, numbers.Integral) for x in ints) or not all(
-                isinstance(x, numbers.Real) for x in reals):
-            raise TypeError(f"optimizer counts must be integers and weights real numbers: {self}")
+        if not all(isinstance(x, numbers.Integral) for x in ints):
+            raise TypeError(f"optimizer counts must be integers: {self}")
+        real_fields(self, "tol", "box_halfwidth")
         if self.starts < 1 or self.max_iters < 1:
             raise ValueError(f"starts and max_iters must be at least 1, got "
                              f"{self.starts} and {self.max_iters}")

@@ -69,8 +69,10 @@ class NoiseSetting:
     crosstalk_on: bool = True
 
     def __post_init__(self):
-        if abs(self.delta_omega) > 0.5 or abs(self.delta_j) > 0.5:
-            raise ValueError("quasi-static noise magnitudes must be <= 0.5 (units of J)")
+        # a positive test, so NaN fails it
+        if not (abs(self.delta_omega) <= 0.5 and abs(self.delta_j) <= 0.5):
+            raise ValueError("quasi-static noise magnitudes must be finite and <= 0.5 "
+                             "(units of J)")
 
 
 def noise_operator(config: SystemConfig, noise: NoiseSetting) -> np.ndarray:

@@ -337,7 +337,14 @@ def test_optimize_reads_optimizer_section(tmp_path):
     assert code == 0
     payload = read_json(tmp_path / "optimize_result.json")
     assert payload["seed"] == 5
+    assert payload["meta"]["seed"] == payload["seed"]
     assert payload["optimizer_config"]["starts"] == 1
+    # without --seed or a section, the summary records the default seed that ran;
+    # five iterations stop short of convergence (exit 3), and the summary is written
+    assert run(tmp_path / "default", "optimize", "--setting", "2q-midpoint", "--phi", "pi",
+               "--starts", "1", "--max-iters", "5") == 3
+    payload = read_json(tmp_path / "default" / "optimize_result.json")
+    assert payload["meta"]["seed"] == payload["seed"] == 42
 
 
 def test_config_hash_ignores_input_file_names(tmp_path):
@@ -386,14 +393,17 @@ def test_unread_flag_exits_2(tmp_path, argv):
 
 def test_config_hash_covers_resolved_system(tmp_path):
     # one system, given by preset default, by flags, or by a system section
-    # that spells out a default or omits it, gives one hash
+    # that spells out a default or omits it, in integers or floats, gives one hash
     write_json(tmp_path / "short.json", {"system": {"n_qubits": 2, "delta": 20.0}})
     write_json(tmp_path / "long.json",
                {"system": {"n_qubits": 2, "delta": 20.0, "drive_choice": "midpoint"}})
+    write_json(tmp_path / "int.json",
+               {"system": {"n_qubits": 2, "delta": 20, "g1": 1, "g2": 1, "omega_ref": 0}})
     hashes = set()
     for name, flags in (("preset", []), ("flags", ["--setting", "2q-midpoint", "--delta", "20"]),
                         ("short", ["--config", str(tmp_path / "short.json")]),
-                        ("long", ["--config", str(tmp_path / "long.json")])):
+                        ("long", ["--config", str(tmp_path / "long.json")]),
+                        ("int", ["--config", str(tmp_path / "int.json")])):
         assert run(tmp_path / name, "cost", "--preset", "xpi-2q-robust", *flags) == 0
         hashes.add(read_json(tmp_path / name / "cost.json")["meta"]["config_sha256"])
     assert len(hashes) == 1
@@ -427,3 +437,119 @@ def test_readme_run_config_example(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(block)
     assert main(["cost", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("kind", ["optimizer", "params"])
+def test_config_hash_ignores_integer_spelling(tmp_path, kind):
+    # a whole-number real spelled 5 or 5.0 gives one record, so one hash
+    hashes = set()
+    for name, number in (("int", 0), ("float", 0.0)):
+        if kind == "optimizer":
+            write_json(tmp_path / "run.json", {"optimizer": {
+                "tol": number, "box_halfwidth": 300 + number,
+                "channel_weights": {"freq": 1 + number}}})
+            argv = ["optimize", "--setting", "2q-midpoint", "--phi", "pi", "--starts", "1",
+                    "--max-iters", "5", "--config", str(tmp_path / "run.json")]
+            summary = "optimize_result.json"
+        else:
+            write_json(tmp_path / "p.json", {"a": -1.0 / (32.0 * np.pi**2), "b1": 5.86744,
+                                             "c": 5 + number, "phi_target": np.pi})
+            argv = ["cost", "--params", str(tmp_path / "p.json"), "--setting", "2q-midpoint"]
+            summary = "cost.json"
+        assert run(tmp_path / name, *argv) in (0, 3)
+        hashes.add(read_json(tmp_path / name / summary)["meta"]["config_sha256"])
+    assert len(hashes) == 1
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["simulate", "--preset", "xpi-2q-robust", "--domega", "nan", "--crosstalk", "off"], {}),
+    (["simulate", "--preset", "xpi-2q-robust", "--domega", "nan", "--crosstalk", "on"], {}),
+    (["simulate", "--preset", "xpi-2q-robust", "--dj", "inf", "--crosstalk", "off"], {}),
+    (["sweep", "--preset", "xpi-2q-robust", "--range", "nan", "--grid", "3",
+      "--crosstalk", "off"], {}),
+    (["synth", "--preset", "xpi-2q-robust", "--beta", "nan"], {}),
+    (["synth", "--preset", "xpi-2q-robust", "--delta", "inf"], {}),
+    (["cost", "--preset", "xpi-2q-robust", "--phi", "nan"], {}),
+    (["cost", "--preset", "xpi-2q-robust", "--config", "run.json"],
+     {"run.json": {"system": {"n_qubits": 2, "g1": float("nan")}}}),
+    (["sweep", "--preset", "xpi-2q-robust", "--grid", "3", "--crosstalk", "off",
+      "--config", "run.json"], {"run.json": {"sweep": {"range": float("nan")}}}),
+    (["cost", "--setting", "2q-midpoint", "--params", "p.json"],
+     {"p.json": {"a": -1.0 / (32.0 * np.pi**2), "c": float("inf")}}),
+], ids=["domega-off", "domega-on", "dj", "range", "beta", "delta", "phi", "system-g1",
+        "sweep-range", "params-c"])
+def test_non_finite_input_exits_2(tmp_path, capsys, argv, files):
+    for name, content in files.items():
+        write_json(tmp_path / name, content)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert run(tmp_path / "out", *argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_linalg_failure_exits_4(tmp_path, capsys, monkeypatch):
+    from geodesic_gates import simulate
+
+    def fail(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(simulate, "expm_hermitian_batch", fail)
+    assert run(tmp_path, "simulate", "--preset", "xpi-2q-robust", "--crosstalk", "on") == 4
+    assert "numerical failure:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config, flags", [
+    (["sweep", "--preset", "xpi-2q-robust", "--n-samples", "1024"],
+     {"sweep": {"grid": 5, "range": 0.05, "crosstalk": "off"}, "output": {"format": "json"}},
+     ["--grid", "5", "--range", "0.05", "--crosstalk", "off", "--format", "json"]),
+    (["sweep", "--preset", "xpi-2q-robust", "--n-samples", "1024"],
+     {"sweep": {"grid": 3, "range": -0.05, "crosstalk": "off"}},
+     ["--grid", "3", "--range", "-0.05", "--crosstalk", "off"]),
+    (["cost"], {"gate": {"preset": "xhalfpi-3q-robust", "phi": "pi/2"}},
+     ["--preset", "xhalfpi-3q-robust", "--phi", "pi/2"]),
+    (["cost", "--preset", "xpi-2q-robust"], {"gate": {"setting": "2q-resonant"}},
+     ["--setting", "2q-resonant"]),
+], ids=["sweep-output", "negative-range", "gate-preset-phi", "gate-setting"])
+def test_run_config_value_acts_like_its_flag(tmp_path, argv, config, flags):
+    # the file's output.dir stands for --out
+    config = {**config, "output": {**config.get("output", {}), "dir": str(tmp_path / "file")}}
+    write_json(tmp_path / "run.json", config)
+    assert main([*argv, "--config", str(tmp_path / "run.json")]) == 0
+    assert main([*argv, *flags, "--out", str(tmp_path / "flags")]) == 0
+    names = sorted(path.name for path in (tmp_path / "file").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "flags").iterdir())
+    for name in names:
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
+
+@pytest.mark.parametrize("extra", [
+    {"gate": {"pre": "xhalfpi-2q-robust"}},
+    {"gate": {"delta": 40.0}},
+    {"sweep": {"n-samples": 1024}},
+    {"output": {"out": "elsewhere"}},
+], ids=["flag-prefix", "system-flag", "unlisted-flag", "flag-spelling"])
+def test_unlisted_run_config_key_is_dropped(tmp_path, extra):
+    # only the documented gate/sweep/output keys stand for flags: a prefix of
+    # one, or the name of another flag, changes nothing
+    config = {section: dict(keys) for section, keys in extra.items()}
+    config.setdefault("gate", {})["preset"] = "xpi-2q-robust"
+    config.setdefault("output", {})["dir"] = str(tmp_path / "file")
+    if "out" in config["output"]:
+        config["output"]["out"] = str(tmp_path / "elsewhere")
+    write_json(tmp_path / "run.json", config)
+    assert main(["synth", "--config", str(tmp_path / "run.json")]) == 0
+    assert run(tmp_path / "flags", "synth", "--preset", "xpi-2q-robust") == 0
+    names = sorted(path.name for path in (tmp_path / "file").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "flags").iterdir())
+    for name in names:
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+    assert not (tmp_path / "elsewhere").exists()
+
+
+def test_bad_run_config_value_names_the_file(tmp_path, capsys):
+    # argparse reports the value under its flag's name; one more line names the file
+    cfg_path = tmp_path / "run.json"
+    write_json(cfg_path, {"sweep": {"grid": "x"}})
+    assert run(tmp_path, "sweep", "--preset", "xpi-2q-robust", "--config", str(cfg_path)) == 2
+    err = capsys.readouterr().err
+    assert "--grid" in err and f"run config {cfg_path}" in err
