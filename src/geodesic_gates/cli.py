@@ -345,6 +345,7 @@ def cmd_sweep(args) -> int:
     frame = dressing(system)
     wave = synthesize_waveform(params, frame.design_beta, n_samples=args.n_samples)
     n = args.grid
+    NoiseSetting(args.range, args.range)  # the noise bound, before linspace warns on inf
     axis = np.linspace(-args.range, args.range, n)
     crosstalk = args.crosstalk == "on"
     threads = resolve_threads(args)

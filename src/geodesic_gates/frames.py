@@ -96,7 +96,8 @@ class FrameData:
 
     S: np.ndarray = field(repr=False)
     betas: tuple
-    #: per-block Z coefficient of the coupling-noise operator sum_n Z_target Z_n
+    #: coupling noise adds c_b dJ Z to block b (dw Z to every block); the one
+    #: noise table, read by the first-order cost and the simulator
     coupling_coefs: tuple
     delta_tilde: float
     drive_scale: float
@@ -138,7 +139,8 @@ def two_qubit_dressing(config: SystemConfig) -> FrameData:
 
     theta = -arctan(g1/delta)/2 rotates the single-excitation subspace;
     the dressed target frequency splits to w2_tilde +- g2/2 depending on the
-    neighbor state, and the drive choice picks the block detunings.
+    neighbor state, and the drive choice picks the block detunings and the
+    coupling-noise channel (paper: dJ ZZ or dJ (IZ + ZZ)).
     """
     if config.n_qubits != 2:
         raise ValueError("two_qubit_dressing needs a 2-qubit config")
@@ -158,12 +160,15 @@ def two_qubit_dressing(config: SystemConfig) -> FrameData:
     if config.drive_choice == DRIVE_MIDPOINT:
         omega_d = w2_t
         betas = (0.5 * config.g2, -0.5 * config.g2)
+        coupling_coefs = (1.0, -1.0)  # dJ ZZ
         delta_tilde = -root
     else:
         omega_d = w2_t - 0.5 * config.g2
         betas = (config.g2, 0.0)
+        # dJ (IZ + ZZ) = 2 dJ |0><0|_1 (x) Z_2: the resonant line does not move
+        coupling_coefs = (2.0, 0.0)
         delta_tilde = -root - 0.5 * config.g2
-    return FrameData(S=S, betas=betas, coupling_coefs=(1.0, -1.0),
+    return FrameData(S=S, betas=betas, coupling_coefs=coupling_coefs,
                      delta_tilde=delta_tilde, drive_scale=c,
                      rotating_freqs=(w1_t, omega_d), epsilon=0.5 * np.tan(theta))
 
@@ -203,7 +208,7 @@ def three_qubit_dressing(config: SystemConfig) -> FrameData:
     delta_tilde = config.delta * (1.0 + lam**2 / 4.0 + lam**4 / 32.0)
     w = config.omega_ref
     return FrameData(S=S, betas=(config.g2, 0.0, 0.0, -config.g2),
-                     coupling_coefs=(2.0, 0.0, 0.0, -2.0),
+                     coupling_coefs=(2.0, 0.0, 0.0, -2.0),  # dJ (Z1 Z3 + Z2 Z3)
                      delta_tilde=delta_tilde, drive_scale=1.0 - lam**2 / 4.0,
                      rotating_freqs=(w - delta_tilde, w + delta_tilde, w),
                      epsilon=lam / 4.0)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CurveGrid, CurveParams, real_fields
-from .frames import FrameData, SystemConfig, DRIVE_RESONANT_LOWER
+from .frames import FrameData, SystemConfig
 
 CHANNEL_FREQ = "freq_noise"
 CHANNEL_COUPLING = "coupling_noise"
@@ -117,24 +117,6 @@ class ChannelWeights:
                 + self.crosstalk * costs[CHANNEL_CROSSTALK])
 
 
-def _block_noise_coefficients(config: SystemConfig, frame: FrameData):
-    """Per-block Z coefficients of the two quasi-static noise channels.
-
-    Frequency noise dw Z_target puts +1 on every block; coupling noise
-    dJ sum_n Z_target Z_n puts frame.coupling_coefs, the table the simulator
-    builds its noise operator from: (1, -1) for two qubits, (2, 0, 0, -2)
-    in the chain. One entry differs from the simulator: with the 2q
-    resonant_lower drive the cost models coupling noise as IZ + ZZ, i.e.
-    (2, 0), while the simulator applies dJ ZZ = (1, -1).
-    """
-    freq = (1.0,) * len(frame.betas)
-    coupling = frame.coupling_coefs
-    if config.n_qubits == 2 and config.drive_choice == DRIVE_RESONANT_LOWER:
-        # the cost adds the split-frequency shift IZ: table + frequency channel
-        coupling = tuple(c + f for c, f in zip(coupling, freq))
-    return freq, coupling
-
-
 def _block_norms(grid: CurveGrid, frame: FrameData):
     """Squared susceptibility norm of each block, in physical-time units."""
     scale = 1.0 / frame.design_beta
@@ -148,11 +130,13 @@ def _block_norms(grid: CurveGrid, frame: FrameData):
 
 
 def channel_costs(grid: CurveGrid, config: SystemConfig, frame: FrameData) -> dict:
-    """Per-channel squared susceptibilities entering |C_robust|^2."""
-    freq_coef, coupling_coef = _block_noise_coefficients(config, frame)
+    """Per-channel squared susceptibilities entering |C_robust|^2.
+
+    Noise adds (dw + c_b dJ) Z to block b, c_b from frame.coupling_coefs.
+    """
     norms = _block_norms(grid, frame)
-    freq = sum(c * c * n for c, n in zip(freq_coef, norms))
-    coupling = sum(c * c * n for c, n in zip(coupling_coef, norms))
+    freq = sum(norms)
+    coupling = sum(c * c * n for c, n in zip(frame.coupling_coefs, norms))
     # one crosstalk amplitude pair per neighbor; the second chain neighbor
     # counter-rotates, which flips the sign of the effective detuning
     detunings = [frame.delta_tilde] if config.n_qubits == 2 else [frame.delta_tilde, -frame.delta_tilde]

@@ -1,10 +1,13 @@
 """Time-domain validation: gate simulation, noise sweeps, slope fits.
 
-Quasi-static noise enters as constant operators for one gate duration:
-frequency noise dw * Z_target and coupling noise dJ * sum_n Z_target Z_n.
+Quasi-static noise enters as constant operators for one gate duration, as in
+the paper: frequency noise dw Z_target, and coupling noise dJ ZZ (2q
+midpoint), dJ (IZ + ZZ) (2q resonant_lower) or dJ (Z1 Z3 + Z2 Z3) (chain).
+Block b gets the Z coefficient dw + c_b dJ (`_block_z_shift`), c_b from
+frame.coupling_coefs, the table the first-order cost reads too.
 Both the reduced rotating-frame model and the full lab-frame model can be
 propagated; the lab result is unwound to the logical frame before the
-fidelity is taken.
+fidelity is taken. The lab model always contains the control crosstalk.
 
 The reduced model without control crosstalk is block diagonal: block b is
 (beta_b Z + Omega(t) X)/2, and noise only shifts beta_b by 2 (dw + c_b dJ).
@@ -75,19 +78,29 @@ class NoiseSetting:
                              "(units of J)")
 
 
+def _block_z_shift(frame: FrameData, delta_omega, delta_j) -> np.ndarray:
+    """dw + c_b dJ, c_b from frame.coupling_coefs; shape (n_blocks,) + np.shape(dw)."""
+    coefs = np.reshape(frame.coupling_coefs, (-1,) + (1,) * np.ndim(delta_omega))
+    return delta_omega + delta_j * coefs
+
+
+def _noise_diagonal(frame: FrameData, noise: NoiseSetting) -> np.ndarray:
+    """Diagonal of the noise operator: +z_b and -z_b on the two states of block b."""
+    z = _block_z_shift(frame, noise.delta_omega, noise.delta_j)
+    return np.outer(z, [1.0, -1.0]).ravel()
+
+
 def noise_operator(config: SystemConfig, noise: NoiseSetting) -> np.ndarray:
-    """dw Z_target + dJ sum_neighbors Z_target Z_neighbor (diagonal).
-
-    Both terms are diagonal in the block basis; their per-block Z
-    coefficients are dw + dJ * frame.coupling_coefs (see `_block_betas`).
-    With the 2q resonant_lower drive the first-order cost models coupling
-    noise differently, see `magnus._block_noise_coefficients`.
+    """dw Z_target + dJ times ZZ (2q midpoint), IZ + ZZ (2q resonant_lower) or
+    Z1 Z3 + Z2 Z3 (chain): diagonal, with dw + c_b dJ on block b (`_block_z_shift`).
     """
-    z = noise.delta_omega + noise.delta_j * np.asarray(dressing(config).coupling_coefs)
-    return np.diag(np.outer(z, [1.0, -1.0]).ravel()).astype(complex)
+    return np.diag(_noise_diagonal(dressing(config), noise)).astype(complex)
 
 
-def _check_waveform(frame: FrameData, waveform: Waveform) -> None:
+def _check_inputs(frame: FrameData, waveform: Waveform, model: str, crosstalk_on: bool) -> None:
+    if model == MODEL_LAB and not crosstalk_on:
+        raise ValueError("the lab model always contains the control crosstalk; "
+                         "crosstalk off needs the reduced model")
     if waveform.beta_design != 0.0 and abs(abs(waveform.beta_design) - frame.design_beta) > 1e-12:
         raise ValueError(
             f"waveform designed for |beta| = {abs(waveform.beta_design)} "
@@ -95,14 +108,9 @@ def _check_waveform(frame: FrameData, waveform: Waveform) -> None:
 
 
 def _block_betas(frame: FrameData, delta_omega, delta_j) -> np.ndarray:
-    """Z coefficient beta_b of each block (beta_b Z + Omega X)/2 under noise.
-
-    The noise operator adds (dw + c_b dJ) Z to block b, with c_b from
-    frame.coupling_coefs. Returns shape (n_blocks,) + np.shape(delta_omega).
-    """
-    coefs = np.reshape(frame.coupling_coefs, (-1,) + (1,) * np.ndim(delta_omega))
-    betas = np.reshape(frame.betas, coefs.shape)
-    return betas + 2.0 * (delta_omega + delta_j * coefs)
+    """beta_b + 2 (dw + c_b dJ) of each block (beta_b Z + Omega X)/2; shape as `_block_z_shift`."""
+    betas = np.reshape(frame.betas, (-1,) + (1,) * np.ndim(delta_omega))
+    return betas + 2.0 * _block_z_shift(frame, delta_omega, delta_j)
 
 
 def propagate_blocks(wave: Waveform, betas, n_steps: int | None = None) -> np.ndarray:
@@ -185,7 +193,7 @@ def _dense_gate(system: SystemConfig, frame: FrameData, waveform: Waveform, mode
     [D, N]_ij = D_ij (n_j - n_i), so H_eff gains N - i (sqrt(3)/12) dt
     (H2 - H1)_ij (n_j - n_i).
     """
-    n = np.diag(noise_operator(system, noise)).real
+    n = _noise_diagonal(frame, noise)
     skew = (-1.0j * MAGNUS4_WEIGHT * dt) * (n[None, :] - n[:, None])
     u_final = None
     for h_eff, diff in chunks:
@@ -209,7 +217,7 @@ def simulate_gate(system: SystemConfig, frame: FrameData, waveform: Waveform,
     of that which resolves delta_tilde (`_dense_per_interval`). `n_steps`
     overrides the step count and must be positive.
     """
-    _check_waveform(frame, waveform)
+    _check_inputs(frame, waveform, model, noise.crosstalk_on)
     if model == MODEL_REDUCED and not noise.crosstalk_on:
         blocks, infid = _block_sweep(system, frame, waveform, noise.delta_omega,
                                      noise.delta_j, gate_angle, n_steps)
@@ -257,7 +265,7 @@ def noise_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
         raise ValueError("sweep grids need 1 to 201 points per axis")
     # NoiseSetting's bound, at the grid corner: the block path builds no NoiseSetting
     NoiseSetting(np.max(np.abs(domega_values), initial=0), np.max(np.abs(dj_values), initial=0))
-    _check_waveform(frame, waveform)
+    _check_inputs(frame, waveform, model, crosstalk_on)
     if model == MODEL_REDUCED and not crosstalk_on:
         _, infid = _block_sweep(system, frame, waveform, domega_values, dj_values,
                                 gate_angle, n_steps)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -485,6 +486,27 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, files):
     assert run(tmp_path / "out", *argv) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "xpi-2q-robust"],
+    ["sweep", "--preset", "xpi-2q-robust", "--grid", "3", "--n-samples", "256"],
+], ids=["simulate", "sweep"])
+def test_lab_model_without_crosstalk_exits_2(tmp_path, capsys, argv):
+    # the lab Hamiltonian always contains the control crosstalk V_cr
+    assert run(tmp_path / "out", *argv, "--model", "lab", "--crosstalk", "off") == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_infinite_sweep_range_exits_2_without_warnings(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(tmp_path, "sweep", "--preset", "xpi-2q-robust", "--grid", "3",
+                   "--crosstalk", "off", "--range", "inf")
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_linalg_failure_exits_4(tmp_path, capsys, monkeypatch):

@@ -286,21 +286,22 @@ def test_three_qubit_robust_cost_ordering():
     assert robust < plain
 
 
-def test_resonant_coupling_noise_differs_from_simulator_by_frequency_channel():
-    # the cost models 2q resonant_lower coupling noise as IZ + ZZ, (2, 0) per
-    # block; the simulator applies dJ ZZ, (1, -1). Every other setting agrees.
-    from geodesic_gates.magnus import _block_noise_coefficients
+def test_cost_and_simulator_noise_tables_agree():
+    # the cost weights block b's squared susceptibility by 1 (frequency) and
+    # c_b^2 (coupling); the simulator's noise operator puts dw + c_b dJ on
+    # block b. Both read frame.coupling_coefs in every setting.
+    from geodesic_gates.magnus import _block_norms
     from geodesic_gates.simulate import NoiseSetting, noise_operator
 
+    grid = CurveGrid(preset_curve("xpi-3q-nonrobust"))
     for system in (SystemConfig(n_qubits=2),
                    SystemConfig(n_qubits=2, drive_choice="resonant_lower"),
                    SystemConfig(n_qubits=3, drive_choice="center")):
-        freq, coupling = _block_noise_coefficients(system, dressing(system))
-        noise_diag = np.diag(noise_operator(system, NoiseSetting(0.0, 0.25))).real
-        simulated = tuple(noise_diag[0::2] / 0.25)
-        if system.drive_choice == "resonant_lower":
-            assert coupling == (2.0, 0.0)
-            assert simulated == (1.0, -1.0)
-            assert coupling == tuple(s + f for s, f in zip(simulated, freq))
-        else:
-            assert coupling == simulated
+        frame = dressing(system)
+        norms = _block_norms(grid, frame)
+        costs = channel_costs(grid, system, frame)
+        for channel, noise in ((CHANNEL_FREQ, NoiseSetting(0.25, 0.0)),
+                               (CHANNEL_COUPLING, NoiseSetting(0.0, 0.25))):
+            per_block = np.diag(noise_operator(system, noise)).real[0::2] / 0.25
+            expected = sum(c * c * n for c, n in zip(per_block, norms))
+            assert costs[channel] == pytest.approx(expected, rel=1e-12), (system, channel)

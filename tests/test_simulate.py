@@ -1,9 +1,12 @@
 """Gate simulation, noise sweeps and slope fits."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from geodesic_gates.curves import synthesize_waveform
+from conftest import random_curve
+from geodesic_gates.curves import CurveGrid, solve_b3_zero_area, synthesize_waveform
 from geodesic_gates.frames import SystemConfig, dressing, hamiltonian_samples
 from geodesic_gates.linalg import (
     SIGMA_X,
@@ -13,6 +16,7 @@ from geodesic_gates.linalg import (
     gate_fidelity,
     pauli_string,
 )
+from geodesic_gates.magnus import CHANNEL_COUPLING, CHANNEL_FREQ, channel_costs
 from geodesic_gates.optimizer import PRESET_KEYS, preset_curve, preset_system
 from geodesic_gates.simulate import (
     MODEL_LAB,
@@ -221,7 +225,7 @@ def test_noise_operator_matches_pauli_sum():
     rng = np.random.default_rng(7)
     for system, coupling in ((SystemConfig(n_qubits=2), pauli_string("ZZ")),
                              (SystemConfig(n_qubits=2, drive_choice="resonant_lower"),
-                              pauli_string("ZZ")),
+                              pauli_string("IZ") + pauli_string("ZZ")),
                              (SystemConfig(n_qubits=3, drive_choice="center"),
                               pauli_string("ZIZ") + pauli_string("IZZ"))):
         z_target = embed_single(SIGMA_Z, system.target_qubit, system.n_qubits)
@@ -229,6 +233,37 @@ def test_noise_operator_matches_pauli_sum():
             dw, dj = rng.uniform(-0.5, 0.5, 2)
             expected = dw * z_target + dj * coupling
             assert np.array_equal(noise_operator(system, NoiseSetting(dw, dj)), expected)
+
+
+def _zero_area_curves():
+    """xpi-3q-nonrobust and four seeded random curves, b3 re-solved for zero area."""
+    rng = np.random.default_rng(12)
+    curves = [preset_curve("xpi-3q-nonrobust")]
+    for _ in range(4):
+        p = random_curve(rng)
+        curves.append(replace(p, b3=solve_b3_zero_area(p.a, p.b1, p.b2)))
+    return curves
+
+
+@pytest.mark.parametrize("channel", [CHANNEL_FREQ, CHANNEL_COUPLING])
+@pytest.mark.parametrize("system", [SystemConfig(n_qubits=2),
+                                    SystemConfig(n_qubits=2, drive_choice="resonant_lower"),
+                                    SystemConfig(n_qubits=3, drive_choice="center")],
+                         ids=["2q-midpoint", "2q-resonant", "3q-chain"])
+def test_first_order_cost_predicts_simulator(system, channel):
+    # to second order in the noise x, I(x) - I(0) = x^2 |C_channel|^2 / n_blocks
+    # when the cost and the simulator apply the same noise operator
+    frame = dressing(system)
+    x = 1e-3
+    noise = NoiseSetting(x, 0.0, False) if channel == CHANNEL_FREQ else NoiseSetting(0.0, x, False)
+    for params in _zero_area_curves():
+        wave = synthesize_waveform(params, frame.design_beta, n_samples=8192)
+        _, i0 = simulate_gate(system, frame, wave, NoiseSetting(crosstalk_on=False),
+                              gate_angle=params.phi_target)
+        _, ix = simulate_gate(system, frame, wave, noise, gate_angle=params.phi_target)
+        cost = channel_costs(CurveGrid(params), system, frame)[channel]
+        ratio = len(frame.betas) * (ix - i0) / (x * x * cost)
+        assert abs(ratio - 1.0) < 0.02, (params, ratio)
 
 
 def test_sweep_grid_limits():
