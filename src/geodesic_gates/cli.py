@@ -7,8 +7,8 @@ reproduced and compared byte for byte. Each command declares only the flags
 it reads.
 
 Exit codes: 0 success, 2 invalid configuration, 3 optimizer non-convergence,
-4 numerical failure (a curve the chi grid cannot resolve, or an
-eigendecomposition that does not converge).
+4 numerical failure (a curve the chi grid cannot resolve, or a non-finite
+Hamiltonian in a dense step exponential).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .magnus import (
 )
 from .optimizer import (
     OptimizerConfig,
+    area_zero_required,
     config_digest,
     optimize,
     preset_curve,
@@ -205,6 +206,19 @@ def _curve_from_args(args):
     return params, key
 
 
+def _check_area(params: CurveParams, system: SystemConfig) -> None:
+    """A resonant block needs a curve of zero enclosed area, to criterion 2's 1e-8.
+
+    Otherwise that block misses the gate by the area's phase, and the
+    simulated infidelity says nothing about the curve's robustness.
+    """
+    if area_zero_required(system):
+        area = area_functional(CurveGrid(params))
+        if not abs(area) <= 1e-8:
+            raise ConfigError(f"this system has a resonant block, which needs a curve "
+                              f"of zero enclosed area, but C_target = {area:.3g}")
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -313,6 +327,7 @@ def cmd_simulate(args) -> int:
     params, key = _curve_from_args(args)
     phi_target = params.phi_target
     system = _system_from_args(args, default_key=key)
+    _check_area(params, system)
     frame = dressing(system)
     wave = synthesize_waveform(params, frame.design_beta, n_samples=args.n_samples)
     if args.baseline == "cosine":
@@ -342,6 +357,7 @@ def cmd_sweep(args) -> int:
     params, key = _curve_from_args(args)
     phi_target = params.phi_target
     system = _system_from_args(args, default_key=key)
+    _check_area(params, system)
     frame = dressing(system)
     wave = synthesize_waveform(params, frame.design_beta, n_samples=args.n_samples)
     n = args.grid

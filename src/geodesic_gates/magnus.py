@@ -118,15 +118,20 @@ class ChannelWeights:
 
 
 def _block_norms(grid: CurveGrid, frame: FrameData):
-    """Squared susceptibility norm of each block, in physical-time units."""
+    """Squared susceptibility norm of each block, in physical-time units.
+
+    Each susceptibility is integrated only if some block reads it: the 2q
+    midpoint drive has no resonant block.
+    """
     scale = 1.0 / frame.design_beta
-    beta_vec = np.array(susceptibility_beta(grid)) * scale
-    beta0_vec = np.array(susceptibility_beta0(grid)) * scale
-    norms = []
-    for b in frame.betas:
-        vec = beta_vec if b != 0.0 else beta0_vec
-        norms.append(float(np.dot(vec, vec)))
-    return norms
+
+    def norm(susceptibility):
+        vec = np.array(susceptibility(grid)) * scale
+        return float(np.dot(vec, vec))
+
+    detuned = norm(susceptibility_beta) if any(frame.betas) else None
+    resonant = norm(susceptibility_beta0) if 0.0 in frame.betas else None
+    return [detuned if b != 0.0 else resonant for b in frame.betas]
 
 
 def channel_costs(grid: CurveGrid, config: SystemConfig, frame: FrameData) -> dict:

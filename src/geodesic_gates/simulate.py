@@ -15,8 +15,9 @@ The reduced model without control crosstalk is block diagonal: block b is
 grid once, as closed-form SU(2) steps (fourth-order Magnus on Gauss nodes)
 multiplied as unit quaternions, and scatters the blocks back to the points.
 With crosstalk on, or in the lab frame, the same fourth-order Magnus steps
-are taken on the full d x d Hamiltonian from `frames.hamiltonian_samples`:
-one batched eigendecomposition per step, `_DENSE_CHUNK` steps at a time.
+are taken on the full d x d Hamiltonian from `frames.hamiltonian_samples`,
+`_DENSE_CHUNK` steps at a time; each step's exponential is a degree-8 Taylor
+polynomial on batched matrix products (`linalg.expm_hermitian_batch`).
 The noise is a constant diagonal operator N, so `noise_sweep`, the one loop
 over sweep points, builds the noise-free steps once, adds N to each point's
 steps (`_dense_gate`) and maps the points through a `map` callable (the CLI
@@ -59,8 +60,10 @@ from .linalg import (
 # quaternions and temporaries take about 30 MB; larger chunks run no faster
 _BATCH_ELEMENTS = 500_000
 # steps per time chunk of the dense path, so memory does not grow with
-# n_steps; 512 to 2048 run equally fast, 8192 about 15% slower (8x8 steps)
-_DENSE_CHUNK = 2048
+# n_steps. The Taylor step exponential holds about ten stacks of temporaries:
+# at 2048 steps the validate-dense benchmark's peak RSS was 158 MB (144 MB
+# with the former eigh step), at 512 it is 140 MB and the pass about 20% faster
+_DENSE_CHUNK = 512
 
 
 @dataclass(frozen=True)

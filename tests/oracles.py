@@ -16,12 +16,7 @@ from geodesic_gates.curves import (
     _coefficients,
 )
 from geodesic_gates.frames import MODEL_REDUCED, dense_terms
-from geodesic_gates.linalg import (
-    expm_hermitian_batch,
-    gate_fidelity,
-    max_abs,
-    product_reduce,
-)
+from geodesic_gates.linalg import gate_fidelity, max_abs, product_reduce
 from geodesic_gates.magnus import trapz_endpoint_corrected
 
 
@@ -193,9 +188,16 @@ def propagate(hamiltonian_at: Callable[[float], np.ndarray], T: float, dt: float
     return propagate_sampled(hams, step)
 
 
+def expm_eigh_batch(hams: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i H_k dt) for a stack of Hermitian matrices, by batched eigendecomposition."""
+    evals, evecs = np.linalg.eigh(hams)
+    phases = np.exp(-1.0j * dt * evals)
+    return (evecs * phases[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+
+
 def propagate_sampled(hams: np.ndarray, dt: float) -> np.ndarray:
     """Propagator from midpoint-sampled Hamiltonians, shape (N, d, d)."""
-    return product_reduce(expm_hermitian_batch(hams, dt))
+    return product_reduce(expm_eigh_batch(hams, dt))
 
 
 def propagate_converged(

@@ -520,6 +520,27 @@ def test_linalg_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--grid", "3"]])
+def test_area_enclosing_curve_on_resonant_block_exits_2(tmp_path, capsys, command):
+    # the 2q resonant_lower drive has a beta = 0 block; this curve encloses area
+    argv = ["--preset", "xhalfpi-2q-robust", "--setting", "2q-resonant", "--crosstalk", "off"]
+    assert run(tmp_path, *command, *argv) == 2
+    assert "C_target = 3.42" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert run(tmp_path, "cost", *argv[:4]) == 0
+
+
+def test_every_preset_passes_its_own_area_check():
+    from geodesic_gates.cli import _check_area
+    from geodesic_gates.curves import CurveGrid, area_functional
+    from geodesic_gates.optimizer import PRESET_KEYS, preset_curve, preset_system
+
+    for key in PRESET_KEYS:
+        _check_area(preset_curve(key), preset_system(key))
+        if preset_system(key).n_qubits == 3:
+            assert abs(area_functional(CurveGrid(preset_curve(key)))) <= 1e-12, key
+
+
 @pytest.mark.parametrize("argv, config, flags", [
     (["sweep", "--preset", "xpi-2q-robust", "--n-samples", "1024"],
      {"sweep": {"grid": 5, "range": 0.05, "crosstalk": "off"}, "output": {"format": "json"}},

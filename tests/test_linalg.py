@@ -96,6 +96,14 @@ def test_expm_batch_matches_single():
         assert max_abs(batch[k] - expm_hermitian(hams[k], 0.37)) < 1e-12
 
 
+def test_expm_batch_rejects_non_finite_stack():
+    hams = np.zeros((3, 4, 4), dtype=complex)
+    for bad in (np.nan, np.inf):
+        hams[1, 2, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            expm_hermitian_batch(hams, 0.1)
+
+
 def test_su2_exp_batch_matches_expm():
     rng = np.random.default_rng(12)
     x, y, z = rng.normal(size=(3, 64))

@@ -24,7 +24,7 @@ from geodesic_gates.magnus import (
     susceptibility_beta,
     susceptibility_beta0,
 )
-from geodesic_gates.optimizer import preset_curve
+from geodesic_gates.optimizer import preset_curve, preset_system
 from oracles import crosstalk_block, magnus_oracle, su2_exp_batch
 
 RX90 = expm_hermitian(SIGMA_X, np.pi / 4.0)
@@ -305,3 +305,20 @@ def test_cost_and_simulator_noise_tables_agree():
             per_block = np.diag(noise_operator(system, noise)).real[0::2] / 0.25
             expected = sum(c * c * n for c, n in zip(per_block, norms))
             assert costs[channel] == pytest.approx(expected, rel=1e-12), (system, channel)
+
+
+@pytest.mark.parametrize("key, cost", [
+    ("xpi-2q-nonrobust", 638.3822618776163),
+    ("xpi-2q-robust", 5.595811243779621e-06),
+    ("xpi-3q-nonrobust", 339.3126920926943),
+    ("xpi-3q-robust", 1.2945898209317106),
+    ("xhalfpi-2q-nonrobust", 1861.0626103390111),
+    ("xhalfpi-2q-robust", 1.1446639139610987e-10),
+    ("xhalfpi-3q-nonrobust", 259.2881981268273),
+    ("xhalfpi-3q-robust", 0.0259167303011894),
+])
+def test_robust_cost_recorded_values(key, cost):
+    # bit for bit the values recorded when every block norm integrated both
+    # susceptibilities; now each is integrated only where a block reads it
+    system = preset_system(key)
+    assert robust_cost(preset_curve(key), system, dressing(system)) == cost

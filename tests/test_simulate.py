@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_curve
+from geodesic_gates import simulate
 from geodesic_gates.curves import CurveGrid, solve_b3_zero_area, synthesize_waveform
 from geodesic_gates.frames import SystemConfig, dressing, hamiltonian_samples
 from geodesic_gates.linalg import (
@@ -13,6 +14,7 @@ from geodesic_gates.linalg import (
     SIGMA_Z,
     embed_single,
     expm_hermitian,
+    expm_hermitian_batch,
     gate_fidelity,
     pauli_string,
 )
@@ -30,8 +32,15 @@ from geodesic_gates.simulate import (
     simulate_gate,
     slope_fit,
     _dense_per_interval,
+    _magnus_steps,
 )
-from oracles import propagate_blocks_oracle, propagate_sampled, pulse_area, reduced_block_samples
+from oracles import (
+    expm_eigh_batch,
+    propagate_blocks_oracle,
+    propagate_sampled,
+    pulse_area,
+    reduced_block_samples,
+)
 
 
 def _setup(key, n_samples=8192):
@@ -145,6 +154,40 @@ def test_dense_stepper_matches_midpoint_oracle(key):
     hams = hamiltonian_samples(system, MODEL_REDUCED, wave, mids)
     hams += noise_operator(system, noise)
     assert np.max(np.abs(u_dense - propagate_sampled(hams, dt))) < 1e-6
+
+
+@pytest.mark.parametrize("key", PRESET_KEYS)
+@pytest.mark.parametrize("model", [MODEL_REDUCED, MODEL_LAB])
+def test_dense_step_matches_eigh_oracle(key, model):
+    # the Taylor step exponential against eigendecomposition, chunk by chunk
+    system, frame, wave = _setup(key)
+    dt, chunks = _magnus_steps(system, frame, wave, model, None)
+    for h_eff, _ in chunks:
+        err = np.max(np.abs(expm_hermitian_batch(h_eff, dt) - expm_eigh_batch(h_eff, dt)))
+        assert err < 1e-13
+
+
+def test_dense_step_scaling_and_squaring():
+    # 64 steps over a 3q lab gate put the one-norm of -i dt H_eff near 9,
+    # far above the unscaled bound 0.07, so the steps are squared
+    system, frame, wave = _setup("xpi-3q-robust")
+    dt, chunks = _magnus_steps(system, frame, wave, MODEL_LAB, 64)
+    (h_eff, _), = chunks
+    assert dt * np.max(np.sum(np.abs(h_eff), axis=-2)) > 100 * 0.07
+    assert np.max(np.abs(expm_hermitian_batch(h_eff, dt) - expm_eigh_batch(h_eff, dt))) < 1e-12
+
+
+@pytest.mark.parametrize("key", PRESET_KEYS)
+@pytest.mark.parametrize("model", [MODEL_REDUCED, MODEL_LAB])
+def test_dense_gate_matches_eigh_stepped_oracle(key, model, monkeypatch):
+    # the whole gate, against the same Magnus steps exponentiated by eigh
+    system, frame, wave = _setup(key)
+    noise = NoiseSetting(0.03, -0.02)
+    u, _ = simulate_gate(system, frame, wave, noise, model=model)
+    monkeypatch.setattr(simulate, "expm_hermitian_batch", expm_eigh_batch)
+    u_oracle, _ = simulate_gate(system, frame, wave, noise, model=model)
+    assert np.max(np.abs(u - u_oracle)) < 1e-11
+    assert np.max(np.abs(u.conj().T @ u - np.eye(system.dim))) < 1e-12
 
 
 def test_crosstalk_on_sweep_matches_simulate_at_every_point():
