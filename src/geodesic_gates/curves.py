@@ -79,8 +79,9 @@ class CurveParams:
     """Ansatz parameters of a closed 2-sphere curve.
 
     `a` is the cubic coefficient; `b1`, `b2`, `b3`, `c` weight the
-    trigonometric correction. For chi_max = 4*pi the boundary condition
-    ties `a` to the intended rotation angle via a = -phi_target/(32*pi^3).
+    trigonometric correction. The boundary condition ties `a` to the gate
+    angle, a = -phi_target/(32*pi^3); an `a` whose angle -32*pi^3*a differs
+    from `phi_target` by more than 1e-12 max(1, |phi_target|) is refused.
     """
 
     a: float
@@ -88,11 +89,14 @@ class CurveParams:
     b2: float = 0.0
     b3: float = 0.0
     c: float = 0.0
-    chi_max: float = CHI_MAX
     phi_target: float = np.pi
 
     def __post_init__(self):
-        real_fields(self, "a", "b1", "b2", "b3", "c", "chi_max", "phi_target")
+        real_fields(self, "a", "b1", "b2", "b3", "c", "phi_target")
+        angle = -32.0 * np.pi**3 * self.a
+        if abs(angle - self.phi_target) > 1e-12 * max(1.0, abs(self.phi_target)):
+            raise ValueError(f"a = {self.a!r} is the coefficient of gate angle {angle!r}, "
+                             f"not of phi_target = {self.phi_target!r}")
 
 
 def _basis(chi) -> np.ndarray:
@@ -161,8 +165,6 @@ class CurveGrid:
     """
 
     def __init__(self, params: CurveParams, n: int = CHI_GRID_POINTS):
-        if abs(params.chi_max - CHI_MAX) > 1e-12:
-            raise ValueError("curve construction requires chi_max = 4*pi")
         self.params = params
         self.chi, self.sin_chi, self.cos_chi, basis = _grid_tables(n)
         self.h = self.chi[1] - self.chi[0]

@@ -55,13 +55,12 @@ class SystemConfig:
     delta: float = 20.0
     g1: float = 1.0
     g2: float = 1.0
-    omega_ref: float = 0.0
     drive_choice: str = DRIVE_MIDPOINT
 
     def __post_init__(self):
         if not isinstance(self.n_qubits, numbers.Integral) or self.n_qubits not in (2, 3):
             raise ValueError(f"n_qubits must be 2 or 3, got {self.n_qubits!r}")
-        real_fields(self, "delta", "g1", "g2", "omega_ref")
+        real_fields(self, "delta", "g1", "g2")
         if self.delta == 0:
             raise ValueError("delta must be nonzero")
         if self.n_qubits == 2 and self.drive_choice not in (DRIVE_MIDPOINT, DRIVE_RESONANT_LOWER):
@@ -83,11 +82,10 @@ class SystemConfig:
 
     @property
     def qubit_frequencies(self) -> tuple:
-        """Lab frequencies; absolute values only matter through differences."""
+        """Lab frequencies, the driven qubit's at 0: only differences matter."""
         if self.n_qubits == 2:
-            return (self.omega_ref + self.delta, self.omega_ref)
-        w = self.omega_ref
-        return (w - self.delta, w + self.delta, w)
+            return (self.delta, 0.0)
+        return (-self.delta, self.delta, 0.0)
 
 
 @dataclass(frozen=True)
@@ -206,11 +204,10 @@ def three_qubit_dressing(config: SystemConfig) -> FrameData:
     s3 = expm_hermitian(p3, -gamma / 2.0)
     S = s3 @ s2 @ s1
     delta_tilde = config.delta * (1.0 + lam**2 / 4.0 + lam**4 / 32.0)
-    w = config.omega_ref
     return FrameData(S=S, betas=(config.g2, 0.0, 0.0, -config.g2),
                      coupling_coefs=(2.0, 0.0, 0.0, -2.0),  # dJ (Z1 Z3 + Z2 Z3)
                      delta_tilde=delta_tilde, drive_scale=1.0 - lam**2 / 4.0,
-                     rotating_freqs=(w - delta_tilde, w + delta_tilde, w),
+                     rotating_freqs=(-delta_tilde, delta_tilde, 0.0),
                      epsilon=lam / 4.0)
 
 

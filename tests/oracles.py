@@ -10,6 +10,7 @@ import numpy as np
 
 from geodesic_gates.curves import (
     CHI_GRID_POINTS,
+    CHI_MAX,
     CurveGrid,
     CurveParams,
     _basis,
@@ -20,21 +21,21 @@ from geodesic_gates.linalg import gate_fidelity, max_abs, product_reduce
 from geodesic_gates.magnus import trapz_endpoint_corrected
 
 
-def _check_domain(params: CurveParams, chi) -> None:
+def _check_domain(chi) -> None:
     chi = np.asarray(chi)
-    if np.any(chi < -1e-12) or np.any(chi > params.chi_max + 1e-12):
-        raise ValueError(f"chi outside [0, {params.chi_max}]")
+    if np.any(chi < -1e-12) or np.any(chi > CHI_MAX + 1e-12):
+        raise ValueError(f"chi outside [0, {CHI_MAX}]")
 
 
 def phi(params: CurveParams, chi):
     """Azimuthal angle phi(chi) of the curve."""
-    _check_domain(params, chi)
+    _check_domain(chi)
     return np.einsum("i,i...->...", _coefficients(params), _basis(chi)[0])
 
 
 def phi_prime(params: CurveParams, chi):
     """Analytic d phi / d chi (no numeric differentiation)."""
-    _check_domain(params, chi)
+    _check_domain(chi)
     return np.einsum("i,i...->...", _coefficients(params), _basis(chi)[1])
 
 

@@ -152,7 +152,7 @@ def test_unresolvable_curve_exits_4(tmp_path, capsys):
     # b1 = 1e6 makes theta jump by more than pi/2 between grid points: a
     # numerical failure, not an invalid configuration
     params = tmp_path / "p.json"
-    write_json(params, {"a": -0.0010079, "b1": 1e6, "phi_target": np.pi})
+    write_json(params, {"a": -1.0 / (32.0 * np.pi**2), "b1": 1e6, "phi_target": np.pi})
     code = run(tmp_path, "synth", "--params", str(params), "--setting", "2q-midpoint")
     assert code == 4
     assert "numerical failure:" in capsys.readouterr().err
@@ -251,7 +251,7 @@ def test_sweep_artifacts_do_not_depend_on_threads(tmp_path, monkeypatch, model):
 def test_run_config_file_sections(tmp_path):
     config = {
         "system": {"n_qubits": 3, "delta": 20.0, "g1": 1.0, "g2": 1.0,
-                   "omega_ref": 0.0, "drive_choice": "center"},
+                   "drive_choice": "center"},
         "gate": {"preset": "xpi-3q-nonrobust"},
     }
     cfg_path = tmp_path / "run.json"
@@ -399,7 +399,7 @@ def test_config_hash_covers_resolved_system(tmp_path):
     write_json(tmp_path / "long.json",
                {"system": {"n_qubits": 2, "delta": 20.0, "drive_choice": "midpoint"}})
     write_json(tmp_path / "int.json",
-               {"system": {"n_qubits": 2, "delta": 20, "g1": 1, "g2": 1, "omega_ref": 0}})
+               {"system": {"n_qubits": 2, "delta": 20, "g1": 1, "g2": 1}})
     hashes = set()
     for name, flags in (("preset", []), ("flags", ["--setting", "2q-midpoint", "--delta", "20"]),
                         ("short", ["--config", str(tmp_path / "short.json")]),
@@ -424,6 +424,62 @@ def test_params_phi_mismatch_exits_2(tmp_path, capsys, command):
     assert "does not match" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
     assert run(tmp_path / "good", *argv, "--phi", "pi") == 0
+
+
+@pytest.mark.parametrize("command", [["synth"], ["simulate", "--crosstalk", "off"]],
+                         ids=lambda command: command[0])
+def test_params_a_of_another_angle_exits_2(tmp_path, capsys, command):
+    # the a of a pi/2 gate with phi_target pi: both angles are named
+    params = tmp_path / "p.json"
+    write_json(params, {"a": -1.0 / (64.0 * np.pi**2), "phi_target": np.pi})
+    assert run(tmp_path / "out", *command, "--params", str(params),
+               "--setting", "2q-midpoint") == 2
+    err = capsys.readouterr().err
+    assert "bad params file" in err and "1.5707963" in err and "3.14159" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, content, key", [
+    (["simulate", "--preset", "xpi-2q-robust", "--model", "lab", "--config"],
+     {"system": {"n_qubits": 2, "omega_ref": 500}}, "omega_ref"),
+    (["cost", "--setting", "2q-midpoint", "--params"],
+     {"a": -1.0 / (32.0 * np.pi**2), "chi_max": 4.0 * np.pi, "phi_target": np.pi}, "chi_max"),
+], ids=["system-omega-ref", "params-chi-max"])
+def test_removed_input_exits_2(tmp_path, capsys, argv, content, key):
+    # only frequency differences matter, and chi always spans [0, 4 pi]
+    write_json(tmp_path / "input.json", content)
+    assert run(tmp_path / "out", *argv, str(tmp_path / "input.json")) == 2
+    assert f"unexpected keyword argument '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_audit_names_unnulled_robust_rows():
+    # the 2q robust rows null |A_beta| (5.9e-4, 2.7e-6); the printed chain rows do not
+    from geodesic_gates.cli import audit_report
+    from geodesic_gates.optimizer import presets
+
+    findings = audit_report()["findings"]
+    named = {key for key in presets() if any(f"row {key} " in line for line in findings)}
+    assert named == {"xpi-3q-robust", "xhalfpi-3q-robust"}
+
+
+def test_readme_flag_table_matches_parser():
+    import argparse
+
+    from geodesic_gates.cli import build_parser
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| command | flags |\n| --- | --- |\n")[1].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines():
+        command, flags = line.strip("|").split("|")
+        rows[command.strip().strip("`")] = set(re.findall(r"`(--[\w-]+)", flags))
+    common = rows.pop("all")
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(rows) == set(sub.choices)
+    for command, parser in sub.choices.items():
+        declared = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert declared == common | rows[command], command
 
 
 def test_readme_run_config_example(tmp_path):
@@ -468,7 +524,6 @@ def test_config_hash_ignores_integer_spelling(tmp_path, kind):
     (["simulate", "--preset", "xpi-2q-robust", "--dj", "inf", "--crosstalk", "off"], {}),
     (["sweep", "--preset", "xpi-2q-robust", "--range", "nan", "--grid", "3",
       "--crosstalk", "off"], {}),
-    (["synth", "--preset", "xpi-2q-robust", "--beta", "nan"], {}),
     (["synth", "--preset", "xpi-2q-robust", "--delta", "inf"], {}),
     (["cost", "--preset", "xpi-2q-robust", "--phi", "nan"], {}),
     (["cost", "--preset", "xpi-2q-robust", "--config", "run.json"],
@@ -477,7 +532,7 @@ def test_config_hash_ignores_integer_spelling(tmp_path, kind):
       "--config", "run.json"], {"run.json": {"sweep": {"range": float("nan")}}}),
     (["cost", "--setting", "2q-midpoint", "--params", "p.json"],
      {"p.json": {"a": -1.0 / (32.0 * np.pi**2), "c": float("inf")}}),
-], ids=["domega-off", "domega-on", "dj", "range", "beta", "delta", "phi", "system-g1",
+], ids=["domega-off", "domega-on", "dj", "range", "delta", "phi", "system-g1",
         "sweep-range", "params-c"])
 def test_non_finite_input_exits_2(tmp_path, capsys, argv, files):
     for name, content in files.items():

@@ -314,6 +314,14 @@ def test_table_values_match_zero_area_magnitudes():
     assert abs(abs(oracle_half) - 2.85958) < 1e-3
 
 
-def test_grid_requires_standard_chi_max():
-    with pytest.raises(ValueError):
-        CurveGrid(CurveParams(a=0.0, chi_max=2.0 * np.pi, phi_target=0.0))
+def test_chi_max_is_an_unknown_field():
+    # chi always runs over [0, 4 pi], so the span is no curve parameter
+    with pytest.raises(TypeError, match="chi_max"):
+        CurveParams(a=0.0, chi_max=2.0 * np.pi, phi_target=0.0)
+
+
+def test_curve_params_refuse_a_of_another_angle():
+    # a is fixed by the gate angle, a = -Phi/(32 pi^3); the tables write it as -1/(32 pi^2)
+    CurveParams(a=-1.0 / (32.0 * np.pi**2), phi_target=np.pi)
+    with pytest.raises(ValueError, match="gate angle 1.5707963"):
+        CurveParams(a=coefficient_for_angle(np.pi / 2.0), phi_target=np.pi)

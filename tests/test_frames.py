@@ -52,7 +52,7 @@ def test_system_config_validation():
 
 
 def test_lab_static_decoupled_limit():
-    cfg = SystemConfig(n_qubits=2, delta=20.0, g1=0.0, g2=0.0, omega_ref=1.0)
+    cfg = SystemConfig(n_qubits=2, delta=20.0, g1=0.0, g2=0.0)
     w1, w2 = cfg.qubit_frequencies
     expected = 0.5 * w1 * pauli_string("ZI") + 0.5 * w2 * pauli_string("IZ")
     assert max_abs(lab_static(cfg) - expected) < 1e-14
@@ -86,8 +86,8 @@ def test_lab_hamiltonian_hermitian_and_window():
 
 
 @pytest.mark.parametrize("cfg", [
-    SystemConfig(n_qubits=2, delta=20.0, omega_ref=3.0),
-    SystemConfig(n_qubits=3, delta=20.0, omega_ref=3.0, drive_choice="center"),
+    SystemConfig(n_qubits=2, delta=20.0),
+    SystemConfig(n_qubits=3, delta=20.0, drive_choice="center"),
 ])
 def test_lab_samples_drive_is_envelope_over_drive_scale(cfg):
     # the lab model reads the synthesized envelope, so its drive amplitude
@@ -135,8 +135,7 @@ def test_two_qubit_dressing_diagonalizes_exactly():
     for _ in range(8):
         cfg = SystemConfig(n_qubits=2, delta=float(rng.uniform(2.0, 40.0)),
                            g1=float(rng.uniform(0.0, 2.0)),
-                           g2=float(rng.uniform(0.0, 2.0)),
-                           omega_ref=float(rng.uniform(-1.0, 1.0)))
+                           g2=float(rng.uniform(0.0, 2.0)))
         frame = two_qubit_dressing(cfg)
         dressed = frame.S @ lab_static(cfg) @ frame.S.conj().T
         assert offdiag_norm(dressed) < 1e-12
