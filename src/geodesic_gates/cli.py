@@ -110,13 +110,11 @@ def write_table(out_dir: Path, stem: str, header, rows, fmt: str) -> Path:
 
 
 def parse_phi(text: str) -> float:
+    """The argparse type of `optimize --phi`: pi, pi/2, pi/4, 2pi or a finite float."""
     canned = {"pi": np.pi, "pi/2": np.pi / 2.0, "pi/4": np.pi / 4.0, "2pi": 2.0 * np.pi}
-    try:
-        phi = canned[text] if text in canned else float(text)
-    except ValueError:
-        phi = np.nan  # refused below, like a non-finite float
+    phi = canned[text] if text in canned else float(text)
     if not np.isfinite(phi):
-        raise ConfigError(f"gate angle {text!r} is not pi, pi/2, pi/4, 2pi or a finite float")
+        raise ValueError(f"gate angle {text!r} is not finite")
     return phi
 
 
@@ -173,7 +171,7 @@ def _system_from_args(args, default_key=None) -> SystemConfig:
         fields.update(SETTINGS[args.setting])
     elif not fields:
         if default_key is None:
-            raise ConfigError("a --setting or --preset is required")
+            raise ConfigError("a system is required: --setting or a run-config system section")
         fields = asdict(preset_system(default_key))
     if args.delta is not None:
         fields["delta"] = args.delta
@@ -184,26 +182,18 @@ def _system_from_args(args, default_key=None) -> SystemConfig:
 
 
 def _curve_from_args(args):
-    """Resolve (CurveParams, preset_key) from flags; a given --phi must match the curve."""
+    """Resolve (CurveParams, preset_key) from --preset or --params."""
     key = args.preset
     if key is not None:
         if key not in presets():
             raise ConfigError(f"unknown preset {key!r}; choose from {sorted(presets())}")
-        params, source = preset_curve(key), f"preset {key}"
-    elif args.params is not None:
-        try:
-            params = CurveParams(**read_json(Path(args.params)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad params file: {exc}") from None
-        source = "the params file"
-    else:
+        return preset_curve(key), key
+    if args.params is None:
         raise ConfigError("either --preset or --params is required")
-    if args.phi is not None:
-        phi_req = parse_phi(args.phi)
-        if abs(phi_req - params.phi_target) > 1e-12:
-            raise ConfigError(f"--phi {phi_req!r} does not match {source} "
-                              f"(phi = {params.phi_target!r})")
-    return params, key
+    try:
+        return CurveParams(**read_json(Path(args.params))), key
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad params file: {exc}") from None
 
 
 def _check_area(params: CurveParams, system: SystemConfig) -> None:
@@ -219,6 +209,13 @@ def _check_area(params: CurveParams, system: SystemConfig) -> None:
                               f"of zero enclosed area, but C_target = {area:.3g}")
 
 
+def _check_out(out: Path) -> None:
+    """Refuse an --out that cannot become a directory, without creating it."""
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is not a directory")
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -230,9 +227,11 @@ def _meta(args, **records) -> dict:
     # it read and the records it resolved from them (system, curve, optimizer),
     # never file names, thread counts or run-config sections as written, so
     # identical runs into different directories produce identical artifacts;
-    # --delta and --setting enter through the system record
+    # --delta and --setting enter through the system record, and --seed,
+    # --starts and --max-iters through the optimizer record
     payload = {k: v for k, v in vars(args).items()
-               if k not in ("func", "out", "threads", "config", "params", "delta", "setting")
+               if k not in ("func", "out", "threads", "config", "params", "delta", "setting",
+                            "seed", "starts", "max_iters")
                and not k.startswith("_") and v is not None}
     payload.update((name, asdict(record)) for name, record in records.items())
     seed = records["optimizer"].seed if "optimizer" in records else None
@@ -300,8 +299,9 @@ def cmd_cost(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if args.phi is None:
+        raise ConfigError("optimize needs a gate angle: --phi, or phi in the gate section")
     system = _system_from_args(args)
-    phi_target = parse_phi(args.phi)
     try:
         cfg = OptimizerConfig.from_dict(args._run_config.get("optimizer", {}))
     except (TypeError, ValueError) as exc:
@@ -309,7 +309,7 @@ def cmd_optimize(args) -> int:
     overrides = {name: getattr(args, name) for name in ("seed", "starts", "max_iters")
                  if getattr(args, name) is not None}
     cfg = replace(cfg, **overrides)
-    result = optimize(phi_target, system, cfg)
+    result = optimize(args.phi, system, cfg)
     out = _out_dir(args)
     payload = asdict(result)
     payload["optimizer_config"] = asdict(cfg)
@@ -508,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     def curve_opts(p, n_samples=True):
         p.add_argument("--preset", default=None)
         p.add_argument("--params", default=None, help="JSON file with CurveParams fields")
-        p.add_argument("--phi", default=None, help="gate angle (pi, pi/2 or a float)")
         p.add_argument("--setting", default=None, choices=sorted(SETTINGS))
         if n_samples:
             p.add_argument("--n-samples", type=int, default=8192)
@@ -523,8 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="multi-start search over ansatz parameters")
     common(p)
-    p.add_argument("--setting", required=True, choices=sorted(SETTINGS))
-    p.add_argument("--phi", required=True)
+    # --setting and --phi may come from the run config's gate section, so the
+    # command, not argparse, requires them
+    p.add_argument("--setting", default=None, choices=sorted(SETTINGS))
+    p.add_argument("--phi", type=parse_phi, default=None,
+                   help="gate angle (pi, pi/2, pi/4, 2pi or a finite float)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--starts", type=int, default=None)
     p.add_argument("--max-iters", type=int, default=None)
@@ -568,6 +570,7 @@ def main(argv=None) -> int:
             print(f"error: that value is from run config {args.config}", file=sys.stderr)
             return exc.code
         args._run_config = config
+        _check_out(Path(args.out))
         return args.func(args)
     except (GridResolutionError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -68,14 +68,13 @@ def susceptibility_beta(g: CurveGrid):
     return float(ax), float(ay), float(az)
 
 
-def susceptibility_beta0(g: CurveGrid, delta_theta: float = 0.0):
+def susceptibility_beta0(g: CurveGrid):
     """(A_Y, A_Z) of the resonant-block Z response.
 
     The phase is the running rotation angle of the block,
-    delta_theta + [theta(chi)-theta(0)] + [phi(chi)-phi(0)] - 2 S(chi);
-    `delta_theta` admits an extra winding offset for looped curves.
+    [theta(chi)-theta(0)] + [phi(chi)-phi(0)] - 2 S(chi).
     """
-    psi = delta_theta + (g.theta - g.theta[0]) + (g.phi - g.phi[0]) - 2.0 * g.S
+    psi = (g.theta - g.theta[0]) + (g.phi - g.phi[0]) - 2.0 * g.S
     ay0 = g.trapz(np.sin(psi) * g.tprime)
     az0 = g.trapz(np.cos(psi) * g.tprime)
     return float(ay0), float(az0)

@@ -30,17 +30,11 @@ from .curves import (
     CurveGrid,
     CurveParams,
     coefficient_for_angle,
-    real_fields,
     solve_b1_zero_area,
     solve_b3_zero_area,
 )
 from .frames import FrameData, SystemConfig, dressing
 from .magnus import ChannelWeights, robust_cost
-
-PRESET_KEYS = (
-    "xpi-2q-nonrobust", "xpi-2q-robust", "xpi-3q-nonrobust", "xpi-3q-robust",
-    "xhalfpi-2q-nonrobust", "xhalfpi-2q-robust", "xhalfpi-3q-nonrobust", "xhalfpi-3q-robust",
-)
 
 # Published rows, verbatim. gate angle pi: a = -1/(32 pi^2); pi/2: -1/(64 pi^2).
 _TABLE_ROWS = {
@@ -53,6 +47,12 @@ _TABLE_ROWS = {
     "xhalfpi-3q-nonrobust": (2.85958, 0.0, 0.0, 0.0),
     "xhalfpi-3q-robust": (124.10776, -12.12601, 57.20512, -73.09143),
 }
+PRESET_KEYS = tuple(_TABLE_ROWS)
+
+#: Nelder-Mead's cost tolerance, also the cost below which a search counts as converged
+TOL = 1e-12
+#: random starts are drawn uniformly from [-BOX_HALFWIDTH, BOX_HALFWIDTH] per parameter
+BOX_HALFWIDTH = 300.0
 
 
 @dataclass(frozen=True)
@@ -117,15 +117,11 @@ class OptimizerConfig:
     starts: int = 16
     seed: int = 42
     max_iters: int = 400
-    tol: float = 1e-12
-    box_halfwidth: float = 300.0
-    include_preset_start: bool = True
 
     def __post_init__(self):
-        ints = (self.starts, self.seed, self.max_iters, self.include_preset_start)
-        if not all(isinstance(x, numbers.Integral) for x in ints):
+        counts = (self.starts, self.seed, self.max_iters)
+        if not all(isinstance(x, numbers.Integral) for x in counts):
             raise TypeError(f"optimizer counts must be integers: {self}")
-        real_fields(self, "tol", "box_halfwidth")
         if self.starts < 1 or self.max_iters < 1:
             raise ValueError(f"starts and max_iters must be at least 1, got "
                              f"{self.starts} and {self.max_iters}")
@@ -163,10 +159,9 @@ class OptimizeResult:
     gate_time: float
     start_costs: tuple
     n_evaluations: int
-    seed: int
 
 
-def _matching_preset_key(gate_angle: float, system: SystemConfig, robust: bool = True):
+def _matching_preset_key(gate_angle: float, system: SystemConfig):
     gate = None
     if abs(gate_angle - np.pi) < 1e-12:
         gate = "xpi"
@@ -175,7 +170,7 @@ def _matching_preset_key(gate_angle: float, system: SystemConfig, robust: bool =
     if gate is None:
         return None
     setting = "2q" if system.n_qubits == 2 else "3q"
-    return f"{gate}-{setting}-{'robust' if robust else 'nonrobust'}"
+    return f"{gate}-{setting}-robust"
 
 
 def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> OptimizeResult:
@@ -185,9 +180,9 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
     area, b3 is eliminated exactly via the affine area relation and
     (b1, b2, c) are free; for the midpoint two-qubit drive the area is moot,
     b2 = b3 = 0, and (b1, c) are free. Restart 0 starts from the matching
-    published row when one exists, the rest from seeded uniform draws in the
-    box; with a fixed seed the result is reproducible bit for bit, and ties
-    break by restart index.
+    robust published row when one exists, the rest from seeded uniform draws
+    in the +-BOX_HALFWIDTH box; with a fixed seed the result is reproducible
+    bit for bit, and ties break by restart index.
     """
     frame = dressing(system)
     a = coefficient_for_angle(gate_angle)
@@ -209,13 +204,12 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
 
     rng = np.random.default_rng(cfg.seed)
     starts = []
-    if cfg.include_preset_start:
-        key = _matching_preset_key(gate_angle, system, robust=True)
-        if key is not None:
-            row = preset_curve(key)
-            starts.append(np.array([getattr(row, n) for n in names]))
+    key = _matching_preset_key(gate_angle, system)
+    if key is not None:
+        row = preset_curve(key)
+        starts.append(np.array([getattr(row, n) for n in names]))
     while len(starts) < cfg.starts:
-        starts.append(rng.uniform(-cfg.box_halfwidth, cfg.box_halfwidth, size=len(names)))
+        starts.append(rng.uniform(-BOX_HALFWIDTH, BOX_HALFWIDTH, size=len(names)))
     starts = starts[: cfg.starts]
 
     best = None
@@ -223,7 +217,7 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
     for idx, x0 in enumerate(starts):
         res = sp_optimize.minimize(
             objective, x0, method="Nelder-Mead",
-            options={"maxiter": cfg.max_iters, "xatol": 1e-10, "fatol": cfg.tol,
+            options={"maxiter": cfg.max_iters, "xatol": 1e-10, "fatol": TOL,
                      "adaptive": True},
         )
         start_costs.append(float(res.fun))
@@ -231,11 +225,11 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
             best = (idx, float(res.fun), np.array(res.x), bool(res.success))
     _, cost, x_best, success = best
     params = build(x_best)
-    converged = success or cost <= cfg.tol
+    converged = success or cost <= TOL
     return OptimizeResult(params=params, cost=cost, converged=converged,
                           gate_time=CurveGrid(params).arc_length / frame.design_beta,
                           start_costs=tuple(start_costs),
-                          n_evaluations=eval_count, seed=cfg.seed)
+                          n_evaluations=eval_count)
 
 
 def config_digest(payload: dict) -> str:

@@ -38,13 +38,14 @@ def test_synth_zero_area_summary(tmp_path):
     assert abs(summary["C_target"]) < 1e-8
 
 
-def test_synth_phi_mismatch_exits_2(tmp_path):
-    code = run(tmp_path, "synth", "--phi", "1.5707963", "--preset", "xhalfpi-2q-robust")
-    assert code == 2
-
-
-def test_synth_matching_phi_accepted(tmp_path):
-    assert run(tmp_path, "synth", "--phi", "pi/2", "--preset", "xhalfpi-2q-robust") == 0
+def test_synth_phi_mismatch_exits_2(tmp_path, capsys):
+    # the preset fixes the gate angle, so synth has no --phi, matching or not
+    for phi in ("1.5707963", "pi/2"):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "synth", "--phi", phi, "--preset", "xhalfpi-2q-robust")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --phi" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_unknown_preset_exits_2(tmp_path):
@@ -298,10 +299,11 @@ def test_run_config_loses_to_flag_equal_to_default(tmp_path):
     ({"optimizer": {"w2": 1.0}}, ["optimize", "--setting", "2q-midpoint", "--phi", "pi"]),
     ({"optimizer": {"free_params": ["b2"]}},
      ["optimize", "--setting", "2q-midpoint", "--phi", "pi"]),
+    ({"gate": {"setting": "2q-midpoint"}}, ["optimize"]),
 ], ids=["optimizer-key", "channel-weights-key", "system-delta", "section-not-object",
         "sweep-grid-type", "optimizer-starts-type", "sweep-crosstalk-choice",
         "output-format-choice", "optimizer-starts-zero", "optimizer-w1", "optimizer-w2",
-        "optimizer-free-params"])
+        "optimizer-free-params", "optimize-no-angle"])
 def test_bad_run_config_value_exits_2(tmp_path, capsys, config, argv):
     cfg_path = tmp_path / "run.json"
     write_json(cfg_path, config)
@@ -337,15 +339,15 @@ def test_optimize_reads_optimizer_section(tmp_path):
                  "--config", str(cfg_path), "--out", str(tmp_path)])
     assert code == 0
     payload = read_json(tmp_path / "optimize_result.json")
-    assert payload["seed"] == 5
-    assert payload["meta"]["seed"] == payload["seed"]
+    assert "seed" not in payload
+    assert payload["meta"]["seed"] == payload["optimizer_config"]["seed"] == 5
     assert payload["optimizer_config"]["starts"] == 1
     # without --seed or a section, the summary records the default seed that ran;
     # five iterations stop short of convergence (exit 3), and the summary is written
     assert run(tmp_path / "default", "optimize", "--setting", "2q-midpoint", "--phi", "pi",
                "--starts", "1", "--max-iters", "5") == 3
     payload = read_json(tmp_path / "default" / "optimize_result.json")
-    assert payload["meta"]["seed"] == payload["seed"] == 42
+    assert payload["meta"]["seed"] == payload["optimizer_config"]["seed"] == 42
 
 
 def test_config_hash_ignores_input_file_names(tmp_path):
@@ -410,20 +412,68 @@ def test_config_hash_covers_resolved_system(tmp_path):
     assert len(hashes) == 1
 
 
+def test_optimize_hash_ignores_spelling(tmp_path):
+    # the default seed given or left out, counts from the optimizer section,
+    # pi written out, and the angle and setting from the gate section: one
+    # run, so one hash
+    counts = {"optimizer": {"starts": 1, "max_iters": 2}}
+    write_json(tmp_path / "counts.json", counts)
+    write_json(tmp_path / "gate.json", {"gate": {"phi": "pi", "setting": "2q-midpoint"}, **counts})
+    base = ["optimize", "--setting", "2q-midpoint"]
+    flags = ["--starts", "1", "--max-iters", "2"]
+    spellings = {
+        "plain": [*base, "--phi", "pi", *flags],
+        "seed": [*base, "--phi", "pi", *flags, "--seed", "42"],
+        "section": [*base, "--phi", "pi", "--config", str(tmp_path / "counts.json")],
+        "float": [*base, "--phi", "3.141592653589793", *flags],
+        "gate": ["optimize", "--config", str(tmp_path / "gate.json")],
+    }
+    hashes, costs = set(), set()
+    for name, argv in spellings.items():
+        assert run(tmp_path / name, *argv) in (0, 3)
+        payload = read_json(tmp_path / name / "optimize_result.json")
+        hashes.add(payload["meta"]["config_sha256"])
+        costs.add(payload["cost"])
+    assert len(costs) == 1
+    assert len(hashes) == 1
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["synth", "--preset", "xpi-2q-robust"], "afile"),
+    (["cost", "--preset", "xpi-2q-robust"], "afile/sub"),
+    (["sweep", "--preset", "xpi-2q-robust", "--grid", "3", "--crosstalk", "off"], "afile"),
+], ids=["synth-file", "cost-under-file", "sweep-file"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypatch, argv, out):
+    from geodesic_gates import cli
+
+    def no_work(args):
+        raise AssertionError("the command began its work")
+
+    monkeypatch.setattr(cli, "_curve_from_args", no_work)
+    (tmp_path / "afile").write_text("")
+    assert main([*argv, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out") and str(tmp_path / "afile") in err
+    assert [path.name for path in tmp_path.iterdir()] == ["afile"]
+
+
 @pytest.mark.parametrize("command", [
     ["synth"], ["cost"], ["simulate", "--crosstalk", "off"],
     ["sweep", "--grid", "3", "--crosstalk", "off"],
 ], ids=lambda command: command[0])
 def test_params_phi_mismatch_exits_2(tmp_path, capsys, command):
-    # the params file's phi_target is pi, like a preset's, so --phi is checked against it
+    # the params file's phi_target is the gate angle, so a curve command has
+    # no --phi: one that disagrees with the file, or repeats it, exits 2
     params = tmp_path / "p.json"
     write_json(params, {"a": -1.0 / (32.0 * np.pi**2), "b1": 5.86744, "c": -5.46421,
                         "phi_target": np.pi})
     argv = [*command, "--params", str(params), "--setting", "2q-midpoint"]
-    assert run(tmp_path / "bad", *argv, "--phi", "pi/2") == 2
-    assert "does not match" in capsys.readouterr().err
-    assert not (tmp_path / "bad").exists()
-    assert run(tmp_path / "good", *argv, "--phi", "pi") == 0
+    for phi in ("pi/2", "pi"):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path / "out", *argv, "--phi", phi)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --phi" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [["synth"], ["simulate", "--crosstalk", "off"]],
@@ -439,14 +489,22 @@ def test_params_a_of_another_angle_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+_OPTIMIZE_CONFIG = ["optimize", "--setting", "2q-midpoint", "--phi", "pi", "--config"]
+
+
 @pytest.mark.parametrize("argv, content, key", [
     (["simulate", "--preset", "xpi-2q-robust", "--model", "lab", "--config"],
      {"system": {"n_qubits": 2, "omega_ref": 500}}, "omega_ref"),
     (["cost", "--setting", "2q-midpoint", "--params"],
      {"a": -1.0 / (32.0 * np.pi**2), "chi_max": 4.0 * np.pi, "phi_target": np.pi}, "chi_max"),
-], ids=["system-omega-ref", "params-chi-max"])
+    (_OPTIMIZE_CONFIG, {"optimizer": {"tol": 1e-12}}, "tol"),
+    (_OPTIMIZE_CONFIG, {"optimizer": {"box_halfwidth": 300.0}}, "box_halfwidth"),
+    (_OPTIMIZE_CONFIG, {"optimizer": {"include_preset_start": True}}, "include_preset_start"),
+], ids=["system-omega-ref", "params-chi-max", "optimizer-tol", "optimizer-box-halfwidth",
+        "optimizer-include-preset-start"])
 def test_removed_input_exits_2(tmp_path, capsys, argv, content, key):
-    # only frequency differences matter, and chi always spans [0, 4 pi]
+    # only frequency differences matter, chi always spans [0, 4 pi], and the
+    # optimizer's tolerance, start box and preset start are fixed
     write_json(tmp_path / "input.json", content)
     assert run(tmp_path / "out", *argv, str(tmp_path / "input.json")) == 2
     assert f"unexpected keyword argument '{key}'" in capsys.readouterr().err
@@ -503,7 +561,6 @@ def test_config_hash_ignores_integer_spelling(tmp_path, kind):
     for name, number in (("int", 0), ("float", 0.0)):
         if kind == "optimizer":
             write_json(tmp_path / "run.json", {"optimizer": {
-                "tol": number, "box_halfwidth": 300 + number,
                 "channel_weights": {"freq": 1 + number}}})
             argv = ["optimize", "--setting", "2q-midpoint", "--phi", "pi", "--starts", "1",
                     "--max-iters", "5", "--config", str(tmp_path / "run.json")]
@@ -525,7 +582,7 @@ def test_config_hash_ignores_integer_spelling(tmp_path, kind):
     (["sweep", "--preset", "xpi-2q-robust", "--range", "nan", "--grid", "3",
       "--crosstalk", "off"], {}),
     (["synth", "--preset", "xpi-2q-robust", "--delta", "inf"], {}),
-    (["cost", "--preset", "xpi-2q-robust", "--phi", "nan"], {}),
+    (["optimize", "--setting", "2q-midpoint", "--phi", "nan"], {}),
     (["cost", "--preset", "xpi-2q-robust", "--config", "run.json"],
      {"run.json": {"system": {"n_qubits": 2, "g1": float("nan")}}}),
     (["sweep", "--preset", "xpi-2q-robust", "--grid", "3", "--crosstalk", "off",
@@ -538,7 +595,11 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, files):
     for name, content in files.items():
         write_json(tmp_path / name, content)
     argv = [str(tmp_path / a) if a in files else a for a in argv]
-    assert run(tmp_path / "out", *argv) == 2
+    try:
+        code = run(tmp_path / "out", *argv)
+    except SystemExit as exc:  # argparse refuses a flag's value itself
+        code = exc.code
+    assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -604,12 +665,12 @@ def test_every_preset_passes_its_own_area_check():
      {"sweep": {"grid": 3, "range": -0.05, "crosstalk": "off"}},
      ["--grid", "3", "--range", "-0.05", "--crosstalk", "off"]),
     (["cost"], {"gate": {"preset": "xhalfpi-3q-robust", "phi": "pi/2"}},
-     ["--preset", "xhalfpi-3q-robust", "--phi", "pi/2"]),
+     ["--preset", "xhalfpi-3q-robust"]),
     (["cost", "--preset", "xpi-2q-robust"], {"gate": {"setting": "2q-resonant"}},
      ["--setting", "2q-resonant"]),
 ], ids=["sweep-output", "negative-range", "gate-preset-phi", "gate-setting"])
 def test_run_config_value_acts_like_its_flag(tmp_path, argv, config, flags):
-    # the file's output.dir stands for --out
+    # the file's output.dir stands for --out; gate.phi reaches only optimize
     config = {**config, "output": {**config.get("output", {}), "dir": str(tmp_path / "file")}}
     write_json(tmp_path / "run.json", config)
     assert main([*argv, "--config", str(tmp_path / "run.json")]) == 0

@@ -120,13 +120,6 @@ def test_beta_susceptibility_flat_curve():
     assert abs(az) < 1e-12
 
 
-def test_beta0_susceptibility_offset_phase():
-    p = CurveParams(a=0.0, phi_target=0.0)
-    ay0, az0 = susceptibility_beta0(CurveGrid(p), delta_theta=np.pi)
-    assert abs(az0 + 4.0 * np.pi) < 1e-10
-    assert abs(ay0) < 1e-10
-
-
 def test_beta0_running_area_closes_with_zero_area():
     # at zero enclosed area S(4 pi) = 0, linking the beta = 0 and beta != 0 ends
     from geodesic_gates.curves import solve_b1_zero_area

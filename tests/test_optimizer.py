@@ -131,7 +131,7 @@ def test_optimize_three_qubit_constraint_preserved():
 
 def test_optimize_reports_nonconvergence():
     system = SystemConfig(n_qubits=3, delta=20.0, drive_choice="center")
-    cfg = OptimizerConfig(starts=1, max_iters=1, seed=3, include_preset_start=False)
+    cfg = OptimizerConfig(starts=1, max_iters=1, seed=3)
     result = optimize(np.pi, system, cfg)
     assert not result.converged
 

@@ -350,6 +350,24 @@ def test_robust_beats_nonrobust_under_noise():
     assert np.max(sweep_r.infidelity) < np.max(sweep_n.infidelity)
 
 
+@pytest.mark.parametrize("key, robust", [
+    ("xpi-2q-robust", True), ("xhalfpi-2q-robust", True),
+    ("xpi-3q-robust", False), ("xhalfpi-3q-robust", False),
+])
+def test_small_noise_slope_of_robust_rows(key, robust):
+    # a first-order robust pulse leaves an O(dw^4) infidelity; the printed
+    # chain rows do not null A_beta (see audit), and their slopes of 2.01 and
+    # 2.55 are pinned here, so a fix of those rows fails this test on purpose.
+    # The zero-noise floors (1.6e-12 to 6.5e-11) lie far below I(1e-3), so no
+    # floor is subtracted
+    system, frame, wave = _setup(key)
+    sweep = noise_sweep(system, frame, wave, [1e-3, 4e-3], [0.0], crosstalk_on=False,
+                        gate_angle=preset_curve(key).phi_target)
+    low, high = sweep.infidelity[:, 0]
+    slope = np.log(high / low) / np.log(4.0)
+    assert slope >= 3.9 if robust else slope < 3.0, slope
+
+
 def test_sweep_rows_long_format():
     system, frame, wave = _setup("xpi-2q-robust")
     sweep = noise_sweep(system, frame, wave, [0.0, 0.01], [0.0], crosstalk_on=False)
