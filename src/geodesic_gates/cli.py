@@ -110,11 +110,19 @@ def write_table(out_dir: Path, stem: str, header, rows, fmt: str) -> Path:
 
 
 def parse_phi(text: str) -> float:
-    """The argparse type of `optimize --phi`: pi, pi/2, pi/4, 2pi or a finite float."""
+    """The argparse type of `optimize --phi`: pi, pi/2, pi/4, 2pi or a finite float.
+
+    A refused value raises `argparse.ArgumentTypeError`, whose message
+    argparse prints as it stands: it names the accepted forms.
+    """
     canned = {"pi": np.pi, "pi/2": np.pi / 2.0, "pi/4": np.pi / 4.0, "2pi": 2.0 * np.pi}
-    phi = canned[text] if text in canned else float(text)
+    try:
+        phi = canned[text] if text in canned else float(text)
+    except ValueError:
+        phi = np.nan
     if not np.isfinite(phi):
-        raise ValueError(f"gate angle {text!r} is not finite")
+        raise argparse.ArgumentTypeError(
+            f"expected pi, pi/2, pi/4, 2pi or a finite float, got {text!r}")
     return phi
 
 

@@ -30,8 +30,10 @@ phi'(4*pi) = 0 holding structurally.
 
 phi is linear in (a, b1, b2, b3, c): it is written once, as a basis of five
 terms with their first and second chi-derivatives. phi, phi' and phi'' on
-the grid are the coefficient vector times that basis, and C_target is its
-dot product with fixed per-term area weights (c's weight is zero).
+the grid are the coefficient vector times that basis. So is the running
+half-area S(chi), from a per-term running-area table, and C_target = 2 S(4 pi)
+is the coefficient vector's dot product with that table's last column (c's
+entry is zero to rounding: c's row is its closed form).
 
 Every curve functional takes a `CurveGrid`, the curve evaluated once on the
 uniform chi grid. A caller that needs several functionals of one parameter
@@ -148,9 +150,22 @@ class GridResolutionError(ArithmeticError):
 
 @lru_cache(maxsize=4)
 def _grid_tables(n: int):
-    """chi, sin(chi), cos(chi) and the ansatz basis on the n-point grid, read-only."""
+    """chi, sin(chi), cos(chi), the ansatz basis and its running areas on the n-point grid.
+
+    Row k of the running-area table, shape (5, n), is S(chi) of basis term k
+    alone: half the running integral of (1 - cos chi) phi_k', by the
+    endpoint-corrected cumulative trapezoid. The c term's row is its closed
+    form (3/5) sin^5(chi/2), which vanishes at 4 pi to rounding, so c moves
+    no curve's C_target. All tables are read-only.
+    """
     chi = np.linspace(0.0, CHI_MAX, n)
-    tables = (chi, np.sin(chi), np.cos(chi), _basis(chi))
+    sin_chi, cos_chi, basis = np.sin(chi), np.cos(chi), _basis(chi)
+    integrand = (1.0 - cos_chi) * basis[1, :4]
+    deriv = sin_chi * basis[1, :4] + (1.0 - cos_chi) * basis[2, :4]
+    area = np.empty((5, n))
+    area[:4] = 0.5 * _cumtrapz_corrected(integrand, deriv, chi[1] - chi[0])
+    area[4] = 0.6 * np.sin(chi / 2.0) ** 5
+    tables = (chi, sin_chi, cos_chi, basis, area)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -166,9 +181,10 @@ class CurveGrid:
 
     def __init__(self, params: CurveParams, n: int = CHI_GRID_POINTS):
         self.params = params
-        self.chi, self.sin_chi, self.cos_chi, basis = _grid_tables(n)
+        self.chi, self.sin_chi, self.cos_chi, basis, area = _grid_tables(n)
         self.h = self.chi[1] - self.chi[0]
-        self.phi, self.dphi, self.ddphi = _coefficients(params) @ basis
+        coefficients = _coefficients(params)
+        self.phi, self.dphi, self.ddphi = coefficients @ basis
         s = self.sin_chi * self.dphi
         sp = self.cos_chi * self.dphi + self.sin_chi * self.ddphi
         self.theta = np.pi / 2.0 + np.arctan(s)
@@ -180,10 +196,8 @@ class CurveGrid:
         # d t'/d chi = s s'/t', analytic, used for the cumulative correction
         tpp = s * sp / self.tprime
         self.arc = _cumtrapz_corrected(self.tprime, tpp, self.h)
-        area_integrand = (1.0 - self.cos_chi) * self.dphi
-        area_deriv = self.sin_chi * self.dphi + (1.0 - self.cos_chi) * self.ddphi
         # S(chi) = half the running enclosed area
-        self.S = 0.5 * _cumtrapz_corrected(area_integrand, area_deriv, self.h)
+        self.S = coefficients @ area
         #: drive envelope per unit |beta|
         self.omega_over_beta = (self.dtheta + self.cos_chi * self.dphi) / self.tprime
 
@@ -281,23 +295,16 @@ def shortest_b1(a: float) -> float:
     return (1.0 / 512.0) * (-3465.0) * np.pi * (3.0 + 4.0 * np.pi**2) * a
 
 
-@lru_cache(maxsize=4)
-def _area_weights(n: int) -> np.ndarray:
-    """Per-term C_target of the five basis functions, same quadrature as CurveGrid.S."""
-    chi, sin_chi, cos_chi, basis = _grid_tables(n)
-    integrand = (1.0 - cos_chi) * basis[1]
-    deriv = sin_chi * basis[1] + (1.0 - cos_chi) * basis[2]
-    return _cumtrapz_corrected(integrand, deriv, chi[1] - chi[0])[:, -1]
-
-
 def area_affine(a: float):
     """Coefficients of C_target = c0 + k1 b1 + k2 b2 + k3 b3 at fixed a.
 
     C_target is linear in the ansatz coefficients, so it is their dot
-    product with fixed per-term weights; c encloses no area and drops out.
-    Every zero-area solve uses these; none of them builds a `CurveGrid`.
+    product with the last column of the grid's running-area table, the one
+    `CurveGrid.S` reads; c encloses no area and drops out. Every zero-area
+    solve uses these; none of them builds a `CurveGrid`.
     """
-    w_a, k1, k2, k3, _ = map(float, _area_weights(CHI_GRID_POINTS))
+    area = _grid_tables(CHI_GRID_POINTS)[4]
+    w_a, k1, k2, k3, _ = map(float, 2.0 * area[:, -1])
     return a * w_a, k1, k2, k3
 
 

@@ -18,7 +18,54 @@ from geodesic_gates.curves import (
 )
 from geodesic_gates.frames import MODEL_REDUCED, dense_terms
 from geodesic_gates.linalg import gate_fidelity, max_abs, product_reduce
-from geodesic_gates.magnus import trapz_endpoint_corrected
+
+
+def trapz_endpoint_corrected(y: np.ndarray, h: float):
+    """Composite trapezoid with the h^2/12 Euler-Maclaurin endpoint term removed.
+
+    The boundary derivatives come from one-sided 3-point stencils of the
+    sampled integrand, which is accurate enough to push the rule to O(h^4).
+    The package folds the same rule into a fixed weight vector.
+    """
+    base = np.trapezoid(y, dx=h, axis=-1)
+    d_start = (-3.0 * y[..., 0] + 4.0 * y[..., 1] - y[..., 2]) / (2.0 * h)
+    d_end = (3.0 * y[..., -1] - 4.0 * y[..., -2] + y[..., -3]) / (2.0 * h)
+    return base - h * h / 12.0 * (d_end - d_start)
+
+
+def susceptibility_integrands(g: CurveGrid) -> dict:
+    """The theta-trig integrands of A_X, A_Y, A_Z, A_Y0 and A_Z0 on the grid.
+
+    These are the integrals as written in the geometric frame, with cos and
+    sin of theta and of the resonant running angle psi; `magnus` evaluates
+    the same integrals through e^{i theta} = (i - s)/t'. Each is integrated
+    with the plain trapezoid, `CurveGrid.trapz`.
+    """
+    cos_t, sin_t = np.cos(g.theta), np.sin(g.theta)
+    cos_p, sin_p = np.cos(g.phi), np.sin(g.phi)
+    psi = (g.theta - g.theta[0]) + (g.phi - g.phi[0]) - 2.0 * g.S
+    return {
+        "ax": -cos_t * g.sin_chi * g.tprime,
+        "ay": (sin_t * cos_p + cos_t * g.cos_chi * sin_p) * g.tprime,
+        "az": (g.cos_chi * cos_t * cos_p - sin_t * sin_p) * g.tprime,
+        "ay0": np.sin(psi) * g.tprime,
+        "az0": np.cos(psi) * g.tprime,
+    }
+
+
+def crosstalk_integrands(g: CurveGrid, delta_tilde: float, beta: float) -> dict:
+    """The theta-trig integrands of ct1 and ct2, for `trapz_endpoint_corrected`.
+
+    ct1 = int Omega dt cos(chi/2) exp(-i (S - theta - phi)) exp(i dt~ t) and
+    ct2 = int Omega dt sin(chi/2) exp(i (S - theta)) exp(i dt~ t), with
+    Omega dt = (theta' + cos(chi) phi') dchi and t = arc/|beta|.
+    """
+    pref = g.dtheta + g.cos_chi * g.dphi
+    rot = np.exp(1.0j * delta_tilde * (g.arc / abs(beta)))
+    return {
+        "ct1": pref * np.cos(g.chi / 2.0) * np.exp(-1.0j * (g.S - g.theta - g.phi)) * rot,
+        "ct2": pref * np.sin(g.chi / 2.0) * np.exp(1.0j * (g.S - g.theta)) * rot,
+    }
 
 
 def _check_domain(chi) -> None:

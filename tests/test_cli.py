@@ -128,6 +128,32 @@ def test_optimize_deterministic_artifacts(tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("setting", ["2q-midpoint", "3q-chain"])
+def test_cost_of_optimized_params_equals_optimizer_cost(tmp_path, setting):
+    # `cost --params` on optimize's own result reports the optimizer's cost
+    # bit for bit: the same function on the same parameters after a JSON
+    # round trip, which the benchmark's design workload checks with ==
+    code = run(tmp_path / "opt", "optimize", "--setting", setting, "--phi", "pi",
+               "--seed", "3", "--starts", "2", "--max-iters", "40")
+    assert code in (0, 3)
+    result = read_json(tmp_path / "opt" / "optimize_result.json")
+    write_json(tmp_path / "params.json", result["params"])
+    assert run(tmp_path / "cost", "cost", "--params", str(tmp_path / "params.json"),
+               "--setting", setting) == 0
+    assert read_json(tmp_path / "cost" / "cost.json")["robust_cost"] == result["cost"]
+
+
+@pytest.mark.parametrize("value", ["zz", "nan"])
+def test_bad_phi_names_the_accepted_forms(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path / "out", "optimize", "--setting", "2q-midpoint", "--phi", value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --phi: expected pi, pi/2, pi/4, 2pi or a finite float" in err
+    assert "parse_phi" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--starts", "0"), ("--starts", "-3"),
                                          ("--max-iters", "-2")])
 def test_optimize_count_below_one_exits_2(tmp_path, capsys, flag, value):

@@ -18,14 +18,22 @@ from geodesic_gates.magnus import (
     CHANNEL_CROSSTALK,
     CHANNEL_FREQ,
     ChannelWeights,
+    _Integrals,
     channel_costs,
     crosstalk_amplitudes,
     robust_cost,
     susceptibility_beta,
     susceptibility_beta0,
 )
-from geodesic_gates.optimizer import preset_curve, preset_system
-from oracles import crosstalk_block, magnus_oracle, su2_exp_batch
+from geodesic_gates.optimizer import BOX_HALFWIDTH, PRESET_KEYS, preset_curve, preset_system
+from oracles import (
+    crosstalk_block,
+    crosstalk_integrands,
+    magnus_oracle,
+    su2_exp_batch,
+    susceptibility_integrands,
+    trapz_endpoint_corrected,
+)
 
 RX90 = expm_hermitian(SIGMA_X, np.pi / 4.0)
 
@@ -145,6 +153,38 @@ def test_crosstalk_rotating_phase_averaging():
     assert abs(large[1]) < abs(small[1])
     with pytest.raises(ValueError):
         crosstalk_amplitudes(CurveGrid(p), delta_tilde=-20.0, beta=0.0)
+
+
+@pytest.mark.parametrize("index, system", enumerate([
+    SystemConfig(n_qubits=2),
+    SystemConfig(n_qubits=2, drive_choice="resonant_lower"),
+    SystemConfig(n_qubits=3, drive_choice="center"),
+]), ids=["2q-midpoint", "2q-resonant", "3q-chain"])
+def test_integrals_match_theta_trig_oracle(index, system):
+    # every integral through e^{i theta} = (i - s)/t' agrees with its theta-trig
+    # integrand on the same grid and quadrature to rounding: 1e-14 of the
+    # integrand's L1 mass, on the presets and on random starts of the
+    # optimizer's box; the crosstalk pair at -dt~ is the conjugate-phase
+    # reuse that the chain's second neighbour reads
+    frame = dressing(system)
+    rng = np.random.default_rng(70 + index)
+    curves = [preset_curve(key) for key in PRESET_KEYS]
+    curves += [random_curve(rng, scale=BOX_HALFWIDTH) for _ in range(20)]
+    for params in curves:
+        grid = CurveGrid(params)
+        got = dict(zip(("ax", "ay", "az"), susceptibility_beta(grid)))
+        got.update(zip(("ay0", "az0"), susceptibility_beta0(grid)))
+        for name, integrand in susceptibility_integrands(grid).items():
+            mass = grid.trapz(np.abs(integrand))
+            assert abs(got[name] - grid.trapz(integrand)) <= 1e-14 * mass, (params, name)
+        amplitudes = _Integrals(grid).crosstalk(frame.delta_tilde, frame.design_beta)
+        for sign, pair in zip((1.0, -1.0), amplitudes):
+            integrands = crosstalk_integrands(grid, sign * frame.delta_tilde, frame.design_beta)
+            for value, (name, integrand) in zip(pair, integrands.items()):
+                reference = trapz_endpoint_corrected(integrand, grid.h)
+                mass = grid.trapz(np.abs(integrand))
+                assert abs(value - reference) <= 1e-14 * mass, (params, name, sign)
+        assert amplitudes[0] == crosstalk_amplitudes(grid, frame.delta_tilde, frame.design_beta)
 
 
 def test_magnus_oracle_trivial_cases():
@@ -291,7 +331,7 @@ def test_cost_and_simulator_noise_tables_agree():
                    SystemConfig(n_qubits=2, drive_choice="resonant_lower"),
                    SystemConfig(n_qubits=3, drive_choice="center")):
         frame = dressing(system)
-        norms = _block_norms(grid, frame)
+        norms = _block_norms(_Integrals(grid), frame)
         costs = channel_costs(grid, system, frame)
         for channel, noise in ((CHANNEL_FREQ, NoiseSetting(0.25, 0.0)),
                                (CHANNEL_COUPLING, NoiseSetting(0.0, 0.25))):
@@ -302,16 +342,16 @@ def test_cost_and_simulator_noise_tables_agree():
 
 @pytest.mark.parametrize("key, cost", [
     ("xpi-2q-nonrobust", 638.3822618776163),
-    ("xpi-2q-robust", 5.595811243779621e-06),
+    ("xpi-2q-robust", 5.5958112437798786e-06),
     ("xpi-3q-nonrobust", 339.3126920926943),
-    ("xpi-3q-robust", 1.2945898209317106),
+    ("xpi-3q-robust", 1.2945898209339652),
     ("xhalfpi-2q-nonrobust", 1861.0626103390111),
-    ("xhalfpi-2q-robust", 1.1446639139610987e-10),
-    ("xhalfpi-3q-nonrobust", 259.2881981268273),
-    ("xhalfpi-3q-robust", 0.0259167303011894),
+    ("xhalfpi-2q-robust", 1.1446639138902508e-10),
+    ("xhalfpi-3q-nonrobust", 259.2881981268271),
+    ("xhalfpi-3q-robust", 0.025916730301185662),
 ])
 def test_robust_cost_recorded_values(key, cost):
-    # bit for bit the values recorded when every block norm integrated both
-    # susceptibilities; now each is integrated only where a block reads it
+    # bit for bit the values recorded when the integrals took e^{i theta}
+    # from s = sin(chi) phi' instead of cos and sin of theta
     system = preset_system(key)
     assert robust_cost(preset_curve(key), system, dressing(system)) == cost

@@ -139,3 +139,22 @@ def test_optimize_reports_nonconvergence():
 def test_optimizer_config_roundtrip():
     cfg = OptimizerConfig(starts=5, seed=9)
     assert OptimizerConfig.from_dict(asdict(cfg)) == cfg
+
+
+def test_optimize_counts_every_total_cost_call(monkeypatch):
+    # the benchmark's traced run counts `optimizer.total_cost` calls and
+    # requires them to equal the reported n_evaluations
+    import geodesic_gates.optimizer as optimizer_module
+
+    calls = []
+    original = optimizer_module.total_cost
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer_module, "total_cost", counting)
+    for system in (SystemConfig(n_qubits=2), SystemConfig(n_qubits=3, drive_choice="center")):
+        calls.clear()
+        result = optimize(np.pi, system, OptimizerConfig(starts=2, seed=5, max_iters=30))
+        assert len(calls) == result.n_evaluations > 0
