@@ -38,6 +38,7 @@ from .linalg import (
 from .magnus import (
     ChannelWeights,
     channel_costs,
+    cost_residuals,
     crosstalk_amplitudes,
     robust_cost,
     susceptibility_beta,

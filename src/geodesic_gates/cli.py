@@ -39,8 +39,7 @@ from .curves import (
 from .frames import DRIVE_CENTER, DRIVE_MIDPOINT, DRIVE_RESONANT_LOWER, SystemConfig, dressing
 from .magnus import (
     ChannelWeights,
-    channel_costs,
-    crosstalk_amplitudes,
+    cost_terms,
     susceptibility_beta,
     susceptibility_beta0,
 )
@@ -281,21 +280,15 @@ def cmd_cost(args) -> int:
     frame = dressing(system)
     weights = ChannelWeights()
     grid = CurveGrid(params)
-    channels = channel_costs(grid, system, frame)
+    channels, susceptibility = cost_terms(grid, system, frame)
     cost = weights.cost(channels)
     area = area_functional(grid)
-    ax, ay, az = susceptibility_beta(grid)
-    ay0, az0 = susceptibility_beta0(grid)
-    ct1, ct2 = crosstalk_amplitudes(grid, frame.delta_tilde, frame.design_beta)
     out = _out_dir(args)
     payload = {
         "area_C_target": area,
         "channels": channels,
         "robust_cost": cost,
-        "susceptibility": {
-            "ax": ax, "ay": ay, "az": az, "ay0": ay0, "az0": az0,
-            "ct1": [ct1.real, ct1.imag], "ct2": [ct2.real, ct2.imag],
-        },
+        "susceptibility": susceptibility,
         "weights": asdict(weights),
         "preset": key,
         "meta": _meta(args, system=system, curve=params),

@@ -29,6 +29,7 @@ table each (`dense_terms`), read by one sampler (`hamiltonian_samples`).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -142,8 +143,10 @@ def two_qubit_dressing(config: SystemConfig) -> FrameData:
     """
     if config.n_qubits != 2:
         raise ValueError("two_qubit_dressing needs a 2-qubit config")
-    theta = -0.5 * np.arctan2(config.g1, config.delta)
-    c, s = np.cos(theta), np.sin(theta)
+    # Python floats, like the chain's scalars: numpy's scalar trigonometry,
+    # kept for its rounding, would otherwise leave numpy.float64 in every field
+    theta = -0.5 * float(np.arctan2(config.g1, config.delta))
+    c, s = float(np.cos(theta)), float(np.sin(theta))
     S = np.array([
         [1, 0, 0, 0],
         [0, c, -s, 0],
@@ -151,7 +154,7 @@ def two_qubit_dressing(config: SystemConfig) -> FrameData:
         [0, 0, 0, 1],
     ], dtype=complex)
     w1, w2 = config.qubit_frequencies
-    root = np.sqrt(config.g1**2 + config.delta**2)
+    root = math.sqrt(config.g1**2 + config.delta**2)
     shift = 0.5 * (config.delta - root)
     w2_t = w2 + shift
     w1_t = w1 - shift
@@ -168,7 +171,7 @@ def two_qubit_dressing(config: SystemConfig) -> FrameData:
         delta_tilde = -root - 0.5 * config.g2
     return FrameData(S=S, betas=betas, coupling_coefs=coupling_coefs,
                      delta_tilde=delta_tilde, drive_scale=c,
-                     rotating_freqs=(w1_t, omega_d), epsilon=0.5 * np.tan(theta))
+                     rotating_freqs=(w1_t, omega_d), epsilon=0.5 * float(np.tan(theta)))
 
 
 # Pauli-string generators of the three-qubit dressing rotations

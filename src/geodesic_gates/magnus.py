@@ -48,12 +48,14 @@ The theta-trig integrands are kept as the reference in tests/oracles.py.
 
 Every integral reads one `CurveGrid`. `robust_cost` is the per-parameter-set
 entry point: it builds the grid once and passes it to all of them.
+`cost_residuals` lays the same integrals out as the short vector whose
+squared norm is |C_robust|^2; the optimizer minimizes it by least squares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -135,7 +137,8 @@ class _Integrals:
     """The susceptibility and crosstalk integrals of one grid.
 
     The factors that no detuning enters, s = sin(chi) phi', e^{i phi} and
-    e^{i S}, are formed once and shared by every integral.
+    e^{i S}, are formed once and shared by every integral; each
+    susceptibility is integrated on first use.
     """
 
     def __init__(self, g: CurveGrid):
@@ -149,6 +152,7 @@ class _Integrals:
     # complex pass over 16384 points costs about 0.01 ms, a quarter of a tan,
     # so the products are formed in place.
 
+    @cached_property
     def detuned(self):
         """(A_X, A_Y, A_Z)."""
         ax = np.sum(self.s * self.w.trap_sin)
@@ -158,6 +162,7 @@ class _Integrals:
         ay_az = integrand.sum().conjugate()
         return float(ax), float(ay_az.real), float(ay_az.imag)
 
+    @cached_property
     def resonant(self):
         """(A_Y0, A_Z0)."""
         # A_Z0 + i A_Y0 = int (1 + i s) e^{i (phi - 2 S)}
@@ -196,7 +201,7 @@ class _Integrals:
 
 def susceptibility_beta(g: CurveGrid):
     """Pauli components (A_X, A_Y, A_Z) of the detuned-block Z response."""
-    return _Integrals(g).detuned()
+    return _Integrals(g).detuned
 
 
 def susceptibility_beta0(g: CurveGrid):
@@ -205,7 +210,7 @@ def susceptibility_beta0(g: CurveGrid):
     The phase is the running rotation angle of the block,
     [theta(chi)-theta(0)] + [phi(chi)-phi(0)] - 2 S(chi).
     """
-    return _Integrals(g).resonant()
+    return _Integrals(g).resonant
 
 
 def crosstalk_amplitudes(g: CurveGrid, delta_tilde: float, beta: float):
@@ -228,6 +233,8 @@ class ChannelWeights:
 
     def __post_init__(self):
         real_fields(self, "freq", "coupling", "crosstalk")
+        if min(self.freq, self.coupling, self.crosstalk) < 0.0:
+            raise ValueError(f"channel weights must be non-negative: {self}")
 
     def cost(self, costs: dict) -> float:
         """|C_robust|^2 = sum_k c_k |d_{dk} A1|^2 from the `channel_costs` dict."""
@@ -243,13 +250,25 @@ def _block_norms(integrals: _Integrals, frame: FrameData):
     """
     scale = 1.0 / frame.design_beta
 
-    def norm(susceptibility):
-        vec = np.array(susceptibility()) * scale
+    def norm(beta):
+        vec = np.array(integrals.detuned if beta != 0.0 else integrals.resonant) * scale
         return float(np.dot(vec, vec))
 
-    detuned = norm(integrals.detuned) if any(frame.betas) else None
-    resonant = norm(integrals.resonant) if 0.0 in frame.betas else None
-    return [detuned if b != 0.0 else resonant for b in frame.betas]
+    return [norm(b) for b in frame.betas]
+
+
+def _channel_costs(integrals: _Integrals, crosstalk_pair, config: SystemConfig,
+                   frame: FrameData) -> dict:
+    norms = _block_norms(integrals, frame)
+    freq = sum(norms)
+    coupling = sum(c * c * n for c, n in zip(frame.coupling_coefs, norms))
+    # one crosstalk amplitude pair per neighbor; the second chain neighbor
+    # counter-rotates, which flips the sign of the effective detuning
+    plus, minus = crosstalk_pair
+    crosstalk = 0.0
+    for ct1, ct2 in [plus] if config.n_qubits == 2 else [plus, minus]:
+        crosstalk += frame.epsilon**2 * (abs(ct1) ** 2 + abs(ct2) ** 2)
+    return {CHANNEL_FREQ: freq, CHANNEL_COUPLING: coupling, CHANNEL_CROSSTALK: crosstalk}
 
 
 def channel_costs(grid: CurveGrid, config: SystemConfig, frame: FrameData) -> dict:
@@ -258,16 +277,42 @@ def channel_costs(grid: CurveGrid, config: SystemConfig, frame: FrameData) -> di
     Noise adds (dw + c_b dJ) Z to block b, c_b from frame.coupling_coefs.
     """
     integrals = _Integrals(grid)
-    norms = _block_norms(integrals, frame)
-    freq = sum(norms)
-    coupling = sum(c * c * n for c, n in zip(frame.coupling_coefs, norms))
-    # one crosstalk amplitude pair per neighbor; the second chain neighbor
-    # counter-rotates, which flips the sign of the effective detuning
+    pair = integrals.crosstalk(frame.delta_tilde, frame.design_beta)
+    return _channel_costs(integrals, pair, config, frame)
+
+
+def cost_terms(grid: CurveGrid, config: SystemConfig, frame: FrameData):
+    """`channel_costs` and every susceptibility component of one grid, from one `_Integrals`.
+
+    The components are (A_X, A_Y, A_Z), (A_Y0, A_Z0) and the crosstalk pair
+    (ct1, ct2) at +delta_tilde, as real and imaginary parts.
+    """
+    integrals = _Integrals(grid)
+    pair = integrals.crosstalk(frame.delta_tilde, frame.design_beta)
+    (ax, ay, az), (ay0, az0), (ct1, ct2) = integrals.detuned, integrals.resonant, pair[0]
+    components = {"ax": ax, "ay": ay, "az": az, "ay0": ay0, "az0": az0,
+                  "ct1": [ct1.real, ct1.imag], "ct2": [ct2.real, ct2.imag]}
+    return _channel_costs(integrals, pair, config, frame), components
+
+
+def cost_residuals(grid: CurveGrid, config: SystemConfig, frame: FrameData,
+                   weights: ChannelWeights = ChannelWeights()) -> np.ndarray:
+    """The residual vector whose squared norm is |C_robust|^2 under `weights`.
+
+    Block b contributes sqrt(w_f + w_c c_b^2) / beta_design times its
+    susceptibility, (A_X, A_Y, A_Z) or, for a resonant block, (A_Y0, A_Z0);
+    each crosstalk neighbor contributes epsilon sqrt(w_x) times the real and
+    imaginary parts of ct1 and ct2. All read one `_Integrals` of the grid.
+    """
+    integrals = _Integrals(grid)
+    parts = [np.sqrt(weights.freq + weights.coupling * c * c) / frame.design_beta
+             * np.array(integrals.detuned if b != 0.0 else integrals.resonant)
+             for b, c in zip(frame.betas, frame.coupling_coefs)]
     plus, minus = integrals.crosstalk(frame.delta_tilde, frame.design_beta)
-    crosstalk = 0.0
+    scale = frame.epsilon * np.sqrt(weights.crosstalk)
     for ct1, ct2 in [plus] if config.n_qubits == 2 else [plus, minus]:
-        crosstalk += frame.epsilon**2 * (abs(ct1) ** 2 + abs(ct2) ** 2)
-    return {CHANNEL_FREQ: freq, CHANNEL_COUPLING: coupling, CHANNEL_CROSSTALK: crosstalk}
+        parts.append(scale * np.array([ct1.real, ct1.imag, ct2.real, ct2.imag]))
+    return np.concatenate(parts)
 
 
 def robust_cost(params: CurveParams, config: SystemConfig, frame: FrameData,

@@ -11,9 +11,12 @@ reproduce zero area and the published robustness to within table rounding.
 returns the sign-corrected, area-resolved parameters used everywhere a
 curve is actually synthesized. The audit command reports both.
 
-Optimization is a deterministic seeded multi-start Nelder-Mead over the
-free parameters, with the area constraint eliminated exactly through the
-affine dependence of C_target on the coefficients.
+Optimization is a deterministic seeded multi-start trust-region least
+squares over the free parameters: |C_robust|^2 is the squared norm of the
+short residual vector `magnus.cost_residuals`, so each start runs
+`scipy.optimize.least_squares` (method "trf") on that vector with a
+finite-difference Jacobian. The area constraint is eliminated exactly
+through the affine dependence of C_target on the coefficients.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .curves import (
     solve_b3_zero_area,
 )
 from .frames import FrameData, SystemConfig, dressing
-from .magnus import ChannelWeights, robust_cost
+from .magnus import ChannelWeights, cost_residuals, robust_cost
 
 # Published rows, verbatim. gate angle pi: a = -1/(32 pi^2); pi/2: -1/(64 pi^2).
 _TABLE_ROWS = {
@@ -49,7 +52,7 @@ _TABLE_ROWS = {
 }
 PRESET_KEYS = tuple(_TABLE_ROWS)
 
-#: Nelder-Mead's cost tolerance, also the cost below which a search counts as converged
+#: least squares' ftol, xtol and gtol, also the cost below which a search counts as converged
 TOL = 1e-12
 #: random starts are drawn uniformly from [-BOX_HALFWIDTH, BOX_HALFWIDTH] per parameter
 BOX_HALFWIDTH = 300.0
@@ -116,6 +119,8 @@ class OptimizerConfig:
     channel_weights: ChannelWeights = field(default_factory=ChannelWeights)
     starts: int = 16
     seed: int = 42
+    #: residual evaluations per start; least_squares does not count its
+    #: finite-difference Jacobian evaluations against it
     max_iters: int = 400
 
     def __post_init__(self):
@@ -141,14 +146,15 @@ def area_zero_required(system: SystemConfig) -> bool:
 
 
 def total_cost(params: CurveParams, system: SystemConfig, frame: FrameData,
-               cfg: OptimizerConfig) -> float:
-    """The search objective: `robust_cost` under the configured channel weights.
+               cfg: OptimizerConfig) -> np.ndarray:
+    """The search objective: the residual vector whose squared norm is
+    `robust_cost` under the configured channel weights.
 
     The area condition needs no penalty term: `optimize` eliminates b3
     exactly where a resonant block requires zero area, and the midpoint
     two-qubit drive has no resonant block.
     """
-    return robust_cost(params, system, frame, cfg.channel_weights)
+    return cost_residuals(CurveGrid(params), system, frame, cfg.channel_weights)
 
 
 @dataclass(frozen=True)
@@ -197,7 +203,7 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
 
     eval_count = 0
 
-    def objective(vec: np.ndarray) -> float:
+    def residuals(vec: np.ndarray) -> np.ndarray:
         nonlocal eval_count
         eval_count += 1
         return total_cost(build(vec), system, frame, cfg)
@@ -214,16 +220,15 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
 
     best = None
     start_costs = []
-    for idx, x0 in enumerate(starts):
-        res = sp_optimize.minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"maxiter": cfg.max_iters, "xatol": 1e-10, "fatol": TOL,
-                     "adaptive": True},
-        )
-        start_costs.append(float(res.fun))
-        if best is None or res.fun < best[1]:
-            best = (idx, float(res.fun), np.array(res.x), bool(res.success))
-    _, cost, x_best, success = best
+    for x0 in starts:
+        res = sp_optimize.least_squares(residuals, x0, method="trf", x_scale="jac",
+                                        max_nfev=cfg.max_iters, ftol=TOL, xtol=TOL, gtol=TOL)
+        # the cost that `cost --params` reports for the same point
+        cost = robust_cost(build(res.x), system, frame, cfg.channel_weights)
+        start_costs.append(cost)
+        if best is None or cost < best[0]:
+            best = (cost, res.x, res.success)
+    cost, x_best, success = best
     params = build(x_best)
     converged = success or cost <= TOL
     return OptimizeResult(params=params, cost=cost, converged=converged,

@@ -314,6 +314,8 @@ def test_run_config_loses_to_flag_equal_to_default(tmp_path):
     ({"optimizer": {"bogus": 1}}, ["optimize", "--setting", "2q-midpoint", "--phi", "pi"]),
     ({"optimizer": {"channel_weights": {"bogus": 1.0}}},
      ["optimize", "--setting", "2q-midpoint", "--phi", "pi"]),
+    ({"optimizer": {"channel_weights": {"freq": -1.0}}},
+     ["optimize", "--setting", "2q-midpoint", "--phi", "pi"]),
     ({"system": {"n_qubits": 2, "delta": "x"}}, ["cost", "--preset", "xpi-2q-robust"]),
     ({"sweep": 5}, ["cost", "--preset", "xpi-2q-robust"]),
     ({"sweep": {"grid": "x"}}, ["sweep", "--preset", "xpi-2q-robust", "--crosstalk", "off"]),
@@ -326,7 +328,7 @@ def test_run_config_loses_to_flag_equal_to_default(tmp_path):
     ({"optimizer": {"free_params": ["b2"]}},
      ["optimize", "--setting", "2q-midpoint", "--phi", "pi"]),
     ({"gate": {"setting": "2q-midpoint"}}, ["optimize"]),
-], ids=["optimizer-key", "channel-weights-key", "system-delta", "section-not-object",
+], ids=["optimizer-key", "channel-weights-key", "channel-weights-negative", "system-delta", "section-not-object",
         "sweep-grid-type", "optimizer-starts-type", "sweep-crosstalk-choice",
         "output-format-choice", "optimizer-starts-zero", "optimizer-w1", "optimizer-w2",
         "optimizer-free-params", "optimize-no-angle"])
@@ -369,9 +371,10 @@ def test_optimize_reads_optimizer_section(tmp_path):
     assert payload["meta"]["seed"] == payload["optimizer_config"]["seed"] == 5
     assert payload["optimizer_config"]["starts"] == 1
     # without --seed or a section, the summary records the default seed that ran;
-    # five iterations stop short of convergence (exit 3), and the summary is written
+    # one residual evaluation stops short of convergence (exit 3), and the
+    # summary is written
     assert run(tmp_path / "default", "optimize", "--setting", "2q-midpoint", "--phi", "pi",
-               "--starts", "1", "--max-iters", "5") == 3
+               "--starts", "1", "--max-iters", "1") == 3
     payload = read_json(tmp_path / "default" / "optimize_result.json")
     assert payload["meta"]["seed"] == payload["optimizer_config"]["seed"] == 42
 

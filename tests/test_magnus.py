@@ -20,6 +20,7 @@ from geodesic_gates.magnus import (
     ChannelWeights,
     _Integrals,
     channel_costs,
+    cost_residuals,
     crosstalk_amplitudes,
     robust_cost,
     susceptibility_beta,
@@ -355,3 +356,36 @@ def test_robust_cost_recorded_values(key, cost):
     # from s = sin(chi) phi' instead of cos and sin of theta
     system = preset_system(key)
     assert robust_cost(preset_curve(key), system, dressing(system)) == cost
+
+
+@pytest.mark.parametrize("index, system", enumerate([
+    SystemConfig(n_qubits=2),
+    SystemConfig(n_qubits=2, drive_choice="resonant_lower"),
+    SystemConfig(n_qubits=3, drive_choice="center"),
+]), ids=["2q-midpoint", "2q-resonant", "3q-chain"])
+def test_cost_residuals_square_to_robust_cost(index, system):
+    # the optimizer's residual vector has |C_robust|^2 as its squared norm, on
+    # the presets and on random starts of the optimizer's box, under the
+    # default and under unequal channel weights
+    frame = dressing(system)
+    rng = np.random.default_rng(90 + index)
+    curves = [preset_curve(key) for key in PRESET_KEYS]
+    curves += [random_curve(rng, scale=BOX_HALFWIDTH) for _ in range(20)]
+    for weights in (ChannelWeights(), ChannelWeights(freq=0.5, coupling=2.0, crosstalk=3.0)):
+        for params in curves:
+            residuals = cost_residuals(CurveGrid(params), system, frame, weights)
+            cost = robust_cost(params, system, frame, weights)
+            assert abs(residuals @ residuals - cost) <= 1e-14 * cost, (params, weights)
+
+
+def test_robust_cost_is_a_python_float():
+    # the records hold Python floats, so a cost serializes to JSON as it is
+    for key in PRESET_KEYS:
+        for system in (preset_system(key), SystemConfig(n_qubits=2, drive_choice="resonant_lower")):
+            assert type(robust_cost(preset_curve(key), system, dressing(system))) is float
+
+
+def test_channel_weights_must_be_non_negative():
+    # a negative weight has no residual vector whose squared norm is the cost
+    with pytest.raises(ValueError, match="non-negative"):
+        ChannelWeights(coupling=-1.0)
