@@ -38,8 +38,8 @@ from .curves import (
 )
 from .frames import DRIVE_CENTER, DRIVE_MIDPOINT, DRIVE_RESONANT_LOWER, SystemConfig, dressing
 from .magnus import (
-    ChannelWeights,
-    cost_terms,
+    channel_costs,
+    crosstalk_amplitudes,
     susceptibility_beta,
     susceptibility_beta0,
 )
@@ -125,6 +125,18 @@ def parse_phi(text: str) -> float:
     return phi
 
 
+def parse_grid(text: str) -> int:
+    """The argparse type of `sweep --grid`: an odd count from 3 to 201, so that
+    the centre point, where the summary reads the floor and the slopes, is zero noise."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if not (3 <= n <= 201 and n % 2):
+        raise argparse.ArgumentTypeError(f"expected an odd count from 3 to 201, got {text!r}")
+    return n
+
+
 def resolve_threads(args) -> int:
     """--threads, else GEODESIC_GATES_THREADS, else the CPU count; at least 1."""
     threads, source = args.threads, "--threads"
@@ -188,6 +200,18 @@ def _system_from_args(args, default_key=None) -> SystemConfig:
         raise ConfigError(f"bad system section: {exc}") from None
 
 
+def _optimizer_from_args(args) -> OptimizerConfig:
+    """The optimizer section with the given --seed, --starts and --max-iters; `cost`
+    reads its channel weights, so it reports the |C_robust|^2 `optimize` does."""
+    try:
+        cfg = OptimizerConfig.from_dict(args._run_config.get("optimizer", {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad optimizer section: {exc}") from None
+    overrides = {name: getattr(args, name) for name in ("seed", "starts", "max_iters")
+                 if getattr(args, name, None) is not None}
+    return replace(cfg, **overrides)
+
+
 def _curve_from_args(args):
     """Resolve (CurveParams, preset_key) from --preset or --params."""
     key = args.preset
@@ -230,8 +254,8 @@ def _out_dir(args) -> Path:
 
 
 def _meta(args, **records) -> dict:
-    # the hash covers the semantic configuration only: the command, the flags
-    # it read and the records it resolved from them (system, curve, optimizer),
+    # the hash covers the semantic configuration only: the command, the flags it
+    # read and the records it resolved from them (system, curve, optimizer, weights),
     # never file names, thread counts or run-config sections as written, so
     # identical runs into different directories produce identical artifacts;
     # --delta and --setting enter through the system record, and --seed,
@@ -278,10 +302,14 @@ def cmd_cost(args) -> int:
     params, key = _curve_from_args(args)
     system = _system_from_args(args, default_key=key)
     frame = dressing(system)
-    weights = ChannelWeights()
+    weights = _optimizer_from_args(args).channel_weights
     grid = CurveGrid(params)
-    channels, susceptibility = cost_terms(grid, system, frame)
+    channels = channel_costs(grid, system, frame)
     cost = weights.cost(channels)
+    ct1, ct2 = crosstalk_amplitudes(grid, frame.delta_tilde, frame.design_beta)
+    susceptibility = dict(zip(("ax", "ay", "az"), susceptibility_beta(grid)))
+    susceptibility.update(zip(("ay0", "az0"), susceptibility_beta0(grid)))
+    susceptibility.update(ct1=[ct1.real, ct1.imag], ct2=[ct2.real, ct2.imag])
     area = area_functional(grid)
     out = _out_dir(args)
     payload = {
@@ -291,7 +319,7 @@ def cmd_cost(args) -> int:
         "susceptibility": susceptibility,
         "weights": asdict(weights),
         "preset": key,
-        "meta": _meta(args, system=system, curve=params),
+        "meta": _meta(args, system=system, curve=params, weights=weights),
     }
     write_json(out / "cost.json", payload)
     print(f"cost: |C_robust|^2={cost:.6e} C_target={area:.3e} "
@@ -303,13 +331,7 @@ def cmd_optimize(args) -> int:
     if args.phi is None:
         raise ConfigError("optimize needs a gate angle: --phi, or phi in the gate section")
     system = _system_from_args(args)
-    try:
-        cfg = OptimizerConfig.from_dict(args._run_config.get("optimizer", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad optimizer section: {exc}") from None
-    overrides = {name: getattr(args, name) for name in ("seed", "starts", "max_iters")
-                 if getattr(args, name) is not None}
-    cfg = replace(cfg, **overrides)
+    cfg = _optimizer_from_args(args)
     result = optimize(args.phi, system, cfg)
     out = _out_dir(args)
     payload = asdict(result)
@@ -374,7 +396,7 @@ def cmd_sweep(args) -> int:
                              crosstalk_on=crosstalk, gate_angle=phi_target)
     out = _out_dir(args)
     write_table(out, "sweep", ["domega", "dj", "infidelity"], result.rows(), args.format)
-    floor = float(result.infidelity[n // 2, n // 2]) if n % 2 else float(np.min(result.infidelity))
+    floor = float(result.infidelity[n // 2, n // 2])
     slopes = {}
     pos = axis[axis > 0]
     if pos.size >= SLOPE_MIN_POINTS:
@@ -548,7 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker threads, at least 1 (default: "
                         "GEODESIC_GATES_THREADS or machine parallelism)")
     p.add_argument("--model", choices=(MODEL_REDUCED, MODEL_LAB), default=MODEL_REDUCED)
-    p.add_argument("--grid", type=int, default=41)
+    p.add_argument("--grid", type=parse_grid, default=41,
+                   help="points per noise axis, odd, from 3 to 201")
     p.add_argument("--range", type=float, default=0.1)
     p.add_argument("--crosstalk", choices=("on", "off"), default="on")
     p.set_defaults(func=cmd_sweep)

@@ -205,9 +205,6 @@ class CurveGrid:
     def arc_length(self) -> float:
         return float(self.arc[-1])
 
-    def trapz(self, integrand: np.ndarray):
-        return np.trapezoid(integrand, dx=self.h, axis=-1)
-
 
 @dataclass(frozen=True)
 class Waveform:

@@ -46,10 +46,12 @@ second neighbour, at -dt~, reads the conjugate of the last. The quadratures
 are fixed weight vectors of the grid, so every integral is a weighted sum.
 The theta-trig integrands are kept as the reference in tests/oracles.py.
 
-Every integral reads one `CurveGrid`. `robust_cost` is the per-parameter-set
-entry point: it builds the grid once and passes it to all of them.
-`cost_residuals` lays the same integrals out as the short vector whose
-squared norm is |C_robust|^2; the optimizer minimizes it by least squares.
+Every integral reads one `CurveGrid`, which `robust_cost` builds once per
+parameter set. One table, `_cost_table`, picks each block's susceptibility
+and the setting's crosstalk neighbors. `channel_costs` sums it into the three
+channels that `robust_cost` weights, and `cost_residuals` lays it out as the
+short vector whose squared norm is |C_robust|^2, which the optimizer
+minimizes by least squares.
 """
 
 from __future__ import annotations
@@ -242,57 +244,34 @@ class ChannelWeights:
                 + self.crosstalk * costs[CHANNEL_CROSSTALK])
 
 
-def _block_norms(integrals: _Integrals, frame: FrameData):
-    """Squared susceptibility norm of each block, in physical-time units.
+def _cost_table(integrals: _Integrals, config: SystemConfig, frame: FrameData):
+    """Each block's (c_b, susceptibility) and each crosstalk neighbor's (ct1, ct2).
 
-    Each susceptibility is integrated only if some block reads it: the 2q
-    midpoint drive has no resonant block.
+    A resonant block reads (A_Y0, A_Z0) and a detuned one (A_X, A_Y, A_Z), each
+    integrated only if some block reads it. The chain's second crosstalk
+    neighbor counter-rotates, which flips the sign of the effective detuning.
     """
-    scale = 1.0 / frame.design_beta
-
-    def norm(beta):
-        vec = np.array(integrals.detuned if beta != 0.0 else integrals.resonant) * scale
-        return float(np.dot(vec, vec))
-
-    return [norm(b) for b in frame.betas]
-
-
-def _channel_costs(integrals: _Integrals, crosstalk_pair, config: SystemConfig,
-                   frame: FrameData) -> dict:
-    norms = _block_norms(integrals, frame)
-    freq = sum(norms)
-    coupling = sum(c * c * n for c, n in zip(frame.coupling_coefs, norms))
-    # one crosstalk amplitude pair per neighbor; the second chain neighbor
-    # counter-rotates, which flips the sign of the effective detuning
-    plus, minus = crosstalk_pair
-    crosstalk = 0.0
-    for ct1, ct2 in [plus] if config.n_qubits == 2 else [plus, minus]:
-        crosstalk += frame.epsilon**2 * (abs(ct1) ** 2 + abs(ct2) ** 2)
-    return {CHANNEL_FREQ: freq, CHANNEL_COUPLING: coupling, CHANNEL_CROSSTALK: crosstalk}
+    blocks = [(c, integrals.detuned if b != 0.0 else integrals.resonant)
+              for b, c in zip(frame.betas, frame.coupling_coefs)]
+    plus, minus = integrals.crosstalk(frame.delta_tilde, frame.design_beta)
+    return blocks, [plus] if config.n_qubits == 2 else [plus, minus]
 
 
 def channel_costs(grid: CurveGrid, config: SystemConfig, frame: FrameData) -> dict:
     """Per-channel squared susceptibilities entering |C_robust|^2.
 
-    Noise adds (dw + c_b dJ) Z to block b, c_b from frame.coupling_coefs.
+    Noise adds (dw + c_b dJ) Z to block b, c_b from frame.coupling_coefs;
+    the susceptibilities are scaled to physical-time units by 1/beta_design.
     """
-    integrals = _Integrals(grid)
-    pair = integrals.crosstalk(frame.delta_tilde, frame.design_beta)
-    return _channel_costs(integrals, pair, config, frame)
-
-
-def cost_terms(grid: CurveGrid, config: SystemConfig, frame: FrameData):
-    """`channel_costs` and every susceptibility component of one grid, from one `_Integrals`.
-
-    The components are (A_X, A_Y, A_Z), (A_Y0, A_Z0) and the crosstalk pair
-    (ct1, ct2) at +delta_tilde, as real and imaginary parts.
-    """
-    integrals = _Integrals(grid)
-    pair = integrals.crosstalk(frame.delta_tilde, frame.design_beta)
-    (ax, ay, az), (ay0, az0), (ct1, ct2) = integrals.detuned, integrals.resonant, pair[0]
-    components = {"ax": ax, "ay": ay, "az": az, "ay0": ay0, "az0": az0,
-                  "ct1": [ct1.real, ct1.imag], "ct2": [ct2.real, ct2.imag]}
-    return _channel_costs(integrals, pair, config, frame), components
+    blocks, neighbors = _cost_table(_Integrals(grid), config, frame)
+    scale = 1.0 / frame.design_beta
+    norms = [float(np.dot(vec, vec)) for vec in (np.array(sus) * scale for _, sus in blocks)]
+    freq = sum(norms)
+    coupling = sum(c * c * n for (c, _), n in zip(blocks, norms))
+    crosstalk = 0.0
+    for ct1, ct2 in neighbors:
+        crosstalk += frame.epsilon**2 * (abs(ct1) ** 2 + abs(ct2) ** 2)
+    return {CHANNEL_FREQ: freq, CHANNEL_COUPLING: coupling, CHANNEL_CROSSTALK: crosstalk}
 
 
 def cost_residuals(grid: CurveGrid, config: SystemConfig, frame: FrameData,
@@ -300,17 +279,14 @@ def cost_residuals(grid: CurveGrid, config: SystemConfig, frame: FrameData,
     """The residual vector whose squared norm is |C_robust|^2 under `weights`.
 
     Block b contributes sqrt(w_f + w_c c_b^2) / beta_design times its
-    susceptibility, (A_X, A_Y, A_Z) or, for a resonant block, (A_Y0, A_Z0);
-    each crosstalk neighbor contributes epsilon sqrt(w_x) times the real and
-    imaginary parts of ct1 and ct2. All read one `_Integrals` of the grid.
+    susceptibility; each crosstalk neighbor contributes epsilon sqrt(w_x)
+    times the real and imaginary parts of ct1 and ct2.
     """
-    integrals = _Integrals(grid)
+    blocks, neighbors = _cost_table(_Integrals(grid), config, frame)
     parts = [np.sqrt(weights.freq + weights.coupling * c * c) / frame.design_beta
-             * np.array(integrals.detuned if b != 0.0 else integrals.resonant)
-             for b, c in zip(frame.betas, frame.coupling_coefs)]
-    plus, minus = integrals.crosstalk(frame.delta_tilde, frame.design_beta)
+             * np.array(susceptibility) for c, susceptibility in blocks]
     scale = frame.epsilon * np.sqrt(weights.crosstalk)
-    for ct1, ct2 in [plus] if config.n_qubits == 2 else [plus, minus]:
+    for ct1, ct2 in neighbors:
         parts.append(scale * np.array([ct1.real, ct1.imag, ct2.real, ct2.imag]))
     return np.concatenate(parts)
 

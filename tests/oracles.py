@@ -20,6 +20,11 @@ from geodesic_gates.frames import MODEL_REDUCED, dense_terms
 from geodesic_gates.linalg import gate_fidelity, max_abs, product_reduce
 
 
+def trapz(g: CurveGrid, integrand: np.ndarray):
+    """The composite trapezoid of `integrand` on the grid's chi spacing."""
+    return np.trapezoid(integrand, dx=g.h, axis=-1)
+
+
 def trapz_endpoint_corrected(y: np.ndarray, h: float):
     """Composite trapezoid with the h^2/12 Euler-Maclaurin endpoint term removed.
 
@@ -39,7 +44,7 @@ def susceptibility_integrands(g: CurveGrid) -> dict:
     These are the integrals as written in the geometric frame, with cos and
     sin of theta and of the resonant running angle psi; `magnus` evaluates
     the same integrals through e^{i theta} = (i - s)/t'. Each is integrated
-    with the plain trapezoid, `CurveGrid.trapz`.
+    with the plain trapezoid, `trapz`.
     """
     cos_t, sin_t = np.cos(g.theta), np.sin(g.theta)
     cos_p, sin_p = np.cos(g.phi), np.sin(g.phi)

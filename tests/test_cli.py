@@ -113,9 +113,29 @@ def test_sweep_small_grid_values(tmp_path):
 
 
 def test_sweep_empty_grid_writes_nothing(tmp_path):
-    assert run(tmp_path, "sweep", "--preset", "xpi-2q-robust", "--grid", "0",
-               "--crosstalk", "off") == 2
+    # argparse refuses the count before the command computes anything
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "sweep", "--preset", "xpi-2q-robust", "--grid", "0",
+            "--crosstalk", "off")
+    assert exc.value.code == 2
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("grid", [1, 12, 203])
+def test_sweep_grid_without_zero_noise_centre_exits_2(tmp_path, capsys, grid):
+    # the summary reads the floor and the slopes on the centre row and column,
+    # which are zero noise only on an odd axis of 3 or more points; the flag
+    # and the run-config key are refused alike
+    argv = ["sweep", "--preset", "xpi-2q-nonrobust", "--crosstalk", "off"]
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path / "flag", *argv, "--grid", str(grid))
+    assert exc.value.code == 2
+    write_json(tmp_path / "run.json", {"sweep": {"grid": grid}})
+    assert main([*argv, "--config", str(tmp_path / "run.json"),
+                 "--out", str(tmp_path / "file")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("argument --grid: expected an odd count from 3 to 201") == 2
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "file").exists()
 
 
 def test_optimize_deterministic_artifacts(tmp_path):
@@ -141,6 +161,29 @@ def test_cost_of_optimized_params_equals_optimizer_cost(tmp_path, setting):
     assert run(tmp_path / "cost", "cost", "--params", str(tmp_path / "params.json"),
                "--setting", setting) == 0
     assert read_json(tmp_path / "cost" / "cost.json")["robust_cost"] == result["cost"]
+
+
+def test_cost_reads_the_run_config_channel_weights(tmp_path):
+    # under one run config, `cost --params` on optimize's result reports the
+    # optimizer's cost with unequal channel weights too, and its hash covers
+    # the weights
+    write_json(tmp_path / "run.json", {"optimizer": {
+        "channel_weights": {"freq": 0.5, "coupling": 2, "crosstalk": 3}}})
+    config = ["--config", str(tmp_path / "run.json")]
+    assert run(tmp_path / "opt", "optimize", "--setting", "2q-midpoint", "--phi", "pi",
+               "--seed", "7", "--starts", "1", "--max-iters", "40", *config) in (0, 3)
+    result = read_json(tmp_path / "opt" / "optimize_result.json")
+    write_json(tmp_path / "params.json", result["params"])
+    argv = ["cost", "--params", str(tmp_path / "params.json"), "--setting", "2q-midpoint"]
+    assert run(tmp_path / "cost", *argv, *config) == 0
+    weighted = read_json(tmp_path / "cost" / "cost.json")
+    assert weighted["robust_cost"] == result["cost"]
+    assert weighted["weights"] == {"freq": 0.5, "coupling": 2.0, "crosstalk": 3.0}
+    assert run(tmp_path / "default", *argv) == 0
+    default = read_json(tmp_path / "default" / "cost.json")
+    assert default["channels"] == weighted["channels"]
+    assert default["robust_cost"] != weighted["robust_cost"]
+    assert default["meta"]["config_sha256"] != weighted["meta"]["config_sha256"]
 
 
 @pytest.mark.parametrize("value", ["zz", "nan"])

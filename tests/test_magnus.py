@@ -33,6 +33,7 @@ from oracles import (
     magnus_oracle,
     su2_exp_batch,
     susceptibility_integrands,
+    trapz,
     trapz_endpoint_corrected,
 )
 
@@ -176,14 +177,14 @@ def test_integrals_match_theta_trig_oracle(index, system):
         got = dict(zip(("ax", "ay", "az"), susceptibility_beta(grid)))
         got.update(zip(("ay0", "az0"), susceptibility_beta0(grid)))
         for name, integrand in susceptibility_integrands(grid).items():
-            mass = grid.trapz(np.abs(integrand))
-            assert abs(got[name] - grid.trapz(integrand)) <= 1e-14 * mass, (params, name)
+            mass = trapz(grid, np.abs(integrand))
+            assert abs(got[name] - trapz(grid, integrand)) <= 1e-14 * mass, (params, name)
         amplitudes = _Integrals(grid).crosstalk(frame.delta_tilde, frame.design_beta)
         for sign, pair in zip((1.0, -1.0), amplitudes):
             integrands = crosstalk_integrands(grid, sign * frame.delta_tilde, frame.design_beta)
             for value, (name, integrand) in zip(pair, integrands.items()):
                 reference = trapz_endpoint_corrected(integrand, grid.h)
-                mass = grid.trapz(np.abs(integrand))
+                mass = trapz(grid, np.abs(integrand))
                 assert abs(value - reference) <= 1e-14 * mass, (params, name, sign)
         assert amplitudes[0] == crosstalk_amplitudes(grid, frame.delta_tilde, frame.design_beta)
 
@@ -324,15 +325,17 @@ def test_cost_and_simulator_noise_tables_agree():
     # the cost weights block b's squared susceptibility by 1 (frequency) and
     # c_b^2 (coupling); the simulator's noise operator puts dw + c_b dJ on
     # block b. Both read frame.coupling_coefs in every setting.
-    from geodesic_gates.magnus import _block_norms
     from geodesic_gates.simulate import NoiseSetting, noise_operator
 
     grid = CurveGrid(preset_curve("xpi-3q-nonrobust"))
+    detuned = np.array(susceptibility_beta(grid))
+    resonant = np.array(susceptibility_beta0(grid))
     for system in (SystemConfig(n_qubits=2),
                    SystemConfig(n_qubits=2, drive_choice="resonant_lower"),
                    SystemConfig(n_qubits=3, drive_choice="center")):
         frame = dressing(system)
-        norms = _block_norms(_Integrals(grid), frame)
+        norms = [(detuned @ detuned if b != 0.0 else resonant @ resonant) / frame.design_beta**2
+                 for b in frame.betas]
         costs = channel_costs(grid, system, frame)
         for channel, noise in ((CHANNEL_FREQ, NoiseSetting(0.25, 0.0)),
                                (CHANNEL_COUPLING, NoiseSetting(0.0, 0.25))):
