@@ -55,7 +55,6 @@ from .optimizer import (
 )
 from .simulate import (
     NoiseSetting,
-    SweepResult,
     cosine_baseline,
     matched_cosine_baseline,
     noise_sweep,

@@ -82,30 +82,15 @@ def read_json(path: Path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def format_float(x: float) -> str:
-    return repr(float(x))
-
-
-def write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(v) if isinstance(v, float) else str(v)
-                              for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_table(out_dir: Path, stem: str, header, rows, fmt: str) -> Path:
-    """Bulk numeric output in the requested format (csv default)."""
-    rows = [list(r) for r in rows]
+def write_table(out_dir: Path, stem: str, columns: dict, fmt: str) -> None:
+    """Named, equal-length columns as `stem`.csv or `stem`.json, one row per index."""
+    rows = np.column_stack(list(columns.values())).tolist()
+    path = out_dir / f"{stem}.{fmt}"
     if fmt == "json":
-        path = out_dir / f"{stem}.json"
-        payload = {"columns": list(header),
-                   "rows": [[float(v) for v in row] for row in rows]}
-        write_json(path, payload)
+        write_json(path, {"columns": list(columns), "rows": rows})
     else:
-        path = out_dir / f"{stem}.csv"
-        write_csv(path, header, rows)
-    return path
+        lines = [",".join(columns), *(",".join(map(repr, row)) for row in rows)]
+        path.write_text("\n".join(lines) + "\n")
 
 
 def parse_phi(text: str) -> float:
@@ -123,6 +108,14 @@ def parse_phi(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"expected pi, pi/2, pi/4, 2pi or a finite float, got {text!r}")
     return phi
+
+
+class CurveSource(argparse.Action):
+    """--preset and --params name one curve: each clears the other, so the later in argv wins."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        namespace.preset = namespace.params = None
+        setattr(namespace, self.dest, value)
 
 
 def parse_grid(text: str) -> int:
@@ -213,7 +206,7 @@ def _optimizer_from_args(args) -> OptimizerConfig:
 
 
 def _curve_from_args(args):
-    """Resolve (CurveParams, preset_key) from --preset or --params."""
+    """Resolve (CurveParams, preset_key) from --preset or --params, whichever came last."""
     key = args.preset
     if key is not None:
         if key not in presets():
@@ -276,10 +269,8 @@ def cmd_synth(args) -> int:
     grid = CurveGrid(params)
     wave = waveform_from_grid(grid, beta, n_samples=args.n_samples)
     out = _out_dir(args)
-    write_table(out, "waveform", ["t", "omega"],
-                zip(map(float, wave.times), map(float, wave.samples)), args.format)
-    write_table(out, "curve", ["chi", "phi", "theta"],
-                zip(map(float, grid.chi), map(float, grid.phi), map(float, grid.theta)),
+    write_table(out, "waveform", {"t": wave.times, "omega": wave.samples}, args.format)
+    write_table(out, "curve", {"chi": grid.chi, "phi": grid.phi, "theta": grid.theta},
                 args.format)
     summary = {
         "T": wave.T,
@@ -389,19 +380,21 @@ def cmd_sweep(args) -> int:
     threads = resolve_threads(args)
     # the block path is one vectorized call; only dense points gain from threads
     if (crosstalk or args.model == MODEL_LAB) and threads > 1:
-        result = _threaded_sweep(system, frame, wave, axis, axis, args.model,
-                                 crosstalk, phi_target, threads)
+        infid = _threaded_sweep(system, frame, wave, axis, axis, args.model,
+                                crosstalk, phi_target, threads)
     else:
-        result = noise_sweep(system, frame, wave, axis, axis, model=args.model,
-                             crosstalk_on=crosstalk, gate_angle=phi_target)
+        infid = noise_sweep(system, frame, wave, axis, axis, model=args.model,
+                            crosstalk_on=crosstalk, gate_angle=phi_target)
     out = _out_dir(args)
-    write_table(out, "sweep", ["domega", "dj", "infidelity"], result.rows(), args.format)
-    floor = float(result.infidelity[n // 2, n // 2])
+    # long format, row-major: domega is the outer index, as in infid[i, j]
+    write_table(out, "sweep", {"domega": np.repeat(axis, n), "dj": np.tile(axis, n),
+                               "infidelity": infid.ravel()}, args.format)
+    floor = float(infid[n // 2, n // 2])
     slopes = {}
     pos = axis[axis > 0]
     if pos.size >= SLOPE_MIN_POINTS:
-        for name, values in (("domega", result.infidelity[axis > 0, n // 2]),
-                             ("dj", result.infidelity[n // 2, axis > 0])):
+        for name, values in (("domega", infid[axis > 0, n // 2]),
+                             ("dj", infid[n // 2, axis > 0])):
             try:
                 slopes[name] = slope_fit(pos, values, floor=floor)
             except ValueError as exc:
@@ -409,7 +402,7 @@ def cmd_sweep(args) -> int:
     summary = {
         "floor_infidelity": floor,
         "slopes": slopes,
-        "model": result.model,
+        "model": args.model,
         "gate_time": wave.T,
         "grid": n,
         "range": args.range,
@@ -418,7 +411,7 @@ def cmd_sweep(args) -> int:
         "meta": _meta(args, system=system, curve=params),
     }
     write_json(out / "sweep_summary.json", summary)
-    print(f"sweep[{result.model}]: {n}x{n} grid, floor={floor:.3e}, slopes={slopes}")
+    print(f"sweep[{args.model}]: {n}x{n} grid, floor={floor:.3e}, slopes={slopes}")
     return 0
 
 
@@ -529,8 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bulk output format preference")
 
     def curve_opts(p, n_samples=True):
-        p.add_argument("--preset", default=None)
-        p.add_argument("--params", default=None, help="JSON file with CurveParams fields")
+        p.add_argument("--preset", default=None, action=CurveSource)
+        p.add_argument("--params", default=None, action=CurveSource,
+                       help="JSON file with CurveParams fields")
         p.add_argument("--setting", default=None, choices=sorted(SETTINGS))
         if n_samples:
             p.add_argument("--n-samples", type=int, default=8192)

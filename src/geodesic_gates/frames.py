@@ -69,6 +69,8 @@ class SystemConfig:
         if self.n_qubits == 3:
             if self.drive_choice != DRIVE_CENTER:
                 raise ValueError("three-qubit drive_choice must be center")
+            if self.g1 == 0:  # the dressing's second-order terms divide by g1
+                raise ValueError("three-qubit dressing needs a nonzero g1, got 0")
             if abs(self.g1 / self.delta) > 0.2:
                 raise ValueError(f"three-qubit dressing needs |lambda| = |g1/delta| <= 0.2, "
                                  f"got {self.g1 / self.delta}")

@@ -21,7 +21,8 @@ polynomial on batched matrix products (`linalg.expm_hermitian_batch`).
 The noise is a constant diagonal operator N, so `noise_sweep`, the one loop
 over sweep points, builds the noise-free steps once, adds N to each point's
 steps (`_dense_gate`) and maps the points through a `map` callable (the CLI
-passes a thread pool's). Every point equals `simulate_gate` bit for bit.
+passes a thread pool's). It returns the infidelity grid as an array indexed
+[dw, dJ], and every point equals `simulate_gate` bit for bit.
 """
 
 from __future__ import annotations
@@ -241,27 +242,14 @@ def _block_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
     return blocks, 1.0 - trace_fidelity(overlap, system.dim)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Infidelity over a (dw, dJ) grid."""
-
-    axis_domega: np.ndarray
-    axis_dj: np.ndarray
-    infidelity: np.ndarray  # shape (len(axis_domega), len(axis_dj))
-    model: str
-
-    def rows(self):
-        """Long-format rows (domega, dj, infidelity), row-major."""
-        for i, dw in enumerate(self.axis_domega):
-            for j, dj in enumerate(self.axis_dj):
-                yield float(dw), float(dj), float(self.infidelity[i, j])
-
-
 def noise_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
                 domega_values, dj_values, model: str = MODEL_REDUCED,
                 crosstalk_on: bool = True, gate_angle: float = np.pi,
-                n_steps: int | None = None, map=map) -> SweepResult:
-    """Infidelity at each grid point, bit for bit `simulate_gate`'s; dense points use `map`."""
+                n_steps: int | None = None, map=map) -> np.ndarray:
+    """Infidelity at each grid point, shape (len(domega_values), len(dj_values)).
+
+    Each point is bit for bit `simulate_gate`'s; dense points go through `map`.
+    """
     domega_values = np.atleast_1d(np.asarray(domega_values, dtype=float))
     dj_values = np.atleast_1d(np.asarray(dj_values, dtype=float))
     if not (0 < domega_values.size <= 201 and 0 < dj_values.size <= 201):
@@ -270,16 +258,14 @@ def noise_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
     NoiseSetting(np.max(np.abs(domega_values), initial=0), np.max(np.abs(dj_values), initial=0))
     _check_inputs(frame, waveform, model, crosstalk_on)
     if model == MODEL_REDUCED and not crosstalk_on:
-        _, infid = _block_sweep(system, frame, waveform, domega_values, dj_values,
-                                gate_angle, n_steps)
-    else:
-        dt, chunks = _magnus_steps(system, frame, waveform, model, n_steps)
-        gate = partial(_dense_gate, system, frame, waveform, model, dt, list(chunks),
-                       gate_angle=gate_angle)
-        noises = [NoiseSetting(float(dw), float(dj), crosstalk_on)
-                  for dw in domega_values for dj in dj_values]
-        infid = np.reshape([i for _, i in map(gate, noises)], (domega_values.size, dj_values.size))
-    return SweepResult(domega_values, dj_values, infid, model)
+        return _block_sweep(system, frame, waveform, domega_values, dj_values,
+                            gate_angle, n_steps)[1]
+    dt, chunks = _magnus_steps(system, frame, waveform, model, n_steps)
+    gate = partial(_dense_gate, system, frame, waveform, model, dt, list(chunks),
+                   gate_angle=gate_angle)
+    noises = [NoiseSetting(float(dw), float(dj), crosstalk_on)
+              for dw in domega_values for dj in dj_values]
+    return np.reshape([i for _, i in map(gate, noises)], (domega_values.size, dj_values.size))
 
 
 #: fewest points above the floor plateau a log-log slope is fitted to

@@ -210,7 +210,7 @@ def test_criterion_6_robustness_separation():
                                        n_samples=16384)
             _, floor = simulate_gate(system, frame, wave, NoiseSetting())
             sweep = noise_sweep(system, frame, wave, axis, [0.0], crosstalk_on=True)
-            slopes[flavor] = slope_fit(axis, sweep.infidelity[:, 0], floor=floor,
+            slopes[flavor] = slope_fit(axis, sweep[:, 0], floor=floor,
                                        subtract_floor=True)
         separation = slopes["robust"] - slopes["nonrobust"]
         details.append(f"{setting}: slope_r={slopes['robust']:.2f} "
@@ -226,7 +226,7 @@ def test_criterion_6_robustness_separation():
             wave = synthesize_waveform(preset_curve(key), frame.design_beta,
                                        n_samples=16384)
             sweep = noise_sweep(system, frame, wave, small, small, crosstalk_on=True)
-            maxes[flavor] = float(np.max(sweep.infidelity))
+            maxes[flavor] = float(np.max(sweep))
         details.append(f"{setting}: max|d|<=0.02 robust {maxes['robust']:.2e} vs "
                        f"nonrobust {maxes['nonrobust']:.2e}")
         passed &= maxes["robust"] < maxes["nonrobust"]

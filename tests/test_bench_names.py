@@ -1,8 +1,8 @@
 """The package names and argument names that the benchmark in bench/ reads.
 
 bench/ drives the package from outside: it imports names, patches
-`cli._threaded_sweep`, binds the arguments of traced calls by name and
-counts spans by function name. A rename there breaks a benchmark run, not
+`cli._threaded_sweep`, binds the arguments of traced calls by name,
+counts spans by function name and leaves the names in `UNWRAPPED` unwrapped. A rename there breaks a benchmark run, not
 a test, so these checks read bench/'s source and look each name up in the
 package.
 """
@@ -23,6 +23,8 @@ SYNTHETIC_SPANS = {"curves.grid_build": ("curves", "CurveGrid"),
 #: so the metrics read from them are 0 (ROADMAP item 5 lists the tracer fixes)
 REMOVED_SPANS = {"curves.curve_grid", "frames.lab_hamiltonian_samples",
                  "frames.reduced_hamiltonian_samples", "linalg.su2_exp_batch"}
+#: names the tracer leaves unwrapped whose function the package has dropped
+REMOVED_UNWRAPPED = {"cli.format_float"}
 
 
 def _tree(name):
@@ -38,6 +40,13 @@ def _lookup(module, name):
         return importlib.import_module(f"{module}.{name}")
     except ModuleNotFoundError:
         return None
+
+
+def _assigned(tree, name):
+    """The value node of the module-level assignment to `name`."""
+    (value,) = [n.value for n in tree.body if isinstance(n, ast.Assign)
+                and any(getattr(t, "id", None) == name for t in n.targets)]
+    return value
 
 
 def _span_function(span):
@@ -87,8 +96,7 @@ def test_bench_traced_functions_and_arguments_exist():
     # metrics count spans by function name
     tree = _tree("tracing.py")
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    (work,) = [n.value for n in tree.body if isinstance(n, ast.Assign)
-               and any(getattr(t, "id", None) == "WORK" for t in n.targets)]
+    work = _assigned(tree, "WORK")
     for key, reader in zip(work.keys, work.values):
         fn = _span_function(key.value)
         if fn is not None:
@@ -106,3 +114,11 @@ def test_bench_traced_functions_and_arguments_exist():
     for span in sorted(spans - REMOVED_SPANS):
         assert _span_function(span) is not None, span
     assert all(_span_function(span) is None for span in REMOVED_SPANS)
+
+
+def test_bench_unwrapped_names_exist():
+    # the tracer skips each UNWRAPPED name when it wraps a module's functions
+    unwrapped = ast.literal_eval(_assigned(_tree("tracing.py"), "UNWRAPPED"))
+    for name in sorted(unwrapped - REMOVED_UNWRAPPED):
+        assert _span_function(name) is not None, name
+    assert all(_span_function(name) is None for name in REMOVED_UNWRAPPED)

@@ -112,6 +112,37 @@ def test_sweep_small_grid_values(tmp_path):
     assert len(lines) == 26
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_table_is_the_grid_row_major(tmp_path, fmt):
+    # one row per grid point, domega the outer index, values exactly
+    # noise_sweep's; this grid is not symmetric under dw <-> dJ, so a
+    # transposed table fails
+    from geodesic_gates.curves import synthesize_waveform
+    from geodesic_gates.frames import dressing
+    from geodesic_gates.optimizer import preset_curve, preset_system
+    from geodesic_gates.simulate import noise_sweep
+
+    key = "xpi-3q-robust"
+    assert run(tmp_path, "sweep", "--preset", key, "--grid", "3", "--range", "0.05",
+               "--crosstalk", "off", "--format", fmt) == 0
+    system = preset_system(key)
+    frame = dressing(system)
+    wave = synthesize_waveform(preset_curve(key), frame.design_beta, n_samples=8192)
+    axis = np.linspace(-0.05, 0.05, 3)
+    infid = noise_sweep(system, frame, wave, axis, axis, crosstalk_on=False)
+    assert np.max(np.abs(infid - infid.T)) > 1e-3
+    expected = [[float(dw), float(dj), float(infid[i, j])]
+                for i, dw in enumerate(axis) for j, dj in enumerate(axis)]
+    if fmt == "json":
+        table = read_json(tmp_path / "sweep.json")
+        assert table["columns"] == ["domega", "dj", "infidelity"]
+        assert table["rows"] == expected
+    else:
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "domega,dj,infidelity"
+        assert [[float(v) for v in line.split(",")] for line in lines[1:]] == expected
+
+
 def test_sweep_empty_grid_writes_nothing(tmp_path):
     # argparse refuses the count before the command computes anything
     with pytest.raises(SystemExit) as exc:
@@ -216,6 +247,21 @@ def test_delta_zero_exits_2(tmp_path, capsys):
     assert run(tmp_path, "cost", "--preset", "xpi-2q-robust", "--delta", "0") == 2
     assert "delta must be nonzero" in capsys.readouterr().err
     assert not (tmp_path / "cost.json").exists()
+
+
+def test_chain_with_zero_g1_exits_2(tmp_path, capsys):
+    # the chain's dressing divides by g1; the 2q dressing has no such term
+    for system, key, code in (({"n_qubits": 3, "g1": 0.0, "drive_choice": "center"},
+                               "xpi-3q-robust", 2),
+                              ({"n_qubits": 2, "g1": 0.0}, "xpi-2q-robust", 0)):
+        write_json(tmp_path / "run.json", {"system": system})
+        for command in (["cost"], ["simulate", "--crosstalk", "off"]):
+            out = tmp_path / f"{key}-{command[0]}"
+            assert main([*command, "--preset", key, "--config", str(tmp_path / "run.json"),
+                         "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+            if code:
+                assert "nonzero g1" in capsys.readouterr().err
 
 
 def test_unresolvable_curve_exits_4(tmp_path, capsys):
@@ -339,6 +385,28 @@ def test_run_config_flag_overrides_file(tmp_path):
     assert main(["cost", "--config", str(cfg_path), "--preset", "xpi-2q-nonrobust",
                  "--out", str(tmp_path)]) == 0
     assert read_json(tmp_path / "cost.json")["preset"] == "xpi-2q-nonrobust"
+
+
+def test_later_curve_flag_wins(tmp_path):
+    # --preset and --params name one curve, and the later of them in argv
+    # wins; the run config's gate.preset comes ahead of argv's own flags
+    from dataclasses import asdict
+
+    from geodesic_gates.optimizer import preset_curve
+
+    params = str(tmp_path / "p.json")
+    write_json(Path(params), asdict(preset_curve("xpi-2q-nonrobust")))
+    write_json(tmp_path / "run.json", {"gate": {"preset": "xpi-2q-robust"}})
+    runs = {"file-params": ["--config", str(tmp_path / "run.json"), "--params", params],
+            "params": ["--params", params],
+            "preset-params": ["--preset", "xpi-2q-robust", "--params", params],
+            "params-preset": ["--params", params, "--preset", "xpi-2q-robust"],
+            "preset": ["--preset", "xpi-2q-robust"]}
+    for name, argv in runs.items():
+        assert run(tmp_path / name, "cost", *argv, "--setting", "2q-midpoint") == 0
+    cost = {name: (tmp_path / name / "cost.json").read_bytes() for name in runs}
+    assert cost["file-params"] == cost["params"] == cost["preset-params"]
+    assert cost["params-preset"] == cost["preset"] != cost["params"]
 
 
 def test_run_config_loses_to_flag_equal_to_default(tmp_path):

@@ -96,8 +96,8 @@ def test_single_point_sweep_matches_simulate():
     noise = NoiseSetting(0.01, -0.02, crosstalk_on=False)
     _, direct = simulate_gate(system, frame, wave, noise)
     sweep = noise_sweep(system, frame, wave, [0.01], [-0.02], crosstalk_on=False)
-    assert sweep.infidelity.shape == (1, 1)
-    assert abs(sweep.infidelity[0, 0] - direct) < 1e-12
+    assert sweep.shape == (1, 1)
+    assert abs(sweep[0, 0] - direct) < 1e-12
 
 
 @pytest.mark.parametrize("key", ["xpi-2q-robust", "xpi-3q-robust"])
@@ -199,8 +199,8 @@ def test_crosstalk_on_sweep_matches_simulate_at_every_point():
     for i, dw in enumerate(axis):
         for j, dj in enumerate(axis):
             _, direct = simulate_gate(system, frame, wave, NoiseSetting(float(dw), float(dj)))
-            assert abs(sweep.infidelity[i, j] - direct) < 1e-12, (dw, dj)
-            assert sweep.infidelity[i, j] == direct, (dw, dj)
+            assert abs(sweep[i, j] - direct) < 1e-12, (dw, dj)
+            assert sweep[i, j] == direct, (dw, dj)
 
 
 def test_step_counts_must_be_positive():
@@ -248,8 +248,8 @@ def test_crosstalk_off_sweep_matches_simulate_at_every_point():
         for j, dj in enumerate(axis):
             noise = NoiseSetting(float(dw), float(dj), crosstalk_on=False)
             _, direct = simulate_gate(system, frame, wave, noise)
-            assert abs(sweep.infidelity[i, j] - direct) < 1e-12, (dw, dj)
-            assert sweep.infidelity[i, j] == direct, (dw, dj)
+            assert abs(sweep[i, j] - direct) < 1e-12, (dw, dj)
+            assert sweep[i, j] == direct, (dw, dj)
 
 
 def test_zero_noise_infidelity_is_not_negative():
@@ -261,7 +261,7 @@ def test_zero_noise_infidelity_is_not_negative():
     sweep = noise_sweep(system, frame, wave, [0.0], [0.0], crosstalk_on=False,
                         gate_angle=np.pi / 2.0)
     assert 0.0 <= direct < 1e-12
-    assert 0.0 <= sweep.infidelity[0, 0] < 1e-12
+    assert 0.0 <= sweep[0, 0] < 1e-12
 
 
 def test_noise_operator_matches_pauli_sum():
@@ -325,8 +325,8 @@ def test_nonrobust_infidelity_minimum_at_origin():
     system, frame, wave = _setup("xpi-2q-nonrobust")
     axis = np.linspace(-0.05, 0.05, 5)
     sweep = noise_sweep(system, frame, wave, axis, axis, crosstalk_on=False)
-    center = sweep.infidelity[2, 2]
-    masked = sweep.infidelity.copy()
+    center = sweep[2, 2]
+    masked = sweep.copy()
     masked[2, 2] = np.inf
     assert center < np.min(masked)
 
@@ -338,7 +338,7 @@ def test_sweep_domega_mirror_symmetry():
     system, frame, wave = _setup("xpi-2q-robust")
     plus = noise_sweep(system, frame, wave, [0.013], [0.007], crosstalk_on=False)
     minus = noise_sweep(system, frame, wave, [-0.013], [0.007], crosstalk_on=False)
-    assert abs(plus.infidelity[0, 0] - minus.infidelity[0, 0]) < 1e-9
+    assert abs(plus[0, 0] - minus[0, 0]) < 1e-9
 
 
 def test_robust_beats_nonrobust_under_noise():
@@ -347,7 +347,7 @@ def test_robust_beats_nonrobust_under_noise():
     axis = np.linspace(-0.02, 0.02, 3)
     sweep_r = noise_sweep(system, frame, wave_r, axis, axis, crosstalk_on=False)
     sweep_n = noise_sweep(system, frame, wave_n, axis, axis, crosstalk_on=False)
-    assert np.max(sweep_r.infidelity) < np.max(sweep_n.infidelity)
+    assert np.max(sweep_r) < np.max(sweep_n)
 
 
 @pytest.mark.parametrize("key, robust", [
@@ -363,17 +363,9 @@ def test_small_noise_slope_of_robust_rows(key, robust):
     system, frame, wave = _setup(key)
     sweep = noise_sweep(system, frame, wave, [1e-3, 4e-3], [0.0], crosstalk_on=False,
                         gate_angle=preset_curve(key).phi_target)
-    low, high = sweep.infidelity[:, 0]
+    low, high = sweep[:, 0]
     slope = np.log(high / low) / np.log(4.0)
     assert slope >= 3.9 if robust else slope < 3.0, slope
-
-
-def test_sweep_rows_long_format():
-    system, frame, wave = _setup("xpi-2q-robust")
-    sweep = noise_sweep(system, frame, wave, [0.0, 0.01], [0.0], crosstalk_on=False)
-    rows = list(sweep.rows())
-    assert len(rows) == 2
-    assert rows[1][0] == 0.01 and rows[1][1] == 0.0
 
 
 def test_slope_fit_synthetic_quadratic():
