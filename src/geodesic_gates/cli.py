@@ -36,7 +36,7 @@ from .curves import (
     synthesize_waveform,
     waveform_from_grid,
 )
-from .frames import DRIVE_CENTER, DRIVE_MIDPOINT, DRIVE_RESONANT_LOWER, SystemConfig, dressing
+from .frames import SETTINGS, SystemConfig, dressing
 from .magnus import (
     channel_costs,
     crosstalk_amplitudes,
@@ -62,13 +62,6 @@ from .simulate import (
     simulate_gate,
     slope_fit,
 )
-
-SETTINGS = {
-    "2q-midpoint": dict(n_qubits=2, drive_choice=DRIVE_MIDPOINT),
-    "2q-resonant": dict(n_qubits=2, drive_choice=DRIVE_RESONANT_LOWER),
-    "3q-chain": dict(n_qubits=3, drive_choice=DRIVE_CENTER),
-}
-
 
 class ConfigError(Exception):
     """Invalid command configuration; maps to exit code 2."""
@@ -130,20 +123,15 @@ def parse_grid(text: str) -> int:
     return n
 
 
-def resolve_threads(args) -> int:
-    """--threads, else GEODESIC_GATES_THREADS, else the CPU count; at least 1."""
-    threads, source = args.threads, "--threads"
-    if threads is None:
-        env, source = os.environ.get("GEODESIC_GATES_THREADS"), "GEODESIC_GATES_THREADS"
-        if not env:
-            return os.cpu_count() or 1
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ConfigError(f"{source}={env!r} is not an integer") from None
-    if threads < 1:
-        raise ConfigError(f"{source} must be at least 1, got {threads}")
-    return threads
+def parse_threads(text: str) -> int:
+    """The argparse type of `sweep --threads`: a worker-thread count of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return n
 
 
 #: run-config keys that stand for flags, by section; `output.dir` is --out
@@ -377,11 +365,11 @@ def cmd_sweep(args) -> int:
     NoiseSetting(args.range, args.range)  # the noise bound, before linspace warns on inf
     axis = np.linspace(-args.range, args.range, n)
     crosstalk = args.crosstalk == "on"
-    threads = resolve_threads(args)
-    # the block path is one vectorized call; only dense points gain from threads
-    if (crosstalk or args.model == MODEL_LAB) and threads > 1:
+    # noise_sweep maps only dense points through the pool; a block sweep is one
+    # vectorized call and leaves it idle
+    if args.threads > 1:
         infid = _threaded_sweep(system, frame, wave, axis, axis, args.model,
-                                crosstalk, phi_target, threads)
+                                crosstalk, phi_target, args.threads)
     else:
         infid = noise_sweep(system, frame, wave, axis, axis, model=args.model,
                             crosstalk_on=crosstalk, gate_angle=phi_target)
@@ -560,9 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="2-D quasi-static noise sweep")
     common(p); table_format(p); curve_opts(p)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads, at least 1 (default: "
-                        "GEODESIC_GATES_THREADS or machine parallelism)")
+    p.add_argument("--threads", type=parse_threads, default=os.cpu_count() or 1,
+                   help="worker threads of dense sweep points, at least 1 "
+                        "(default: machine parallelism)")
     p.add_argument("--model", choices=(MODEL_REDUCED, MODEL_LAB), default=MODEL_REDUCED)
     p.add_argument("--grid", type=parse_grid, default=41,
                    help="points per noise axis, odd, from 3 to 201")

@@ -47,6 +47,14 @@ DRIVE_CENTER = "center"
 MODEL_REDUCED = "reduced"
 MODEL_LAB = "lab"
 
+#: the valid (n_qubits, drive_choice) pairs, by setting name: the drive centred between
+#: the target's split frequencies or resonant with the lower one, or the chain's centre
+SETTINGS = {
+    "2q-midpoint": dict(n_qubits=2, drive_choice=DRIVE_MIDPOINT),
+    "2q-resonant": dict(n_qubits=2, drive_choice=DRIVE_RESONANT_LOWER),
+    "3q-chain": dict(n_qubits=3, drive_choice=DRIVE_CENTER),
+}
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -59,16 +67,14 @@ class SystemConfig:
     drive_choice: str = DRIVE_MIDPOINT
 
     def __post_init__(self):
-        if not isinstance(self.n_qubits, numbers.Integral) or self.n_qubits not in (2, 3):
-            raise ValueError(f"n_qubits must be 2 or 3, got {self.n_qubits!r}")
+        pair = dict(n_qubits=self.n_qubits, drive_choice=self.drive_choice)
+        if not isinstance(self.n_qubits, numbers.Integral) or pair not in SETTINGS.values():
+            raise ValueError(f"(n_qubits, drive_choice) must be one of "
+                             f"{[tuple(s.values()) for s in SETTINGS.values()]}, got {tuple(pair.values())}")
         real_fields(self, "delta", "g1", "g2")
         if self.delta == 0:
             raise ValueError("delta must be nonzero")
-        if self.n_qubits == 2 and self.drive_choice not in (DRIVE_MIDPOINT, DRIVE_RESONANT_LOWER):
-            raise ValueError(f"two-qubit drive_choice must be midpoint or resonant_lower, got {self.drive_choice!r}")
         if self.n_qubits == 3:
-            if self.drive_choice != DRIVE_CENTER:
-                raise ValueError("three-qubit drive_choice must be center")
             if self.g1 == 0:  # the dressing's second-order terms divide by g1
                 raise ValueError("three-qubit dressing needs a nonzero g1, got 0")
             if abs(self.g1 / self.delta) > 0.2:
@@ -300,8 +306,7 @@ def frame_unwind_diag(frame: FrameData, t: float) -> np.ndarray:
     return np.exp(-1.0j * k * t)
 
 
-def logical_from_lab(u_lab: np.ndarray, config: SystemConfig, frame: FrameData,
-                     T: float) -> np.ndarray:
+def logical_from_lab(u_lab: np.ndarray, frame: FrameData, T: float) -> np.ndarray:
     """Transform a lab propagator to the logical rotating frame.
 
     U_logical = R(T)^dag S U_lab S^dag R(0), with R(0) = identity.

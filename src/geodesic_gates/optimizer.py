@@ -36,7 +36,7 @@ from .curves import (
     solve_b1_zero_area,
     solve_b3_zero_area,
 )
-from .frames import FrameData, SystemConfig, dressing
+from .frames import SETTINGS, FrameData, SystemConfig, dressing
 from .magnus import ChannelWeights, cost_residuals, robust_cost
 
 # Published rows, verbatim. gate angle pi: a = -1/(32 pi^2); pi/2: -1/(64 pi^2).
@@ -105,11 +105,10 @@ def preset_curve(key: str) -> CurveParams:
 
 
 def preset_system(key: str) -> SystemConfig:
-    """Default system configuration for a preset row (J = g1 = g2 = 1)."""
-    row = presets()[key]
-    if row.setting == "2q":
-        return SystemConfig(n_qubits=2)
-    return SystemConfig(n_qubits=3, drive_choice="center")
+    """Default system configuration for a preset row (J = g1 = g2 = 1): the
+    2q rows are midpoint-drive rows, the 3q rows chain rows."""
+    setting = "2q-midpoint" if presets()[key].setting == "2q" else "3q-chain"
+    return SystemConfig(**SETTINGS[setting])
 
 
 @dataclass(frozen=True)

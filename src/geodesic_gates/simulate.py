@@ -46,8 +46,6 @@ from .frames import (
 )
 from .linalg import (
     MAGNUS4_WEIGHT,
-    SIGMA_X,
-    expm_hermitian,
     expm_hermitian_batch,
     gate_fidelity,
     gauss_nodes,
@@ -101,7 +99,8 @@ def noise_operator(config: SystemConfig, noise: NoiseSetting) -> np.ndarray:
     return np.diag(_noise_diagonal(dressing(config), noise)).astype(complex)
 
 
-def _check_inputs(frame: FrameData, waveform: Waveform, model: str, crosstalk_on: bool) -> None:
+def _block_path(frame: FrameData, waveform: Waveform, model: str, crosstalk_on: bool) -> bool:
+    """Check a simulation's inputs; True for the block-diagonal reduced model without crosstalk."""
     if model == MODEL_LAB and not crosstalk_on:
         raise ValueError("the lab model always contains the control crosstalk; "
                          "crosstalk off needs the reduced model")
@@ -109,6 +108,7 @@ def _check_inputs(frame: FrameData, waveform: Waveform, model: str, crosstalk_on
         raise ValueError(
             f"waveform designed for |beta| = {abs(waveform.beta_design)} "
             f"but the system's design detuning is {frame.design_beta}")
+    return model == MODEL_REDUCED and not crosstalk_on
 
 
 def _block_betas(frame: FrameData, delta_omega, delta_j) -> np.ndarray:
@@ -205,7 +205,7 @@ def _dense_gate(system: SystemConfig, frame: FrameData, waveform: Waveform, mode
         u_chunk = product_reduce(expm_hermitian_batch(hams, dt))
         u_final = u_chunk if u_final is None else u_chunk @ u_final
     if model == MODEL_LAB:
-        u_final = logical_from_lab(u_final, system, frame, waveform.T)
+        u_final = logical_from_lab(u_final, frame, waveform.T)
     return u_final, 1.0 - gate_fidelity(u_final, logical_target(system, gate_angle))
 
 
@@ -221,8 +221,7 @@ def simulate_gate(system: SystemConfig, frame: FrameData, waveform: Waveform,
     of that which resolves delta_tilde (`_dense_per_interval`). `n_steps`
     overrides the step count and must be positive.
     """
-    _check_inputs(frame, waveform, model, noise.crosstalk_on)
-    if model == MODEL_REDUCED and not noise.crosstalk_on:
+    if _block_path(frame, waveform, model, noise.crosstalk_on):
         blocks, infid = _block_sweep(system, frame, waveform, noise.delta_omega,
                                      noise.delta_j, gate_angle, n_steps)
         return block_diag(*blocks[:, 0, 0]), float(infid[0, 0])
@@ -236,7 +235,7 @@ def _block_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
     dw_grid, dj_grid = np.meshgrid(domega_values, dj_values, indexing="ij")
     blocks = propagate_blocks(waveform, _block_betas(frame, dw_grid, dj_grid), n_steps)
     # Tr(U^dag (I (x) R_X)) in a fixed order; a reduction's order varies with the grid shape
-    terms = blocks.conj() * expm_hermitian(SIGMA_X, gate_angle / 2.0)
+    terms = blocks.conj() * logical_target(system, gate_angle)[:2, :2]
     overlap = sum(terms[k, ..., b, a] for k in range(len(frame.betas))
                   for b in (0, 1) for a in (0, 1))
     return blocks, 1.0 - trace_fidelity(overlap, system.dim)
@@ -256,8 +255,7 @@ def noise_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
         raise ValueError("sweep grids need 1 to 201 points per axis")
     # NoiseSetting's bound, at the grid corner: the block path builds no NoiseSetting
     NoiseSetting(np.max(np.abs(domega_values), initial=0), np.max(np.abs(dj_values), initial=0))
-    _check_inputs(frame, waveform, model, crosstalk_on)
-    if model == MODEL_REDUCED and not crosstalk_on:
+    if _block_path(frame, waveform, model, crosstalk_on):
         return _block_sweep(system, frame, waveform, domega_values, dj_values,
                             gate_angle, n_steps)[1]
     dt, chunks = _magnus_steps(system, frame, waveform, model, n_steps)
@@ -310,11 +308,11 @@ def cosine_baseline(gate_angle: float, T: float, n_samples: int = 4096) -> Wavef
     return Waveform(T=T, dt=t[1] - t[0], samples=samples, beta_design=0.0)
 
 
-def matched_cosine_baseline(gate_angle: float, reference: Waveform,
-                            n_samples: int = 4097) -> Waveform:
+def matched_cosine_baseline(gate_angle: float, reference: Waveform) -> Waveform:
     """Cosine pulse whose peak amplitude matches a reference pulse.
 
-    An odd sample count puts a sample exactly on the peak at T/2.
+    It takes the reference's sample count, made odd so that a sample sits
+    exactly on the peak at T/2.
     """
     T = 2.0 * gate_angle / reference.peak_amplitude
-    return cosine_baseline(gate_angle, T, n_samples)
+    return cosine_baseline(gate_angle, T, len(reference.samples) | 1)

@@ -107,6 +107,7 @@ def test_criterion_2_zero_area_theorem():
                       f"infidelity {worst:.2e} < 1e-6 at |C_target| < 1e-8")
 
 
+@pytest.mark.slow
 def test_criterion_3_magnus_oracle_equivalence():
     """Analytic susceptibilities match the brute-force Magnus oracle, 1e-5 rel."""
     rng = np.random.default_rng(2024)

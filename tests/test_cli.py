@@ -315,32 +315,14 @@ def test_module_entrypoint_runs():
     assert proc.returncode == 0
 
 
-def test_threads_env_fallback(monkeypatch):
-    import argparse
-
-    from geodesic_gates.cli import ConfigError, resolve_threads
-
-    ns = argparse.Namespace(threads=None)
-    monkeypatch.setenv("GEODESIC_GATES_THREADS", "3")
-    assert resolve_threads(ns) == 3
-    monkeypatch.setenv("GEODESIC_GATES_THREADS", "zebra")
-    try:
-        resolve_threads(ns)
-    except ConfigError:
-        pass
-    else:
-        raise AssertionError("expected ConfigError")
-    ns_explicit = argparse.Namespace(threads=5)
-    assert resolve_threads(ns_explicit) == 5
-    # counts below 1 are configuration errors, from the flag and the variable
-    for value in ("0", "-4"):
-        monkeypatch.setenv("GEODESIC_GATES_THREADS", value)
-        with pytest.raises(ConfigError):
-            resolve_threads(ns)
-    monkeypatch.setenv("GEODESIC_GATES_THREADS", "3")
-    for value in (0, -3):
-        with pytest.raises(ConfigError):
-            resolve_threads(argparse.Namespace(threads=value))
+@pytest.mark.parametrize("threads", ["0", "-3", "zebra"])
+def test_sweep_refuses_a_thread_count_below_one(tmp_path, capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path / "out", "sweep", "--preset", "xpi-2q-robust", "--grid", "3",
+            "--n-samples", "256", "--threads", threads)
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("model", ["reduced", "lab"])

@@ -10,6 +10,7 @@ from geodesic_gates.curves import Waveform, synthesize_waveform
 from geodesic_gates.frames import (
     MODEL_LAB,
     MODEL_REDUCED,
+    SETTINGS,
     FrameData,
     SystemConfig,
     block_z_diag,
@@ -49,6 +50,20 @@ def test_system_config_validation():
         SystemConfig(n_qubits=3, drive_choice="center", delta=0.5)  # |lambda| >= 1
     with pytest.raises(ValueError):
         three_qubit_dressing(SystemConfig(n_qubits=3, delta=3.0, drive_choice="center"))
+
+
+def test_system_config_accepts_exactly_the_settings_pairs():
+    pairs = [(n, choice) for n in (2, 3) for choice in ("midpoint", "resonant_lower", "center")]
+    valid = {(s["n_qubits"], s["drive_choice"]) for s in SETTINGS.values()}
+    assert valid == {(2, "midpoint"), (2, "resonant_lower"), (3, "center")}
+    for n_qubits, drive_choice in pairs:
+        if (n_qubits, drive_choice) in valid:
+            assert SystemConfig(n_qubits=n_qubits, drive_choice=drive_choice).n_qubits == n_qubits
+        else:
+            with pytest.raises(ValueError, match="drive_choice"):
+                SystemConfig(n_qubits=n_qubits, drive_choice=drive_choice)
+    with pytest.raises(ValueError, match="n_qubits"):
+        SystemConfig(n_qubits=2.0)
 
 
 def test_lab_static_decoupled_limit():
@@ -270,7 +285,7 @@ def test_frame_consistency_two_qubit():
     u_red = _propagate(lambda ts: hamiltonian_samples(cfg, MODEL_REDUCED, wave, ts),
                        wave.T, 65536)
     u_lab = _propagate(lambda ts: hamiltonian_samples(cfg, MODEL_LAB, wave, ts), wave.T, 262144)
-    u_log = logical_from_lab(u_lab, cfg, frame, wave.T)
+    u_log = logical_from_lab(u_lab, frame, wave.T)
     # the transform is exact; the residual is integrator discretization
     assert max_abs(u_log - u_red) < 1e-7
     target = logical_target(cfg, np.pi)

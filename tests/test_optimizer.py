@@ -10,9 +10,10 @@ from geodesic_gates.curves import (
     rotation_angle,
     solve_b1_zero_area,
 )
-from geodesic_gates.frames import SystemConfig, dressing
+from geodesic_gates.frames import SETTINGS, SystemConfig, dressing
 from geodesic_gates.magnus import ChannelWeights, robust_cost
 from geodesic_gates.optimizer import (
+    PRESET_KEYS,
     OptimizerConfig,
     optimize,
     preset_curve,
@@ -56,6 +57,14 @@ def test_preset_system_defaults():
     assert preset_system("xpi-2q-robust").n_qubits == 2
     assert preset_system("xpi-3q-robust").n_qubits == 3
     assert preset_system("xpi-3q-robust").delta == 20.0
+
+
+def test_preset_system_is_a_settings_row():
+    # the 2q rows are midpoint-drive rows, the 3q rows chain rows
+    for key in PRESET_KEYS:
+        setting = "2q-midpoint" if "-2q-" in key else "3q-chain"
+        assert preset_system(key) == SystemConfig(**SETTINGS[setting])
+    assert len(PRESET_KEYS) == 8
 
 
 def test_total_cost_zero_weights():

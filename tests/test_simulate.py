@@ -425,6 +425,15 @@ def test_matched_cosine_peak():
     assert abs(cosine.peak_amplitude - wave.peak_amplitude) < 1e-9
 
 
+@pytest.mark.parametrize("n_samples", [512, 2049])
+def test_matched_cosine_takes_the_reference_sample_count(n_samples):
+    # an even count rounds up to the next odd one, which samples the peak
+    _, _, wave = _setup("xpi-2q-robust", n_samples)
+    cosine = matched_cosine_baseline(np.pi, wave)
+    assert len(cosine.samples) == n_samples | 1
+    assert np.argmax(cosine.samples) == n_samples // 2
+
+
 def test_lab_and_reduced_agree_three_qubit():
     # truncation of the dressing at O(lambda^3) bounds the model mismatch
     system, frame, wave = _setup("xpi-3q-nonrobust")
