@@ -355,6 +355,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # a positive test, so NaN fails it; the upper end is NoiseSetting's bound
+    if not 0.0 < args.range <= 0.5:
+        raise ConfigError(f"--range must be in (0, 0.5] (units of J), got {args.range!r}")
     params, key = _curve_from_args(args)
     phi_target = params.phi_target
     system = _system_from_args(args, default_key=key)
@@ -362,7 +365,6 @@ def cmd_sweep(args) -> int:
     frame = dressing(system)
     wave = synthesize_waveform(params, frame.design_beta, n_samples=args.n_samples)
     n = args.grid
-    NoiseSetting(args.range, args.range)  # the noise bound, before linspace warns on inf
     axis = np.linspace(-args.range, args.range, n)
     crosstalk = args.crosstalk == "on"
     # noise_sweep maps only dense points through the pool; a block sweep is one

@@ -197,8 +197,9 @@ def su2_ordered_exp(x, y, z) -> np.ndarray:
         if n % 2:
             nxt[..., half] = q[..., n - 1]
         q = nxt
-    # the rounding of each step's norm accumulates along the product (about
-    # 4e-13 over 32764 steps); projecting back onto the unit sphere removes it
+    # the rounding of each step's norm accumulates along the product (up to
+    # 2.3e-13 over 16382 steps, the block default at 8192 samples, for betas
+    # in [-1.2, 1.2]); projecting back onto the unit sphere removes it
     w, a, b, c = q[..., 0] / np.sqrt(np.sum(q[..., 0] ** 2, axis=0))
     out = np.empty(w.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = w - 1.0j * c

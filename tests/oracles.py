@@ -18,6 +18,7 @@ from geodesic_gates.curves import (
 )
 from geodesic_gates.frames import MODEL_REDUCED, dense_terms
 from geodesic_gates.linalg import gate_fidelity, max_abs, product_reduce
+from geodesic_gates.simulate import _BLOCK_PER_INTERVAL
 
 
 def trapz(g: CurveGrid, integrand: np.ndarray):
@@ -205,11 +206,12 @@ def propagate_blocks_oracle(wave, betas, n_steps=None) -> np.ndarray:
     """The block propagator as complex 2x2 stacks, one beta at a time.
 
     The same fourth-order Magnus steps on two Gauss-Legendre nodes as
-    `simulate.propagate_blocks`, exponentiated by `su2_exp_batch` and
-    multiplied by `product_reduce`, with no sharing between betas.
+    `simulate.propagate_blocks`, on the same default step grid, exponentiated
+    by `su2_exp_batch` and multiplied by `product_reduce`, with no sharing
+    between betas and no sign fold.
     """
     if n_steps is None:
-        n_steps = 4 * (len(wave.samples) - 1)
+        n_steps = _BLOCK_PER_INTERVAL * (len(wave.samples) - 1)
     dt = wave.T / n_steps
     t0 = np.arange(n_steps) * dt
     gauss = 0.5 * np.sqrt(3.0) / 3.0

@@ -783,14 +783,11 @@ def test_every_preset_passes_its_own_area_check():
     (["sweep", "--preset", "xpi-2q-robust", "--n-samples", "1024"],
      {"sweep": {"grid": 5, "range": 0.05, "crosstalk": "off"}, "output": {"format": "json"}},
      ["--grid", "5", "--range", "0.05", "--crosstalk", "off", "--format", "json"]),
-    (["sweep", "--preset", "xpi-2q-robust", "--n-samples", "1024"],
-     {"sweep": {"grid": 3, "range": -0.05, "crosstalk": "off"}},
-     ["--grid", "3", "--range", "-0.05", "--crosstalk", "off"]),
     (["cost"], {"gate": {"preset": "xhalfpi-3q-robust", "phi": "pi/2"}},
      ["--preset", "xhalfpi-3q-robust"]),
     (["cost", "--preset", "xpi-2q-robust"], {"gate": {"setting": "2q-resonant"}},
      ["--setting", "2q-resonant"]),
-], ids=["sweep-output", "negative-range", "gate-preset-phi", "gate-setting"])
+], ids=["sweep-output", "gate-preset-phi", "gate-setting"])
 def test_run_config_value_acts_like_its_flag(tmp_path, argv, config, flags):
     # the file's output.dir stands for --out; gate.phi reaches only optimize
     config = {**config, "output": {**config.get("output", {}), "dir": str(tmp_path / "file")}}
@@ -801,6 +798,32 @@ def test_run_config_value_acts_like_its_flag(tmp_path, argv, config, flags):
     assert names == sorted(path.name for path in (tmp_path / "flags").iterdir())
     for name in names:
         assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_negative_sweep_range_from_config_or_flag_exits_2(tmp_path, capsys, source):
+    # the run config's -0.05 becomes the token --range=-0.05, whose `=` keeps
+    # it a value: both reach the range check rather than argparse
+    argv = ["sweep", "--preset", "xpi-2q-robust", "--grid", "3", "--crosstalk", "off"]
+    if source == "config":
+        write_json(tmp_path / "run.json", {"sweep": {"range": -0.05}})
+        argv += ["--config", str(tmp_path / "run.json")]
+    else:
+        argv += ["--range=-0.05"]
+    assert run(tmp_path / "out", *argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --range must be in (0, 0.5] (units of J), got -0.05"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-0.0", "0.6", "nan", "-inf"])
+def test_sweep_range_outside_zero_to_half_exits_2(tmp_path, capsys, value):
+    # a zero range would write n*n identical zero-noise rows as a grid, and a
+    # negative one a descending grid
+    assert run(tmp_path / "out", "sweep", "--preset", "xpi-2q-robust", "--grid", "3",
+               "--crosstalk", "off", f"--range={value}") == 2
+    assert "--range must be in (0, 0.5]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("extra", [

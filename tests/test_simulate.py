@@ -17,6 +17,7 @@ from geodesic_gates.linalg import (
     expm_hermitian_batch,
     gate_fidelity,
     pauli_string,
+    su2_ordered_exp,
 )
 from geodesic_gates.magnus import CHANNEL_COUPLING, CHANNEL_FREQ, channel_costs
 from geodesic_gates.optimizer import PRESET_KEYS, preset_curve, preset_system
@@ -31,8 +32,11 @@ from geodesic_gates.simulate import (
     propagate_blocks,
     simulate_gate,
     slope_fit,
+    _BLOCK_PER_INTERVAL,
+    _block_betas,
     _dense_per_interval,
     _magnus_steps,
+    _step_grid,
 )
 from oracles import (
     expm_eigh_batch,
@@ -132,13 +136,27 @@ def test_dense_step_doubling(key, model):
 @pytest.mark.parametrize("key", PRESET_KEYS)
 def test_block_step_doubling(key):
     # the same estimate for the crosstalk-off block path, whose default grid
-    # is four steps per waveform sample interval
+    # is two steps per waveform sample interval, +-beta folded
     system, frame, wave = _setup(key)
     noise = NoiseSetting(0.02, 0.01, crosstalk_on=False)
     u_default, _ = simulate_gate(system, frame, wave, noise)
     u_double, _ = simulate_gate(system, frame, wave, noise,
-                                n_steps=2 * 4 * (len(wave.samples) - 1))
+                                n_steps=2 * _BLOCK_PER_INTERVAL * (len(wave.samples) - 1))
     assert np.max(np.abs(u_default - u_double)) < 1e-11
+
+
+@pytest.mark.parametrize("key", PRESET_KEYS)
+def test_block_step_doubling_at_the_noise_corners(key):
+    # NoiseSetting's largest noise moves the detunings furthest from the
+    # design; the step error there stays far below the sampling error
+    system, frame, wave = _setup(key)
+    n_double = 2 * _BLOCK_PER_INTERVAL * (len(wave.samples) - 1)
+    for dw in (-0.5, 0.5):
+        for dj in (-0.5, 0.5):
+            noise = NoiseSetting(dw, dj, crosstalk_on=False)
+            u_default, _ = simulate_gate(system, frame, wave, noise)
+            u_double, _ = simulate_gate(system, frame, wave, noise, n_steps=n_double)
+            assert np.max(np.abs(u_default - u_double)) < 1e-10, (dw, dj)
 
 
 @pytest.mark.parametrize("key", ["xpi-2q-robust", "xpi-3q-robust"])
@@ -238,6 +256,41 @@ def test_propagate_blocks_equal_betas_give_identical_blocks():
     pair = propagate_blocks(wave, [0.5, np.nextafter(0.5, 1.0)])
     assert not np.array_equal(pair[0], pair[1])
     assert np.max(np.abs(pair[0] - pair[1])) < 1e-12
+
+
+@pytest.mark.parametrize("key", PRESET_KEYS)
+def test_propagate_blocks_sign_fold_is_exact(key):
+    # U(-beta) = X U(beta) X, taken as the reversed entries of U(|beta|), is
+    # bit for bit the product of the steps at -beta
+    _, frame, wave = _setup(key)
+    dt, t1, t2 = _step_grid(wave, None, _BLOCK_PER_INTERVAL)
+    om1, om2 = wave.envelope(t1), wave.envelope(t2)
+    x_row = 0.25 * (om1 + om2) * dt
+    y_row = -np.sqrt(3.0) / 24.0 * dt * dt * (om2 - om1)
+    for b in np.concatenate([np.asarray(frame.betas) + 0.07, np.asarray(frame.betas) - 0.07]):
+        pair = propagate_blocks(wave, [b, -b])
+        assert np.array_equal(pair[1], pair[0][::-1, ::-1]), b
+        direct = su2_ordered_exp(x_row, y_row * -b, 0.5 * dt * -b)
+        assert np.array_equal(pair[1], direct), b
+
+
+def test_sweep_propagates_each_distinct_magnitude_once(monkeypatch):
+    # a 41x41 grid's 3362 block detunings hold 251 distinct values, and 140
+    # distinct magnitudes; only the magnitudes are propagated
+    system, frame, wave = _setup("xpi-2q-robust")
+    axis = np.linspace(-0.1, 0.1, 41)
+    dw_grid, dj_grid = np.meshgrid(axis, axis, indexing="ij")
+    betas = _block_betas(frame, dw_grid, dj_grid)
+    assert betas.size == 3362 and np.unique(betas).size == 251
+    rows = []
+
+    def counted(x, y, z):
+        rows.append(np.shape(z)[0])
+        return su2_ordered_exp(x, y, z)
+
+    monkeypatch.setattr(simulate, "su2_ordered_exp", counted)
+    noise_sweep(system, frame, wave, axis, axis, crosstalk_on=False)
+    assert sum(rows) == 140
 
 
 def test_crosstalk_off_sweep_matches_simulate_at_every_point():
