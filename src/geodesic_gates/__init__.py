@@ -31,7 +31,6 @@ from .frames import (
     two_qubit_dressing,
 )
 from .linalg import (
-    expm_hermitian,
     gate_fidelity,
     pauli_string,
 )

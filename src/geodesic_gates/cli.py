@@ -148,15 +148,20 @@ def run_config_argv(args, argv) -> tuple:
     Each `_CONFIG_FLAGS` key the file gives becomes one `--flag=value` token,
     whose `=` keeps a value such as -0.05 a value. Placed ahead of argv's own
     flags, the file's values pass argparse's types and choices, and a flag
-    given in argv comes later and wins. Other keys are dropped.
+    given in argv comes later and wins. Other keys are dropped. A flag value
+    must be a JSON string or number: true, false and null have no flag spelling.
     """
     config = read_json(Path(args.config)) if args.config else {}
     sections = ("system", "optimizer", *_CONFIG_FLAGS)
     if not isinstance(config, dict) or not all(isinstance(config.get(s, {}), dict) for s in sections):
         raise ConfigError(f"run config and its sections {sections} must be JSON objects")
-    tokens = [f"--{'out' if key == 'dir' else key}={config[section][key]}"
-              for section, keys in _CONFIG_FLAGS.items() for key in keys
-              if key in config.get(section, {})]
+    given = [(section, key, config[section][key]) for section, keys in _CONFIG_FLAGS.items()
+             for key in keys if key in config.get(section, {})]
+    for section, key, value in given:
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ConfigError(f"run config {section}.{key} must be a JSON string or number, "
+                              f"got {json.dumps(value)}")
+    tokens = [f"--{'out' if key == 'dir' else key}={value}" for _, key, value in given]
     return config, [args.command, *tokens, *argv[1:]]
 
 

@@ -1,8 +1,8 @@
 """Dense complex linear algebra for 2-, 4- and 8-dimensional Hilbert spaces.
 
 Operators are plain numpy arrays (complex128, row-major). Pauli strings,
-Hermitian matrix exponentials, time-ordered products and gate fidelity
-live here; everything above this layer builds on these primitives.
+the one step exponential, time-ordered products and gate fidelity live
+here; everything above this layer builds on these primitives.
 
 Time-ordered propagators are built from fourth-order Magnus steps on the two
 Gauss-Legendre nodes t_1, t_2 of each step (Blanes, Casas, Oteo & Ros,
@@ -17,12 +17,13 @@ runtime otherwise; the batched product is reduced pairwise so the work is
 done by vectorized matmul. Products of SU(2) steps are reduced the same way
 on unit quaternions (`su2_ordered_exp`), four real arrays per stack.
 
-The dense step exponentials (`expm_hermitian_batch`) are matmuls too: a
-degree-8 Taylor polynomial of A = -i dt H_eff, exact to 2^-53 for one-norms
-up to theta = 0.07 (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009)
-970), evaluated in the Paterson-Stockmeyer form (Bader, Blanes & Casas,
-Mathematics 7 (2019) 1174). A stack whose largest one-norm exceeds theta is
-scaled by 2^-s and the result squared s times.
+The package's one matrix exponential (`expm_hermitian_batch`) is matmuls
+too: a degree-8 Taylor polynomial of A = -i dt H, exact to 2^-53 for
+one-norms up to theta = 0.07 (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
+31 (2009) 970), evaluated in the Paterson-Stockmeyer form (Bader, Blanes &
+Casas, Mathematics 7 (2019) 1174). A stack whose largest one-norm exceeds
+theta is scaled by 2^-s and the result squared s times. The `eigh` form is
+the tests' reference (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -60,33 +61,6 @@ def pauli_string(spec: str) -> np.ndarray:
             raise ValueError(f"unknown pauli letter {letter!r} in {spec!r}") from None
         out = op if out is None else np.kron(out, op)
     return out
-
-
-def embed_single(op: np.ndarray, site: int, n_qubits: int) -> np.ndarray:
-    """Single-qubit operator at `site` (1-based), identity elsewhere."""
-    mats = [SIGMA_I] * n_qubits
-    mats[site - 1] = op
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
-def max_abs(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(mat)))
-
-
-def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
-    return max_abs(mat - mat.conj().T) < tol
-
-
-def expm_hermitian(ham: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(-i * scale * ham) for Hermitian `ham`, via eigendecomposition."""
-    if not is_hermitian(ham, tol=1e-10):
-        raise ValueError("expm_hermitian requires a Hermitian matrix")
-    evals, evecs = np.linalg.eigh(ham)
-    phases = np.exp(-1.0j * scale * evals)
-    return (evecs * phases) @ evecs.conj().T
 
 
 def _add_identity(mats: np.ndarray, value: float) -> np.ndarray:

@@ -40,28 +40,28 @@ and theta(0) = pi/2, phi(0) = 0. The integrals above are therefore evaluated as
     ct2 = int (Omega/beta) sin(chi/2) (-i - s) e^{i S} e^{i dt~ t} dchi
 
 with Omega/beta = `CurveGrid.omega_over_beta` and t(chi) = arc(chi)/|beta|.
-A cost evaluation takes three phase factors on the grid, e^{i phi}, e^{i S}
-and e^{i dt~ t}, each from one tan by the half-angle identities; the chain's
-second neighbour, at -dt~, reads the conjugate of the last. The quadratures
-are fixed weight vectors of the grid, so every integral is a weighted sum.
-The theta-trig integrands are kept as the reference in tests/oracles.py.
+The grid carries s, e^{i phi} and e^{i S}; a cost evaluation adds one phase
+factor, e^{i dt~ t}, from one tan by the half-angle identities, and the
+chain's second neighbour, at -dt~, reads its conjugate. The quadratures are
+fixed weight vectors of the grid, so every integral is a weighted sum. The
+theta-trig integrands are kept as the reference in tests/oracles.py.
 
-Every integral reads one `CurveGrid`, which `robust_cost` builds once per
-parameter set. One table, `_cost_table`, picks each block's susceptibility
-and the setting's crosstalk neighbors. `channel_costs` sums it into the three
-channels that `robust_cost` weights, and `cost_residuals` lays it out as the
-short vector whose squared norm is |C_robust|^2, which the optimizer
-minimizes by least squares.
+Every integral is a function of one `CurveGrid`, which `robust_cost` builds
+once per parameter set. One table, `_cost_table`, picks each block's
+susceptibility and the setting's crosstalk neighbors. `channel_costs` sums
+it into the three channels that `robust_cost` weights, and `cost_residuals`
+lays it out as the short vector whose squared norm is |C_robust|^2, which
+the optimizer minimizes by least squares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .curves import CurveGrid, CurveParams, _grid_tables, real_fields
+from .curves import CurveGrid, CurveParams, _cos_sin, _grid_tables, real_fields
 from .frames import FrameData, SystemConfig
 
 CHANNEL_FREQ = "freq_noise"
@@ -105,29 +105,6 @@ def _weights(n: int) -> _Weights:
     return weights
 
 
-def _cos_sin(angle: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
-    """cos and sin of `angle` from t = tan(angle/2), by the half-angle identities.
-
-    With u = 2/(1 + t^2), cos = u - 1 and sin = t u. On an AVX-512 x86-64
-    host with numpy 2.4, np.tan over 16384 points takes 0.045 ms and np.sin
-    or np.cos 0.24 ms each, so the pair costs about a quarter of theirs. It
-    agrees with np.cos and np.sin to 3.3e-16 for arguments up to 1e6.
-    """
-    t = np.tan(0.5 * angle)
-    u = t * t
-    u += 1.0
-    np.divide(2.0, u, out=u)
-    np.subtract(u, 1.0, out=cos_out)
-    np.multiply(t, u, out=sin_out)
-
-
-def _expi(angle: np.ndarray) -> np.ndarray:
-    """e^{i angle} as a complex array."""
-    out = np.empty(angle.shape, dtype=complex)
-    _cos_sin(angle, out.real, out.imag)
-    return out
-
-
 def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
     """real + i imag as a new complex array, with no complex temporaries."""
     out = np.empty(real.shape, dtype=complex)
@@ -135,75 +112,21 @@ def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Integrals:
-    """The susceptibility and crosstalk integrals of one grid.
-
-    The factors that no detuning enters, s = sin(chi) phi', e^{i phi} and
-    e^{i S}, are formed once and shared by every integral; each
-    susceptibility is integrated on first use.
-    """
-
-    def __init__(self, g: CurveGrid):
-        self.g, self.w = g, _weights(len(g.chi))
-        self.s = g.sin_chi * g.dphi
-        self.e_phi, self.e_S = _expi(g.phi), _expi(g.S)
-
-    # The susceptibilities cancel to ~1e-5 of their integrand mass on robust
-    # curves, so they are summed pairwise (np.sum), which keeps the rounding
-    # near 1e-16 of the mass; a BLAS dot product accumulates ~5x more. A
-    # complex pass over 16384 points costs about 0.01 ms, a quarter of a tan,
-    # so the products are formed in place.
-
-    @cached_property
-    def detuned(self):
-        """(A_X, A_Y, A_Z)."""
-        ax = np.sum(self.s * self.w.trap_sin)
-        # A_Y + i A_Z = int (1 - i s cos chi) e^{-i phi} = conj(int (1 + i s cos chi) e^{i phi})
-        integrand = _complex(self.w.trap, self.w.trap_cos * self.s)
-        integrand *= self.e_phi
-        ay_az = integrand.sum().conjugate()
-        return float(ax), float(ay_az.real), float(ay_az.imag)
-
-    @cached_property
-    def resonant(self):
-        """(A_Y0, A_Z0)."""
-        # A_Z0 + i A_Y0 = int (1 + i s) e^{i (phi - 2 S)}
-        phase = self.e_S * self.e_S
-        np.conjugate(phase, out=phase)
-        phase *= self.e_phi
-        integrand = _complex(self.w.trap, self.w.trap * self.s)
-        integrand *= phase
-        az_ay = integrand.sum()
-        return float(az_ay.imag), float(az_ay.real)
-
-    def crosstalk(self, delta_tilde: float, beta: float):
-        """((ct1, ct2) at +delta_tilde, (ct1, ct2) at -delta_tilde)."""
-        if beta == 0.0:
-            raise ValueError("crosstalk amplitudes need beta != 0 for the time map")
-        g, s = self.g, self.s
-        angle = delta_tilde * (g.arc / abs(beta))
-        rot = np.empty((2,) + angle.shape)
-        _cos_sin(angle, rot[0], rot[1])
-        # the weighted ct1 and ct2 integrands without e^{i dt~ t}, as two columns
-        amps = np.empty(angle.shape + (2,), dtype=complex)
-        f1 = np.conjugate(self.e_S)
-        f1 *= self.e_phi
-        f1 *= 1j - s
-        np.multiply(f1, self.w.ct1 * g.omega_over_beta, out=amps[:, 0])
-        f2 = -1j - s
-        f2 *= self.e_S
-        np.multiply(f2, self.w.ct2 * g.omega_over_beta, out=amps[:, 1])
-        # row 0 integrates them against cos(dt~ t), row 1 against sin(dt~ t),
-        # so the amplitudes at +-dt~ are row 0 +- i row 1
-        parts = rot @ amps.view(np.float64)
-        cos_part, sin_part = parts.view(complex)
-        plus, minus = cos_part + 1j * sin_part, cos_part - 1j * sin_part
-        return tuple(map(complex, plus)), tuple(map(complex, minus))
-
+# The susceptibilities cancel to ~1e-5 of their integrand mass on robust
+# curves, so they are summed pairwise (np.sum), which keeps the rounding near
+# 1e-16 of the mass; a BLAS dot product accumulates ~5x more. A complex pass
+# over 16384 points costs about 0.01 ms, a quarter of a tan, so the products
+# are formed in place.
 
 def susceptibility_beta(g: CurveGrid):
     """Pauli components (A_X, A_Y, A_Z) of the detuned-block Z response."""
-    return _Integrals(g).detuned
+    w = _weights(len(g.chi))
+    ax = np.sum(g.s * w.trap_sin)
+    # A_Y + i A_Z = int (1 - i s cos chi) e^{-i phi} = conj(int (1 + i s cos chi) e^{i phi})
+    integrand = _complex(w.trap, w.trap_cos * g.s)
+    integrand *= g.e_phi
+    ay_az = integrand.sum().conjugate()
+    return float(ax), float(ay_az.real), float(ay_az.imag)
 
 
 def susceptibility_beta0(g: CurveGrid):
@@ -212,7 +135,40 @@ def susceptibility_beta0(g: CurveGrid):
     The phase is the running rotation angle of the block,
     [theta(chi)-theta(0)] + [phi(chi)-phi(0)] - 2 S(chi).
     """
-    return _Integrals(g).resonant
+    w = _weights(len(g.chi))
+    # A_Z0 + i A_Y0 = int (1 + i s) e^{i (phi - 2 S)}
+    phase = g.e_S * g.e_S
+    np.conjugate(phase, out=phase)
+    phase *= g.e_phi
+    integrand = _complex(w.trap, w.trap * g.s)
+    integrand *= phase
+    az_ay = integrand.sum()
+    return float(az_ay.imag), float(az_ay.real)
+
+
+def _crosstalk_pair(g: CurveGrid, delta_tilde: float, beta: float):
+    """((ct1, ct2) at +delta_tilde, (ct1, ct2) at -delta_tilde), in one pass."""
+    if beta == 0.0:
+        raise ValueError("crosstalk amplitudes need beta != 0 for the time map")
+    w = _weights(len(g.chi))
+    angle = delta_tilde * (g.arc / abs(beta))
+    rot = np.empty((2,) + angle.shape)
+    _cos_sin(angle, rot[0], rot[1])
+    # the weighted ct1 and ct2 integrands without e^{i dt~ t}, as two columns
+    amps = np.empty(angle.shape + (2,), dtype=complex)
+    f1 = np.conjugate(g.e_S)
+    f1 *= g.e_phi
+    f1 *= 1j - g.s
+    np.multiply(f1, w.ct1 * g.omega_over_beta, out=amps[:, 0])
+    f2 = -1j - g.s
+    f2 *= g.e_S
+    np.multiply(f2, w.ct2 * g.omega_over_beta, out=amps[:, 1])
+    # row 0 integrates them against cos(dt~ t), row 1 against sin(dt~ t),
+    # so the amplitudes at +-dt~ are row 0 +- i row 1
+    parts = rot @ amps.view(np.float64)
+    cos_part, sin_part = parts.view(complex)
+    plus, minus = cos_part + 1j * sin_part, cos_part - 1j * sin_part
+    return tuple(map(complex, plus)), tuple(map(complex, minus))
 
 
 def crosstalk_amplitudes(g: CurveGrid, delta_tilde: float, beta: float):
@@ -222,7 +178,7 @@ def crosstalk_amplitudes(g: CurveGrid, delta_tilde: float, beta: float):
     exp(i delta_tilde t(chi)); these integrals carry the Omega dt measure, so
     they are already per unit physical time.
     """
-    return _Integrals(g).crosstalk(delta_tilde, beta)[0]
+    return _crosstalk_pair(g, delta_tilde, beta)[0]
 
 
 @dataclass(frozen=True)
@@ -244,16 +200,18 @@ class ChannelWeights:
                 + self.crosstalk * costs[CHANNEL_CROSSTALK])
 
 
-def _cost_table(integrals: _Integrals, config: SystemConfig, frame: FrameData):
+def _cost_table(grid: CurveGrid, config: SystemConfig, frame: FrameData):
     """Each block's (c_b, susceptibility) and each crosstalk neighbor's (ct1, ct2).
 
     A resonant block reads (A_Y0, A_Z0) and a detuned one (A_X, A_Y, A_Z), each
     integrated only if some block reads it. The chain's second crosstalk
     neighbor counter-rotates, which flips the sign of the effective detuning.
     """
-    blocks = [(c, integrals.detuned if b != 0.0 else integrals.resonant)
+    detuned = susceptibility_beta(grid) if any(b != 0.0 for b in frame.betas) else None
+    resonant = susceptibility_beta0(grid) if 0.0 in frame.betas else None
+    blocks = [(c, detuned if b != 0.0 else resonant)
               for b, c in zip(frame.betas, frame.coupling_coefs)]
-    plus, minus = integrals.crosstalk(frame.delta_tilde, frame.design_beta)
+    plus, minus = _crosstalk_pair(grid, frame.delta_tilde, frame.design_beta)
     return blocks, [plus] if config.n_qubits == 2 else [plus, minus]
 
 
@@ -263,7 +221,7 @@ def channel_costs(grid: CurveGrid, config: SystemConfig, frame: FrameData) -> di
     Noise adds (dw + c_b dJ) Z to block b, c_b from frame.coupling_coefs;
     the susceptibilities are scaled to physical-time units by 1/beta_design.
     """
-    blocks, neighbors = _cost_table(_Integrals(grid), config, frame)
+    blocks, neighbors = _cost_table(grid, config, frame)
     scale = 1.0 / frame.design_beta
     norms = [float(np.dot(vec, vec)) for vec in (np.array(sus) * scale for _, sus in blocks)]
     freq = sum(norms)
@@ -282,7 +240,7 @@ def cost_residuals(grid: CurveGrid, config: SystemConfig, frame: FrameData,
     susceptibility; each crosstalk neighbor contributes epsilon sqrt(w_x)
     times the real and imaginary parts of ct1 and ct2.
     """
-    blocks, neighbors = _cost_table(_Integrals(grid), config, frame)
+    blocks, neighbors = _cost_table(grid, config, frame)
     parts = [np.sqrt(weights.freq + weights.coupling * c * c) / frame.design_beta
              * np.array(susceptibility) for c, susceptibility in blocks]
     scale = frame.epsilon * np.sqrt(weights.crosstalk)

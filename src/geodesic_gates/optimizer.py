@@ -124,7 +124,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         counts = (self.starts, self.seed, self.max_iters)
-        if not all(isinstance(x, numbers.Integral) for x in counts):
+        if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in counts):
             raise TypeError(f"optimizer counts must be integers: {self}")
         if self.starts < 1 or self.max_iters < 1:
             raise ValueError(f"starts and max_iters must be at least 1, got "

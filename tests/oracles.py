@@ -17,7 +17,7 @@ from geodesic_gates.curves import (
     _coefficients,
 )
 from geodesic_gates.frames import MODEL_REDUCED, dense_terms
-from geodesic_gates.linalg import gate_fidelity, max_abs, product_reduce
+from geodesic_gates.linalg import SIGMA_I, gate_fidelity, product_reduce
 from geodesic_gates.simulate import _BLOCK_PER_INTERVAL
 
 
@@ -110,6 +110,24 @@ def arc_speed(params: CurveParams, chi):
 def pulse_area(wave) -> float:
     """Trapezoid integral of the waveform samples."""
     return float(np.trapezoid(wave.samples, dx=wave.dt))
+
+
+def max_abs(mat: np.ndarray) -> float:
+    return float(np.max(np.abs(mat)))
+
+
+def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
+    return max_abs(mat - mat.conj().T) < tol
+
+
+def embed_single(op: np.ndarray, site: int, n_qubits: int) -> np.ndarray:
+    """Single-qubit operator at `site` (1-based), identity elsewhere."""
+    mats = [SIGMA_I] * n_qubits
+    mats[site - 1] = op
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
 
 
 def is_unitary(mat: np.ndarray, tol: float = 1e-10) -> bool:
@@ -248,6 +266,13 @@ def expm_eigh_batch(hams: np.ndarray, dt: float) -> np.ndarray:
     evals, evecs = np.linalg.eigh(hams)
     phases = np.exp(-1.0j * dt * evals)
     return (evecs * phases[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+
+
+def expm_hermitian(ham: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """exp(-i * scale * ham) for Hermitian `ham`, via eigendecomposition."""
+    if not is_hermitian(ham, tol=1e-10):
+        raise ValueError("expm_hermitian requires a Hermitian matrix")
+    return expm_eigh_batch(ham, scale)
 
 
 def propagate_sampled(hams: np.ndarray, dt: float) -> np.ndarray:

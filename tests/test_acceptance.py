@@ -21,7 +21,7 @@ from geodesic_gates.curves import (
     synthesize_waveform,
 )
 from geodesic_gates.frames import SystemConfig, dressing, lab_static, three_qubit_dressing, two_qubit_dressing
-from geodesic_gates.linalg import SIGMA_X, expm_hermitian, gate_fidelity, max_abs
+from geodesic_gates.linalg import SIGMA_X, gate_fidelity
 from geodesic_gates.magnus import (
     CHANNEL_COUPLING,
     CHANNEL_FREQ,
@@ -44,7 +44,7 @@ from geodesic_gates.simulate import (
     simulate_gate,
     slope_fit,
 )
-from oracles import crosstalk_block
+from oracles import crosstalk_block, expm_hermitian, max_abs
 from test_magnus import (
     oracle_beta0_components,
     oracle_beta_components,

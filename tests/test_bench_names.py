@@ -20,9 +20,10 @@ LAYERS = ("curves", "magnus", "optimizer", "simulate", "linalg", "frames", "cli"
 SYNTHETIC_SPANS = {"curves.grid_build": ("curves", "CurveGrid"),
                    "cli.pool": ("cli", "_threaded_sweep")}
 #: span names the tracer still counts whose function the package has dropped,
-#: so the metrics read from them are 0 (ROADMAP item 5 lists the tracer fixes)
+#: so the metrics read from them are 0 (ROADMAP item 15 lists the tracer fixes)
 REMOVED_SPANS = {"curves.curve_grid", "frames.lab_hamiltonian_samples",
-                 "frames.reduced_hamiltonian_samples", "linalg.su2_exp_batch"}
+                 "frames.reduced_hamiltonian_samples", "linalg.expm_hermitian",
+                 "linalg.su2_exp_batch"}
 #: names the tracer leaves unwrapped whose function the package has dropped
 REMOVED_UNWRAPPED = {"cli.format_float"}
 

@@ -857,3 +857,39 @@ def test_bad_run_config_value_names_the_file(tmp_path, capsys):
     assert run(tmp_path, "sweep", "--preset", "xpi-2q-robust", "--config", str(cfg_path)) == 2
     err = capsys.readouterr().err
     assert "--grid" in err and f"run config {cfg_path}" in err
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["cost", "--preset", "xpi-2q-robust", "--config", "run.json"],
+     {"run.json": {"system": {"n_qubits": 2, "delta": True}}}),
+    (["cost", "--setting", "2q-midpoint", "--params", "p.json"],
+     {"p.json": {"a": -1.0 / (32.0 * np.pi**2), "b1": True}}),
+    (["optimize", "--setting", "2q-midpoint", "--phi", "pi", "--config", "run.json"],
+     {"run.json": {"optimizer": {"starts": True, "max_iters": 3}}}),
+    (["cost", "--preset", "xpi-2q-robust", "--config", "run.json"],
+     {"run.json": {"output": {"dir": None}}}),
+    (["cost", "--preset", "xpi-2q-robust", "--config", "run.json"],
+     {"run.json": {"output": {"dir": True}}}),
+], ids=["system-delta-true", "params-b1-true", "optimizer-starts-true", "output-dir-null",
+        "output-dir-true"])
+def test_json_true_false_null_are_not_numbers_or_flag_values(tmp_path, capsys, monkeypatch,
+                                                             argv, files):
+    # Python counts a bool as a number and str() spells null as None: neither
+    # may reach a record or a flag, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        write_json(tmp_path / name, content)
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("command", ["cost", "synth"])
+def test_huge_delta_gives_finite_output(tmp_path, command):
+    # the 2q dressing's sqrt(g1^2 + delta^2) would overflow above about 1.3e154
+    assert run(tmp_path, command, "--preset", "xpi-2q-robust", "--delta", "1e200") == 0
+    name = "cost.json" if command == "cost" else "synth_summary.json"
+    text = (tmp_path / name).read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    if command == "synth":
+        assert np.all(np.isfinite(np.loadtxt(tmp_path / "waveform.csv", delimiter=",", skiprows=1)))

@@ -22,11 +22,11 @@ from geodesic_gates.curves import (
     waveform_from_grid,
 )
 from geodesic_gates.frames import dressing
-from geodesic_gates.linalg import SIGMA_X, expm_hermitian, gate_fidelity
+from geodesic_gates.linalg import SIGMA_X, gate_fidelity
 from geodesic_gates.magnus import robust_cost
 from geodesic_gates.optimizer import preset_curve, preset_system
 from geodesic_gates.simulate import propagate_blocks
-from oracles import arc_speed, phi, phi_prime, theta_of_chi
+from oracles import arc_speed, expm_hermitian, phi, phi_prime, theta_of_chi
 
 CHI_MAX = 4.0 * np.pi
 

@@ -13,6 +13,10 @@ from geodesic_gates.frames import (
     SETTINGS,
     FrameData,
     SystemConfig,
+    _P1_TERMS,
+    _P2_TERMS,
+    _P3_TERMS,
+    _pauli_sum,
     block_z_diag,
     dressing,
     hamiltonian_samples,
@@ -22,17 +26,15 @@ from geodesic_gates.frames import (
     three_qubit_dressing,
     two_qubit_dressing,
 )
-from geodesic_gates.linalg import (
-    SIGMA_X,
-    SIGMA_Y,
+from geodesic_gates.linalg import SIGMA_X, SIGMA_Y, gate_fidelity, pauli_string
+from oracles import (
     embed_single,
     expm_hermitian,
-    gate_fidelity,
     is_hermitian,
     max_abs,
-    pauli_string,
+    propagate_sampled,
+    reduced_block_samples,
 )
-from oracles import propagate_sampled, reduced_block_samples
 
 
 def offdiag_norm(mat):
@@ -179,6 +181,18 @@ def test_three_qubit_dressing_oracles():
     assert abs(frame.drive_scale - (1.0 - lam**2 / 4.0)) < 1e-14
     assert frame.betas == (1.0, 0.0, 0.0, -1.0)
     assert max_abs(frame.S.conj().T @ frame.S - np.eye(8)) < 1e-12
+    # S = S3 S2 S1 from the Taylor step exponential, against eigh, at
+    # lambda = 0.05 and at the largest lambda allowed, 0.2
+    p1, p2, p3 = (_pauli_sum(terms) for terms in (_P1_TERMS, _P2_TERMS, _P3_TERMS))
+    for g1 in (1.0, 4.0):
+        lam = g1 / 20.0
+        alpha = 0.5 * lam - lam**2 / (4.0 * g1)
+        kappa = -0.5 * lam - lam**2 / (4.0 * g1)
+        gamma = 0.5 * np.arctan(lam**2 / (4.0 + lam**2))
+        ref = (expm_hermitian(p3, -gamma / 2.0) @ expm_hermitian(p1 - p2, -kappa / 4.0)
+               @ expm_hermitian(p1 + p2, -alpha / 4.0))
+        cfg = SystemConfig(n_qubits=3, delta=20.0, g1=g1, drive_choice="center")
+        assert max_abs(three_qubit_dressing(cfg).S - ref) < 1e-15, lam
 
 
 def test_three_qubit_dressing_small_lambda_limit():
@@ -268,6 +282,10 @@ def test_logical_targets():
     block = tgt[:2, :2]
     assert abs(block[0, 0] - np.cos(np.pi / 4.0)) < 1e-14
     assert abs(block[0, 1] + 1j * np.sin(np.pi / 4.0)) < 1e-14
+    # the closed-form R_X against the eigh exponential
+    for angle in (np.pi, np.pi / 2.0, 2.0 * np.pi, 0.3):
+        rx = expm_hermitian(SIGMA_X, angle / 2.0)
+        assert max_abs(logical_target(cfg3, angle)[:2, :2] - rx) < 3e-16, angle
 
 
 def _propagate(builder, T, n):

@@ -9,18 +9,23 @@ from geodesic_gates.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    expm_hermitian,
     expm_hermitian_batch,
     gate_fidelity,
     gauss_nodes,
-    is_hermitian,
     magnus4_hamiltonians,
-    max_abs,
     pauli_string,
     product_reduce,
     su2_ordered_exp,
 )
-from oracles import is_unitary, propagate, propagate_converged, su2_exp_batch
+from oracles import (
+    expm_hermitian,
+    is_hermitian,
+    is_unitary,
+    max_abs,
+    propagate,
+    propagate_converged,
+    su2_exp_batch,
+)
 
 
 def random_unitary(rng, d):

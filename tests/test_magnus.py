@@ -6,19 +6,13 @@ import pytest
 from conftest import random_curve
 from geodesic_gates.curves import CurveGrid, CurveParams, waveform_from_grid
 from geodesic_gates.frames import SystemConfig, dressing
-from geodesic_gates.linalg import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    expm_hermitian,
-    max_abs,
-)
+from geodesic_gates.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from geodesic_gates.magnus import (
     CHANNEL_COUPLING,
     CHANNEL_CROSSTALK,
     CHANNEL_FREQ,
     ChannelWeights,
-    _Integrals,
+    _crosstalk_pair,
     channel_costs,
     cost_residuals,
     crosstalk_amplitudes,
@@ -30,7 +24,9 @@ from geodesic_gates.optimizer import BOX_HALFWIDTH, PRESET_KEYS, preset_curve, p
 from oracles import (
     crosstalk_block,
     crosstalk_integrands,
+    expm_hermitian,
     magnus_oracle,
+    max_abs,
     su2_exp_batch,
     susceptibility_integrands,
     trapz,
@@ -167,19 +163,23 @@ def test_integrals_match_theta_trig_oracle(index, system):
     # integrand on the same grid and quadrature to rounding: 1e-14 of the
     # integrand's L1 mass, on the presets and on random starts of the
     # optimizer's box; the crosstalk pair at -dt~ is the conjugate-phase
-    # reuse that the chain's second neighbour reads
+    # reuse that the chain's second neighbour reads. On the presets, the
+    # grid's half-angle phase factors agree with np.exp to 5e-16.
     frame = dressing(system)
     rng = np.random.default_rng(70 + index)
-    curves = [preset_curve(key) for key in PRESET_KEYS]
-    curves += [random_curve(rng, scale=BOX_HALFWIDTH) for _ in range(20)]
+    presets = [preset_curve(key) for key in PRESET_KEYS]
+    curves = presets + [random_curve(rng, scale=BOX_HALFWIDTH) for _ in range(20)]
     for params in curves:
         grid = CurveGrid(params)
+        if params in presets:
+            assert max_abs(grid.e_phi - np.exp(1j * grid.phi)) < 5e-16, params
+            assert max_abs(grid.e_S - np.exp(1j * grid.S)) < 5e-16, params
         got = dict(zip(("ax", "ay", "az"), susceptibility_beta(grid)))
         got.update(zip(("ay0", "az0"), susceptibility_beta0(grid)))
         for name, integrand in susceptibility_integrands(grid).items():
             mass = trapz(grid, np.abs(integrand))
             assert abs(got[name] - trapz(grid, integrand)) <= 1e-14 * mass, (params, name)
-        amplitudes = _Integrals(grid).crosstalk(frame.delta_tilde, frame.design_beta)
+        amplitudes = _crosstalk_pair(grid, frame.delta_tilde, frame.design_beta)
         for sign, pair in zip((1.0, -1.0), amplitudes):
             integrands = crosstalk_integrands(grid, sign * frame.delta_tilde, frame.design_beta)
             for value, (name, integrand) in zip(pair, integrands.items()):

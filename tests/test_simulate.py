@@ -12,8 +12,6 @@ from geodesic_gates.frames import SystemConfig, dressing, hamiltonian_samples
 from geodesic_gates.linalg import (
     SIGMA_X,
     SIGMA_Z,
-    embed_single,
-    expm_hermitian,
     expm_hermitian_batch,
     gate_fidelity,
     pauli_string,
@@ -39,7 +37,9 @@ from geodesic_gates.simulate import (
     _step_grid,
 )
 from oracles import (
+    embed_single,
     expm_eigh_batch,
+    expm_hermitian,
     propagate_blocks_oracle,
     propagate_sampled,
     pulse_area,
