@@ -18,13 +18,21 @@ the blocks back to the points; a block at -beta is the X-conjugate of the
 one at +beta, so +-beta are folded into one propagation.
 With crosstalk on, or in the lab frame, the same fourth-order Magnus steps
 are taken on the full d x d Hamiltonian from `frames.hamiltonian_samples`,
-`_DENSE_CHUNK` steps at a time; each step's exponential is a degree-8 Taylor
-polynomial on batched matrix products (`linalg.expm_hermitian_batch`).
+in time chunks of at most `_DENSE_ELEMENTS` reals per stack. Each step is
+carried in the real representation R(A) = [[Re A, -Im A], [Im A, Re A]] of
+its generator A = -i dt H_eff (`linalg.real_form`), a real 2d x 2d matrix:
+R maps products to products, so the exponentials (`linalg.expm_batch`, a
+Taylor polynomial whose degree follows the stack's norm) and their ordered
+product (`linalg.product_reduce`) run on real GEMM, and U is converted
+back once per gate. The result is the complex computation's up to rounding.
 The noise is a constant diagonal operator N, so `noise_sweep`, the one loop
 over sweep points, builds the noise-free steps once, adds N to each point's
 steps (`_dense_gate`) and maps the points through a `map` callable (the CLI
 passes a thread pool's). It returns the infidelity grid as an array indexed
-[dw, dJ], and every point equals `simulate_gate` bit for bit.
+[dw, dJ], and every point equals `simulate_gate` bit for bit. A dense run
+whose default step count would make its shared steps more than
+`_DENSE_STEP_LIMIT` reals is refused with a ValueError before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -48,11 +56,13 @@ from .frames import (
 )
 from .linalg import (
     MAGNUS4_WEIGHT,
-    expm_hermitian_batch,
+    complex_form,
+    expm_batch,
     gate_fidelity,
     gauss_nodes,
     magnus4_hamiltonians,
     product_reduce,
+    real_form,
     su2_ordered_exp,
     trace_fidelity,
 )
@@ -60,11 +70,18 @@ from .linalg import (
 # chunk size cap for (distinct beta x time) step arrays: a chunk's steps,
 # quaternions and temporaries take about 30 MB; larger chunks run no faster
 _BATCH_ELEMENTS = 500_000
-# steps per time chunk of the dense path, so memory does not grow with
-# n_steps. The Taylor step exponential holds about ten stacks of temporaries:
-# at 2048 steps the validate-dense benchmark's peak RSS was 158 MB (144 MB
-# with the former eigh step), at 512 it is 140 MB and the pass about 20% faster
-_DENSE_CHUNK = 512
+# reals per (steps, 2d, 2d) stack of a dense time chunk: 1024 steps for two
+# qubits, 256 for three. Memory then does not grow with n_steps, and each of
+# the ten or so stacks the step exponential holds is 512 KiB, below the 1 MiB
+# mmap threshold the benchmark pins, so freed temporaries are reused rather
+# than unmapped. With 1 MiB stacks a crosstalk-on sweep point took 25 ms (2q)
+# and 81-91 ms (3q) against 12 ms and 32-36 ms (one BLAS thread, 2-vCPU host)
+_DENSE_ELEMENTS = 65536
+# reals in the shared noise-free steps of a dense run's default step count,
+# n_steps (2d)^2: the pair (steps, H2 - H1) then holds at most 256 MiB, that is
+# 262144 steps for two qubits and 65536 for three (|delta_tilde| up to about
+# 900 and 250 for the xpi presets at 8192 samples)
+_DENSE_STEP_LIMIT = 2**24
 
 
 @dataclass(frozen=True)
@@ -188,18 +205,31 @@ def _magnus_steps(system: SystemConfig, frame: FrameData, waveform: Waveform,
                   model: str, n_steps: int | None):
     """Noise-free fourth-order Magnus steps of a dense model, in time chunks.
 
-    Returns (dt, chunks); each chunk is a pair (H_eff, H2 - H1) of stacks
-    over at most `_DENSE_CHUNK` consecutive steps, in time order, with H1, H2
+    Returns (dt, chunks); each chunk is a pair (R(-i dt H_eff), R(H2 - H1))
+    of real-form stacks (`linalg.real_form`) over at most
+    `_DENSE_ELEMENTS` / (2d)^2 consecutive steps, in time order, with H1, H2
     the Hamiltonian at the step's two Gauss nodes. The chunks are generated
-    lazily, so a single gate never holds more than one of them.
+    lazily, so a single gate never holds more than one of them. A default
+    step count above `_DENSE_STEP_LIMIT` reals raises ValueError before the
+    nodes are made; an explicit `n_steps` is taken as given.
     """
-    dt, t1, t2 = _step_grid(waveform, n_steps, _dense_per_interval(waveform, frame))
+    size = (2 * system.dim) ** 2
+    if n_steps is None:
+        n_steps = _dense_per_interval(waveform, frame) * (len(waveform.samples) - 1)
+        if n_steps * size > _DENSE_STEP_LIMIT:
+            raise ValueError(
+                f"the dense {model} model needs {n_steps} steps, above the limit of "
+                f"{_DENSE_STEP_LIMIT // size} for {system.n_qubits} qubits "
+                f"(delta_tilde = {frame.delta_tilde:.6g}, {len(waveform.samples)} samples)")
+    dt, t1, t2 = gauss_nodes(waveform.T, n_steps)
+    chunk = _DENSE_ELEMENTS // size
 
     def chunks():
-        for lo in range(0, t1.size, _DENSE_CHUNK):
-            h1 = hamiltonian_samples(system, model, waveform, t1[lo:lo + _DENSE_CHUNK])
-            h2 = hamiltonian_samples(system, model, waveform, t2[lo:lo + _DENSE_CHUNK])
-            yield magnus4_hamiltonians(h1, h2, dt), h2 - h1
+        for lo in range(0, t1.size, chunk):
+            h1 = hamiltonian_samples(system, model, waveform, t1[lo:lo + chunk])
+            h2 = hamiltonian_samples(system, model, waveform, t2[lo:lo + chunk])
+            h_eff = magnus4_hamiltonians(h1, h2, dt)
+            yield real_form((-1.0j * dt) * h_eff), real_form(h2 - h1)
 
     return dt, chunks()
 
@@ -211,15 +241,26 @@ def _dense_gate(system: SystemConfig, frame: FrameData, waveform: Waveform, mode
     The constant diagonal noise N = diag(n) enters each step's H_eff without
     a new commutator: [H2 + N, H1 + N] = [H2, H1] + [H2 - H1, N] with
     [D, N]_ij = D_ij (n_j - n_i), so H_eff gains N - i (sqrt(3)/12) dt
-    (H2 - H1)_ij (n_j - n_i).
+    (H2 - H1)_ij (n_j - n_i). On the generator -i dt H_eff in real form,
+    -i dt N is +dt n in the upper right block's diagonal and -dt n in the
+    lower left's, and the commutator term is the real coefficient
+    -(sqrt(3)/12) dt^2 (n_j - n_i), tiled over the four blocks, times
+    R(H2 - H1).
     """
     n = _noise_diagonal(frame, noise)
-    skew = (-1.0j * MAGNUS4_WEIGHT * dt) * (n[None, :] - n[:, None])
+    d = n.size
+    skew = np.tile((-MAGNUS4_WEIGHT * dt * dt) * (n[None, :] - n[:, None]), (2, 2))
     u_final = None
-    for h_eff, diff in chunks:
-        hams = h_eff + (skew * diff + np.diag(n))
-        u_chunk = product_reduce(expm_hermitian_batch(hams, dt))
+    for steps, diff in chunks:
+        gens = skew * diff
+        gens += steps
+        # the diagonals of the upper right and lower left blocks, as strided slices
+        flat = gens.reshape(len(gens), -1)
+        flat[:, d:2 * d * d:2 * d + 1] += dt * n
+        flat[:, 2 * d * d::2 * d + 1] -= dt * n
+        u_chunk = product_reduce(expm_batch(gens))
         u_final = u_chunk if u_final is None else u_chunk @ u_final
+    u_final = complex_form(u_final)
     if model == MODEL_LAB:
         u_final = logical_from_lab(u_final, frame, waveform.T)
     return u_final, 1.0 - gate_fidelity(u_final, logical_target(system, gate_angle))

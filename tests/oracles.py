@@ -268,6 +268,14 @@ def expm_eigh_batch(hams: np.ndarray, dt: float) -> np.ndarray:
     return (evecs * phases[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
 
 
+def expm_eigh_real(gens: np.ndarray) -> np.ndarray:
+    """exp(A_k) for a real-form stack R(A_k) = [[Re A, -Im A], [Im A, Re A]] of
+    anti-Hermitian generators A_k = -i H_k, by eigendecomposition of H_k."""
+    d = gens.shape[-1] // 2
+    u = expm_eigh_batch(1j * (gens[..., :d, :d] + 1j * gens[..., d:, :d]), 1.0)
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+
 def expm_hermitian(ham: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """exp(-i * scale * ham) for Hermitian `ham`, via eigendecomposition."""
     if not is_hermitian(ham, tol=1e-10):

@@ -337,13 +337,17 @@ def test_sweep_artifacts_do_not_depend_on_threads(tmp_path, monkeypatch, model):
 
     threaded_sweep = cli._threaded_sweep
     monkeypatch.setattr(cli, "_threaded_sweep", spy)
-    argv = ["sweep", "--preset", "xpi-2q-robust", "--grid", "3", "--n-samples", "256",
-            "--crosstalk", "on", "--model", model]
-    for threads in ("1", "2"):
-        assert run(tmp_path / threads, *argv, "--threads", threads) == 0
-    assert pools == [2]
-    for name in ("sweep.csv", "sweep_summary.json"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    # the 2q and 3q presets step on real 8x8 and 16x16 stacks
+    presets = ("xpi-2q-robust", "xpi-3q-robust")
+    for preset in presets:
+        argv = ["sweep", "--preset", preset, "--grid", "3", "--n-samples", "256",
+                "--crosstalk", "on", "--model", model]
+        for threads in ("1", "2"):
+            assert run(tmp_path / preset / threads, *argv, "--threads", threads) == 0
+        for name in ("sweep.csv", "sweep_summary.json"):
+            assert (tmp_path / preset / "1" / name).read_bytes() \
+                == (tmp_path / preset / "2" / name).read_bytes()
+    assert pools == [2] * len(presets)
 
 
 def test_run_config_file_sections(tmp_path):
@@ -753,7 +757,7 @@ def test_linalg_failure_exits_4(tmp_path, capsys, monkeypatch):
     def fail(*args):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(simulate, "expm_hermitian_batch", fail)
+    monkeypatch.setattr(simulate, "expm_batch", fail)
     assert run(tmp_path, "simulate", "--preset", "xpi-2q-robust", "--crosstalk", "on") == 4
     assert "numerical failure:" in capsys.readouterr().err
 
@@ -882,6 +886,21 @@ def test_json_true_false_null_are_not_numbers_or_flag_values(tmp_path, capsys, m
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--delta", "1e6"],
+    ["sweep", "--grid", "3", "--delta", "1e4", "--model", "reduced"],
+    ["sweep", "--grid", "3", "--delta", "1e4", "--model", "lab"],
+], ids=["simulate", "sweep-reduced", "sweep-lab"])
+def test_dense_step_count_above_limit_exits_2(tmp_path, capsys, argv):
+    # the dense step count grows with |delta_tilde|; far above the limit the
+    # run is refused before its step nodes are allocated
+    assert run(tmp_path / "out", argv[0], "--preset", "xpi-2q-robust", *argv[1:]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "limit of 262144" in err[0] and "8192 samples" in err[0]
+    assert not tmp_path.joinpath("out").exists()
 
 
 @pytest.mark.parametrize("command", ["cost", "synth"])

@@ -9,12 +9,17 @@ from geodesic_gates.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _TAYLOR6_THETA,
+    _TAYLOR8_THETA,
+    complex_form,
+    expm_batch,
     expm_hermitian_batch,
     gate_fidelity,
     gauss_nodes,
     magnus4_hamiltonians,
     pauli_string,
     product_reduce,
+    real_form,
     su2_ordered_exp,
 )
 from oracles import (
@@ -99,6 +104,15 @@ def test_expm_batch_matches_single():
     batch = expm_hermitian_batch(hams, 0.37)
     for k in range(5):
         assert max_abs(batch[k] - expm_hermitian(hams[k], 0.37)) < 1e-12
+    # unscaled Taylor steps, on the complex generators and on their real form:
+    # degree 6 at 0.9 theta_6, degree 8 between theta_6 and theta_8
+    for norm in (0.9 * _TAYLOR6_THETA, 0.5 * (_TAYLOR6_THETA + _TAYLOR8_THETA)):
+        for form, back in ((np.asarray, np.asarray), (real_form, complex_form)):
+            gens = form(-1j * hams)
+            scale = norm / np.max(np.sum(np.abs(gens), axis=-2))
+            batch = back(expm_batch(scale * gens))
+            for k in range(5):
+                assert max_abs(batch[k] - expm_hermitian(hams[k], scale)) < 1e-14, (norm, form)
 
 
 def test_expm_batch_rejects_non_finite_stack():
@@ -107,6 +121,20 @@ def test_expm_batch_rejects_non_finite_stack():
         hams[1, 2, 2] = bad
         with pytest.raises(np.linalg.LinAlgError):
             expm_hermitian_batch(hams, 0.1)
+        with pytest.raises(np.linalg.LinAlgError):
+            expm_batch(real_form(hams))
+
+
+def test_real_form_round_trip_and_products():
+    rng = np.random.default_rng(14)
+    a, b = rng.normal(size=(2, 6, 4, 4)) + 1j * rng.normal(size=(2, 6, 4, 4))
+    a[0, 0, 0] = complex(-0.0, -0.0)
+    # bit for bit, signed zeros included
+    assert complex_form(real_form(a)).tobytes() == a.tobytes()
+    # R is multiplicative: R(A) R(B) = R(AB) up to rounding
+    err = np.max(np.abs(real_form(a) @ real_form(b) - real_form(a @ b)), axis=(-2, -1))
+    norms = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(b, axis=(-2, -1))
+    assert np.all(err <= 1e-15 * norms)
 
 
 def test_su2_exp_batch_matches_expm():
