@@ -40,6 +40,11 @@ uniform chi grid. A caller that needs several functionals of one parameter
 set builds the grid once and passes it to each; `synthesize_waveform` is the
 per-parameter-set entry point that builds its own. The grid also carries
 s = sin(chi) phi', e^{i phi} and e^{i S}, which the `magnus` integrals read.
+A caller that evaluates many parameter sets in turn, as the optimizer does,
+builds one grid and `refill`s it for each: the fields are overwritten in
+place, bit for bit what a new grid would hold, and the grid's scratch rows
+hold the temporaries of the refill and of the `magnus` integrals, so no
+evaluation allocates an n-point array.
 """
 
 from __future__ import annotations
@@ -131,41 +136,46 @@ def _coefficients(params: CurveParams) -> np.ndarray:
     return np.array([params.a, params.b1, params.b2, params.b3, params.c])
 
 
-def _cumtrapz_corrected(values: np.ndarray, derivs: np.ndarray, h: float) -> np.ndarray:
+def _cumtrapz_corrected(values: np.ndarray, derivs: np.ndarray, h: float,
+                        out: np.ndarray | None = None,
+                        work: np.ndarray | None = None) -> np.ndarray:
     """Cumulative trapezoid with the leading h^2/12 endpoint term removed.
 
     The running upper limit makes plain cumulative-trapezoid only O(h^2);
     subtracting (h^2/12)(f'(x_k) - f'(x_0)) restores O(h^4), which the
-    oscillatory crosstalk phases need. Works along the last axis.
+    oscillatory crosstalk phases need. Works along the last axis, into `out`
+    with `work` as scratch (both shaped like `values`; new arrays if None).
     """
-    out = np.empty_like(values)
+    out = np.empty_like(values) if out is None else out
+    work = np.empty_like(values) if work is None else work
     out[..., 0] = 0.0
-    np.cumsum(0.5 * h * (values[..., 1:] + values[..., :-1]), axis=-1, out=out[..., 1:])
-    out -= (h * h / 12.0) * (derivs - derivs[..., :1])
+    steps = np.add(values[..., 1:], values[..., :-1], out=work[..., 1:])
+    steps *= 0.5 * h
+    np.cumsum(steps, axis=-1, out=out[..., 1:])
+    correction = np.subtract(derivs, derivs[..., :1], out=work)
+    correction *= h * h / 12.0
+    out -= correction
     return out
 
 
-def _cos_sin(angle: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
+def _cos_sin(angle: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray,
+             work: np.ndarray) -> None:
     """cos and sin of `angle` from t = tan(angle/2), by the half-angle identities.
 
     With u = 2/(1 + t^2), cos = u - 1 and sin = t u. On an AVX-512 x86-64
     host with numpy 2.4, np.tan over 16384 points takes 0.045 ms and np.sin
     or np.cos 0.24 ms each, so the pair costs about a quarter of theirs. It
-    agrees with np.cos and np.sin to 3.3e-16 for arguments up to 1e6.
+    agrees with np.cos and np.sin to 3.3e-16 for arguments up to 1e6. `t`
+    goes to `work`, a contiguous array shaped like `angle`: np.tan's vector
+    loop runs only on contiguous data, and its scalar loop rounds differently.
     """
-    t = np.tan(0.5 * angle)
-    u = t * t
+    t = np.multiply(angle, 0.5, out=work)
+    np.tan(t, out=t)
+    u = np.multiply(t, t, out=cos_out)
     u += 1.0
     np.divide(2.0, u, out=u)
-    np.subtract(u, 1.0, out=cos_out)
     np.multiply(t, u, out=sin_out)
-
-
-def _expi(angle: np.ndarray) -> np.ndarray:
-    """e^{i angle} as a complex array."""
-    out = np.empty(angle.shape, dtype=complex)
-    _cos_sin(angle, out.real, out.imag)
-    return out
+    np.subtract(u, 1.0, out=cos_out)
 
 
 class GridResolutionError(ArithmeticError):
@@ -202,31 +212,73 @@ class CurveGrid:
     the area functional keeps them on an identical discretization, so oracle
     comparisons see no grid-mismatch noise. `s`, `e_phi` and `e_S`, formed
     by the half-angle identities, are shared by every `magnus` integral.
+
+    The field arrays are allocated once. `refill` recomputes them in place
+    for another parameter set, so a caller that evaluates many curves (the
+    optimizer) allocates no n-point array per curve. The grid also owns a
+    scratch block, `work` (four real rows), `cwork` (two complex rows) and
+    `amps` (an (n, 2) complex stack), which `refill` and the `magnus`
+    integrals write their temporaries into. A refill overwrites every field,
+    and an integral overwrites the scratch, so one grid serves one thread at
+    a time, and a caller that keeps a field past the next refill copies it.
     """
 
     def __init__(self, params: CurveParams, n: int = CHI_GRID_POINTS):
-        self.params = params
-        self.chi, self.sin_chi, self.cos_chi, basis, area = _grid_tables(n)
+        self.chi, self.sin_chi, self.cos_chi, self._basis, self._area = _grid_tables(n)
         self.h = self.chi[1] - self.chi[0]
+        # one block of 14 real and 6 complex rows (3.4 MB at 16384 points):
+        # above glibc's mmap threshold, so a dropped grid goes back to the OS
+        # at once instead of leaving freed rows inside the heap
+        block = np.empty((26, n))
+        real, cplx = block[:14], block[14:].reshape(6, 2 * n).view(complex)
+        self._derivs = real[:3]
+        self.phi, self.dphi, self.ddphi = self._derivs
+        (self.s, self.theta, self.dtheta, self.tprime, self.arc, self.S,
+         self.omega_over_beta) = real[3:10]
+        self.work = real[10:]
+        self.e_phi, self.e_S = cplx[:2]
+        self.cwork = cplx[2:4]
+        self.amps = cplx[4:].reshape(n, 2)
+        self.refill(params)
+
+    def refill(self, params: CurveParams) -> CurveGrid:
+        """Evaluate the curve of `params` into this grid's arrays, and return the grid.
+
+        Every field is computed by the same operations in the same order as
+        on a new grid, so it matches `CurveGrid(params)` bit for bit. A
+        GridResolutionError leaves the fields part old, part new.
+        """
+        self.params = params
+        t0, t1 = self.work[:2]
         coefficients = _coefficients(params)
-        self.phi, self.dphi, self.ddphi = coefficients @ basis
-        self.s = s = self.sin_chi * self.dphi
-        sp = self.cos_chi * self.dphi + self.sin_chi * self.ddphi
-        self.theta = np.pi / 2.0 + np.arctan(s)
-        jumps = np.max(np.abs(np.diff(self.theta))) if n > 1 else 0.0
-        if jumps > np.pi / 2.0:
-            raise GridResolutionError("theta branch jump exceeds pi/2: chi grid too coarse")
-        self.dtheta = sp / (1.0 + s * s)
-        self.tprime = np.sqrt(1.0 + s * s)
+        np.matmul(coefficients, self._basis, out=self._derivs)
+        s = np.multiply(self.sin_chi, self.dphi, out=self.s)
+        sp = np.multiply(self.cos_chi, self.dphi, out=t0)
+        sp += np.multiply(self.sin_chi, self.ddphi, out=t1)
+        np.arctan(s, out=self.theta)
+        self.theta += np.pi / 2.0
+        if len(s) > 1:
+            jumps = np.subtract(self.theta[1:], self.theta[:-1], out=t1[1:])
+            if np.max(np.abs(jumps, out=jumps)) > np.pi / 2.0:
+                raise GridResolutionError("theta branch jump exceeds pi/2: chi grid too coarse")
+        one_s2 = np.multiply(s, s, out=t1)
+        one_s2 += 1.0
+        np.divide(sp, one_s2, out=self.dtheta)
+        np.sqrt(one_s2, out=self.tprime)
         # d t'/d chi = s s'/t', analytic, used for the cumulative correction
-        tpp = s * sp / self.tprime
-        self.arc = _cumtrapz_corrected(self.tprime, tpp, self.h)
+        tpp = np.multiply(s, sp, out=t1)
+        tpp /= self.tprime
+        _cumtrapz_corrected(self.tprime, tpp, self.h, out=self.arc, work=t0)
         # S(chi) = half the running enclosed area
-        self.S = coefficients @ area
+        np.matmul(coefficients, self._area, out=self.S)
         #: drive envelope per unit |beta|
-        self.omega_over_beta = (self.dtheta + self.cos_chi * self.dphi) / self.tprime
+        np.add(self.dtheta, np.multiply(self.cos_chi, self.dphi, out=t0),
+               out=self.omega_over_beta)
+        self.omega_over_beta /= self.tprime
         # the phase factors every first-order integral reads (see magnus)
-        self.e_phi, self.e_S = _expi(self.phi), _expi(self.S)
+        _cos_sin(self.phi, self.e_phi.real, self.e_phi.imag, t0)
+        _cos_sin(self.S, self.e_S.real, self.e_S.imag, t0)
+        return self
 
     @property
     def arc_length(self) -> float:

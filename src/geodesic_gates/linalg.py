@@ -24,8 +24,8 @@ Paterson-Stockmeyer form (Bader, Blanes & Casas, Mathematics 7 (2019) 1174).
 Its degree comes from the stack's largest one-norm, by the rule of Al-Mohy &
 Higham (SIAM J. Matrix Anal. Appl. 31 (2009) 970) that the first dropped
 term ||A||^(m+1) / (m+1)! stays below 2^-53: degree 6 (three products) up to
-theta_6 = 0.0178, degree 8 (four products) up to theta_8 = 0.07, and above
-that degree 8 on A / 2^s, squared s times. The `eigh` form is the tests'
+theta_6 = 0.0178, degree 9 (four products) up to theta_9 = 0.115, and above
+that degree 9 on A / 2^s, squared s times. The `eigh` form is the tests'
 reference (tests/oracles.py).
 
 The dense propagators step on the real representation of U(d),
@@ -58,9 +58,9 @@ _GAUSS_OFFSET = 0.5 * np.sqrt(3.0) / 3.0
 #: commutator weight of the fourth-order Magnus step, sqrt(3)/12
 MAGNUS4_WEIGHT = np.sqrt(3.0) / 12.0
 #: one-norm bounds of the Taylor steps: ||A||^(m+1) / (m+1)! reaches 2^-53 at
-#: ||A|| = theta_m, 0.0178 for degree 6 and 0.07 for degree 8
+#: ||A|| = theta_m, 0.0178 for degree 6 and 0.115 for degree 9
 _TAYLOR6_THETA = (2.0**-53 * 5040.0) ** (1.0 / 7.0)
-_TAYLOR8_THETA = 0.07
+_TAYLOR9_THETA = (2.0**-53 * 3628800.0) ** (1.0 / 10.0)
 
 
 def pauli_string(spec: str) -> np.ndarray:
@@ -113,17 +113,18 @@ def expm_batch(a: np.ndarray) -> np.ndarray:
 
     One degree serves the whole stack, chosen from its largest one-norm: the
     Taylor remainder of degree m is about ||A||^(m+1) / (m+1)!, which
-    reaches 2^-53 at theta_6 = 0.0178 and theta_8 = 0.07 (Al-Mohy & Higham,
+    reaches 2^-53 at theta_6 = 0.0178 and theta_9 = 0.115 (Al-Mohy & Higham,
     SIAM J. Matrix Anal. Appl. 31 (2009) 970). Up to theta_6 the step is T6,
-    three matrix products; above it, T8, four products, on A / 2^s with
-    s = max(0, ceil(log2(||A||_1 / theta_8))), squared s times, so a coarse
+    three matrix products; above it, T9, four products, on A / 2^s with
+    s = max(0, ceil(log2(||A||_1 / theta_9))), squared s times, so a coarse
     user step grid only costs more squarings. Both are evaluated in the
     Paterson-Stockmeyer form (Bader, Blanes & Casas, Mathematics 7 (2019)
-    1174):
+    1174); T9's innermost bracket reuses A^3, so its last term costs no
+    product:
 
         T6 = (I + A + A^2/2) + A^3 (I/6 + A/24 + A^2/120 + A^3/720),
-        T8 = (I + A + A^2/2) + A^3 [(I/6 + A/24 + A^2/120)
-             + A^3 (I/720 + A/5040 + A^2/40320)].
+        T9 = (I + A + A^2/2) + A^3 [(I/6 + A/24 + A^2/120)
+             + A^3 (I/720 + A/5040 + A^2/40320 + A^3/362880)].
 
     A stack with a NaN or infinite entry raises `np.linalg.LinAlgError`.
     """
@@ -132,7 +133,7 @@ def expm_batch(a: np.ndarray) -> np.ndarray:
     norm = float(np.max(np.ones((1, a.shape[-2])) @ np.abs(a), initial=0.0))
     if not np.isfinite(norm):
         raise np.linalg.LinAlgError("non-finite generator in a step exponential")
-    squarings = int(np.ceil(np.log2(norm / _TAYLOR8_THETA))) if norm > _TAYLOR8_THETA else 0
+    squarings = int(np.ceil(np.log2(norm / _TAYLOR9_THETA))) if norm > _TAYLOR9_THETA else 0
     if squarings:
         a = a * 0.5 ** squarings
     a2 = a @ a
@@ -141,7 +142,8 @@ def expm_batch(a: np.ndarray) -> np.ndarray:
         tail = _add_identity(a * (1.0 / 24.0) + a2 * (1.0 / 120.0) + a3 * (1.0 / 720.0),
                              1.0 / 6.0)
     else:
-        inner = _add_identity(a * (1.0 / 5040.0) + a2 * (1.0 / 40320.0), 1.0 / 720.0)
+        inner = _add_identity(a * (1.0 / 5040.0) + a2 * (1.0 / 40320.0)
+                              + a3 * (1.0 / 362880.0), 1.0 / 720.0)
         tail = _add_identity(a * (1.0 / 24.0) + a2 * (1.0 / 120.0) + a3 @ inner, 1.0 / 6.0)
     out = _add_identity(a + 0.5 * a2 + a3 @ tail, 1.0)
     for _ in range(squarings):

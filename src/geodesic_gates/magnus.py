@@ -47,11 +47,16 @@ fixed weight vectors of the grid, so every integral is a weighted sum. The
 theta-trig integrands are kept as the reference in tests/oracles.py.
 
 Every integral is a function of one `CurveGrid`, which `robust_cost` builds
-once per parameter set. One table, `_cost_table`, picks each block's
-susceptibility and the setting's crosstalk neighbors. `channel_costs` sums
-it into the three channels that `robust_cost` weights, and `cost_residuals`
-lays it out as the short vector whose squared norm is |C_robust|^2, which
-the optimizer minimizes by least squares.
+once per parameter set and the optimizer refills for each evaluation. The
+integrals write their n-point temporaries into the grid's scratch rows
+(`work`, `cwork`, `amps`), with the same products and the same pairwise sums
+as on new arrays, so an evaluation on a refilled grid allocates no n-point
+array and a grid serves one thread at a time. One table, `_cost_table`,
+picks each block's susceptibility and the setting's crosstalk neighbors.
+`channel_costs` sums it into the three channels that `robust_cost` weights,
+and `cost_residuals` lays it out as the short vector whose squared norm is
+|C_robust|^2, which the optimizer minimizes by least squares; that vector is
+a new array, never a view of the scratch.
 """
 
 from __future__ import annotations
@@ -105,25 +110,27 @@ def _weights(n: int) -> _Weights:
     return weights
 
 
-def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
-    """real + i imag as a new complex array, with no complex temporaries."""
-    out = np.empty(real.shape, dtype=complex)
-    out.real, out.imag = real, imag
-    return out
-
-
 # The susceptibilities cancel to ~1e-5 of their integrand mass on robust
 # curves, so they are summed pairwise (np.sum), which keeps the rounding near
 # 1e-16 of the mass; a BLAS dot product accumulates ~5x more. A complex pass
 # over 16384 points costs about 0.01 ms, a quarter of a tan, so the products
-# are formed in place.
+# are formed in place, in the grid's scratch rows (contiguous, as np.sum's
+# pairwise order and np.tan's vector loop need).
+
+def _integrand(g: CurveGrid, real: np.ndarray, imag_weight: np.ndarray) -> np.ndarray:
+    """real + i imag_weight s in the grid's first complex scratch row."""
+    out = g.cwork[0]
+    out.real = real
+    np.multiply(imag_weight, g.s, out=out.imag)
+    return out
+
 
 def susceptibility_beta(g: CurveGrid):
     """Pauli components (A_X, A_Y, A_Z) of the detuned-block Z response."""
     w = _weights(len(g.chi))
-    ax = np.sum(g.s * w.trap_sin)
+    ax = np.sum(np.multiply(g.s, w.trap_sin, out=g.work[0]))
     # A_Y + i A_Z = int (1 - i s cos chi) e^{-i phi} = conj(int (1 + i s cos chi) e^{i phi})
-    integrand = _complex(w.trap, w.trap_cos * g.s)
+    integrand = _integrand(g, w.trap, w.trap_cos)
     integrand *= g.e_phi
     ay_az = integrand.sum().conjugate()
     return float(ax), float(ay_az.real), float(ay_az.imag)
@@ -137,10 +144,10 @@ def susceptibility_beta0(g: CurveGrid):
     """
     w = _weights(len(g.chi))
     # A_Z0 + i A_Y0 = int (1 + i s) e^{i (phi - 2 S)}
-    phase = g.e_S * g.e_S
+    phase = np.multiply(g.e_S, g.e_S, out=g.cwork[1])
     np.conjugate(phase, out=phase)
     phase *= g.e_phi
-    integrand = _complex(w.trap, w.trap * g.s)
+    integrand = _integrand(g, w.trap, w.trap)
     integrand *= phase
     az_ay = integrand.sum()
     return float(az_ay.imag), float(az_ay.real)
@@ -151,21 +158,28 @@ def _crosstalk_pair(g: CurveGrid, delta_tilde: float, beta: float):
     if beta == 0.0:
         raise ValueError("crosstalk amplitudes need beta != 0 for the time map")
     w = _weights(len(g.chi))
-    angle = delta_tilde * (g.arc / abs(beta))
-    rot = np.empty((2,) + angle.shape)
-    _cos_sin(angle, rot[0], rot[1])
-    # the weighted ct1 and ct2 integrands without e^{i dt~ t}, as two columns
-    amps = np.empty(angle.shape + (2,), dtype=complex)
-    f1 = np.conjugate(g.e_S)
+    angle = np.divide(g.arc, abs(beta), out=g.work[0])
+    angle *= delta_tilde
+    rot = g.work[2:]
+    _cos_sin(angle, rot[0], rot[1], g.work[1])
+    # the weighted ct1 and ct2 integrands without e^{i dt~ t}, as the two
+    # columns of g.amps. The factors i - s and -i - s are written part by
+    # part, as numpy forms them from a complex scalar: (0 - s) + i, (-0 - s) - i
+    f1, f2 = g.cwork
+    np.conjugate(g.e_S, out=f1)
     f1 *= g.e_phi
-    f1 *= 1j - g.s
-    np.multiply(f1, w.ct1 * g.omega_over_beta, out=amps[:, 0])
-    f2 = -1j - g.s
+    np.subtract(0.0, g.s, out=f2.real)
+    f2.imag = 1.0
+    f1 *= f2
+    weight = g.work[0]
+    np.multiply(f1, np.multiply(w.ct1, g.omega_over_beta, out=weight), out=g.amps[:, 0])
+    np.subtract(-0.0, g.s, out=f2.real)
+    f2.imag = -1.0
     f2 *= g.e_S
-    np.multiply(f2, w.ct2 * g.omega_over_beta, out=amps[:, 1])
+    np.multiply(f2, np.multiply(w.ct2, g.omega_over_beta, out=weight), out=g.amps[:, 1])
     # row 0 integrates them against cos(dt~ t), row 1 against sin(dt~ t),
     # so the amplitudes at +-dt~ are row 0 +- i row 1
-    parts = rot @ amps.view(np.float64)
+    parts = rot @ g.amps.view(np.float64)
     cos_part, sin_part = parts.view(complex)
     plus, minus = cos_part + 1j * sin_part, cos_part - 1j * sin_part
     return tuple(map(complex, plus)), tuple(map(complex, minus))

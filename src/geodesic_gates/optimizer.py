@@ -15,8 +15,10 @@ Optimization is a deterministic seeded multi-start trust-region least
 squares over the free parameters: |C_robust|^2 is the squared norm of the
 short residual vector `magnus.cost_residuals`, so each start runs
 `scipy.optimize.least_squares` (method "trf") on that vector with a
-finite-difference Jacobian. The area constraint is eliminated exactly
-through the affine dependence of C_target on the coefficients.
+finite-difference Jacobian. Every evaluation, the finite-difference ones
+included, refills one `CurveGrid`, as do each start's final cost and the
+gate time. The area constraint is eliminated exactly through the affine
+dependence of C_target on the coefficients.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .curves import (
     solve_b3_zero_area,
 )
 from .frames import SETTINGS, FrameData, SystemConfig, dressing
-from .magnus import ChannelWeights, cost_residuals, robust_cost
+from .magnus import ChannelWeights, channel_costs, cost_residuals
 
 # Published rows, verbatim. gate angle pi: a = -1/(32 pi^2); pi/2: -1/(64 pi^2).
 _TABLE_ROWS = {
@@ -144,16 +146,16 @@ def area_zero_required(system: SystemConfig) -> bool:
     return 0.0 in dressing(system).betas
 
 
-def total_cost(params: CurveParams, system: SystemConfig, frame: FrameData,
+def total_cost(grid: CurveGrid, system: SystemConfig, frame: FrameData,
                cfg: OptimizerConfig) -> np.ndarray:
-    """The search objective: the residual vector whose squared norm is
-    `robust_cost` under the configured channel weights.
+    """The search objective: the residual vector of the curve on `grid` whose
+    squared norm is `robust_cost` under the configured channel weights.
 
     The area condition needs no penalty term: `optimize` eliminates b3
     exactly where a resonant block requires zero area, and the midpoint
     two-qubit drive has no resonant block.
     """
-    return cost_residuals(CurveGrid(params), system, frame, cfg.channel_weights)
+    return cost_residuals(grid, system, frame, cfg.channel_weights)
 
 
 @dataclass(frozen=True)
@@ -205,7 +207,7 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
     def residuals(vec: np.ndarray) -> np.ndarray:
         nonlocal eval_count
         eval_count += 1
-        return total_cost(build(vec), system, frame, cfg)
+        return total_cost(grid.refill(build(vec)), system, frame, cfg)
 
     rng = np.random.default_rng(cfg.seed)
     starts = []
@@ -217,13 +219,15 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
         starts.append(rng.uniform(-BOX_HALFWIDTH, BOX_HALFWIDTH, size=len(names)))
     starts = starts[: cfg.starts]
 
+    # every evaluation refills this one grid (see CurveGrid.refill)
+    grid = CurveGrid(build(starts[0]))
     best = None
     start_costs = []
     for x0 in starts:
         res = sp_optimize.least_squares(residuals, x0, method="trf", x_scale="jac",
                                         max_nfev=cfg.max_iters, ftol=TOL, xtol=TOL, gtol=TOL)
         # the cost that `cost --params` reports for the same point
-        cost = robust_cost(build(res.x), system, frame, cfg.channel_weights)
+        cost = cfg.channel_weights.cost(channel_costs(grid.refill(build(res.x)), system, frame))
         start_costs.append(cost)
         if best is None or cost < best[0]:
             best = (cost, res.x, res.success)
@@ -231,7 +235,7 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
     params = build(x_best)
     converged = success or cost <= TOL
     return OptimizeResult(params=params, cost=cost, converged=converged,
-                          gate_time=CurveGrid(params).arc_length / frame.design_beta,
+                          gate_time=grid.refill(params).arc_length / frame.design_beta,
                           start_costs=tuple(start_costs),
                           n_evaluations=eval_count)
 

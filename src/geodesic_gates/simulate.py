@@ -67,9 +67,16 @@ from .linalg import (
     trace_fidelity,
 )
 
-# chunk size cap for (distinct beta x time) step arrays: a chunk's steps,
-# quaternions and temporaries take about 30 MB; larger chunks run no faster
-_BATCH_ELEMENTS = 500_000
+# chunk size cap for (distinct beta x time) step arrays: one distinct |beta|
+# per chunk at 8192 samples (16382 steps), so the (4, chunk, n_steps)
+# quaternion stack is 512 KiB and a chunk's stack and temporaries together
+# stay under the 2 MiB trim threshold the benchmark pins (1 MiB mmap): freed
+# memory is reused rather than returned and faulted in afresh. A 17 x 17 2q
+# and an 11 x 11 3q block sweep took 94 and 88-111 ms at 500 000 (16 MB
+# stacks, 27 000-28 000 faults each), 66-84 and 56-77 ms at 32 768 (1 MiB
+# stacks, 13 000 faults) and 55-56 and 50-52 ms here (no faults; one BLAS
+# thread, 2-vCPU host)
+_BATCH_ELEMENTS = 16_384
 # reals per (steps, 2d, 2d) stack of a dense time chunk: 1024 steps for two
 # qubits, 256 for three. Memory then does not grow with n_steps, and each of
 # the ten or so stacks the step exponential holds is 512 KiB, below the 1 MiB

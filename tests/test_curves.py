@@ -10,6 +10,7 @@ from conftest import curve_for_angle, random_curve
 from geodesic_gates.curves import (
     CurveGrid,
     CurveParams,
+    GridResolutionError,
     area_affine,
     area_functional,
     closed_form_b3,
@@ -24,7 +25,7 @@ from geodesic_gates.curves import (
 from geodesic_gates.frames import dressing
 from geodesic_gates.linalg import SIGMA_X, gate_fidelity
 from geodesic_gates.magnus import robust_cost
-from geodesic_gates.optimizer import preset_curve, preset_system
+from geodesic_gates.optimizer import BOX_HALFWIDTH, PRESET_KEYS, preset_curve, preset_system
 from geodesic_gates.simulate import propagate_blocks
 from oracles import arc_speed, expm_hermitian, phi, phi_prime, theta_of_chi
 
@@ -241,6 +242,36 @@ def test_area_affine_builds_no_grid(monkeypatch):
     system = preset_system(key)
     robust_cost(preset_curve(key), system, dressing(system))
     assert len(builds) == 1
+
+
+GRID_FIELDS = ("phi", "dphi", "ddphi", "s", "theta", "dtheta", "tprime", "arc", "S",
+               "omega_over_beta", "e_phi", "e_S")
+
+
+def test_refill_matches_a_fresh_grid_bit_for_bit():
+    # the optimizer refills one grid per evaluation; each refill, also one
+    # that follows a different curve, must give a new grid's fields exactly
+    rng = np.random.default_rng(31)
+    curves = [preset_curve(key) for key in PRESET_KEYS]
+    curves += [random_curve(rng, phi_target=phi, scale=BOX_HALFWIDTH)
+               for phi in (np.pi, np.pi / 2.0, -1.3) for _ in range(4)]
+    grid = CurveGrid(curves[-1])
+    for params in curves:
+        assert grid.refill(params) is grid
+        fresh = CurveGrid(params)
+        assert grid.params == params
+        for name in GRID_FIELDS:
+            assert getattr(grid, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert grid.arc_length == fresh.arc_length
+
+
+def test_refill_raises_on_a_theta_jump():
+    steep = CurveParams(a=coefficient_for_angle(np.pi), b1=300.0, phi_target=np.pi)
+    with pytest.raises(GridResolutionError):
+        CurveGrid(steep, 256)
+    grid = CurveGrid(curve_for_angle(np.pi), 256)
+    with pytest.raises(GridResolutionError):
+        grid.refill(steep)
 
 
 def test_area_is_affine_superposition():

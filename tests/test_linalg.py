@@ -10,7 +10,7 @@ from geodesic_gates.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     _TAYLOR6_THETA,
-    _TAYLOR8_THETA,
+    _TAYLOR9_THETA,
     complex_form,
     expm_batch,
     expm_hermitian_batch,
@@ -105,8 +105,10 @@ def test_expm_batch_matches_single():
     for k in range(5):
         assert max_abs(batch[k] - expm_hermitian(hams[k], 0.37)) < 1e-12
     # unscaled Taylor steps, on the complex generators and on their real form:
-    # degree 6 at 0.9 theta_6, degree 8 between theta_6 and theta_8
-    for norm in (0.9 * _TAYLOR6_THETA, 0.5 * (_TAYLOR6_THETA + _TAYLOR8_THETA)):
+    # degree 6 at 0.9 theta_6; degree 9 between theta_6 and 0.07, the bound of
+    # the degree-8 step it replaced, and between 0.07 and theta_9
+    for norm in (0.9 * _TAYLOR6_THETA, 0.5 * (_TAYLOR6_THETA + 0.07),
+                 0.5 * (0.07 + _TAYLOR9_THETA)):
         for form, back in ((np.asarray, np.asarray), (real_form, complex_form)):
             gens = form(-1j * hams)
             scale = norm / np.max(np.sum(np.abs(gens), axis=-2))

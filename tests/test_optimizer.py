@@ -70,7 +70,7 @@ def test_preset_system_is_a_settings_row():
 def test_total_cost_zero_weights():
     cfg = OptimizerConfig(channel_weights=ChannelWeights(0, 0, 0))
     system = SystemConfig(n_qubits=2, delta=20.0)
-    residuals = total_cost(preset_curve("xpi-2q-robust"), system, dressing(system), cfg)
+    residuals = total_cost(CurveGrid(preset_curve("xpi-2q-robust")), system, dressing(system), cfg)
     assert residuals @ residuals == 0.0
 
 
@@ -84,8 +84,8 @@ def test_total_cost_rank_orders_presets():
     system = SystemConfig(n_qubits=3, delta=20.0, drive_choice="center")
     frame = dressing(system)
     cfg = OptimizerConfig()
-    robust = total_cost(preset_curve("xpi-3q-robust"), system, frame, cfg)
-    plain = total_cost(preset_curve("xpi-3q-nonrobust"), system, frame, cfg)
+    robust = total_cost(CurveGrid(preset_curve("xpi-3q-robust")), system, frame, cfg)
+    plain = total_cost(CurveGrid(preset_curve("xpi-3q-nonrobust")), system, frame, cfg)
     assert robust @ robust < plain @ plain
 
 
@@ -176,3 +176,23 @@ def test_optimize_counts_every_total_cost_call(monkeypatch):
         calls.clear()
         result = optimize(np.pi, system, OptimizerConfig(starts=2, seed=5, max_iters=30))
         assert len(calls) == result.n_evaluations > 0
+
+
+def test_optimize_on_one_refilled_grid_matches_fresh_grids(monkeypatch):
+    # optimize refills one grid for every evaluation; evaluating each curve
+    # on a new grid instead must give the same result bit for bit
+    import geodesic_gates.optimizer as optimizer_module
+
+    class FreshGrids(CurveGrid):
+        def refill(self, params):
+            return CurveGrid(params)
+
+    cfg = OptimizerConfig(starts=2, seed=7, max_iters=30)
+    for setting in SETTINGS:
+        system = SystemConfig(**SETTINGS[setting])
+        refilled = optimize(np.pi, system, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer_module, "CurveGrid", FreshGrids)
+            fresh = optimize(np.pi, system, cfg)
+        assert repr(refilled) == repr(fresh), setting
+        assert refilled.n_evaluations > 0
