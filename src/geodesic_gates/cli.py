@@ -33,7 +33,6 @@ from .curves import (
     rotation_angle,
     shortest_b1,
     solve_b1_zero_area,
-    synthesize_waveform,
     waveform_from_grid,
 )
 from .frames import SETTINGS, SystemConfig, dressing
@@ -213,14 +212,16 @@ def _curve_from_args(args):
         raise ConfigError(f"bad params file: {exc}") from None
 
 
-def _check_area(params: CurveParams, system: SystemConfig) -> None:
+def _check_area(grid: CurveGrid, system: SystemConfig) -> None:
     """A resonant block needs a curve of zero enclosed area, to criterion 2's 1e-8.
 
     Otherwise that block misses the gate by the area's phase, and the
-    simulated infidelity says nothing about the curve's robustness.
+    simulated infidelity says nothing about the curve's robustness. The
+    caller builds `grid` first, so a curve the grid cannot resolve fails
+    (exit 4) before this check (exit 2), and synthesizes from the same grid.
     """
     if area_zero_required(system):
-        area = area_functional(CurveGrid(params))
+        area = area_functional(grid)
         if not abs(area) <= 1e-8:
             raise ConfigError(f"this system has a resonant block, which needs a curve "
                               f"of zero enclosed area, but C_target = {area:.3g}")
@@ -333,9 +334,10 @@ def cmd_simulate(args) -> int:
     params, key = _curve_from_args(args)
     phi_target = params.phi_target
     system = _system_from_args(args, default_key=key)
-    _check_area(params, system)
+    grid = CurveGrid(params)
+    _check_area(grid, system)
     frame = dressing(system)
-    wave = synthesize_waveform(params, frame.design_beta, n_samples=args.n_samples)
+    wave = waveform_from_grid(grid, frame.design_beta, n_samples=args.n_samples)
     if args.baseline == "cosine":
         wave = matched_cosine_baseline(phi_target, wave)
     noise = NoiseSetting(delta_omega=args.domega, delta_j=args.dj,
@@ -366,9 +368,10 @@ def cmd_sweep(args) -> int:
     params, key = _curve_from_args(args)
     phi_target = params.phi_target
     system = _system_from_args(args, default_key=key)
-    _check_area(params, system)
+    grid = CurveGrid(params)
+    _check_area(grid, system)
     frame = dressing(system)
-    wave = synthesize_waveform(params, frame.design_beta, n_samples=args.n_samples)
+    wave = waveform_from_grid(grid, frame.design_beta, n_samples=args.n_samples)
     n = args.grid
     axis = np.linspace(-args.range, args.range, n)
     crosstalk = args.crosstalk == "on"

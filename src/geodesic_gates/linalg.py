@@ -28,6 +28,15 @@ theta_6 = 0.0178, degree 9 (four products) up to theta_9 = 0.115, and above
 that degree 9 on A / 2^s, squared s times. The `eigh` form is the tests'
 reference (tests/oracles.py).
 
+`expm_batch` and `product_reduce` can run on memory the caller owns: the
+exponential on four scratch stacks (and its generator stack, which it
+overwrites), the product alternating between its input and one half-size
+buffer. A dense gate exponentiates and multiplies one time chunk after
+another; fresh arrays for each chunk's ten or so stacks would push the heap
+top past the benchmark's 2 MiB trim threshold and fault every chunk in
+again. Called without that memory they allocate it, and either way they
+run the same operations in the same order, bit for bit.
+
 The dense propagators step on the real representation of U(d),
 
     R(M) = [[Re M, -Im M], [Im M, Re M]]    (2d x 2d),
@@ -43,6 +52,7 @@ chosen from the real form's norm is at least the one the complex form needs.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -81,9 +91,13 @@ def pauli_string(spec: str) -> np.ndarray:
 
 
 def _add_identity(mats: np.ndarray, value: float) -> np.ndarray:
-    """mats + value * I on a C-contiguous stack (..., d, d), in place."""
-    d = mats.shape[-1]
-    mats.reshape(mats.shape[:-2] + (d * d,))[..., ::d + 1] += value
+    """mats + value * I on a stack (..., d, d), in place.
+
+    One diagonal entry at a time: a ufunc on the strided 2-D view of all the
+    diagonals allocates two 64 KiB buffers per call.
+    """
+    for j in range(mats.shape[-1]):
+        mats[..., j, j] += value
     return mats
 
 
@@ -108,7 +122,12 @@ def complex_form(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def expm_batch(a: np.ndarray) -> np.ndarray:
+def _reals(stack: np.ndarray, shape) -> np.ndarray:
+    """A float64 array of `shape` on the memory of a C-contiguous stack, real or complex."""
+    return stack.reshape(-1).view(np.float64)[:math.prod(shape)].reshape(shape)
+
+
+def expm_batch(a: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """exp(A_k) for a stack of generators A_k, shape (..., n, n), real or complex.
 
     One degree serves the whole stack, chosen from its largest one-norm: the
@@ -126,28 +145,51 @@ def expm_batch(a: np.ndarray) -> np.ndarray:
         T9 = (I + A + A^2/2) + A^3 [(I/6 + A/24 + A^2/120)
              + A^3 (I/720 + A/5040 + A^2/40320 + A^3/362880)].
 
+    The intermediates are written with `out=` into four scratch stacks and,
+    once its own terms are formed, into the generator stack. `work`, a
+    C-contiguous (4,) + a.shape array of a's dtype, holds the scratch; with
+    it `a` is overwritten and the result is one of work's stacks, so a
+    caller that exponentiates chunk after chunk in one workspace allocates
+    no stack. Without `work` the scratch and a copy of `a` are allocated.
+    Both ways run the same operations in the same order, so the result is
+    the same bit for bit.
+
     A stack with a NaN or infinite entry raises `np.linalg.LinAlgError`.
     """
     a = np.asarray(a)
+    if work is None:
+        work = np.empty((4,) + a.shape, dtype=np.result_type(a, 1.0))
+        a = a.astype(work.dtype)
+    a2, a3, t, u = work
     # column sums by a row of ones: a GEMM, 3x faster than np.sum(axis=-2) here
-    norm = float(np.max(np.ones((1, a.shape[-2])) @ np.abs(a), initial=0.0))
+    colsums = np.matmul(np.ones((1, a.shape[-2])), np.abs(a, out=_reals(t, a.shape)),
+                        out=_reals(u, a.shape[:-2] + (1, a.shape[-1])))
+    norm = float(np.max(colsums, initial=0.0))
     if not np.isfinite(norm):
         raise np.linalg.LinAlgError("non-finite generator in a step exponential")
     squarings = int(np.ceil(np.log2(norm / _TAYLOR9_THETA))) if norm > _TAYLOR9_THETA else 0
     if squarings:
-        a = a * 0.5 ** squarings
-    a2 = a @ a
-    a3 = a2 @ a
-    if norm <= _TAYLOR6_THETA:
-        tail = _add_identity(a * (1.0 / 24.0) + a2 * (1.0 / 120.0) + a3 * (1.0 / 720.0),
-                             1.0 / 6.0)
-    else:
-        inner = _add_identity(a * (1.0 / 5040.0) + a2 * (1.0 / 40320.0)
-                              + a3 * (1.0 / 362880.0), 1.0 / 720.0)
-        tail = _add_identity(a * (1.0 / 24.0) + a2 * (1.0 / 120.0) + a3 @ inner, 1.0 / 6.0)
-    out = _add_identity(a + 0.5 * a2 + a3 @ tail, 1.0)
+        a *= 0.5 ** squarings
+    np.matmul(a, a, out=a2)
+    np.matmul(a2, a, out=a3)
+    taylor9 = norm > _TAYLOR6_THETA
+    if taylor9:
+        # T9's innermost bracket I/720 + A/5040 + A^2/40320 + A^3/362880, in t
+        np.multiply(a, 1.0 / 5040.0, out=t)
+        t += np.multiply(a2, 1.0 / 40320.0, out=u)
+        t += np.multiply(a3, 1.0 / 362880.0, out=u)
+        _add_identity(t, 1.0 / 720.0)
+    # A + A^2/2 in u; a and a2 are then only needed scaled, so they are scaled in place
+    np.add(a, np.multiply(a2, 0.5, out=u), out=u)
+    a *= 1.0 / 24.0
+    a += np.multiply(a2, 1.0 / 120.0, out=a2)
+    # the bracket A^3 multiplies: I/6 + A/24 + A^2/120 + (A^3 inner or A^3/720)
+    a += np.matmul(a3, t, out=a2) if taylor9 else np.multiply(a3, 1.0 / 720.0, out=a2)
+    _add_identity(a, 1.0 / 6.0)
+    u += np.matmul(a3, a, out=t)
+    out = _add_identity(u, 1.0)
     for _ in range(squarings):
-        out = out @ out
+        out, t = np.matmul(out, out, out=t), out
     return out
 
 
@@ -242,23 +284,31 @@ def su2_ordered_exp(x, y, z) -> np.ndarray:
     return out
 
 
-def product_reduce(mats: np.ndarray) -> np.ndarray:
+def product_reduce(mats: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
     """Ordered product M_{N-1} @ ... @ M_1 @ M_0 of a stack (..., N, d, d).
 
-    Pairwise reduction: O(log N) batched matmul passes. Leading batch axes
-    are preserved, the product runs over the second-to-last stack axis.
+    Pairwise reduction: O(log N) batched matmul passes, each multiplying
+    M_{2i+1} M_{2i} and carrying an odd last factor over to the next pass.
+    Leading batch axes are preserved, the product runs over the
+    second-to-last stack axis. The passes alternate between `buf`, a stack
+    (..., >= ceil(N/2), d, d), and `mats`, which is overwritten, and the
+    result is a view into one of them. Without `buf` both are allocated and
+    `mats` is left as it is.
     """
     mats = np.asarray(mats)
+    if buf is None:
+        mats = mats.copy()
+        buf = np.empty(mats.shape[:-3] + ((mats.shape[-3] + 1) // 2,) + mats.shape[-2:],
+                       dtype=mats.dtype)
     while mats.shape[-3] > 1:
         n = mats.shape[-3]
+        half = n // 2
+        out = buf[..., :n - half, :, :]
+        np.matmul(mats[..., 1:2 * half:2, :, :], mats[..., 0:2 * half:2, :, :],
+                  out=out[..., :half, :, :])
         if n % 2:
-            tail = mats[..., -1:, :, :]
-            body = mats[..., :-1, :, :]
-        else:
-            tail = None
-            body = mats
-        body = np.matmul(body[..., 1::2, :, :], body[..., 0::2, :, :])
-        mats = body if tail is None else np.concatenate([body, tail], axis=-3)
+            out[..., half, :, :] = mats[..., n - 1, :, :]
+        mats, buf = out, mats
     return mats[..., 0, :, :]
 
 

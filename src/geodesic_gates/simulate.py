@@ -25,6 +25,12 @@ R maps products to products, so the exponentials (`linalg.expm_batch`, a
 Taylor polynomial whose degree follows the stack's norm) and their ordered
 product (`linalg.product_reduce`) run on real GEMM, and U is converted
 back once per gate. The result is the complex computation's up to rounding.
+A gate's chunks are exponentiated and multiplied in one workspace, a single
+block holding the generator stack and the exponential's four scratch stacks
+(`_dense_workspace`); the spent generator stack is the product's second
+buffer. `simulate_gate` allocates one per gate, and `noise_sweep` one per
+thread that its points run on, reused from point to point; it is a
+`threading.local` made for each sweep, so no two threads share one.
 The noise is a constant diagonal operator N, so `noise_sweep`, the one loop
 over sweep points, builds the noise-free steps once, adds N to each point's
 steps (`_dense_gate`) and maps the points through a `map` callable (the CLI
@@ -37,8 +43,8 @@ allocated.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -78,11 +84,14 @@ from .linalg import (
 # thread, 2-vCPU host)
 _BATCH_ELEMENTS = 16_384
 # reals per (steps, 2d, 2d) stack of a dense time chunk: 1024 steps for two
-# qubits, 256 for three. Memory then does not grow with n_steps, and each of
-# the ten or so stacks the step exponential holds is 512 KiB, below the 1 MiB
-# mmap threshold the benchmark pins, so freed temporaries are reused rather
-# than unmapped. With 1 MiB stacks a crosstalk-on sweep point took 25 ms (2q)
-# and 81-91 ms (3q) against 12 ms and 32-36 ms (one BLAS thread, 2-vCPU host)
+# qubits, 256 for three, so memory does not grow with n_steps. A workspace
+# holds five such stacks (2.5 MiB in one mapping, 640 pages faulted in once
+# per gate or sweep thread) and the chunks allocate no stack. Fresh
+# temporaries for each chunk, about ten 512 KiB stacks, pass the 2 MiB trim
+# threshold the benchmark pins, and a 3q gate then faults 15 000-19 000
+# pages. Measured with such temporaries, 1 MiB stacks took 25 ms (2q) and
+# 81-91 ms (3q) per crosstalk-on sweep point against 12 ms and 32-36 ms
+# (one BLAS thread, 2-vCPU host)
 _DENSE_ELEMENTS = 65536
 # reals in the shared noise-free steps of a dense run's default step count,
 # n_steps (2d)^2: the pair (steps, H2 - H1) then holds at most 256 MiB, that is
@@ -241,8 +250,14 @@ def _magnus_steps(system: SystemConfig, frame: FrameData, waveform: Waveform,
     return dt, chunks()
 
 
+def _dense_workspace(steps: np.ndarray) -> np.ndarray:
+    """One block for the chunks of a dense gate whose longest chunk is `steps`:
+    the generator stack and `expm_batch`'s four scratch stacks."""
+    return np.empty((5,) + steps.shape)
+
+
 def _dense_gate(system: SystemConfig, frame: FrameData, waveform: Waveform, model: str,
-                dt: float, chunks, noise: NoiseSetting, gate_angle: float):
+                dt: float, chunks, noise: NoiseSetting, gate_angle: float, work=None):
     """(U_final, infidelity) of the dense model from the `_magnus_steps` chunks.
 
     The constant diagonal noise N = diag(n) enters each step's H_eff without
@@ -253,20 +268,31 @@ def _dense_gate(system: SystemConfig, frame: FrameData, waveform: Waveform, mode
     lower left's, and the commutator term is the real coefficient
     -(sqrt(3)/12) dt^2 (n_j - n_i), tiled over the four blocks, times
     R(H2 - H1).
+
+    Every chunk is exponentiated and multiplied in `work`, a
+    `_dense_workspace` that the call overwrites; without it the call
+    allocates one.
     """
     n = _noise_diagonal(frame, noise)
     d = n.size
     skew = np.tile((-MAGNUS4_WEIGHT * dt * dt) * (n[None, :] - n[:, None]), (2, 2))
+    dt_n = dt * n
     u_final = None
     for steps, diff in chunks:
-        gens = skew * diff
+        if work is None:
+            work = _dense_workspace(steps)  # the first chunk is the longest
+        # skew * diff; einsum, because a broadcasting ufunc allocates a 64 KiB buffer
+        gens = np.einsum("ij,kij->kij", skew, diff, out=work[0, :len(steps)])
         gens += steps
-        # the diagonals of the upper right and lower left blocks, as strided slices
-        flat = gens.reshape(len(gens), -1)
-        flat[:, d:2 * d * d:2 * d + 1] += dt * n
-        flat[:, 2 * d * d::2 * d + 1] -= dt * n
-        u_chunk = product_reduce(expm_batch(gens))
-        u_final = u_chunk if u_final is None else u_chunk @ u_final
+        # the diagonals of the upper right and lower left blocks, entry by entry:
+        # 1-D strided updates need no buffer either
+        for j in range(d):
+            gens[:, j, d + j] += dt_n[j]
+            gens[:, d + j, j] -= dt_n[j]
+        # the exponential overwrites the generators, so their stack is free
+        # for the product's passes; the product is a view into the workspace
+        u_chunk = product_reduce(expm_batch(gens, work[1:, :len(steps)]), gens)
+        u_final = u_chunk.copy() if u_final is None else u_chunk @ u_final
     u_final = complex_form(u_final)
     if model == MODEL_LAB:
         u_final = logical_from_lab(u_final, frame, waveform.T)
@@ -324,8 +350,17 @@ def noise_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
         return _block_sweep(system, frame, waveform, domega_values, dj_values,
                             gate_angle, n_steps)[1]
     dt, chunks = _magnus_steps(system, frame, waveform, model, n_steps)
-    gate = partial(_dense_gate, system, frame, waveform, model, dt, list(chunks),
-                   gate_angle=gate_angle)
+    chunks = list(chunks)
+    # one workspace per thread that `map` runs points on, reused point after
+    # point: a new one per point faulted its 640 pages in each time
+    workspaces = threading.local()
+
+    def gate(noise):
+        if not hasattr(workspaces, "work"):
+            workspaces.work = _dense_workspace(chunks[0][0])
+        return _dense_gate(system, frame, waveform, model, dt, chunks, noise, gate_angle,
+                           workspaces.work)
+
     noises = [NoiseSetting(float(dw), float(dj), crosstalk_on)
               for dw in domega_values for dj in dj_values]
     return np.reshape([i for _, i in map(gate, noises)], (domega_values.size, dj_values.size))

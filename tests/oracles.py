@@ -17,7 +17,13 @@ from geodesic_gates.curves import (
     _coefficients,
 )
 from geodesic_gates.frames import MODEL_REDUCED, dense_terms
-from geodesic_gates.linalg import SIGMA_I, gate_fidelity, product_reduce
+from geodesic_gates.linalg import (
+    _TAYLOR6_THETA,
+    _TAYLOR9_THETA,
+    SIGMA_I,
+    gate_fidelity,
+    product_reduce,
+)
 from geodesic_gates.simulate import _BLOCK_PER_INTERVAL
 
 
@@ -268,9 +274,12 @@ def expm_eigh_batch(hams: np.ndarray, dt: float) -> np.ndarray:
     return (evecs * phases[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
 
 
-def expm_eigh_real(gens: np.ndarray) -> np.ndarray:
+def expm_eigh_real(gens: np.ndarray, work=None) -> np.ndarray:
     """exp(A_k) for a real-form stack R(A_k) = [[Re A, -Im A], [Im A, Re A]] of
-    anti-Hermitian generators A_k = -i H_k, by eigendecomposition of H_k."""
+    anti-Hermitian generators A_k = -i H_k, by eigendecomposition of H_k.
+
+    `work` is accepted and unused, so this can stand in for `linalg.expm_batch`.
+    """
     d = gens.shape[-1] // 2
     u = expm_eigh_batch(1j * (gens[..., :d, :d] + 1j * gens[..., d:, :d]), 1.0)
     return np.block([[u.real, -u.imag], [u.imag, u.real]])
@@ -309,3 +318,53 @@ def propagate_converged(
             return u_next
         u_prev = u_next
     return u_prev
+
+
+def _add_identity(mats: np.ndarray, value: float) -> np.ndarray:
+    """mats + value * I on a C-contiguous stack (..., d, d), in place."""
+    d = mats.shape[-1]
+    mats.reshape(mats.shape[:-2] + (d * d,))[..., ::d + 1] += value
+    return mats
+
+
+def expm_batch_allocating(a: np.ndarray) -> np.ndarray:
+    """`linalg.expm_batch` as it was before its scratch moved into a workspace:
+    the same degree rule and Paterson-Stockmeyer form, every intermediate a
+    new array. The workspace kernel must match it bit for bit."""
+    a = np.asarray(a)
+    norm = float(np.max(np.ones((1, a.shape[-2])) @ np.abs(a), initial=0.0))
+    if not np.isfinite(norm):
+        raise np.linalg.LinAlgError("non-finite generator in a step exponential")
+    squarings = int(np.ceil(np.log2(norm / _TAYLOR9_THETA))) if norm > _TAYLOR9_THETA else 0
+    if squarings:
+        a = a * 0.5 ** squarings
+    a2 = a @ a
+    a3 = a2 @ a
+    if norm <= _TAYLOR6_THETA:
+        tail = _add_identity(a * (1.0 / 24.0) + a2 * (1.0 / 120.0) + a3 * (1.0 / 720.0),
+                             1.0 / 6.0)
+    else:
+        inner = _add_identity(a * (1.0 / 5040.0) + a2 * (1.0 / 40320.0)
+                              + a3 * (1.0 / 362880.0), 1.0 / 720.0)
+        tail = _add_identity(a * (1.0 / 24.0) + a2 * (1.0 / 120.0) + a3 @ inner, 1.0 / 6.0)
+    out = _add_identity(a + 0.5 * a2 + a3 @ tail, 1.0)
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def product_reduce_allocating(mats: np.ndarray) -> np.ndarray:
+    """`linalg.product_reduce` as it was before it took a ping-pong buffer: the
+    same pairwise pairing, each pass a new array."""
+    mats = np.asarray(mats)
+    while mats.shape[-3] > 1:
+        n = mats.shape[-3]
+        if n % 2:
+            tail = mats[..., -1:, :, :]
+            body = mats[..., :-1, :, :]
+        else:
+            tail = None
+            body = mats
+        body = np.matmul(body[..., 1::2, :, :], body[..., 0::2, :, :])
+        mats = body if tail is None else np.concatenate([body, tail], axis=-3)
+    return mats[..., 0, :, :]

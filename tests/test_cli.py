@@ -274,6 +274,34 @@ def test_unresolvable_curve_exits_4(tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--grid", "3", "--crosstalk", "off"]])
+def test_resonant_block_commands_build_one_grid(tmp_path, monkeypatch, command):
+    # the area check and the waveform read the same grid
+    from geodesic_gates.curves import CurveGrid
+
+    built = []
+    init = CurveGrid.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CurveGrid, "__init__", counting_init)
+    assert run(tmp_path, *command, "--preset", "xpi-3q-robust") == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--grid", "3"]])
+def test_unresolvable_curve_on_resonant_block_exits_4(tmp_path, capsys, command):
+    # the grid fails before the area check could call the curve invalid
+    params = tmp_path / "p.json"
+    write_json(params, {"a": -1.0 / (32.0 * np.pi**2), "b1": 1e6, "phi_target": np.pi})
+    code = run(tmp_path / "out", *command, "--params", str(params), "--setting", "2q-resonant",
+               "--crosstalk", "off")
+    assert code == 4
+    assert "numerical failure:" in capsys.readouterr().err
+
+
 def test_audit_exit_zero(tmp_path, capsys):
     assert run(tmp_path, "audit") == 0
     out = capsys.readouterr().out
@@ -778,9 +806,10 @@ def test_every_preset_passes_its_own_area_check():
     from geodesic_gates.optimizer import PRESET_KEYS, preset_curve, preset_system
 
     for key in PRESET_KEYS:
-        _check_area(preset_curve(key), preset_system(key))
+        grid = CurveGrid(preset_curve(key))
+        _check_area(grid, preset_system(key))
         if preset_system(key).n_qubits == 3:
-            assert abs(area_functional(CurveGrid(preset_curve(key)))) <= 1e-12, key
+            assert abs(area_functional(grid)) <= 1e-12, key
 
 
 @pytest.mark.parametrize("argv, config, flags", [

@@ -23,11 +23,13 @@ from geodesic_gates.linalg import (
     su2_ordered_exp,
 )
 from oracles import (
+    expm_batch_allocating,
     expm_hermitian,
     is_hermitian,
     is_unitary,
     max_abs,
     propagate,
+    product_reduce_allocating,
     propagate_converged,
     su2_exp_batch,
 )
@@ -125,6 +127,39 @@ def test_expm_batch_rejects_non_finite_stack():
             expm_hermitian_batch(hams, 0.1)
         with pytest.raises(np.linalg.LinAlgError):
             expm_batch(real_form(hams))
+
+
+def test_workspace_kernels_match_allocating_oracles_bit_for_bit():
+    # the scratch of the exponential and the product's passes moved into
+    # caller-owned stacks; the arithmetic must not have moved with them
+    rng = np.random.default_rng(15)
+    m = rng.normal(size=(64, 4, 4)) + 1j * rng.normal(size=(64, 4, 4))
+    gens = -1j * (m + m.conj().swapaxes(-1, -2))
+    # T6, T9, and T9 on A / 2^2 squared twice
+    for norm in (0.9 * _TAYLOR6_THETA, 0.5 * (_TAYLOR6_THETA + _TAYLOR9_THETA),
+                 3.0 * _TAYLOR9_THETA):
+        for form in (np.asarray, real_form):
+            stack = form(gens)
+            stack = stack * (norm / np.max(np.sum(np.abs(stack), axis=-2)))
+            expected = expm_batch_allocating(stack)
+            kept = stack.copy()
+            assert np.array_equal(expm_batch(stack), expected), (norm, form)
+            assert np.array_equal(stack, kept)
+            work = np.empty((4,) + stack.shape, dtype=stack.dtype)
+            assert np.array_equal(expm_batch(stack, work), expected), (norm, form)
+    for n in (1, 2, 3, 255, 256, 257, 1024):
+        mats = np.eye(8) + 0.05 * rng.normal(size=(n, 8, 8))
+        expected = product_reduce_allocating(mats)
+        kept = mats.copy()
+        assert np.array_equal(product_reduce(mats), expected), n
+        assert np.array_equal(mats, kept)
+        buf = np.empty(((n + 1) // 2, 8, 8))
+        assert np.array_equal(product_reduce(mats, buf), expected), n
+    # leading batch axes
+    mats = np.eye(4) + 0.05 * rng.normal(size=(3, 257, 4, 4))
+    expected = product_reduce_allocating(mats)
+    assert np.array_equal(product_reduce(mats), expected)
+    assert np.array_equal(product_reduce(mats.copy(), np.empty((3, 129, 4, 4))), expected)
 
 
 def test_real_form_round_trip_and_products():

@@ -1,5 +1,6 @@
 """Gate simulation, noise sweeps and slope fits."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +34,9 @@ from geodesic_gates.simulate import (
     slope_fit,
     _BLOCK_PER_INTERVAL,
     _block_betas,
+    _dense_gate,
     _dense_per_interval,
+    _dense_workspace,
     _magnus_steps,
     _step_grid,
 )
@@ -207,6 +210,32 @@ def test_dense_gate_matches_eigh_stepped_oracle(key, model, monkeypatch):
     u_oracle, _ = simulate_gate(system, frame, wave, noise, model=model)
     assert np.max(np.abs(u - u_oracle)) < 1e-11
     assert np.max(np.abs(u.conj().T @ u - np.eye(system.dim))) < 1e-12
+
+
+@pytest.mark.parametrize("key", ["xpi-2q-robust", "xpi-3q-robust"])
+@pytest.mark.parametrize("model", [MODEL_REDUCED, MODEL_LAB])
+def test_dense_gate_allocates_only_its_workspace(key, model):
+    # on the shared chunks of a sweep, a dense gate's stacks live in one
+    # workspace, its generators and the exponential's four scratch stacks,
+    # where fresh temporaries would take about ten stacks per chunk; a sweep
+    # thread's workspace serves point after point and leaves nothing behind
+    system, frame, wave = _setup(key)
+    dt, chunks = _magnus_steps(system, frame, wave, model, None)
+    chunks = list(chunks)
+    expected = _dense_gate(system, frame, wave, model, dt, chunks, NoiseSetting(0.03, -0.02),
+                           np.pi)
+    work = _dense_workspace(chunks[0][0])
+    _dense_gate(system, frame, wave, model, dt, chunks, NoiseSetting(0.5, 0.5), np.pi, work)
+    for args, bound in (((), 5 * chunks[0][0].nbytes), ((work,), 0)):
+        tracemalloc.start()
+        try:
+            u, infid = _dense_gate(system, frame, wave, model, dt, chunks,
+                                   NoiseSetting(0.03, -0.02), np.pi, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound + 64 * 1024, (peak, bound)
+        assert np.array_equal(u, expected[0]) and infid == expected[1]
 
 
 def test_crosstalk_on_sweep_matches_simulate_at_every_point():
