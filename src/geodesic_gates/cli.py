@@ -212,19 +212,26 @@ def _curve_from_args(args):
         raise ConfigError(f"bad params file: {exc}") from None
 
 
-def _check_area(grid: CurveGrid, system: SystemConfig) -> None:
-    """A resonant block needs a curve of zero enclosed area, to criterion 2's 1e-8.
+def _gate_from_args(args):
+    """(params, key, system, frame, waveform) of the gate `simulate` and `sweep` propagate.
 
-    Otherwise that block misses the gate by the area's phase, and the
-    simulated infidelity says nothing about the curve's robustness. The
-    caller builds `grid` first, so a curve the grid cannot resolve fails
-    (exit 4) before this check (exit 2), and synthesizes from the same grid.
+    A resonant block needs a curve of zero enclosed area, to criterion 2's
+    1e-8. Otherwise that block misses the gate by the area's phase, and the
+    simulated infidelity says nothing about the curve's robustness. The grid
+    is built first, so a curve the grid cannot resolve fails (exit 4) before
+    this check (exit 2), and the waveform is synthesized from the same grid.
     """
+    params, key = _curve_from_args(args)
+    system = _system_from_args(args, default_key=key)
+    grid = CurveGrid(params)
     if area_zero_required(system):
         area = area_functional(grid)
         if not abs(area) <= 1e-8:
             raise ConfigError(f"this system has a resonant block, which needs a curve "
                               f"of zero enclosed area, but C_target = {area:.3g}")
+    frame = dressing(system)
+    wave = waveform_from_grid(grid, frame.design_beta, n_samples=args.n_samples)
+    return params, key, system, frame, wave
 
 
 def _check_out(out: Path) -> None:
@@ -331,13 +338,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    params, key = _curve_from_args(args)
+    params, key, system, frame, wave = _gate_from_args(args)
     phi_target = params.phi_target
-    system = _system_from_args(args, default_key=key)
-    grid = CurveGrid(params)
-    _check_area(grid, system)
-    frame = dressing(system)
-    wave = waveform_from_grid(grid, frame.design_beta, n_samples=args.n_samples)
     if args.baseline == "cosine":
         wave = matched_cosine_baseline(phi_target, wave)
     noise = NoiseSetting(delta_omega=args.domega, delta_j=args.dj,
@@ -365,13 +367,8 @@ def cmd_sweep(args) -> int:
     # a positive test, so NaN fails it; the upper end is NoiseSetting's bound
     if not 0.0 < args.range <= 0.5:
         raise ConfigError(f"--range must be in (0, 0.5] (units of J), got {args.range!r}")
-    params, key = _curve_from_args(args)
+    params, key, system, frame, wave = _gate_from_args(args)
     phi_target = params.phi_target
-    system = _system_from_args(args, default_key=key)
-    grid = CurveGrid(params)
-    _check_area(grid, system)
-    frame = dressing(system)
-    wave = waveform_from_grid(grid, frame.design_beta, n_samples=args.n_samples)
     n = args.grid
     axis = np.linspace(-args.range, args.range, n)
     crosstalk = args.crosstalk == "on"

@@ -137,17 +137,14 @@ def _coefficients(params: CurveParams) -> np.ndarray:
 
 
 def _cumtrapz_corrected(values: np.ndarray, derivs: np.ndarray, h: float,
-                        out: np.ndarray | None = None,
-                        work: np.ndarray | None = None) -> np.ndarray:
+                        out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Cumulative trapezoid with the leading h^2/12 endpoint term removed.
 
     The running upper limit makes plain cumulative-trapezoid only O(h^2);
     subtracting (h^2/12)(f'(x_k) - f'(x_0)) restores O(h^4), which the
     oscillatory crosstalk phases need. Works along the last axis, into `out`
-    with `work` as scratch (both shaped like `values`; new arrays if None).
+    with `work` as scratch, both shaped like `values`, and returns `out`.
     """
-    out = np.empty_like(values) if out is None else out
-    work = np.empty_like(values) if work is None else work
     out[..., 0] = 0.0
     steps = np.add(values[..., 1:], values[..., :-1], out=work[..., 1:])
     steps *= 0.5 * h
@@ -197,7 +194,9 @@ def _grid_tables(n: int):
     integrand = (1.0 - cos_chi) * basis[1, :4]
     deriv = sin_chi * basis[1, :4] + (1.0 - cos_chi) * basis[2, :4]
     area = np.empty((5, n))
-    area[:4] = 0.5 * _cumtrapz_corrected(integrand, deriv, chi[1] - chi[0])
+    # halved in place, exactly: 0.5 is a power of two
+    _cumtrapz_corrected(integrand, deriv, chi[1] - chi[0], area[:4], np.empty_like(integrand))
+    area[:4] *= 0.5
     area[4] = 0.6 * np.sin(chi / 2.0) ** 5
     tables = (chi, sin_chi, cos_chi, basis, area)
     for table in tables:

@@ -28,14 +28,13 @@ theta_6 = 0.0178, degree 9 (four products) up to theta_9 = 0.115, and above
 that degree 9 on A / 2^s, squared s times. The `eigh` form is the tests'
 reference (tests/oracles.py).
 
-`expm_batch` and `product_reduce` can run on memory the caller owns: the
+`expm_batch` and `product_reduce` run on memory the caller owns: the
 exponential on four scratch stacks (and its generator stack, which it
 overwrites), the product alternating between its input and one half-size
 buffer. A dense gate exponentiates and multiplies one time chunk after
 another; fresh arrays for each chunk's ten or so stacks would push the heap
 top past the benchmark's 2 MiB trim threshold and fault every chunk in
-again. Called without that memory they allocate it, and either way they
-run the same operations in the same order, bit for bit.
+again.
 
 The dense propagators step on the real representation of U(d),
 
@@ -127,7 +126,7 @@ def _reals(stack: np.ndarray, shape) -> np.ndarray:
     return stack.reshape(-1).view(np.float64)[:math.prod(shape)].reshape(shape)
 
 
-def expm_batch(a: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+def expm_batch(a: np.ndarray, work: np.ndarray) -> np.ndarray:
     """exp(A_k) for a stack of generators A_k, shape (..., n, n), real or complex.
 
     One degree serves the whole stack, chosen from its largest one-norm: the
@@ -147,19 +146,13 @@ def expm_batch(a: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
 
     The intermediates are written with `out=` into four scratch stacks and,
     once its own terms are formed, into the generator stack. `work`, a
-    C-contiguous (4,) + a.shape array of a's dtype, holds the scratch; with
-    it `a` is overwritten and the result is one of work's stacks, so a
-    caller that exponentiates chunk after chunk in one workspace allocates
-    no stack. Without `work` the scratch and a copy of `a` are allocated.
-    Both ways run the same operations in the same order, so the result is
-    the same bit for bit.
+    (4,) + a.shape array of a's dtype whose four stacks are C-contiguous,
+    holds the scratch; `a`, a C-contiguous float or complex stack, is
+    overwritten, and the result is one of work's stacks, so a caller that
+    exponentiates chunk after chunk in one workspace allocates no stack.
 
     A stack with a NaN or infinite entry raises `np.linalg.LinAlgError`.
     """
-    a = np.asarray(a)
-    if work is None:
-        work = np.empty((4,) + a.shape, dtype=np.result_type(a, 1.0))
-        a = a.astype(work.dtype)
     a2, a3, t, u = work
     # column sums by a row of ones: a GEMM, 3x faster than np.sum(axis=-2) here
     colsums = np.matmul(np.ones((1, a.shape[-2])), np.abs(a, out=_reals(t, a.shape)),
@@ -191,18 +184,6 @@ def expm_batch(a: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     for _ in range(squarings):
         out, t = np.matmul(out, out, out=t), out
     return out
-
-
-def expm_hermitian_batch(hams: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H_k dt) for a stack of Hermitian matrices, shape (..., d, d), by `expm_batch`.
-
-    A stack with a NaN or infinite entry raises `np.linalg.LinAlgError`
-    before any arithmetic on it.
-    """
-    hams = np.asarray(hams)
-    if not np.all(np.isfinite(hams)):
-        raise np.linalg.LinAlgError("non-finite Hamiltonian in a step exponential")
-    return expm_batch((-1.0j * dt) * hams)
 
 
 def gauss_nodes(T: float, n_steps: int):
@@ -284,7 +265,7 @@ def su2_ordered_exp(x, y, z) -> np.ndarray:
     return out
 
 
-def product_reduce(mats: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+def product_reduce(mats: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """Ordered product M_{N-1} @ ... @ M_1 @ M_0 of a stack (..., N, d, d).
 
     Pairwise reduction: O(log N) batched matmul passes, each multiplying
@@ -292,14 +273,8 @@ def product_reduce(mats: np.ndarray, buf: np.ndarray | None = None) -> np.ndarra
     Leading batch axes are preserved, the product runs over the
     second-to-last stack axis. The passes alternate between `buf`, a stack
     (..., >= ceil(N/2), d, d), and `mats`, which is overwritten, and the
-    result is a view into one of them. Without `buf` both are allocated and
-    `mats` is left as it is.
+    result is a view into one of them.
     """
-    mats = np.asarray(mats)
-    if buf is None:
-        mats = mats.copy()
-        buf = np.empty(mats.shape[:-3] + ((mats.shape[-3] + 1) // 2,) + mats.shape[-2:],
-                       dtype=mats.dtype)
     while mats.shape[-3] > 1:
         n = mats.shape[-3]
         half = n // 2

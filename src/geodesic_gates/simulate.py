@@ -27,10 +27,11 @@ product (`linalg.product_reduce`) run on real GEMM, and U is converted
 back once per gate. The result is the complex computation's up to rounding.
 A gate's chunks are exponentiated and multiplied in one workspace, a single
 block holding the generator stack and the exponential's four scratch stacks
-(`_dense_workspace`); the spent generator stack is the product's second
-buffer. `simulate_gate` allocates one per gate, and `noise_sweep` one per
-thread that its points run on, reused from point to point; it is a
-`threading.local` made for each sweep, so no two threads share one.
+(`_dense_workspace`, sized by the system alone); the spent generator stack
+is the product's second buffer. `simulate_gate` allocates one per gate, and
+`noise_sweep` one per thread that its points run on, reused from point to
+point; it is a `threading.local` made for each sweep, so no two threads
+share one.
 The noise is a constant diagonal operator N, so `noise_sweep`, the one loop
 over sweep points, builds the noise-free steps once, adds N to each point's
 steps (`_dense_gate`) and maps the points through a `map` callable (the CLI
@@ -47,7 +48,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .curves import Waveform
 from .frames import (
@@ -250,14 +250,15 @@ def _magnus_steps(system: SystemConfig, frame: FrameData, waveform: Waveform,
     return dt, chunks()
 
 
-def _dense_workspace(steps: np.ndarray) -> np.ndarray:
-    """One block for the chunks of a dense gate whose longest chunk is `steps`:
-    the generator stack and `expm_batch`'s four scratch stacks."""
-    return np.empty((5,) + steps.shape)
+def _dense_workspace(system: SystemConfig) -> np.ndarray:
+    """One block for every chunk of a dense gate of `system`: the generator
+    stack and `expm_batch`'s four scratch stacks, `_DENSE_ELEMENTS` reals each."""
+    size = 2 * system.dim
+    return np.empty((5, _DENSE_ELEMENTS // size**2, size, size))
 
 
 def _dense_gate(system: SystemConfig, frame: FrameData, waveform: Waveform, model: str,
-                dt: float, chunks, noise: NoiseSetting, gate_angle: float, work=None):
+                dt: float, chunks, noise: NoiseSetting, gate_angle: float, work: np.ndarray):
     """(U_final, infidelity) of the dense model from the `_magnus_steps` chunks.
 
     The constant diagonal noise N = diag(n) enters each step's H_eff without
@@ -270,8 +271,7 @@ def _dense_gate(system: SystemConfig, frame: FrameData, waveform: Waveform, mode
     R(H2 - H1).
 
     Every chunk is exponentiated and multiplied in `work`, a
-    `_dense_workspace` that the call overwrites; without it the call
-    allocates one.
+    `_dense_workspace(system)` that the call overwrites.
     """
     n = _noise_diagonal(frame, noise)
     d = n.size
@@ -279,8 +279,6 @@ def _dense_gate(system: SystemConfig, frame: FrameData, waveform: Waveform, mode
     dt_n = dt * n
     u_final = None
     for steps, diff in chunks:
-        if work is None:
-            work = _dense_workspace(steps)  # the first chunk is the longest
         # skew * diff; einsum, because a broadcasting ufunc allocates a 64 KiB buffer
         gens = np.einsum("ij,kij->kij", skew, diff, out=work[0, :len(steps)])
         gens += steps
@@ -315,9 +313,13 @@ def simulate_gate(system: SystemConfig, frame: FrameData, waveform: Waveform,
     if _block_path(frame, waveform, model, noise.crosstalk_on):
         blocks, infid = _block_sweep(system, frame, waveform, noise.delta_omega,
                                      noise.delta_j, gate_angle, n_steps)
-        return block_diag(*blocks[:, 0, 0]), float(infid[0, 0])
+        u = np.zeros((system.dim, system.dim), dtype=complex)
+        for k, block in enumerate(blocks[:, 0, 0]):
+            u[2 * k:2 * k + 2, 2 * k:2 * k + 2] = block
+        return u, float(infid[0, 0])
     dt, chunks = _magnus_steps(system, frame, waveform, model, n_steps)
-    return _dense_gate(system, frame, waveform, model, dt, chunks, noise, gate_angle)
+    return _dense_gate(system, frame, waveform, model, dt, chunks, noise, gate_angle,
+                       _dense_workspace(system))
 
 
 def _block_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
@@ -357,7 +359,7 @@ def noise_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
 
     def gate(noise):
         if not hasattr(workspaces, "work"):
-            workspaces.work = _dense_workspace(chunks[0][0])
+            workspaces.work = _dense_workspace(system)
         return _dense_gate(system, frame, waveform, model, dt, chunks, noise, gate_angle,
                            workspaces.work)
 

@@ -22,7 +22,6 @@ from geodesic_gates.linalg import (
     _TAYLOR9_THETA,
     SIGMA_I,
     gate_fidelity,
-    product_reduce,
 )
 from geodesic_gates.simulate import _BLOCK_PER_INTERVAL
 
@@ -231,7 +230,7 @@ def propagate_blocks_oracle(wave, betas, n_steps=None) -> np.ndarray:
 
     The same fourth-order Magnus steps on two Gauss-Legendre nodes as
     `simulate.propagate_blocks`, on the same default step grid, exponentiated
-    by `su2_exp_batch` and multiplied by `product_reduce`, with no sharing
+    by `su2_exp_batch` and multiplied by `product_reduce_allocating`, with no sharing
     between betas and no sign fold.
     """
     if n_steps is None:
@@ -244,7 +243,8 @@ def propagate_blocks_oracle(wave, betas, n_steps=None) -> np.ndarray:
     x = 0.25 * (om1 + om2) * dt
     y = -np.sqrt(3.0) / 24.0 * dt * dt * (om2 - om1)
     flat = np.atleast_1d(np.asarray(betas, dtype=float)).ravel()
-    out = np.stack([product_reduce(su2_exp_batch(x, y * beta, np.full(n_steps, 0.5 * dt * beta)))
+    out = np.stack([product_reduce_allocating(su2_exp_batch(x, y * beta,
+                                                            np.full(n_steps, 0.5 * dt * beta)))
                     for beta in flat])
     return out.reshape(np.shape(betas) + (2, 2))
 
@@ -294,7 +294,7 @@ def expm_hermitian(ham: np.ndarray, scale: float = 1.0) -> np.ndarray:
 
 def propagate_sampled(hams: np.ndarray, dt: float) -> np.ndarray:
     """Propagator from midpoint-sampled Hamiltonians, shape (N, d, d)."""
-    return product_reduce(expm_eigh_batch(hams, dt))
+    return product_reduce_allocating(expm_eigh_batch(hams, dt))
 
 
 def propagate_converged(

@@ -23,7 +23,7 @@ SYNTHETIC_SPANS = {"curves.grid_build": ("curves", "CurveGrid"),
 #: so the metrics read from them are 0 (ROADMAP item 15 lists the tracer fixes)
 REMOVED_SPANS = {"curves.curve_grid", "frames.lab_hamiltonian_samples",
                  "frames.reduced_hamiltonian_samples", "linalg.expm_hermitian",
-                 "linalg.su2_exp_batch"}
+                 "linalg.expm_hermitian_batch", "linalg.su2_exp_batch"}
 #: names the tracer leaves unwrapped whose function the package has dropped
 REMOVED_UNWRAPPED = {"cli.format_float"}
 

@@ -330,17 +330,32 @@ def test_csv_round_trip_byte_identical(tmp_path):
     assert "\n".join(rebuilt) + "\n" == original
 
 
-def test_module_entrypoint_runs():
-    # the child finds the package where this process imported it from
+def _child_env() -> dict:
+    """The environment of a child interpreter that finds the package where this
+    process imported it from."""
     import geodesic_gates
 
     src = str(Path(geodesic_gates.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "geodesic_gates.cli", "--version"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
+
+
+def test_cli_import_loads_no_scipy():
+    # every command is its own process; only `optimize` needs scipy, and
+    # imports it when it runs
+    code = ("import sys, geodesic_gates.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("threads", ["0", "-3", "zebra"])
@@ -801,15 +816,16 @@ def test_area_enclosing_curve_on_resonant_block_exits_2(tmp_path, capsys, comman
 
 
 def test_every_preset_passes_its_own_area_check():
-    from geodesic_gates.cli import _check_area
+    from geodesic_gates.cli import _gate_from_args, build_parser
     from geodesic_gates.curves import CurveGrid, area_functional
     from geodesic_gates.optimizer import PRESET_KEYS, preset_curve, preset_system
 
     for key in PRESET_KEYS:
-        grid = CurveGrid(preset_curve(key))
-        _check_area(grid, preset_system(key))
+        args = build_parser().parse_args(["simulate", "--preset", key])
+        args._run_config = {}
+        _gate_from_args(args)
         if preset_system(key).n_qubits == 3:
-            assert abs(area_functional(grid)) <= 1e-12, key
+            assert abs(area_functional(CurveGrid(preset_curve(key)))) <= 1e-12, key
 
 
 @pytest.mark.parametrize("argv, config, flags", [

@@ -113,8 +113,8 @@ def test_lab_samples_drive_is_envelope_over_drive_scale(cfg):
     rng = np.random.default_rng(17)
     pulse = Waveform(T=3.0, dt=0.5, samples=rng.uniform(-1.0, 1.0, 7), beta_design=0.0)
     times = rng.uniform(0.0, pulse.T, 32)
-    xt = embed_single(SIGMA_X, cfg.target_qubit, cfg.n_qubits)
-    yt = embed_single(SIGMA_Y, cfg.target_qubit, cfg.n_qubits)
+    xt = embed_single(SIGMA_X, cfg.n_qubits, cfg.n_qubits)
+    yt = embed_single(SIGMA_Y, cfg.n_qubits, cfg.n_qubits)
     amp = (pulse.envelope(times) / (2.0 * frame.drive_scale))[:, None, None]
     wd_t = (frame.omega_d * times)[:, None, None]
     expected = lab_static(cfg) + amp * (np.cos(wd_t) * xt + np.sin(wd_t) * yt)

@@ -13,7 +13,6 @@ from geodesic_gates.linalg import (
     _TAYLOR9_THETA,
     complex_form,
     expm_batch,
-    expm_hermitian_batch,
     gate_fidelity,
     gauss_nodes,
     magnus4_hamiltonians,
@@ -103,7 +102,8 @@ def test_expm_batch_matches_single():
     rng = np.random.default_rng(11)
     hams = np.stack([(lambda m: m + m.conj().T)(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
                      for _ in range(5)])
-    batch = expm_hermitian_batch(hams, 0.37)
+    gens = -0.37j * hams
+    batch = expm_batch(gens, np.empty((4,) + gens.shape, dtype=complex))
     for k in range(5):
         assert max_abs(batch[k] - expm_hermitian(hams[k], 0.37)) < 1e-12
     # unscaled Taylor steps, on the complex generators and on their real form:
@@ -114,19 +114,19 @@ def test_expm_batch_matches_single():
         for form, back in ((np.asarray, np.asarray), (real_form, complex_form)):
             gens = form(-1j * hams)
             scale = norm / np.max(np.sum(np.abs(gens), axis=-2))
-            batch = back(expm_batch(scale * gens))
+            gens = scale * gens
+            batch = back(expm_batch(gens, np.empty((4,) + gens.shape, dtype=gens.dtype)))
             for k in range(5):
                 assert max_abs(batch[k] - expm_hermitian(hams[k], scale)) < 1e-14, (norm, form)
 
 
 def test_expm_batch_rejects_non_finite_stack():
-    hams = np.zeros((3, 4, 4), dtype=complex)
+    gens = np.zeros((3, 4, 4), dtype=complex)
     for bad in (np.nan, np.inf):
-        hams[1, 2, 2] = bad
-        with pytest.raises(np.linalg.LinAlgError):
-            expm_hermitian_batch(hams, 0.1)
-        with pytest.raises(np.linalg.LinAlgError):
-            expm_batch(real_form(hams))
+        gens[1, 2, 2] = bad
+        for stack in (gens.copy(), real_form(gens)):
+            with pytest.raises(np.linalg.LinAlgError):
+                expm_batch(stack, np.empty((4,) + stack.shape, dtype=stack.dtype))
 
 
 def test_workspace_kernels_match_allocating_oracles_bit_for_bit():
@@ -142,23 +142,16 @@ def test_workspace_kernels_match_allocating_oracles_bit_for_bit():
             stack = form(gens)
             stack = stack * (norm / np.max(np.sum(np.abs(stack), axis=-2)))
             expected = expm_batch_allocating(stack)
-            kept = stack.copy()
-            assert np.array_equal(expm_batch(stack), expected), (norm, form)
-            assert np.array_equal(stack, kept)
             work = np.empty((4,) + stack.shape, dtype=stack.dtype)
             assert np.array_equal(expm_batch(stack, work), expected), (norm, form)
     for n in (1, 2, 3, 255, 256, 257, 1024):
         mats = np.eye(8) + 0.05 * rng.normal(size=(n, 8, 8))
         expected = product_reduce_allocating(mats)
-        kept = mats.copy()
-        assert np.array_equal(product_reduce(mats), expected), n
-        assert np.array_equal(mats, kept)
         buf = np.empty(((n + 1) // 2, 8, 8))
         assert np.array_equal(product_reduce(mats, buf), expected), n
     # leading batch axes
     mats = np.eye(4) + 0.05 * rng.normal(size=(3, 257, 4, 4))
     expected = product_reduce_allocating(mats)
-    assert np.array_equal(product_reduce(mats), expected)
     assert np.array_equal(product_reduce(mats.copy(), np.empty((3, 129, 4, 4))), expected)
 
 
@@ -189,7 +182,7 @@ def test_product_reduce_ordering():
     expected = np.eye(3, dtype=complex)
     for k in range(7):
         expected = mats[k] @ expected
-    assert max_abs(product_reduce(mats) - expected) < 1e-12
+    assert max_abs(product_reduce(mats, np.empty((4, 3, 3), dtype=complex)) - expected) < 1e-12
 
 
 def test_su2_ordered_exp_matches_complex_oracle():
@@ -197,7 +190,7 @@ def test_su2_ordered_exp_matches_complex_oracle():
     rng = np.random.default_rng(14)
     for n in (1, 2, 7, 64, 1001):
         x, y, z = rng.normal(scale=0.3, size=(3, 2, 3, n))
-        expected = product_reduce(su2_exp_batch(x, y, z))
+        expected = product_reduce_allocating(su2_exp_batch(x, y, z))
         assert max_abs(su2_ordered_exp(x, y, z) - expected) < 1e-12, n
 
 
@@ -209,8 +202,8 @@ def test_su2_ordered_exp_broadcasts_and_stays_unitary():
     u = su2_ordered_exp(x, 1e-4 * beta, 0.01 * beta)
     assert u.shape == (2, 2, 2)
     for k in range(2):
-        expected = product_reduce(su2_exp_batch(x, np.full(n, 1e-4 * beta[k, 0]),
-                                                np.full(n, 0.01 * beta[k, 0])))
+        expected = product_reduce_allocating(su2_exp_batch(x, np.full(n, 1e-4 * beta[k, 0]),
+                                                           np.full(n, 0.01 * beta[k, 0])))
         assert max_abs(u[k] - expected) < 1e-12
         assert max_abs(u[k].conj().T @ u[k] - np.eye(2)) < 1e-15
     assert max_abs(su2_ordered_exp(0.0, 0.0, np.zeros(3)) - np.eye(2)) == 0.0
@@ -257,7 +250,9 @@ def _magnus4(ham, T, n):
     dt, t1, t2 = gauss_nodes(T, n)
     h1 = np.stack([ham(t) for t in t1])
     h2 = np.stack([ham(t) for t in t2])
-    return product_reduce(expm_hermitian_batch(magnus4_hamiltonians(h1, h2, dt), dt))
+    gens = (-1.0j * dt) * magnus4_hamiltonians(h1, h2, dt)
+    # the spent generators are the product's buffer, as in a dense gate
+    return product_reduce(expm_batch(gens, np.empty((4,) + gens.shape, dtype=complex)), gens)
 
 
 def test_magnus4_quartic_convergence():
