@@ -372,14 +372,8 @@ def cmd_sweep(args) -> int:
     n = args.grid
     axis = np.linspace(-args.range, args.range, n)
     crosstalk = args.crosstalk == "on"
-    # noise_sweep maps only dense points through the pool; a block sweep is one
-    # vectorized call and leaves it idle
-    if args.threads > 1:
-        infid = _threaded_sweep(system, frame, wave, axis, axis, args.model,
-                                crosstalk, phi_target, args.threads)
-    else:
-        infid = noise_sweep(system, frame, wave, axis, axis, model=args.model,
-                            crosstalk_on=crosstalk, gate_angle=phi_target)
+    infid = _threaded_sweep(system, frame, wave, axis, axis, args.model, crosstalk,
+                            phi_target, args.threads)
     out = _out_dir(args)
     # long format, row-major: domega is the outer index, as in infid[i, j]
     write_table(out, "sweep", {"domega": np.repeat(axis, n), "dj": np.tile(axis, n),
@@ -412,8 +406,13 @@ def cmd_sweep(args) -> int:
 
 def _threaded_sweep(system, frame, wave, dw_axis, dj_axis, model, crosstalk,
                     phi_target, threads):
-    """`noise_sweep` with its dense points spread over `threads` worker threads."""
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    """`noise_sweep` with its dense points spread over at most `threads` worker threads.
+
+    The pool is capped at the CPU count, since each worker holds a dense
+    workspace; a block sweep is one vectorized call, submits no point and
+    starts no thread.
+    """
+    with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
         return noise_sweep(system, frame, wave, dw_axis, dj_axis, model=model,
                            crosstalk_on=crosstalk, gate_angle=phi_target, map=pool.map)
 
@@ -556,8 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="2-D quasi-static noise sweep")
     common(p); table_format(p); curve_opts(p)
     p.add_argument("--threads", type=parse_threads, default=os.cpu_count() or 1,
-                   help="worker threads of dense sweep points, at least 1 "
-                        "(default: machine parallelism)")
+                   help="worker threads of dense sweep points, at least 1, at most "
+                        "the CPU count (default: machine parallelism)")
     p.add_argument("--model", choices=(MODEL_REDUCED, MODEL_LAB), default=MODEL_REDUCED)
     p.add_argument("--grid", type=parse_grid, default=41,
                    help="points per noise axis, odd, from 3 to 201")

@@ -223,17 +223,18 @@ def dressing(config: SystemConfig) -> FrameData:
     return two_qubit_dressing(config) if config.n_qubits == 2 else three_qubit_dressing(config)
 
 
-def block_z_diag(frame: FrameData) -> np.ndarray:
-    """Diagonal of the block part (+) beta_i Z / 2."""
-    return np.concatenate([[0.5 * b, -0.5 * b] for b in frame.betas])
+def block_diagonal(z) -> np.ndarray:
+    """Diagonal of (+)_b z_b Z: +z_b and -z_b on the two states of block b."""
+    return np.outer(z, [1.0, -1.0]).ravel()
 
 
 @lru_cache(maxsize=32)
 def dense_terms(config: SystemConfig, model: str):
-    """Term table (h0, nu, a, b) of a dense model; the arrays are read-only.
+    """Term table (h0, nu, templates) of a dense model; the arrays are read-only.
 
     H(t) = h0 + Omega(t) sum_m [cos(nu_m t) a_m + sin(nu_m t) b_m], with
-    Omega(t) the synthesized envelope and every amplitude folded into a_m, b_m.
+    Omega(t) the synthesized envelope and every amplitude folded into a_m, b_m;
+    `templates` is the (2M, d^2) stack of a_0..a_{M-1}, b_0..b_{M-1}.
     Lab: h0 = H0 and one drive term at omega_d, X_t and Y_t over 2 drive_scale.
     Reduced: h0 the block detunings, term 0 the target drive X_t/2 at nu = 0,
     then V_cr: (tan(theta)/2) (XZ, YZ) at delta_tilde for two qubits; for the
@@ -249,7 +250,7 @@ def dense_terms(config: SystemConfig, model: str):
         h0 = lab_static(config)
         terms = [(frame.omega_d, xt / (2.0 * frame.drive_scale), yt / (2.0 * frame.drive_scale))]
     else:
-        h0 = np.diag(block_z_diag(frame))
+        h0 = np.diag(block_diagonal(0.5 * np.asarray(frame.betas)))
         terms = [(0.0, 0.5 * xt, 0.0 * xt)]
         if config.n_qubits == 2:
             terms.append((frame.delta_tilde, frame.epsilon * p("XZ"), frame.epsilon * p("YZ")))
@@ -264,7 +265,7 @@ def dense_terms(config: SystemConfig, model: str):
                           c2 * (p("XXX") + p("YYX")), c2 * (p("YXX") - p("XYX"))))
     nu, a, b = zip(*terms)
     tables = (np.array(h0, dtype=complex), np.array(nu, dtype=float),
-              np.array(a, dtype=complex), np.array(b, dtype=complex))
+              np.array(a + b, dtype=complex).reshape(2 * len(terms), -1))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -279,11 +280,10 @@ def hamiltonian_samples(config: SystemConfig, model: str, pulse: Waveform,
     times = np.asarray(times, dtype=float)
     if times.size and (times.min() < -1e-12 or times.max() > pulse.T + 1e-12):
         raise ValueError(f"sample times outside the pulse window [0, {pulse.T}]")
-    h0, nu, a, b = dense_terms(config, model)
+    h0, nu, templates = dense_terms(config, model)
     omega = pulse.envelope(times)[:, None]
     phase = times[:, None] * nu
     coefs = np.concatenate([omega * np.cos(phase), omega * np.sin(phase)], axis=1)
-    templates = np.concatenate([a, b]).reshape(2 * nu.size, -1)
     return h0 + (coefs @ templates).reshape(times.size, *h0.shape)
 
 

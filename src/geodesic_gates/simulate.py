@@ -4,7 +4,8 @@ Quasi-static noise enters as constant operators for one gate duration, as in
 the paper: frequency noise dw Z_target, and coupling noise dJ ZZ (2q
 midpoint), dJ (IZ + ZZ) (2q resonant_lower) or dJ (Z1 Z3 + Z2 Z3) (chain).
 Block b gets the Z coefficient dw + c_b dJ (`_block_z_shift`), c_b from
-frame.coupling_coefs, the table the first-order cost reads too.
+frame.coupling_coefs, the table the first-order cost reads too; the noise
+operator is `frames.block_diagonal` of those coefficients.
 Both the reduced rotating-frame model and the full lab-frame model can be
 propagated; the lab result is unwound to the logical frame before the
 fidelity is taken. The lab model always contains the control crosstalk.
@@ -17,14 +18,15 @@ nodes, two per sample interval) multiplied as unit quaternions, and scatters
 the blocks back to the points; a block at -beta is the X-conjugate of the
 one at +beta, so +-beta are folded into one propagation.
 With crosstalk on, or in the lab frame, the same fourth-order Magnus steps
-are taken on the full d x d Hamiltonian from `frames.hamiltonian_samples`,
-in time chunks of at most `_DENSE_ELEMENTS` reals per stack. Each step is
-carried in the real representation R(A) = [[Re A, -Im A], [Im A, Re A]] of
-its generator A = -i dt H_eff (`linalg.real_form`), a real 2d x 2d matrix:
-R maps products to products, so the exponentials (`linalg.expm_batch`, a
-Taylor polynomial whose degree follows the stack's norm) and their ordered
-product (`linalg.product_reduce`) run on real GEMM, and U is converted
-back once per gate. The result is the complex computation's up to rounding.
+are taken on the full d x d Hamiltonian from `frames.hamiltonian_samples`.
+Both paths work in chunks of at most `_STACK_REALS` reals per stack. Each
+dense step is carried in the real representation R(A) = [[Re A, -Im A],
+[Im A, Re A]] of its generator A = -i dt H_eff (`linalg.real_form`), a real
+2d x 2d matrix: R maps products to products, so the exponentials
+(`linalg.expm_batch`, a Taylor polynomial whose degree follows the stack's
+norm) and their ordered product (`linalg.product_reduce`) run on real GEMM,
+and U is converted back once per gate. The result is the complex
+computation's up to rounding.
 A gate's chunks are exponentiated and multiplied in one workspace, a single
 block holding the generator stack and the exponential's four scratch stacks
 (`_dense_workspace`, sized by the system alone); the spent generator stack
@@ -36,10 +38,10 @@ The noise is a constant diagonal operator N, so `noise_sweep`, the one loop
 over sweep points, builds the noise-free steps once, adds N to each point's
 steps (`_dense_gate`) and maps the points through a `map` callable (the CLI
 passes a thread pool's). It returns the infidelity grid as an array indexed
-[dw, dJ], and every point equals `simulate_gate` bit for bit. A dense run
-whose default step count would make its shared steps more than
-`_DENSE_STEP_LIMIT` reals is refused with a ValueError before anything is
-allocated.
+[dw, dJ], and every point equals `simulate_gate` bit for bit at the default
+step count, the only one a sweep takes. A dense run whose default step count
+would make its shared steps more than `_DENSE_STEP_LIMIT` reals is refused
+with a ValueError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .frames import (
     MODEL_REDUCED,
     FrameData,
     SystemConfig,
+    block_diagonal,
     dressing,
     hamiltonian_samples,
     logical_from_lab,
@@ -73,26 +76,17 @@ from .linalg import (
     trace_fidelity,
 )
 
-# chunk size cap for (distinct beta x time) step arrays: one distinct |beta|
-# per chunk at 8192 samples (16382 steps), so the (4, chunk, n_steps)
-# quaternion stack is 512 KiB and a chunk's stack and temporaries together
-# stay under the 2 MiB trim threshold the benchmark pins (1 MiB mmap): freed
-# memory is reused rather than returned and faulted in afresh. A 17 x 17 2q
-# and an 11 x 11 3q block sweep took 94 and 88-111 ms at 500 000 (16 MB
-# stacks, 27 000-28 000 faults each), 66-84 and 56-77 ms at 32 768 (1 MiB
-# stacks, 13 000 faults) and 55-56 and 50-52 ms here (no faults; one BLAS
-# thread, 2-vCPU host)
-_BATCH_ELEMENTS = 16_384
-# reals per (steps, 2d, 2d) stack of a dense time chunk: 1024 steps for two
-# qubits, 256 for three, so memory does not grow with n_steps. A workspace
-# holds five such stacks (2.5 MiB in one mapping, 640 pages faulted in once
-# per gate or sweep thread) and the chunks allocate no stack. Fresh
-# temporaries for each chunk, about ten 512 KiB stacks, pass the 2 MiB trim
-# threshold the benchmark pins, and a 3q gate then faults 15 000-19 000
-# pages. Measured with such temporaries, 1 MiB stacks took 25 ms (2q) and
-# 81-91 ms (3q) per crosstalk-on sweep point against 12 ms and 32-36 ms
-# (one BLAS thread, 2-vCPU host)
-_DENSE_ELEMENTS = 65536
+# reals per stack of a time chunk (512 KiB): the (4, distinct |beta|, n_steps)
+# quaternion stack of a block chunk, one |beta| at 8192 samples, and each
+# (steps, 2d, 2d) stack of a dense chunk, 1024 steps for two qubits and 256 for
+# three. A chunk's stack and temporaries then stay under the 2 MiB trim
+# threshold the benchmark pins (1 MiB mmap), so freed memory is reused rather
+# than faulted in afresh; a dense workspace holds five stacks (2.5 MiB, faulted
+# in once per gate or sweep thread). Block sweeps (17 x 17 2q, 11 x 11 3q) took
+# 94 and 88-111 ms at 2 million reals against 55-56 and 50-52 ms here, and a
+# crosstalk-on sweep point with fresh temporaries 25 ms (2q) and 81-91 ms (3q)
+# at 1 MiB stacks against 12 and 32-36 ms (one BLAS thread, 2-vCPU host)
+_STACK_REALS = 65536
 # reals in the shared noise-free steps of a dense run's default step count,
 # n_steps (2d)^2: the pair (steps, H2 - H1) then holds at most 256 MiB, that is
 # 262144 steps for two qubits and 65536 for three (|delta_tilde| up to about
@@ -123,8 +117,7 @@ def _block_z_shift(frame: FrameData, delta_omega, delta_j) -> np.ndarray:
 
 def _noise_diagonal(frame: FrameData, noise: NoiseSetting) -> np.ndarray:
     """Diagonal of the noise operator: +z_b and -z_b on the two states of block b."""
-    z = _block_z_shift(frame, noise.delta_omega, noise.delta_j)
-    return np.outer(z, [1.0, -1.0]).ravel()
+    return block_diagonal(_block_z_shift(frame, noise.delta_omega, noise.delta_j))
 
 
 def noise_operator(config: SystemConfig, noise: NoiseSetting) -> np.ndarray:
@@ -179,7 +172,7 @@ def propagate_blocks(wave: Waveform, betas, n_steps: int | None = None) -> np.nd
     betas = np.asarray(betas, dtype=float)
     distinct, where = np.unique(np.abs(betas), return_inverse=True)
     out = np.empty((distinct.size, 2, 2), dtype=complex)
-    chunk = max(1, _BATCH_ELEMENTS // n_steps)
+    chunk = max(1, _STACK_REALS // (4 * n_steps))
     for lo in range(0, distinct.size, chunk):
         beta = distinct[lo:lo + chunk, None]
         out[lo:lo + chunk] = su2_ordered_exp(x_row, y_row * beta, 0.5 * dt * beta)
@@ -223,7 +216,7 @@ def _magnus_steps(system: SystemConfig, frame: FrameData, waveform: Waveform,
 
     Returns (dt, chunks); each chunk is a pair (R(-i dt H_eff), R(H2 - H1))
     of real-form stacks (`linalg.real_form`) over at most
-    `_DENSE_ELEMENTS` / (2d)^2 consecutive steps, in time order, with H1, H2
+    `_STACK_REALS` / (2d)^2 consecutive steps, in time order, with H1, H2
     the Hamiltonian at the step's two Gauss nodes. The chunks are generated
     lazily, so a single gate never holds more than one of them. A default
     step count above `_DENSE_STEP_LIMIT` reals raises ValueError before the
@@ -238,7 +231,7 @@ def _magnus_steps(system: SystemConfig, frame: FrameData, waveform: Waveform,
                 f"{_DENSE_STEP_LIMIT // size} for {system.n_qubits} qubits "
                 f"(delta_tilde = {frame.delta_tilde:.6g}, {len(waveform.samples)} samples)")
     dt, t1, t2 = gauss_nodes(waveform.T, n_steps)
-    chunk = _DENSE_ELEMENTS // size
+    chunk = _STACK_REALS // size
 
     def chunks():
         for lo in range(0, t1.size, chunk):
@@ -252,9 +245,9 @@ def _magnus_steps(system: SystemConfig, frame: FrameData, waveform: Waveform,
 
 def _dense_workspace(system: SystemConfig) -> np.ndarray:
     """One block for every chunk of a dense gate of `system`: the generator
-    stack and `expm_batch`'s four scratch stacks, `_DENSE_ELEMENTS` reals each."""
+    stack and `expm_batch`'s four scratch stacks, `_STACK_REALS` reals each."""
     size = 2 * system.dim
-    return np.empty((5, _DENSE_ELEMENTS // size**2, size, size))
+    return np.empty((5, _STACK_REALS // size**2, size, size))
 
 
 def _dense_gate(system: SystemConfig, frame: FrameData, waveform: Waveform, model: str,
@@ -337,7 +330,7 @@ def _block_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
 def noise_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
                 domega_values, dj_values, model: str = MODEL_REDUCED,
                 crosstalk_on: bool = True, gate_angle: float = np.pi,
-                n_steps: int | None = None, map=map) -> np.ndarray:
+                map=map) -> np.ndarray:
     """Infidelity at each grid point, shape (len(domega_values), len(dj_values)).
 
     Each point is bit for bit `simulate_gate`'s; dense points go through `map`.
@@ -350,8 +343,8 @@ def noise_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
     NoiseSetting(np.max(np.abs(domega_values), initial=0), np.max(np.abs(dj_values), initial=0))
     if _block_path(frame, waveform, model, crosstalk_on):
         return _block_sweep(system, frame, waveform, domega_values, dj_values,
-                            gate_angle, n_steps)[1]
-    dt, chunks = _magnus_steps(system, frame, waveform, model, n_steps)
+                            gate_angle, None)[1]
+    dt, chunks = _magnus_steps(system, frame, waveform, model, None)
     chunks = list(chunks)
     # one workspace per thread that `map` runs points on, reused point after
     # point: a new one per point faulted its 640 pages in each time

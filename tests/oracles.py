@@ -15,12 +15,16 @@ from geodesic_gates.curves import (
     CurveParams,
     _basis,
     _coefficients,
+    waveform_from_grid,
 )
 from geodesic_gates.frames import MODEL_REDUCED, dense_terms
 from geodesic_gates.linalg import (
     _TAYLOR6_THETA,
     _TAYLOR9_THETA,
     SIGMA_I,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     gate_fidelity,
 )
 from geodesic_gates.simulate import _BLOCK_PER_INTERVAL
@@ -146,8 +150,9 @@ def reduced_block_samples(config, pulse, times) -> np.ndarray:
     The block detunings h0 plus term 0 (the target drive at nu = 0) of the
     reduced model's `frames.dense_terms` table.
     """
-    h0, _, a, _ = dense_terms(config, MODEL_REDUCED)
-    return h0 + pulse.envelope(np.asarray(times, dtype=float))[:, None, None] * a[0]
+    h0, _, templates = dense_terms(config, MODEL_REDUCED)
+    drive = templates[0].reshape(h0.shape)
+    return h0 + pulse.envelope(np.asarray(times, dtype=float))[:, None, None] * drive
 
 
 def magnus_oracle(u0_at, delta_h_at, T: float, dt: float) -> np.ndarray:
@@ -368,3 +373,83 @@ def product_reduce_allocating(mats: np.ndarray) -> np.ndarray:
         body = np.matmul(body[..., 1::2, :, :], body[..., 0::2, :, :])
         mats = body if tail is None else np.concatenate([body, tail], axis=-3)
     return mats[..., 0, :, :]
+
+
+#: samples of the waveform that `susceptibility_oracles` propagates
+_ORACLE_SAMPLES = 262144
+RX90 = expm_hermitian(SIGMA_X, np.pi / 4.0)
+
+
+def cumulative_propagators(wave, beta, n, block=512):
+    """U0 at n+1 uniform grid points for the block (beta Z + Omega X)/2.
+
+    Fourth-order Magnus steps on Gauss nodes, so the remaining oracle error
+    is the trapezoid quadrature of the integrand plus the sampled-waveform
+    representation, both far below the 1e-5 comparison tolerance. The
+    running product is a two-level blocked prefix product: sequential within
+    blocks of `block` steps, vectorized across the blocks, then each block is
+    carried by the product of all blocks before it.
+    """
+    dt = wave.T / n
+    t0 = np.arange(n) * dt
+    gauss = 0.5 * np.sqrt(3.0) / 3.0
+    om1 = wave.envelope(t0 + (0.5 - gauss) * dt)
+    om2 = wave.envelope(t0 + (0.5 + gauss) * dt)
+    x = 0.25 * (om1 + om2) * dt
+    y = -np.sqrt(3.0) / 24.0 * dt * dt * beta * (om2 - om1)
+    steps = su2_exp_batch(x, y, np.full(n, 0.5 * beta * dt))
+    blocks = steps.reshape(-1, block, 2, 2)  # n is a multiple of `block`
+    within = np.empty_like(blocks)
+    within[:, 0] = blocks[:, 0]
+    for k in range(1, block):
+        within[:, k] = blocks[:, k] @ within[:, k - 1]
+    carry = np.empty_like(blocks[:, 0])
+    carry[0] = np.eye(2)
+    for b in range(1, len(carry)):
+        carry[b] = within[b - 1, -1] @ carry[b - 1]
+    out = np.empty((n + 1, 2, 2), dtype=complex)
+    out[0] = np.eye(2)
+    out[1:] = (within @ carry[:, None]).reshape(n, 2, 2)
+    return out
+
+
+def adjoint_z(u, v):
+    """u^dag Z v for stacks of 2x2 matrices, written out entry by entry."""
+    a, b = u[:, 0, 0].conj(), u[:, 0, 1].conj()
+    c, d = u[:, 1, 0].conj(), u[:, 1, 1].conj()
+    out = np.empty_like(v)
+    out[:, 0, 0] = a * v[:, 0, 0] - c * v[:, 1, 0]
+    out[:, 0, 1] = a * v[:, 0, 1] - c * v[:, 1, 1]
+    out[:, 1, 0] = b * v[:, 0, 0] - d * v[:, 1, 0]
+    out[:, 1, 1] = b * v[:, 0, 1] - d * v[:, 1, 1]
+    return out
+
+
+def susceptibility_oracles(params: CurveParams, beta: float, delta_tilde=None, n=131072):
+    """Brute-force (A_beta, A_beta0, crosstalk block) of one curve at one beta.
+
+    A_beta is (A_X, A_Y, A_Z) of the beta block in the geometric frame and
+    A_beta0 is (A_Y, A_Z) of the beta = 0 block, both in chi units. The
+    crosstalk block is the upper-right block of int U0^dag dH U0 dt for the
+    2-block model at `delta_tilde`, None if that is None. The waveform and
+    the two cumulative propagators are built once each.
+    """
+    wave = waveform_from_grid(CurveGrid(params, _ORACLE_SAMPLES), beta, _ORACLE_SAMPLES)
+    us_beta = cumulative_propagators(wave, beta, n)
+    us_zero = cumulative_propagators(wave, 0.0, n)
+    h = wave.T / n
+    a_true = np.trapezoid(adjoint_z(us_beta, us_beta), dx=h, axis=0)
+    a_geo = RX90.conj().T @ a_true @ RX90
+    a_beta = np.array([np.trace(p @ a_geo).real / 2.0
+                       for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)]) * abs(beta)
+    a_zero = np.trapezoid(adjoint_z(us_zero, us_zero), dx=h, axis=0)
+    a_beta0 = np.array([np.trace(p @ a_zero).real / 2.0 for p in (SIGMA_Y, SIGMA_Z)]) * abs(beta)
+    if delta_tilde is None:
+        return a_beta, a_beta0, None
+    times = np.arange(n + 1) * h
+    weight = wave.envelope(times) * np.exp(-1j * delta_tilde * times)
+    integrand = weight[:, None, None] * adjoint_z(us_beta, us_zero)
+    base = np.trapezoid(integrand, dx=h, axis=0)
+    d_start = (-3.0 * integrand[0] + 4.0 * integrand[1] - integrand[2]) / (2.0 * h)
+    d_end = (3.0 * integrand[-1] - 4.0 * integrand[-2] + integrand[-3]) / (2.0 * h)
+    return a_beta, a_beta0, base - h * h / 12.0 * (d_end - d_start)

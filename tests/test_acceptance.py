@@ -44,12 +44,7 @@ from geodesic_gates.simulate import (
     simulate_gate,
     slope_fit,
 )
-from oracles import crosstalk_block, expm_hermitian, max_abs
-from test_magnus import (
-    oracle_beta0_components,
-    oracle_beta_components,
-    oracle_crosstalk_block,
-)
+from oracles import crosstalk_block, expm_hermitian, max_abs, susceptibility_oracles
 
 
 def rx(angle):
@@ -117,22 +112,20 @@ def test_criterion_3_magnus_oracle_equivalence():
         for trial in range(20):
             params = random_curve(rng, scale=8.0)
             beta = float(rng.uniform(0.4, 1.5))
+            delta_tilde = -np.sqrt(20.0**2 + 1.0) if trial < 8 else None
+            oracle, oracle0, block_oracle = susceptibility_oracles(params, beta, delta_tilde)
             analytic = np.array(susceptibility_beta(CurveGrid(params)))
-            oracle = oracle_beta_components(params, beta)
             rel = np.max(np.abs(analytic - oracle)) / np.linalg.norm(oracle)
             worst = max(worst, rel)
             assert rel < 1e-5, ("beta block", trial, rel)
 
             analytic0 = np.array(susceptibility_beta0(CurveGrid(params)))
-            oracle0 = np.array(oracle_beta0_components(params, beta))
             rel0 = np.max(np.abs(analytic0 - oracle0)) / max(np.linalg.norm(oracle0), 1.0)
             worst = max(worst, rel0)
             assert rel0 < 1e-5, ("beta0 block", trial, rel0)
 
-            if trial < 8:  # the crosstalk oracle is the slow one
-                delta_tilde = -np.sqrt(20.0**2 + 1.0)
+            if delta_tilde is not None:
                 block = crosstalk_block(params, delta_tilde, beta)
-                block_oracle = oracle_crosstalk_block(params, delta_tilde, beta)
                 rel_ct = max_abs(block - block_oracle) / max_abs(block_oracle)
                 worst = max(worst, rel_ct)
                 assert rel_ct < 1e-5, ("crosstalk block", trial, rel_ct)

@@ -390,7 +390,26 @@ def test_sweep_artifacts_do_not_depend_on_threads(tmp_path, monkeypatch, model):
         for name in ("sweep.csv", "sweep_summary.json"):
             assert (tmp_path / preset / "1" / name).read_bytes() \
                 == (tmp_path / preset / "2" / name).read_bytes()
-    assert pools == [2] * len(presets)
+    assert pools == [1, 2] * len(presets)
+
+
+def test_sweep_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
+    # each worker holds a dense workspace, so --threads above the CPU count
+    # starts no more workers; a 3x3 grid starts at most 9 even without the cap
+    from concurrent.futures import ThreadPoolExecutor
+
+    from geodesic_gates import cli
+
+    sizes = []
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", pool)
+    assert run(tmp_path, "sweep", "--preset", "xpi-2q-robust", "--grid", "3",
+               "--n-samples", "256", "--crosstalk", "on", "--threads", "64") == 0
+    assert sizes == [min(64, os.cpu_count() or 1)]
 
 
 def test_run_config_file_sections(tmp_path):

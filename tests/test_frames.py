@@ -17,7 +17,7 @@ from geodesic_gates.frames import (
     _P2_TERMS,
     _P3_TERMS,
     _pauli_sum,
-    block_z_diag,
+    block_diagonal,
     dressing,
     hamiltonian_samples,
     lab_static,
@@ -168,7 +168,8 @@ def test_two_qubit_unwind_reproduces_block_detunings():
             pattern = np.kron(np.array([1.0, -1.0]), np.ones(2)) if i == 0 \
                 else np.kron(np.ones(2), np.array([1.0, -1.0]))
             k += 0.5 * freq * pattern
-        assert np.max(np.abs(dressed - k - block_z_diag(frame))) < 1e-12
+        blocks = block_diagonal(0.5 * np.asarray(frame.betas))
+        assert np.max(np.abs(dressed - k - blocks)) < 1e-12
 
 
 def test_three_qubit_dressing_oracles():
@@ -222,7 +223,8 @@ def test_reduced_hamiltonian_idle_is_block_detunings():
         idle = Waveform(T=1.0, dt=1.0, samples=np.zeros(2), beta_design=0.0)
         h = hamiltonian_samples(cfg, MODEL_REDUCED, idle, np.array([0.3]))[0]
         assert offdiag_norm(h) < 1e-14
-        assert np.max(np.abs(np.diag(h) - block_z_diag(frame))) < 1e-14
+        blocks = block_diagonal(0.5 * np.asarray(frame.betas))
+        assert np.max(np.abs(np.diag(h) - blocks)) < 1e-14
 
 
 def test_reduced_crosstalk_entries_at_t0():

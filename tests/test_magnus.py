@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import random_curve
-from geodesic_gates.curves import CurveGrid, CurveParams, waveform_from_grid
+from geodesic_gates.curves import CurveGrid, CurveParams
 from geodesic_gates.frames import SystemConfig, dressing
-from geodesic_gates.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
+from geodesic_gates.linalg import SIGMA_Z
 from geodesic_gates.magnus import (
     CHANNEL_COUPLING,
     CHANNEL_CROSSTALK,
@@ -24,100 +24,16 @@ from geodesic_gates.magnus import (
 )
 from geodesic_gates.optimizer import BOX_HALFWIDTH, PRESET_KEYS, preset_curve, preset_system
 from oracles import (
+    RX90,
     crosstalk_block,
     crosstalk_integrands,
-    expm_hermitian,
     magnus_oracle,
     max_abs,
-    su2_exp_batch,
     susceptibility_integrands,
+    susceptibility_oracles,
     trapz,
     trapz_endpoint_corrected,
 )
-
-RX90 = expm_hermitian(SIGMA_X, np.pi / 4.0)
-
-
-_ORACLE_SAMPLES = 262144
-
-
-def cumulative_propagators(wave, beta, n, block=512):
-    """U0 at n+1 uniform grid points for the block (beta Z + Omega X)/2.
-
-    Fourth-order Magnus steps on Gauss nodes, so the remaining oracle error
-    is the trapezoid quadrature of the integrand plus the sampled-waveform
-    representation, both far below the 1e-5 comparison tolerance. The
-    running product is a two-level blocked prefix product: sequential within
-    blocks of `block` steps, vectorized across the blocks, then each block is
-    carried by the product of all blocks before it.
-    """
-    dt = wave.T / n
-    t0 = np.arange(n) * dt
-    gauss = 0.5 * np.sqrt(3.0) / 3.0
-    om1 = wave.envelope(t0 + (0.5 - gauss) * dt)
-    om2 = wave.envelope(t0 + (0.5 + gauss) * dt)
-    x = 0.25 * (om1 + om2) * dt
-    y = -np.sqrt(3.0) / 24.0 * dt * dt * beta * (om2 - om1)
-    steps = su2_exp_batch(x, y, np.full(n, 0.5 * beta * dt))
-    blocks = steps.reshape(-1, block, 2, 2)  # n is a multiple of `block`
-    within = np.empty_like(blocks)
-    within[:, 0] = blocks[:, 0]
-    for k in range(1, block):
-        within[:, k] = blocks[:, k] @ within[:, k - 1]
-    carry = np.empty_like(blocks[:, 0])
-    carry[0] = np.eye(2)
-    for b in range(1, len(carry)):
-        carry[b] = within[b - 1, -1] @ carry[b - 1]
-    out = np.empty((n + 1, 2, 2), dtype=complex)
-    out[0] = np.eye(2)
-    out[1:] = (within @ carry[:, None]).reshape(n, 2, 2)
-    return out
-
-
-def adjoint_z(u, v):
-    """u^dag Z v for stacks of 2x2 matrices, written out entry by entry."""
-    a, b = u[:, 0, 0].conj(), u[:, 0, 1].conj()
-    c, d = u[:, 1, 0].conj(), u[:, 1, 1].conj()
-    out = np.empty_like(v)
-    out[:, 0, 0] = a * v[:, 0, 0] - c * v[:, 1, 0]
-    out[:, 0, 1] = a * v[:, 0, 1] - c * v[:, 1, 1]
-    out[:, 1, 0] = b * v[:, 0, 0] - d * v[:, 1, 0]
-    out[:, 1, 1] = b * v[:, 0, 1] - d * v[:, 1, 1]
-    return out
-
-
-def oracle_beta_components(params, beta, n=131072):
-    """Brute-force (A_X, A_Y, A_Z) in the geometric frame, chi units."""
-    wave = waveform_from_grid(CurveGrid(params, _ORACLE_SAMPLES), beta, _ORACLE_SAMPLES)
-    us = cumulative_propagators(wave, beta, n)
-    integrand = adjoint_z(us, us)
-    a_true = np.trapezoid(integrand, dx=wave.T / n, axis=0)
-    a_geo = RX90.conj().T @ a_true @ RX90
-    return np.array([np.trace(p @ a_geo).real / 2.0 for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)]) * abs(beta)
-
-
-def oracle_beta0_components(params, beta, n=131072):
-    wave = waveform_from_grid(CurveGrid(params, _ORACLE_SAMPLES), beta, _ORACLE_SAMPLES)
-    us = cumulative_propagators(wave, 0.0, n)
-    integrand = adjoint_z(us, us)
-    a_true = np.trapezoid(integrand, dx=wave.T / n, axis=0)
-    return (np.trace(SIGMA_Y @ a_true).real / 2.0 * abs(beta),
-            np.trace(SIGMA_Z @ a_true).real / 2.0 * abs(beta))
-
-
-def oracle_crosstalk_block(params, delta_tilde, beta, n=131072):
-    """Upper-right block of int U0^dag dH U0 dt for the 2-block model."""
-    wave = waveform_from_grid(CurveGrid(params, _ORACLE_SAMPLES), beta, _ORACLE_SAMPLES)
-    us_beta = cumulative_propagators(wave, beta, n)
-    us_zero = cumulative_propagators(wave, 0.0, n)
-    times = np.arange(n + 1) * (wave.T / n)
-    weight = wave.envelope(times) * np.exp(-1j * delta_tilde * times)
-    integrand = weight[:, None, None] * adjoint_z(us_beta, us_zero)
-    h = wave.T / n
-    base = np.trapezoid(integrand, dx=h, axis=0)
-    d_start = (-3.0 * integrand[0] + 4.0 * integrand[1] - integrand[2]) / (2.0 * h)
-    d_end = (3.0 * integrand[-1] - 4.0 * integrand[-2] + integrand[-3]) / (2.0 * h)
-    return base - h * h / 12.0 * (d_end - d_start)
 
 
 def test_beta_susceptibility_flat_curve():
@@ -206,7 +122,7 @@ def test_beta_block_matches_oracle():
     for _ in range(3):
         p = random_curve(rng)
         analytic = np.array(susceptibility_beta(CurveGrid(p)))
-        oracle = oracle_beta_components(p, beta=0.7)
+        oracle, _, _ = susceptibility_oracles(p, beta=0.7)
         assert np.max(np.abs(analytic - oracle)) / np.linalg.norm(oracle) < 1e-5
 
 
@@ -215,7 +131,7 @@ def test_beta0_block_matches_oracle():
     for _ in range(3):
         p = random_curve(rng)
         analytic = np.array(susceptibility_beta0(CurveGrid(p)))
-        oracle = np.array(oracle_beta0_components(p, beta=0.7))
+        _, oracle, _ = susceptibility_oracles(p, beta=0.7)
         assert np.max(np.abs(analytic - oracle)) / max(np.linalg.norm(oracle), 1.0) < 1e-5
 
 
@@ -225,7 +141,7 @@ def test_crosstalk_block_matches_oracle():
         p = random_curve(rng)
         delta_tilde = -np.sqrt(20.0**2 + 1.0)
         analytic = crosstalk_block(p, delta_tilde, beta=1.0)
-        oracle = oracle_crosstalk_block(p, delta_tilde, beta=1.0)
+        _, _, oracle = susceptibility_oracles(p, beta=1.0, delta_tilde=delta_tilde)
         assert max_abs(analytic - oracle) / max(max_abs(oracle), 1e-6) < 1e-4
 
 
@@ -235,7 +151,7 @@ def test_crosstalk_amplitudes_recovered_from_oracle_block():
     p = preset_curve("xpi-2q-robust")
     delta_tilde = -np.sqrt(401.0)
     ct1, ct2 = crosstalk_amplitudes(CurveGrid(p), delta_tilde, beta=0.5)
-    oracle = oracle_crosstalk_block(p, delta_tilde, beta=0.5)
+    _, _, oracle = susceptibility_oracles(p, beta=0.5, delta_tilde=delta_tilde)
     o_geo = RX90.conj().T @ oracle
     i_p, j_q, i_q, j_p = o_geo[0, 0], o_geo[0, 1], o_geo[1, 0], -o_geo[1, 1]
     c1 = 0.5 * (i_p + j_p)

@@ -33,6 +33,7 @@ from geodesic_gates.simulate import (
     simulate_gate,
     slope_fit,
     _BLOCK_PER_INTERVAL,
+    _STACK_REALS,
     _block_betas,
     _dense_gate,
     _dense_per_interval,
@@ -263,8 +264,6 @@ def test_step_counts_must_be_positive():
                 simulate_gate(system, frame, wave, noise, model=model, n_steps=bad)
         with pytest.raises(ValueError, match="n_steps"):
             propagate_blocks(wave, frame.betas, n_steps=bad)
-        with pytest.raises(ValueError, match="n_steps"):
-            noise_sweep(system, frame, wave, [0.0], [0.0], n_steps=bad)
 
 
 @pytest.mark.parametrize("key", PRESET_KEYS)
@@ -309,7 +308,8 @@ def test_propagate_blocks_sign_fold_is_exact(key):
 
 def test_sweep_propagates_each_distinct_magnitude_once(monkeypatch):
     # a 41x41 grid's 3362 block detunings hold 251 distinct values, and 140
-    # distinct magnitudes; only the magnitudes are propagated
+    # distinct magnitudes; only the magnitudes are propagated, in chunks whose
+    # (4, chunk, n_steps) quaternion stack keeps to the stack budget
     system, frame, wave = _setup("xpi-2q-robust")
     axis = np.linspace(-0.1, 0.1, 41)
     dw_grid, dj_grid = np.meshgrid(axis, axis, indexing="ij")
@@ -319,6 +319,7 @@ def test_sweep_propagates_each_distinct_magnitude_once(monkeypatch):
 
     def counted(x, y, z):
         rows.append(np.shape(z)[0])
+        assert 4 * np.broadcast(x, y, z).size <= _STACK_REALS
         return su2_ordered_exp(x, y, z)
 
     monkeypatch.setattr(simulate, "su2_ordered_exp", counted)
