@@ -24,7 +24,8 @@ most significant and Z|0> = +|0>.
 
 Both dense models, the lab frame and the reduced model with crosstalk, are
 H(t) = h0 + Omega(t) sum_m [cos(nu_m t) a_m + sin(nu_m t) b_m]: one term
-table each (`dense_terms`), read by one sampler (`hamiltonian_samples`).
+table each (`dense_terms`), with the real forms of the terms and of their
+pairwise commutators, from which the propagator forms its Magnus steps.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import Waveform, real_fields
-from .linalg import expm_batch, pauli_string
+from .curves import real_fields
+from .linalg import expm_batch, pauli_string, real_form
 
 DRIVE_MIDPOINT = "midpoint"
 DRIVE_RESONANT_LOWER = "resonant_lower"
@@ -230,16 +231,21 @@ def block_diagonal(z) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def dense_terms(config: SystemConfig, model: str):
-    """Term table (h0, nu, templates) of a dense model; the arrays are read-only.
+    """Term table (nu, terms, table) of a dense model; the arrays are read-only.
 
-    H(t) = h0 + Omega(t) sum_m [cos(nu_m t) a_m + sin(nu_m t) b_m], with
-    Omega(t) the synthesized envelope and every amplitude folded into a_m, b_m;
-    `templates` is the (2M, d^2) stack of a_0..a_{M-1}, b_0..b_{M-1}.
+    H(t) = sum_a c_a(t) T_a with c(t) = (1, Omega(t) cos(nu t), Omega(t) sin(nu t)):
+    `terms` is the (K, d, d) stack T = (h0, a_0..a_{M-1}, b_0..b_{M-1}),
+    K = 1 + 2M, Omega(t) the synthesized envelope and every amplitude folded
+    into a_m, b_m. `table` holds the real forms (`linalg.real_form`) a
+    fourth-order Magnus step is linear in, flattened to rows of (2d)^2:
+    R(-i T_a) for each term, then R([T_a, T_b]) for every pair (a, b),
+    row-major, K + K^2 rows in all.
     Lab: h0 = H0 and one drive term at omega_d, X_t and Y_t over 2 drive_scale.
-    Reduced: h0 the block detunings, term 0 the target drive X_t/2 at nu = 0,
-    then V_cr: (tan(theta)/2) (XZ, YZ) at delta_tilde for two qubits; for the
-    chain, over drive_scale, (V11 + V12) lambda/4 + (g2/8g1) lambda^2 (V21 + V22)
-    at delta_tilde and (g2/8g1) lambda^2 V212 at 2 delta_tilde.
+    Reduced: h0 the block detunings, drive term 0 the target drive X_t/2 at
+    nu = 0 (its b_0 is zero), then V_cr: (tan(theta)/2) (XZ, YZ) at
+    delta_tilde for two qubits; for the chain, over drive_scale,
+    (V11 + V12) lambda/4 + (g2/8g1) lambda^2 (V21 + V22) at delta_tilde and
+    (g2/8g1) lambda^2 V212 at 2 delta_tilde.
     """
     if model not in (MODEL_LAB, MODEL_REDUCED):
         raise ValueError(f"unknown model {model!r}")
@@ -264,27 +270,13 @@ def dense_terms(config: SystemConfig, model: str):
             terms.append((2.0 * frame.delta_tilde,
                           c2 * (p("XXX") + p("YYX")), c2 * (p("YXX") - p("XYX"))))
     nu, a, b = zip(*terms)
-    tables = (np.array(h0, dtype=complex), np.array(nu, dtype=float),
-              np.array(a + b, dtype=complex).reshape(2 * len(terms), -1))
-    for table in tables:
-        table.flags.writeable = False
+    terms = np.array((h0,) + a + b, dtype=complex)
+    pairs = terms[:, None] @ terms[None, :] - terms[None, :] @ terms[:, None]
+    table = real_form(np.concatenate([-1.0j * terms, pairs.reshape(-1, *h0.shape)]))
+    tables = (np.array(nu, dtype=float), terms, table.reshape(len(table), -1))
+    for array in tables:
+        array.flags.writeable = False
     return tables
-
-
-def hamiltonian_samples(config: SystemConfig, model: str, pulse: Waveform,
-                        times: np.ndarray) -> np.ndarray:
-    """H(t_k) of a dense model, h0 + (coefficients (N, 2M)) @ (templates (2M, d^2)).
-
-    `pulse` is the synthesized envelope, interpolated linearly. Shape (N, d, d).
-    """
-    times = np.asarray(times, dtype=float)
-    if times.size and (times.min() < -1e-12 or times.max() > pulse.T + 1e-12):
-        raise ValueError(f"sample times outside the pulse window [0, {pulse.T}]")
-    h0, nu, templates = dense_terms(config, model)
-    omega = pulse.envelope(times)[:, None]
-    phase = times[:, None] * nu
-    coefs = np.concatenate([omega * np.cos(phase), omega * np.sin(phase)], axis=1)
-    return h0 + (coefs @ templates).reshape(times.size, *h0.shape)
 
 
 def logical_target(config: SystemConfig, gate_angle: float) -> np.ndarray:

@@ -200,15 +200,6 @@ def gauss_nodes(T: float, n_steps: int):
     return dt, t0 + (0.5 - _GAUSS_OFFSET) * dt, t0 + (0.5 + _GAUSS_OFFSET) * dt
 
 
-def magnus4_hamiltonians(h1: np.ndarray, h2: np.ndarray, dt: float) -> np.ndarray:
-    """H_eff = (H1 + H2)/2 - i (sqrt(3)/12) dt [H2, H1] of fourth-order Magnus steps.
-
-    `h1`, `h2` are stacks (..., d, d) of the Hamiltonian at the two Gauss
-    nodes of each step (`gauss_nodes`); the step is exp(-i H_eff dt).
-    """
-    return 0.5 * (h1 + h2) - (1.0j * MAGNUS4_WEIGHT * dt) * (h2 @ h1 - h1 @ h2)
-
-
 def _su2_quaternions(x, y, z) -> np.ndarray:
     """Unit quaternions (w, a, b, c) of exp(-i (x X + y Y + z Z)), shape (4, ...)."""
     x, y, z = np.broadcast_arrays(*np.atleast_1d(x, y, z))

@@ -18,14 +18,17 @@ nodes, two per sample interval) multiplied as unit quaternions, and scatters
 the blocks back to the points; a block at -beta is the X-conjugate of the
 one at +beta, so +-beta are folded into one propagation.
 With crosstalk on, or in the lab frame, the same fourth-order Magnus steps
-are taken on the full d x d Hamiltonian from `frames.hamiltonian_samples`.
-Both paths work in chunks of at most `_STACK_REALS` reals per stack. Each
-dense step is carried in the real representation R(A) = [[Re A, -Im A],
-[Im A, Re A]] of its generator A = -i dt H_eff (`linalg.real_form`), a real
-2d x 2d matrix: R maps products to products, so the exponentials
-(`linalg.expm_batch`, a Taylor polynomial whose degree follows the stack's
-norm) and their ordered product (`linalg.product_reduce`) run on real GEMM,
-and U is converted back once per gate. The result is the complex
+are taken on the full d x d Hamiltonian H(t) = sum_a c_a(t) T_a of
+`frames.dense_terms`. Both paths work in chunks of at most `_STACK_REALS`
+reals per stack. Each dense step is carried in the real representation
+R(A) = [[Re A, -Im A], [Im A, Re A]] of its generator A = -i dt H_eff
+(`linalg.real_form`), a real 2d x 2d matrix. A is linear in the term
+coefficients at the step's Gauss nodes and in their pairwise products, so
+a chunk's generators are one GEMM against the table of R(-i T_a) and
+R([T_a, T_b]) (`_magnus_steps`). R maps products to products, so the
+exponentials (`linalg.expm_batch`, a Taylor polynomial whose degree follows
+the stack's norm) and their ordered product (`linalg.product_reduce`) run on
+real GEMM, and U is converted back once per gate. The result is the complex
 computation's up to rounding.
 A gate's chunks are exponentiated and multiplied in one workspace, a single
 block holding the generator stack and the exponential's four scratch stacks
@@ -36,10 +39,11 @@ point; it is a `threading.local` made for each sweep, so no two threads
 share one.
 The noise is a constant diagonal operator N, so `noise_sweep`, the one loop
 over sweep points, builds the noise-free steps once, adds N to each point's
-steps (`_dense_gate`) and maps the points through a `map` callable (the CLI
-passes a thread pool's). It returns the infidelity grid as an array indexed
-[dw, dJ], and every point equals `simulate_gate` bit for bit at the default
-step count, the only one a sweep takes. A dense run whose default step count
+steps as one more GEMM per chunk, against rows built from N (`_dense_gate`),
+and maps the points through a `map` callable (the CLI passes a thread
+pool's). It returns the infidelity grid as an array indexed [dw, dJ], and
+every point equals `simulate_gate` bit for bit at the default step count,
+the only one a sweep takes. A dense run whose default step count
 would make its shared steps more than `_DENSE_STEP_LIMIT` reals is refused
 with a ValueError before anything is allocated.
 """
@@ -58,8 +62,8 @@ from .frames import (
     FrameData,
     SystemConfig,
     block_diagonal,
+    dense_terms,
     dressing,
-    hamiltonian_samples,
     logical_from_lab,
     logical_target,
 )
@@ -69,7 +73,6 @@ from .linalg import (
     expm_batch,
     gate_fidelity,
     gauss_nodes,
-    magnus4_hamiltonians,
     product_reduce,
     real_form,
     su2_ordered_exp,
@@ -88,7 +91,8 @@ from .linalg import (
 # at 1 MiB stacks against 12 and 32-36 ms (one BLAS thread, 2-vCPU host)
 _STACK_REALS = 65536
 # reals in the shared noise-free steps of a dense run's default step count,
-# n_steps (2d)^2: the pair (steps, H2 - H1) then holds at most 256 MiB, that is
+# n_steps (2d)^2: the step stacks then hold at most 128 MiB, next to the
+# (n_steps, K) term coefficients (10 MiB each at the two-qubit limit); that is
 # 262144 steps for two qubits and 65536 for three (|delta_tilde| up to about
 # 900 and 250 for the xpi presets at 8192 samples)
 _DENSE_STEP_LIMIT = 2**24
@@ -214,13 +218,19 @@ def _magnus_steps(system: SystemConfig, frame: FrameData, waveform: Waveform,
                   model: str, n_steps: int | None):
     """Noise-free fourth-order Magnus steps of a dense model, in time chunks.
 
-    Returns (dt, chunks); each chunk is a pair (R(-i dt H_eff), R(H2 - H1))
-    of real-form stacks (`linalg.real_form`) over at most
-    `_STACK_REALS` / (2d)^2 consecutive steps, in time order, with H1, H2
-    the Hamiltonian at the step's two Gauss nodes. The chunks are generated
-    lazily, so a single gate never holds more than one of them. A default
-    step count above `_DENSE_STEP_LIMIT` reals raises ValueError before the
-    nodes are made; an explicit `n_steps` is taken as given.
+    Returns (dt, chunks); each chunk is a pair (steps, y) over at most
+    `_STACK_REALS` / (2d)^2 consecutive steps, in time order. With
+    c1, c2 the term coefficients c(t) of `frames.dense_terms` at a step's two
+    Gauss nodes, the generator -i dt H_eff = -i dt (H1 + H2)/2 - w dt^2 [H2, H1],
+    w = sqrt(3)/12, is linear in the terms and their commutators, so `steps`,
+    the stack of its real forms (`linalg.real_form`), is one GEMM of the rows
+    [dt (c1 + c2)/2, -w dt^2 (c2 (x) c1)] against the term table. `y` holds
+    (dt, -w dt^2 (c2 - c1)_a for a >= 1) per step, shape (steps, K): the
+    coefficients of R(-i N) and R([T_a, N]) that a constant noise N adds
+    (`_dense_gate`). The coefficients are formed once per gate and the steps
+    lazily, so a single gate never holds more than one chunk of them. A
+    default step count above `_DENSE_STEP_LIMIT` reals raises ValueError
+    before the nodes are made; an explicit `n_steps` is taken as given.
     """
     size = (2 * system.dim) ** 2
     if n_steps is None:
@@ -231,16 +241,28 @@ def _magnus_steps(system: SystemConfig, frame: FrameData, waveform: Waveform,
                 f"{_DENSE_STEP_LIMIT // size} for {system.n_qubits} qubits "
                 f"(delta_tilde = {frame.delta_tilde:.6g}, {len(waveform.samples)} samples)")
     dt, t1, t2 = gauss_nodes(waveform.T, n_steps)
+    nu, terms, table = dense_terms(system, model)
+    c1, c2 = (_term_coefficients(waveform, nu, t) for t in (t1, t2))
+    y = (-MAGNUS4_WEIGHT * dt * dt) * (c2 - c1)
+    y[:, 0] = dt
     chunk = _STACK_REALS // size
 
     def chunks():
-        for lo in range(0, t1.size, chunk):
-            h1 = hamiltonian_samples(system, model, waveform, t1[lo:lo + chunk])
-            h2 = hamiltonian_samples(system, model, waveform, t2[lo:lo + chunk])
-            h_eff = magnus4_hamiltonians(h1, h2, dt)
-            yield real_form((-1.0j * dt) * h_eff), real_form(h2 - h1)
+        for lo in range(0, n_steps, chunk):
+            a, b = c1[lo:lo + chunk], c2[lo:lo + chunk]
+            pairs = (b[:, :, None] * a[:, None, :]).reshape(len(a), -1)
+            rows = np.concatenate([(0.5 * dt) * (a + b), (-MAGNUS4_WEIGHT * dt * dt) * pairs], axis=1)
+            yield (rows @ table).reshape(len(a), 2 * system.dim, 2 * system.dim), y[lo:lo + chunk]
 
     return dt, chunks()
+
+
+def _term_coefficients(waveform: Waveform, nu: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """c(t) = (1, Omega(t) cos(nu t), Omega(t) sin(nu t)) of `frames.dense_terms`, (N, K)."""
+    omega = waveform.envelope(times)[:, None]
+    phase = times[:, None] * nu
+    return np.concatenate([np.ones_like(omega), omega * np.cos(phase), omega * np.sin(phase)],
+                          axis=1)
 
 
 def _dense_workspace(system: SystemConfig) -> np.ndarray:
@@ -254,32 +276,24 @@ def _dense_gate(system: SystemConfig, frame: FrameData, waveform: Waveform, mode
                 dt: float, chunks, noise: NoiseSetting, gate_angle: float, work: np.ndarray):
     """(U_final, infidelity) of the dense model from the `_magnus_steps` chunks.
 
-    The constant diagonal noise N = diag(n) enters each step's H_eff without
-    a new commutator: [H2 + N, H1 + N] = [H2, H1] + [H2 - H1, N] with
-    [D, N]_ij = D_ij (n_j - n_i), so H_eff gains N - i (sqrt(3)/12) dt
-    (H2 - H1)_ij (n_j - n_i). On the generator -i dt H_eff in real form,
-    -i dt N is +dt n in the upper right block's diagonal and -dt n in the
-    lower left's, and the commutator term is the real coefficient
-    -(sqrt(3)/12) dt^2 (n_j - n_i), tiled over the four blocks, times
-    R(H2 - H1).
+    The constant diagonal noise N = diag(n) enters each step without a new
+    commutator: [H2 + N, H1 + N] = [H2, H1] + sum_a (c2_a - c1_a) [T_a, N], with
+    [T_a, N]_ij = (T_a)_ij (n_j - n_i), so the generator gains
+    dt R(-i N) - w dt^2 sum_a (c2_a - c1_a) R([T_a, N]): the chunk's `y` times
+    the rows R(-i N), R([T_1, N]) .. R([T_{K-1}, N]), one GEMM added to the steps.
 
     Every chunk is exponentiated and multiplied in `work`, a
     `_dense_workspace(system)` that the call overwrites.
     """
     n = _noise_diagonal(frame, noise)
-    d = n.size
-    skew = np.tile((-MAGNUS4_WEIGHT * dt * dt) * (n[None, :] - n[:, None]), (2, 2))
-    dt_n = dt * n
+    terms = dense_terms(system, model)[1]
+    rows = real_form(np.concatenate([-1.0j * np.diag(n)[None], terms[1:] * (n - n[:, None])]))
+    rows = rows.reshape(len(rows), -1)
     u_final = None
-    for steps, diff in chunks:
-        # skew * diff; einsum, because a broadcasting ufunc allocates a 64 KiB buffer
-        gens = np.einsum("ij,kij->kij", skew, diff, out=work[0, :len(steps)])
+    for steps, y in chunks:
+        gens = work[0, :len(steps)]
+        np.matmul(y, rows, out=gens.reshape(len(steps), -1))
         gens += steps
-        # the diagonals of the upper right and lower left blocks, entry by entry:
-        # 1-D strided updates need no buffer either
-        for j in range(d):
-            gens[:, j, d + j] += dt_n[j]
-            gens[:, d + j, j] -= dt_n[j]
         # the exponential overwrites the generators, so their stack is free
         # for the product's passes; the product is a view into the workspace
         u_chunk = product_reduce(expm_batch(gens, work[1:, :len(steps)]), gens)

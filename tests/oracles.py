@@ -4,6 +4,7 @@ Each one is a plain, independent form of something the package computes a
 faster way, kept here so the fast path can be checked against it.
 """
 
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -21,6 +22,7 @@ from geodesic_gates.frames import MODEL_REDUCED, dense_terms
 from geodesic_gates.linalg import (
     _TAYLOR6_THETA,
     _TAYLOR9_THETA,
+    MAGNUS4_WEIGHT,
     SIGMA_I,
     SIGMA_X,
     SIGMA_Y,
@@ -144,15 +146,41 @@ def is_unitary(mat: np.ndarray, tol: float = 1e-10) -> bool:
     return max_abs(mat.conj().T @ mat - np.eye(d)) < tol
 
 
+def hamiltonian_samples(config, model: str, pulse, times) -> np.ndarray:
+    """H(t_k) of a dense model, h0 + (coefficients (N, 2M)) @ (drive terms (2M, d^2)).
+
+    The `frames.dense_terms` model sampled as a complex d x d stack, the
+    reference the package's table-built steps are checked against. `pulse`
+    is the synthesized envelope, interpolated linearly. Shape (N, d, d).
+    """
+    times = np.asarray(times, dtype=float)
+    if times.size and (times.min() < -1e-12 or times.max() > pulse.T + 1e-12):
+        raise ValueError(f"sample times outside the pulse window [0, {pulse.T}]")
+    nu, terms, _ = dense_terms(config, model)
+    omega = pulse.envelope(times)[:, None]
+    phase = times[:, None] * nu
+    coefs = np.concatenate([omega * np.cos(phase), omega * np.sin(phase)], axis=1)
+    templates = terms[1:].reshape(len(terms) - 1, -1)
+    return terms[0] + (coefs @ templates).reshape(times.size, *terms[0].shape)
+
+
+def magnus4_hamiltonians(h1: np.ndarray, h2: np.ndarray, dt: float) -> np.ndarray:
+    """H_eff = (H1 + H2)/2 - i (sqrt(3)/12) dt [H2, H1] of fourth-order Magnus steps.
+
+    `h1`, `h2` are stacks (..., d, d) of the Hamiltonian at the two Gauss
+    nodes of each step (`linalg.gauss_nodes`); the step is exp(-i H_eff dt).
+    """
+    return 0.5 * (h1 + h2) - (1.0j * MAGNUS4_WEIGHT * dt) * (h2 @ h1 - h1 @ h2)
+
+
 def reduced_block_samples(config, pulse, times) -> np.ndarray:
     """The reduced model without crosstalk, (+) (beta_b Z + Omega(t) X)/2, shape (N, d, d).
 
-    The block detunings h0 plus term 0 (the target drive at nu = 0) of the
-    reduced model's `frames.dense_terms` table.
+    Terms 0 and 1 of the reduced model's `frames.dense_terms` table: the
+    block detunings h0 and the target drive at nu = 0.
     """
-    h0, _, templates = dense_terms(config, MODEL_REDUCED)
-    drive = templates[0].reshape(h0.shape)
-    return h0 + pulse.envelope(np.asarray(times, dtype=float))[:, None, None] * drive
+    _, terms, _ = dense_terms(config, MODEL_REDUCED)
+    return terms[0] + pulse.envelope(np.asarray(times, dtype=float))[:, None, None] * terms[1]
 
 
 def magnus_oracle(u0_at, delta_h_at, T: float, dt: float) -> np.ndarray:
@@ -425,31 +453,55 @@ def adjoint_z(u, v):
     return out
 
 
-def susceptibility_oracles(params: CurveParams, beta: float, delta_tilde=None, n=131072):
-    """Brute-force (A_beta, A_beta0, crosstalk block) of one curve at one beta.
+class SusceptibilityOracles:
+    """Brute-force A_beta, A_beta0 and crosstalk block of one curve at one beta.
 
     A_beta is (A_X, A_Y, A_Z) of the beta block in the geometric frame and
     A_beta0 is (A_Y, A_Z) of the beta = 0 block, both in chi units. The
-    crosstalk block is the upper-right block of int U0^dag dH U0 dt for the
-    2-block model at `delta_tilde`, None if that is None. The waveform and
-    the two cumulative propagators are built once each.
+    crosstalk block at `delta_tilde` is the upper-right block of
+    int U0^dag dH U0 dt for the 2-block model. The waveform is built once,
+    and each block's cumulative propagator on first use, so a caller that
+    reads only A_beta or only A_beta0 propagates one block.
     """
-    wave = waveform_from_grid(CurveGrid(params, _ORACLE_SAMPLES), beta, _ORACLE_SAMPLES)
-    us_beta = cumulative_propagators(wave, beta, n)
-    us_zero = cumulative_propagators(wave, 0.0, n)
-    h = wave.T / n
-    a_true = np.trapezoid(adjoint_z(us_beta, us_beta), dx=h, axis=0)
-    a_geo = RX90.conj().T @ a_true @ RX90
-    a_beta = np.array([np.trace(p @ a_geo).real / 2.0
-                       for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)]) * abs(beta)
-    a_zero = np.trapezoid(adjoint_z(us_zero, us_zero), dx=h, axis=0)
-    a_beta0 = np.array([np.trace(p @ a_zero).real / 2.0 for p in (SIGMA_Y, SIGMA_Z)]) * abs(beta)
-    if delta_tilde is None:
-        return a_beta, a_beta0, None
-    times = np.arange(n + 1) * h
-    weight = wave.envelope(times) * np.exp(-1j * delta_tilde * times)
-    integrand = weight[:, None, None] * adjoint_z(us_beta, us_zero)
-    base = np.trapezoid(integrand, dx=h, axis=0)
-    d_start = (-3.0 * integrand[0] + 4.0 * integrand[1] - integrand[2]) / (2.0 * h)
-    d_end = (3.0 * integrand[-1] - 4.0 * integrand[-2] + integrand[-3]) / (2.0 * h)
-    return a_beta, a_beta0, base - h * h / 12.0 * (d_end - d_start)
+
+    def __init__(self, params: CurveParams, beta: float, n=131072):
+        self.wave = waveform_from_grid(CurveGrid(params, _ORACLE_SAMPLES), beta, _ORACLE_SAMPLES)
+        self.beta, self.n, self.h = beta, n, self.wave.T / n
+
+    @cached_property
+    def us_beta(self):
+        return cumulative_propagators(self.wave, self.beta, self.n)
+
+    @cached_property
+    def us_zero(self):
+        return cumulative_propagators(self.wave, 0.0, self.n)
+
+    @property
+    def a_beta(self) -> np.ndarray:
+        a_true = np.trapezoid(adjoint_z(self.us_beta, self.us_beta), dx=self.h, axis=0)
+        a_geo = RX90.conj().T @ a_true @ RX90
+        return np.array([np.trace(p @ a_geo).real / 2.0
+                         for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)]) * abs(self.beta)
+
+    @property
+    def a_beta0(self) -> np.ndarray:
+        a_zero = np.trapezoid(adjoint_z(self.us_zero, self.us_zero), dx=self.h, axis=0)
+        return np.array([np.trace(p @ a_zero).real / 2.0
+                         for p in (SIGMA_Y, SIGMA_Z)]) * abs(self.beta)
+
+    def crosstalk(self, delta_tilde: float) -> np.ndarray:
+        h = self.h
+        times = np.arange(self.n + 1) * h
+        weight = self.wave.envelope(times) * np.exp(-1j * delta_tilde * times)
+        integrand = weight[:, None, None] * adjoint_z(self.us_beta, self.us_zero)
+        base = np.trapezoid(integrand, dx=h, axis=0)
+        d_start = (-3.0 * integrand[0] + 4.0 * integrand[1] - integrand[2]) / (2.0 * h)
+        d_end = (3.0 * integrand[-1] - 4.0 * integrand[-2] + integrand[-3]) / (2.0 * h)
+        return base - h * h / 12.0 * (d_end - d_start)
+
+
+def susceptibility_oracles(params: CurveParams, beta: float, delta_tilde=None, n=131072):
+    """(A_beta, A_beta0, crosstalk block at `delta_tilde` or None) of `SusceptibilityOracles`."""
+    oracles = SusceptibilityOracles(params, beta, n)
+    return (oracles.a_beta, oracles.a_beta0,
+            None if delta_tilde is None else oracles.crosstalk(delta_tilde))

@@ -19,7 +19,6 @@ from geodesic_gates.frames import (
     _pauli_sum,
     block_diagonal,
     dressing,
-    hamiltonian_samples,
     lab_static,
     logical_from_lab,
     logical_target,
@@ -30,6 +29,7 @@ from geodesic_gates.linalg import SIGMA_X, SIGMA_Y, gate_fidelity, pauli_string
 from oracles import (
     embed_single,
     expm_hermitian,
+    hamiltonian_samples,
     is_hermitian,
     max_abs,
     propagate_sampled,

@@ -15,7 +15,6 @@ from geodesic_gates.linalg import (
     expm_batch,
     gate_fidelity,
     gauss_nodes,
-    magnus4_hamiltonians,
     pauli_string,
     product_reduce,
     real_form,
@@ -26,6 +25,7 @@ from oracles import (
     expm_hermitian,
     is_hermitian,
     is_unitary,
+    magnus4_hamiltonians,
     max_abs,
     propagate,
     product_reduce_allocating,

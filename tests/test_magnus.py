@@ -25,6 +25,7 @@ from geodesic_gates.magnus import (
 from geodesic_gates.optimizer import BOX_HALFWIDTH, PRESET_KEYS, preset_curve, preset_system
 from oracles import (
     RX90,
+    SusceptibilityOracles,
     crosstalk_block,
     crosstalk_integrands,
     magnus_oracle,
@@ -122,7 +123,7 @@ def test_beta_block_matches_oracle():
     for _ in range(3):
         p = random_curve(rng)
         analytic = np.array(susceptibility_beta(CurveGrid(p)))
-        oracle, _, _ = susceptibility_oracles(p, beta=0.7)
+        oracle = SusceptibilityOracles(p, beta=0.7).a_beta
         assert np.max(np.abs(analytic - oracle)) / np.linalg.norm(oracle) < 1e-5
 
 
@@ -131,7 +132,7 @@ def test_beta0_block_matches_oracle():
     for _ in range(3):
         p = random_curve(rng)
         analytic = np.array(susceptibility_beta0(CurveGrid(p)))
-        _, oracle, _ = susceptibility_oracles(p, beta=0.7)
+        oracle = SusceptibilityOracles(p, beta=0.7).a_beta0
         assert np.max(np.abs(analytic - oracle)) / max(np.linalg.norm(oracle), 1.0) < 1e-5
 
 

@@ -9,7 +9,7 @@ import pytest
 from conftest import random_curve
 from geodesic_gates import simulate
 from geodesic_gates.curves import CurveGrid, solve_b3_zero_area, synthesize_waveform
-from geodesic_gates.frames import SystemConfig, dressing, hamiltonian_samples
+from geodesic_gates.frames import SystemConfig, dressing, logical_from_lab
 from geodesic_gates.linalg import (
     SIGMA_X,
     SIGMA_Z,
@@ -17,6 +17,7 @@ from geodesic_gates.linalg import (
     expm_batch,
     gate_fidelity,
     pauli_string,
+    real_form,
     su2_ordered_exp,
 )
 from geodesic_gates.magnus import CHANNEL_COUPLING, CHANNEL_FREQ, channel_costs
@@ -43,8 +44,12 @@ from geodesic_gates.simulate import (
 )
 from oracles import (
     embed_single,
+    expm_batch_allocating,
     expm_eigh_real,
     expm_hermitian,
+    hamiltonian_samples,
+    magnus4_hamiltonians,
+    product_reduce_allocating,
     propagate_blocks_oracle,
     propagate_sampled,
     pulse_area,
@@ -190,6 +195,46 @@ def test_dense_step_matches_eigh_oracle(key, model):
         err = np.max(np.abs(complex_form(expm_batch(steps, np.empty((4,) + steps.shape))
                                          - oracle)))
         assert err < 1e-13
+
+
+@pytest.mark.parametrize("key", PRESET_KEYS)
+@pytest.mark.parametrize("model", [MODEL_REDUCED, MODEL_LAB])
+def test_dense_steps_match_sampled_magnus_oracle(key, model):
+    # each chunk's generators, one GEMM against the term table, against the
+    # construction they replace: H sampled at both Gauss nodes, the complex
+    # fourth-order Magnus step, then its real form
+    system, frame, wave = _setup(key)
+    dt, chunks = _magnus_steps(system, frame, wave, model, None)
+    _, t1, t2 = _step_grid(wave, None, _dense_per_interval(wave, frame))
+    lo = 0
+    for steps, _ in chunks:
+        hi = lo + len(steps)
+        h1 = hamiltonian_samples(system, model, wave, t1[lo:hi])
+        h2 = hamiltonian_samples(system, model, wave, t2[lo:hi])
+        oracle = real_form(-1.0j * dt * magnus4_hamiltonians(h1, h2, dt))
+        assert np.max(np.abs(steps - oracle)) <= 1e-15 * np.max(np.abs(oracle)), lo
+        lo = hi
+    assert lo == t1.size
+
+
+@pytest.mark.parametrize("key", ["xpi-2q-robust", "xpi-3q-robust"])
+@pytest.mark.parametrize("model", [MODEL_REDUCED, MODEL_LAB])
+def test_dense_noise_rows_match_sampled_noise_oracle(key, model):
+    # the noise enters a dense gate as y @ rows added to the shared steps; the
+    # oracle adds N to every sampled H before its Magnus step, and takes the
+    # same exponential, so only the noise's way into the steps differs
+    system, frame, wave = _setup(key)
+    noise = NoiseSetting(0.03, -0.02)
+    u, _ = simulate_gate(system, frame, wave, noise, model=model)
+    dt, t1, t2 = _step_grid(wave, None, _dense_per_interval(wave, frame))
+    n_op = noise_operator(system, noise)
+    h1 = hamiltonian_samples(system, model, wave, t1) + n_op
+    h2 = hamiltonian_samples(system, model, wave, t2) + n_op
+    gens = real_form(-1.0j * dt * magnus4_hamiltonians(h1, h2, dt))
+    u_oracle = complex_form(product_reduce_allocating(expm_batch_allocating(gens)))
+    if model == MODEL_LAB:
+        u_oracle = logical_from_lab(u_oracle, frame, wave.T)
+    assert np.max(np.abs(u - u_oracle)) < 1e-12
 
 
 def test_dense_step_scaling_and_squaring():
