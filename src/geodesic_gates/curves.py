@@ -326,6 +326,8 @@ def waveform_from_grid(grid: CurveGrid, beta: float, n_samples: int = 8192) -> W
         raise ValueError("beta = 0 blocks consume a waveform, they cannot set its scale")
     if n_samples < 256:
         raise ValueError("n_samples must be at least 256")
+    if n_samples > 2**20:
+        raise ValueError(f"n_samples must be at most 2**20 = {2**20}, got {n_samples}")
     scale = abs(beta)
     t_nodes = grid.arc / scale
     omega_nodes = grid.omega_over_beta * scale

@@ -23,9 +23,10 @@ effective detuning delta_tilde. Basis ordering is |q1 q2 (q3)> with qubit 1
 most significant and Z|0> = +|0>.
 
 Both dense models, the lab frame and the reduced model with crosstalk, are
-H(t) = h0 + Omega(t) sum_m [cos(nu_m t) a_m + sin(nu_m t) b_m]: one term
-table each (`dense_terms`), with the real forms of the terms and of their
-pairwise commutators, from which the propagator forms its Magnus steps.
+H(t) = h0 + Omega(t) sum_m [cos(nu_m t) a_m + sin(nu_m t) b_m], with no b_m
+at nu_m = 0: one term table each (`dense_terms`), with the real forms of the
+terms and of their commutators [T_a, T_b], a < b, from which the propagator
+forms its Magnus steps.
 """
 
 from __future__ import annotations
@@ -233,17 +234,18 @@ def block_diagonal(z) -> np.ndarray:
 def dense_terms(config: SystemConfig, model: str):
     """Term table (nu, terms, table) of a dense model; the arrays are read-only.
 
-    H(t) = sum_a c_a(t) T_a with c(t) = (1, Omega(t) cos(nu t), Omega(t) sin(nu t)):
-    `terms` is the (K, d, d) stack T = (h0, a_0..a_{M-1}, b_0..b_{M-1}),
-    K = 1 + 2M, Omega(t) the synthesized envelope and every amplitude folded
-    into a_m, b_m. `table` holds the real forms (`linalg.real_form`) a
-    fourth-order Magnus step is linear in, flattened to rows of (2d)^2:
-    R(-i T_a) for each term, then R([T_a, T_b]) for every pair (a, b),
-    row-major, K + K^2 rows in all.
+    H(t) = sum_a c_a(t) T_a with c(t) = (1, Omega(t) cos(nu t), Omega(t) sin(nu t)),
+    the sine part only where nu != 0, so no c_a is identically zero: `terms`
+    is the (K, d, d) stack T = (h0, a_0..a_{M-1}, b_m for nu_m != 0), Omega(t)
+    the synthesized envelope and every amplitude folded into a_m, b_m.
+    `table` holds the real forms (`linalg.real_form`) a fourth-order Magnus
+    step is linear in, flattened to rows of (2d)^2: R(-i T_a) for each term,
+    then R([T_a, T_b]) for a < b in `np.triu_indices(K, 1)` order,
+    K + K(K-1)/2 rows (lab 6 and 3, reduced 10 and 21: 2q and chain).
     Lab: h0 = H0 and one drive term at omega_d, X_t and Y_t over 2 drive_scale.
     Reduced: h0 the block detunings, drive term 0 the target drive X_t/2 at
-    nu = 0 (its b_0 is zero), then V_cr: (tan(theta)/2) (XZ, YZ) at
-    delta_tilde for two qubits; for the chain, over drive_scale,
+    nu = 0, then V_cr: (tan(theta)/2) (XZ, YZ) at delta_tilde for two
+    qubits; for the chain, over drive_scale,
     (V11 + V12) lambda/4 + (g2/8g1) lambda^2 (V21 + V22) at delta_tilde and
     (g2/8g1) lambda^2 V212 at 2 delta_tilde.
     """
@@ -257,7 +259,7 @@ def dense_terms(config: SystemConfig, model: str):
         terms = [(frame.omega_d, xt / (2.0 * frame.drive_scale), yt / (2.0 * frame.drive_scale))]
     else:
         h0 = np.diag(block_diagonal(0.5 * np.asarray(frame.betas)))
-        terms = [(0.0, 0.5 * xt, 0.0 * xt)]
+        terms = [(0.0, 0.5 * xt, None)]
         if config.n_qubits == 2:
             terms.append((frame.delta_tilde, frame.epsilon * p("XZ"), frame.epsilon * p("YZ")))
         else:
@@ -270,9 +272,11 @@ def dense_terms(config: SystemConfig, model: str):
             terms.append((2.0 * frame.delta_tilde,
                           c2 * (p("XXX") + p("YYX")), c2 * (p("YXX") - p("XYX"))))
     nu, a, b = zip(*terms)
-    terms = np.array((h0,) + a + b, dtype=complex)
-    pairs = terms[:, None] @ terms[None, :] - terms[None, :] @ terms[:, None]
-    table = real_form(np.concatenate([-1.0j * terms, pairs.reshape(-1, *h0.shape)]))
+    terms = np.array((h0,) + a + tuple(b_m for nu_m, b_m in zip(nu, b) if nu_m != 0.0),
+                     dtype=complex)
+    i, j = np.triu_indices(len(terms), 1)
+    pairs = terms[i] @ terms[j] - terms[j] @ terms[i]
+    table = real_form(np.concatenate([-1.0j * terms, pairs]))
     tables = (np.array(nu, dtype=float), terms, table.reshape(len(table), -1))
     for array in tables:
         array.flags.writeable = False

@@ -19,13 +19,14 @@ the blocks back to the points; a block at -beta is the X-conjugate of the
 one at +beta, so +-beta are folded into one propagation.
 With crosstalk on, or in the lab frame, the same fourth-order Magnus steps
 are taken on the full d x d Hamiltonian H(t) = sum_a c_a(t) T_a of
-`frames.dense_terms`. Both paths work in chunks of at most `_STACK_REALS`
+`frames.dense_terms` (a sine part only where nu != 0, so no c_a is
+identically zero). Both paths work in chunks of at most `_STACK_REALS`
 reals per stack. Each dense step is carried in the real representation
 R(A) = [[Re A, -Im A], [Im A, Re A]] of its generator A = -i dt H_eff
 (`linalg.real_form`), a real 2d x 2d matrix. A is linear in the term
 coefficients at the step's Gauss nodes and in their pairwise products, so
 a chunk's generators are one GEMM against the table of R(-i T_a) and
-R([T_a, T_b]) (`_magnus_steps`). R maps products to products, so the
+R([T_a, T_b]), a < b (`_magnus_steps`). R maps products to products, so the
 exponentials (`linalg.expm_batch`, a Taylor polynomial whose degree follows
 the stack's norm) and their ordered product (`linalg.product_reduce`) run on
 real GEMM, and U is converted back once per gate. The result is the complex
@@ -92,7 +93,7 @@ from .linalg import (
 _STACK_REALS = 65536
 # reals in the shared noise-free steps of a dense run's default step count,
 # n_steps (2d)^2: the step stacks then hold at most 128 MiB, next to the
-# (n_steps, K) term coefficients (10 MiB each at the two-qubit limit); that is
+# (n_steps, K) term coefficients (8 MiB each at the two-qubit limit); that is
 # 262144 steps for two qubits and 65536 for three (|delta_tilde| up to about
 # 900 and 250 for the xpi presets at 8192 samples)
 _DENSE_STEP_LIMIT = 2**24
@@ -218,13 +219,15 @@ def _magnus_steps(system: SystemConfig, frame: FrameData, waveform: Waveform,
                   model: str, n_steps: int | None):
     """Noise-free fourth-order Magnus steps of a dense model, in time chunks.
 
-    Returns (dt, chunks); each chunk is a pair (steps, y) over at most
-    `_STACK_REALS` / (2d)^2 consecutive steps, in time order. With
+    Returns an iterator of chunks; each chunk is a pair (steps, y) over at
+    most `_STACK_REALS` / (2d)^2 consecutive steps, in time order. With
     c1, c2 the term coefficients c(t) of `frames.dense_terms` at a step's two
     Gauss nodes, the generator -i dt H_eff = -i dt (H1 + H2)/2 - w dt^2 [H2, H1],
-    w = sqrt(3)/12, is linear in the terms and their commutators, so `steps`,
-    the stack of its real forms (`linalg.real_form`), is one GEMM of the rows
-    [dt (c1 + c2)/2, -w dt^2 (c2 (x) c1)] against the term table. `y` holds
+    w = sqrt(3)/12, is linear in the terms and their commutators, with
+    [H2, H1] = sum_{a<b} (c2_a c1_b - c2_b c1_a) [T_a, T_b], so `steps`, the
+    stack of its real forms (`linalg.real_form`), is one GEMM of the rows
+    [dt (c1 + c2)/2, -w dt^2 (c2_a c1_b - c2_b c1_a)] against the term table
+    (pairs a < b in its order). `y` holds
     (dt, -w dt^2 (c2 - c1)_a for a >= 1) per step, shape (steps, K): the
     coefficients of R(-i N) and R([T_a, N]) that a constant noise N adds
     (`_dense_gate`). The coefficients are formed once per gate and the steps
@@ -246,23 +249,24 @@ def _magnus_steps(system: SystemConfig, frame: FrameData, waveform: Waveform,
     y = (-MAGNUS4_WEIGHT * dt * dt) * (c2 - c1)
     y[:, 0] = dt
     chunk = _STACK_REALS // size
+    i, j = np.triu_indices(len(terms), 1)
 
     def chunks():
         for lo in range(0, n_steps, chunk):
             a, b = c1[lo:lo + chunk], c2[lo:lo + chunk]
-            pairs = (b[:, :, None] * a[:, None, :]).reshape(len(a), -1)
+            pairs = b[:, i] * a[:, j] - b[:, j] * a[:, i]
             rows = np.concatenate([(0.5 * dt) * (a + b), (-MAGNUS4_WEIGHT * dt * dt) * pairs], axis=1)
             yield (rows @ table).reshape(len(a), 2 * system.dim, 2 * system.dim), y[lo:lo + chunk]
 
-    return dt, chunks()
+    return chunks()
 
 
 def _term_coefficients(waveform: Waveform, nu: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """c(t) = (1, Omega(t) cos(nu t), Omega(t) sin(nu t)) of `frames.dense_terms`, (N, K)."""
+    """c(t) = (1, Omega cos(nu t), Omega sin(nu t) for nu != 0) of `frames.dense_terms`, (N, K)."""
     omega = waveform.envelope(times)[:, None]
     phase = times[:, None] * nu
-    return np.concatenate([np.ones_like(omega), omega * np.cos(phase), omega * np.sin(phase)],
-                          axis=1)
+    return np.concatenate([np.ones_like(omega), omega * np.cos(phase),
+                           omega * np.sin(phase[:, nu != 0.0])], axis=1)
 
 
 def _dense_workspace(system: SystemConfig) -> np.ndarray:
@@ -273,7 +277,7 @@ def _dense_workspace(system: SystemConfig) -> np.ndarray:
 
 
 def _dense_gate(system: SystemConfig, frame: FrameData, waveform: Waveform, model: str,
-                dt: float, chunks, noise: NoiseSetting, gate_angle: float, work: np.ndarray):
+                chunks, noise: NoiseSetting, gate_angle: float, work: np.ndarray):
     """(U_final, infidelity) of the dense model from the `_magnus_steps` chunks.
 
     The constant diagonal noise N = diag(n) enters each step without a new
@@ -324,8 +328,8 @@ def simulate_gate(system: SystemConfig, frame: FrameData, waveform: Waveform,
         for k, block in enumerate(blocks[:, 0, 0]):
             u[2 * k:2 * k + 2, 2 * k:2 * k + 2] = block
         return u, float(infid[0, 0])
-    dt, chunks = _magnus_steps(system, frame, waveform, model, n_steps)
-    return _dense_gate(system, frame, waveform, model, dt, chunks, noise, gate_angle,
+    chunks = _magnus_steps(system, frame, waveform, model, n_steps)
+    return _dense_gate(system, frame, waveform, model, chunks, noise, gate_angle,
                        _dense_workspace(system))
 
 
@@ -358,8 +362,7 @@ def noise_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
     if _block_path(frame, waveform, model, crosstalk_on):
         return _block_sweep(system, frame, waveform, domega_values, dj_values,
                             gate_angle, None)[1]
-    dt, chunks = _magnus_steps(system, frame, waveform, model, None)
-    chunks = list(chunks)
+    chunks = list(_magnus_steps(system, frame, waveform, model, None))
     # one workspace per thread that `map` runs points on, reused point after
     # point: a new one per point faulted its 640 pages in each time
     workspaces = threading.local()
@@ -367,7 +370,7 @@ def noise_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
     def gate(noise):
         if not hasattr(workspaces, "work"):
             workspaces.work = _dense_workspace(system)
-        return _dense_gate(system, frame, waveform, model, dt, chunks, noise, gate_angle,
+        return _dense_gate(system, frame, waveform, model, chunks, noise, gate_angle,
                            workspaces.work)
 
     noises = [NoiseSetting(float(dw), float(dj), crosstalk_on)

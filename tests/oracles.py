@@ -159,7 +159,7 @@ def hamiltonian_samples(config, model: str, pulse, times) -> np.ndarray:
     nu, terms, _ = dense_terms(config, model)
     omega = pulse.envelope(times)[:, None]
     phase = times[:, None] * nu
-    coefs = np.concatenate([omega * np.cos(phase), omega * np.sin(phase)], axis=1)
+    coefs = np.concatenate([omega * np.cos(phase), omega * np.sin(phase[:, nu != 0.0])], axis=1)
     templates = terms[1:].reshape(len(terms) - 1, -1)
     return terms[0] + (coefs @ templates).reshape(times.size, *terms[0].shape)
 

@@ -803,6 +803,20 @@ def test_lab_model_without_crosstalk_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--preset", "xpi-2q-robust"],
+    ["simulate", "--preset", "xpi-2q-robust", "--crosstalk", "off"],
+    ["sweep", "--preset", "xpi-2q-robust", "--grid", "3", "--crosstalk", "off"],
+], ids=["synth", "simulate", "sweep"])
+@pytest.mark.parametrize("n_samples", ["1048577", "1000000000000"])
+def test_sample_count_above_2_20_exits_2(tmp_path, capsys, argv, n_samples):
+    # refused before the waveform is allocated, not with a memory error (exit 1)
+    assert run(tmp_path / "out", *argv, "--n-samples", n_samples) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "n_samples must be at most" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_infinite_sweep_range_exits_2_without_warnings(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -160,6 +160,10 @@ def test_synthesize_rejects_bad_input():
         synthesize_waveform(p, beta=0.0)
     with pytest.raises(ValueError):
         synthesize_waveform(p, beta=0.5, n_samples=128)
+    # refused before the samples are allocated: 10**12 of them would need 8 TB
+    for n_samples in (2**20 + 1, 10**12):
+        with pytest.raises(ValueError, match="at most 2"):
+            synthesize_waveform(p, beta=0.5, n_samples=n_samples)
 
 
 def test_round_trip_simple_curve():

@@ -18,6 +18,7 @@ from geodesic_gates.frames import (
     _P3_TERMS,
     _pauli_sum,
     block_diagonal,
+    dense_terms,
     dressing,
     lab_static,
     logical_from_lab,
@@ -25,7 +26,7 @@ from geodesic_gates.frames import (
     three_qubit_dressing,
     two_qubit_dressing,
 )
-from geodesic_gates.linalg import SIGMA_X, SIGMA_Y, gate_fidelity, pauli_string
+from geodesic_gates.linalg import SIGMA_X, SIGMA_Y, gate_fidelity, pauli_string, real_form
 from oracles import (
     embed_single,
     expm_hermitian,
@@ -271,6 +272,25 @@ def test_three_qubit_crosstalk_matches_hand_expansion():
     v_cr0 = _crosstalk_term(cfg, frame, omega, 0.0)
     norm = np.linalg.norm(v_cr0, ord=2)
     assert abs(norm - 2.0 * lam / 4.0 * omega) < 2e-3
+
+
+@pytest.mark.parametrize("setting, model, rows", [
+    ("2q-midpoint", MODEL_LAB, 6), ("2q-resonant", MODEL_LAB, 6), ("3q-chain", MODEL_LAB, 3),
+    ("2q-midpoint", MODEL_REDUCED, 10), ("2q-resonant", MODEL_REDUCED, 10),
+    ("3q-chain", MODEL_REDUCED, 21)])
+def test_dense_table_holds_each_term_and_each_pair_once(setting, model, rows):
+    # R(-i T_a) per term, then R([T_a, T_b]) for a < b only: [T_b, T_a] is
+    # -[T_a, T_b] and [T_a, T_a] is zero, and a term at nu = 0 has no sine part
+    # (the reduced target drive, the chain's lab drive at omega_d = 0)
+    _, terms, table = dense_terms(SystemConfig(**SETTINGS[setting]), model)
+    k = len(terms)
+    assert len(table) == k + k * (k - 1) // 2 == rows
+    for a in range(k):
+        assert np.array_equal(table[a], real_form(-1.0j * terms[a]).ravel()), a
+    for p, (a, b) in enumerate(zip(*np.triu_indices(k, 1))):
+        commutator = terms[a] @ terms[b] - terms[b] @ terms[a]
+        assert max_abs(table[k + p] - real_form(commutator).ravel()) <= 1e-15 * max_abs(table)
+    assert not np.any(np.all(terms == 0, axis=(1, 2)))
 
 
 def test_logical_targets():

@@ -189,8 +189,7 @@ def test_dense_stepper_matches_midpoint_oracle(key):
 def test_dense_step_matches_eigh_oracle(key, model):
     # the Taylor step exponential against eigendecomposition, chunk by chunk
     system, frame, wave = _setup(key)
-    dt, chunks = _magnus_steps(system, frame, wave, model, None)
-    for steps, _ in chunks:
+    for steps, _ in _magnus_steps(system, frame, wave, model, None):
         oracle = expm_eigh_real(steps)
         err = np.max(np.abs(complex_form(expm_batch(steps, np.empty((4,) + steps.shape))
                                          - oracle)))
@@ -204,10 +203,9 @@ def test_dense_steps_match_sampled_magnus_oracle(key, model):
     # construction they replace: H sampled at both Gauss nodes, the complex
     # fourth-order Magnus step, then its real form
     system, frame, wave = _setup(key)
-    dt, chunks = _magnus_steps(system, frame, wave, model, None)
-    _, t1, t2 = _step_grid(wave, None, _dense_per_interval(wave, frame))
+    dt, t1, t2 = _step_grid(wave, None, _dense_per_interval(wave, frame))
     lo = 0
-    for steps, _ in chunks:
+    for steps, _ in _magnus_steps(system, frame, wave, model, None):
         hi = lo + len(steps)
         h1 = hamiltonian_samples(system, model, wave, t1[lo:hi])
         h2 = hamiltonian_samples(system, model, wave, t2[lo:hi])
@@ -241,8 +239,7 @@ def test_dense_step_scaling_and_squaring():
     # 64 steps over a 3q lab gate put the one-norm of -i dt H_eff near 9,
     # far above the unscaled bound 0.07, so the steps are squared
     system, frame, wave = _setup("xpi-3q-robust")
-    dt, chunks = _magnus_steps(system, frame, wave, MODEL_LAB, 64)
-    (steps, _), = chunks
+    (steps, _), = _magnus_steps(system, frame, wave, MODEL_LAB, 64)
     assert np.max(np.sum(np.abs(steps), axis=-2)) > 100 * 0.07
     oracle = expm_eigh_real(steps)
     assert np.max(np.abs(complex_form(expm_batch(steps, np.empty((4,) + steps.shape))
@@ -270,15 +267,14 @@ def test_dense_gate_allocates_only_its_workspace(key, model):
     # where fresh temporaries would take about ten stacks per chunk; a sweep
     # thread's workspace serves point after point and leaves nothing behind
     system, frame, wave = _setup(key)
-    dt, chunks = _magnus_steps(system, frame, wave, model, None)
-    chunks = list(chunks)
-    expected = _dense_gate(system, frame, wave, model, dt, chunks, NoiseSetting(0.03, -0.02),
+    chunks = list(_magnus_steps(system, frame, wave, model, None))
+    expected = _dense_gate(system, frame, wave, model, chunks, NoiseSetting(0.03, -0.02),
                            np.pi, _dense_workspace(system))
     work = _dense_workspace(system)
-    _dense_gate(system, frame, wave, model, dt, chunks, NoiseSetting(0.5, 0.5), np.pi, work)
+    _dense_gate(system, frame, wave, model, chunks, NoiseSetting(0.5, 0.5), np.pi, work)
     tracemalloc.start()
     try:
-        u, infid = _dense_gate(system, frame, wave, model, dt, chunks,
+        u, infid = _dense_gate(system, frame, wave, model, chunks,
                                NoiseSetting(0.03, -0.02), np.pi, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
