@@ -62,6 +62,28 @@ CHI_MAX = 4.0 * np.pi
 CHI_GRID_POINTS = 16384
 
 
+def search_grid_points(delta_tilde: float, beta: float) -> int:
+    """chi-grid points of the optimizer's search at crosstalk detuning delta_tilde, time scale beta.
+
+    The smallest power of two n >= 2048 with |delta_tilde / beta| 4 pi/(n - 1)
+    <= 0.3 rad, capped at CHI_GRID_POINTS. The crosstalk phase
+    delta_tilde t(chi) advances by that bound times t' per node, so the
+    search resolves each crosstalk oscillation at least as finely as the
+    default grid does where the cap starts to bind, at |delta_tilde / beta|
+    = 196 (Delta = 98 J on the 2q midpoint drive, 196 J on the resonant
+    drive and the chain). Every setting gets 2048 nodes at Delta = 20 J.
+    Measured against 262145 nodes, the robust presets' crosstalk amplitudes
+    at Delta in {20, 80, 200} J are within 1.6e-3 relative on this grid
+    (1.4e-3 on the default grid at 200 J), where a fixed 2048-node grid is
+    off by 0.17-0.83 at 200 J; the susceptibility residuals of the eight
+    presets are within 1.1e-8 at 2048 nodes.
+    """
+    n = 2048
+    while n < CHI_GRID_POINTS and abs(delta_tilde) * CHI_MAX / (n - 1) > 0.3 * abs(beta):
+        n *= 2
+    return n
+
+
 def real_fields(record, *names) -> None:
     """Store the named fields of a frozen record as floats; each must be a finite real.
 

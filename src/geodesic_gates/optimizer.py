@@ -16,9 +16,16 @@ squares over the free parameters: |C_robust|^2 is the squared norm of the
 short residual vector `magnus.cost_residuals`, so each start runs
 `scipy.optimize.least_squares` (method "trf") on that vector with a
 finite-difference Jacobian. Every evaluation, the finite-difference ones
-included, refills one `CurveGrid`, as do each start's final cost and the
-gate time. The area constraint is eliminated exactly through the affine
-dependence of C_target on the coefficients.
+included, refills one search `CurveGrid`, sized by `search_grid_points`
+from the crosstalk detuning: 2048 nodes at the default Delta = 20 J, where
+the default grid has 16384. The search needs only the minimiser, which the
+fourth-order chi rules move by about 2e-10 relative there. Each start's
+reported cost and the gate time are computed on a second grid of the
+default size, so they equal what `cost --params` reports. A start that
+reaches a curve the search grid cannot resolve continues on the default
+grid. The area constraint is eliminated exactly through the affine
+dependence of C_target on the coefficients, read from the default grid's
+table.
 """
 
 from __future__ import annotations
@@ -33,7 +40,9 @@ import numpy as np
 from .curves import (
     CurveGrid,
     CurveParams,
+    GridResolutionError,
     coefficient_for_angle,
+    search_grid_points,
     solve_b1_zero_area,
     solve_b3_zero_area,
 )
@@ -209,9 +218,20 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
     eval_count = 0
 
     def residuals(vec: np.ndarray) -> np.ndarray:
-        nonlocal eval_count
+        nonlocal eval_count, grid
         eval_count += 1
-        return total_cost(grid.refill(build(vec)), system, frame, cfg)
+        params = build(vec)
+        try:
+            filled = grid.refill(params)
+        except GridResolutionError:
+            if grid is report:
+                raise
+            # the search grid's residuals are poor near curves it cannot
+            # resolve, so the rest of this start searches the default grid,
+            # which raises in turn if it cannot resolve the curve either
+            grid = report
+            filled = grid.refill(params)
+        return total_cost(filled, system, frame, cfg)
 
     rng = np.random.default_rng(cfg.seed)
     starts = []
@@ -223,15 +243,20 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
         starts.append(rng.uniform(-BOX_HALFWIDTH, BOX_HALFWIDTH, size=len(names)))
     starts = starts[: cfg.starts]
 
-    # every evaluation refills this one grid (see CurveGrid.refill)
-    grid = CurveGrid(build(starts[0]))
+    # evaluations refill the search grid, reported numbers the default one
+    # (see CurveGrid.refill). Both are built on the flat curve, which every
+    # grid resolves, so building them never raises for a start
+    flat = CurveParams(a=0.0, phi_target=0.0)
+    search = CurveGrid(flat, search_grid_points(frame.delta_tilde, frame.design_beta))
+    report = CurveGrid(flat)
     best = None
     start_costs = []
     for x0 in starts:
+        grid = search
         res = sp_optimize.least_squares(residuals, x0, method="trf", x_scale="jac",
                                         max_nfev=cfg.max_iters, ftol=TOL, xtol=TOL, gtol=TOL)
         # the cost that `cost --params` reports for the same point
-        cost = cfg.channel_weights.cost(channel_costs(grid.refill(build(res.x)), system, frame))
+        cost = cfg.channel_weights.cost(channel_costs(report.refill(build(res.x)), system, frame))
         start_costs.append(cost)
         if best is None or cost < best[0]:
             best = (cost, res.x, res.success)
@@ -239,7 +264,7 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
     params = build(x_best)
     converged = success or cost <= TOL
     return OptimizeResult(params=params, cost=cost, converged=converged,
-                          gate_time=grid.refill(params).arc_length / frame.design_beta,
+                          gate_time=report.refill(params).arc_length / frame.design_beta,
                           start_costs=tuple(start_costs),
                           n_evaluations=eval_count)
 

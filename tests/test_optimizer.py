@@ -1,17 +1,22 @@
 """Presets and the deterministic multi-start search."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
+import pytest
 from geodesic_gates.curves import (
+    CHI_GRID_POINTS,
     CurveGrid,
     CurveParams,
+    GridResolutionError,
     area_functional,
     rotation_angle,
+    search_grid_points,
     solve_b1_zero_area,
+    solve_b3_zero_area,
 )
 from geodesic_gates.frames import SETTINGS, SystemConfig, dressing
-from geodesic_gates.magnus import ChannelWeights, robust_cost
+from geodesic_gates.magnus import ChannelWeights, channel_costs, robust_cost
 from geodesic_gates.optimizer import (
     PRESET_KEYS,
     OptimizerConfig,
@@ -179,13 +184,14 @@ def test_optimize_counts_every_total_cost_call(monkeypatch):
 
 
 def test_optimize_on_one_refilled_grid_matches_fresh_grids(monkeypatch):
-    # optimize refills one grid for every evaluation; evaluating each curve
-    # on a new grid instead must give the same result bit for bit
+    # optimize refills its search and report grids for every evaluation;
+    # evaluating each curve on a new grid of the same size instead must give
+    # the same result bit for bit
     import geodesic_gates.optimizer as optimizer_module
 
     class FreshGrids(CurveGrid):
         def refill(self, params):
-            return CurveGrid(params)
+            return CurveGrid(params, len(self.chi))
 
     cfg = OptimizerConfig(starts=2, seed=7, max_iters=30)
     for setting in SETTINGS:
@@ -196,3 +202,80 @@ def test_optimize_on_one_refilled_grid_matches_fresh_grids(monkeypatch):
             fresh = optimize(np.pi, system, cfg)
         assert repr(refilled) == repr(fresh), setting
         assert refilled.n_evaluations > 0
+
+
+def _record_grids(patch, optimizer_module):
+    """Record the grid size of every search evaluation, and the params and grid
+    size of every cost `optimize` reports."""
+    search_sizes, reported = [], []
+    total_cost, channel_costs_ = optimizer_module.total_cost, optimizer_module.channel_costs
+
+    def recording_total_cost(grid, *args):
+        search_sizes.append(len(grid.chi))
+        return total_cost(grid, *args)
+
+    def recording_channel_costs(grid, *args):
+        reported.append((grid.params, len(grid.chi)))
+        return channel_costs_(grid, *args)
+
+    patch.setattr(optimizer_module, "total_cost", recording_total_cost)
+    patch.setattr(optimizer_module, "channel_costs", recording_channel_costs)
+    return search_sizes, reported
+
+
+def test_optimize_searches_on_the_rule_grid_and_reports_on_the_default_grid(monkeypatch):
+    # at Delta = 20 J every setting searches 2048 nodes; at 200 J the rule
+    # returns the default grid and the run equals one that searches it. Every
+    # reported cost is the one a new default grid gives for the same point
+    import geodesic_gates.optimizer as optimizer_module
+
+    cfg = OptimizerConfig(starts=2, seed=7, max_iters=30)
+    for delta, size in ((20.0, 2048), (200.0, CHI_GRID_POINTS)):
+        for setting in SETTINGS:
+            system = SystemConfig(**SETTINGS[setting], delta=delta)
+            frame = dressing(system)
+            assert search_grid_points(frame.delta_tilde, frame.design_beta) == size
+            with monkeypatch.context() as patch:
+                search_sizes, reported = _record_grids(patch, optimizer_module)
+                result = optimize(np.pi, system, cfg)
+            assert set(search_sizes) == {size}, (setting, delta)
+            assert len(search_sizes) == result.n_evaluations
+            assert [n for _, n in reported] == [CHI_GRID_POINTS] * cfg.starts
+            fresh = [cfg.channel_weights.cost(channel_costs(CurveGrid(p), system, frame))
+                     for p, _ in reported]
+            assert tuple(fresh) == result.start_costs
+            assert result.cost == cfg.channel_weights.cost(
+                channel_costs(CurveGrid(result.params), system, frame))
+            if size == CHI_GRID_POINTS:
+                with monkeypatch.context() as patch:
+                    patch.setattr(optimizer_module, "search_grid_points",
+                                  lambda *_: CHI_GRID_POINTS)
+                    default = optimize(np.pi, system, cfg)
+                assert repr(result) == repr(default), setting
+
+
+def test_optimize_continues_past_a_start_the_search_grid_cannot_resolve(monkeypatch):
+    # the chain's preset row with b2 = -2000 (b3 re-solved by optimize) has
+    # theta jumps over pi/2 on 2048 nodes but not on the default grid: that
+    # start searches on the default grid instead of ending the run
+    import geodesic_gates.optimizer as optimizer_module
+
+    system = SystemConfig(**SETTINGS["3q-chain"])
+    frame = dressing(system)
+    steep = replace(preset_curve("xpi-3q-robust"), b2=-2000.0)
+    steep = replace(steep, b3=solve_b3_zero_area(steep.a, steep.b1, steep.b2))
+    assert search_grid_points(frame.delta_tilde, frame.design_beta) == 2048
+    with pytest.raises(GridResolutionError):
+        CurveGrid(steep, 2048)
+    CurveGrid(steep)
+    cfg = OptimizerConfig(starts=1, max_iters=120)
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer_module, "preset_curve", lambda key: steep)
+        search_sizes, _ = _record_grids(patch, optimizer_module)
+        result = optimize(np.pi, system, cfg)
+    assert search_sizes[0] == CHI_GRID_POINTS
+    assert len(search_sizes) == result.n_evaluations
+    assert result.converged
+    assert result.cost == cfg.channel_weights.cost(
+        channel_costs(CurveGrid(result.params), system, frame))
+    assert abs(area_functional(CurveGrid(result.params))) < 1e-8

@@ -562,6 +562,26 @@ def test_matched_cosine_takes_the_reference_sample_count(n_samples):
     assert np.argmax(cosine.samples) == n_samples // 2
 
 
+def test_lab_and_reduced_noise_gap_falls_with_detuning():
+    # the reduced model applies the bare frequency-noise diagonal in the
+    # dressed basis, which is off by O(lambda^2), lambda = g1/Delta. Measured
+    # relative gaps (lab - reduced)/lab at noise (0.02, 0): -2.38e-3 at
+    # Delta = 20 J, -6.24e-4 at 40 J (ratio 3.8) and -1.57e-4 at 80 J. The
+    # test fails if the gap grows or stops falling with Delta
+    key = "xpi-2q-robust"
+    gaps = []
+    for delta in (20.0, 40.0):
+        system = replace(preset_system(key), delta=delta)
+        frame = dressing(system)
+        wave = synthesize_waveform(preset_curve(key), frame.design_beta)
+        noise = NoiseSetting(0.02, 0.0)
+        _, reduced = simulate_gate(system, frame, wave, noise)
+        _, lab = simulate_gate(system, frame, wave, noise, model=MODEL_LAB)
+        gaps.append((lab - reduced) / lab)
+    assert abs(gaps[0]) < 3e-3
+    assert gaps[0] / gaps[1] >= 3.5
+
+
 def test_lab_and_reduced_agree_three_qubit():
     # truncation of the dressing at O(lambda^3) bounds the model mismatch
     system, frame, wave = _setup("xpi-3q-nonrobust")
