@@ -18,14 +18,18 @@ short residual vector `magnus.cost_residuals`, so each start runs
 finite-difference Jacobian. Every evaluation, the finite-difference ones
 included, refills one search `CurveGrid`, sized by `search_grid_points`
 from the crosstalk detuning: 2048 nodes at the default Delta = 20 J, where
-the default grid has 16384. The search needs only the minimiser, which the
-fourth-order chi rules move by about 2e-10 relative there. Each start's
-reported cost and the gate time are computed on a second grid of the
-default size, so they equal what `cost --params` reports. A start that
-reaches a curve the search grid cannot resolve continues on the default
-grid. The area constraint is eliminated exactly through the affine
-dependence of C_target on the coefficients, read from the default grid's
-table.
+the default grid has 16384. The search needs only the minimiser; from the
+preset rows, the coarse grid moves it by at most 4.2e-10 relative. A start
+continues on the default grid from its first curve that the search grid
+does not resolve: one whose theta jumps too far between nodes
+(GridResolutionError), or one whose crosstalk phase advances more than
+`SEARCH_PHASE_STEP` between nodes, on which the search grid's residuals
+are off by up to 9e-2 of the largest. Most random starts in the
++-BOX_HALFWIDTH box are such curves, and search the default grid from
+their first evaluation. Each start's reported cost and the gate time are
+computed on the default grid, so they equal what `cost --params` reports.
+The area constraint is eliminated exactly through the affine dependence
+of C_target on the coefficients, read from the default grid's table.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .curves import (
+    CHI_GRID_POINTS,
+    SEARCH_PHASE_STEP,
     CurveGrid,
     CurveParams,
     GridResolutionError,
@@ -215,22 +221,37 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
         b3 = solve_b3_zero_area(a, b1, b2) if eliminate else 0.0
         return CurveParams(a=a, b1=b1, b2=b2, b3=b3, c=c, phi_target=gate_angle)
 
+    # evaluations refill the search grid, reported numbers the default one
+    # (see CurveGrid.refill). Both are built on the flat curve, which every
+    # grid resolves, so building them never raises
+    flat = CurveParams(a=0.0, phi_target=0.0)
+    report = CurveGrid(flat)
+    n_search = search_grid_points(frame.delta_tilde, frame.design_beta)
+    search = report if n_search == CHI_GRID_POINTS else CurveGrid(flat, n_search)
+    # the crosstalk phase advance between two search nodes, per unit t'
+    phase_step = abs(frame.delta_tilde / frame.design_beta) * search.h
+
+    def search_fill(params: CurveParams):
+        """The search grid refilled with `params`, or None if it does not resolve the curve."""
+        try:
+            filled = search.refill(params)
+        except GridResolutionError:
+            return None
+        return filled if phase_step * filled.tprime.max() <= SEARCH_PHASE_STEP else None
+
     eval_count = 0
 
     def residuals(vec: np.ndarray) -> np.ndarray:
         nonlocal eval_count, grid
         eval_count += 1
         params = build(vec)
-        try:
-            filled = grid.refill(params)
-        except GridResolutionError:
-            if grid is report:
-                raise
-            # the search grid's residuals are poor near curves it cannot
-            # resolve, so the rest of this start searches the default grid,
-            # which raises in turn if it cannot resolve the curve either
+        filled = None if grid is report else search_fill(params)
+        if filled is None:
+            # the search grid's residuals are poor on this curve and near it,
+            # so the rest of this start searches the default grid, which
+            # raises GridResolutionError if it cannot resolve the curve either
             grid = report
-            filled = grid.refill(params)
+            filled = report.refill(params)
         return total_cost(filled, system, frame, cfg)
 
     rng = np.random.default_rng(cfg.seed)
@@ -243,12 +264,6 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
         starts.append(rng.uniform(-BOX_HALFWIDTH, BOX_HALFWIDTH, size=len(names)))
     starts = starts[: cfg.starts]
 
-    # evaluations refill the search grid, reported numbers the default one
-    # (see CurveGrid.refill). Both are built on the flat curve, which every
-    # grid resolves, so building them never raises for a start
-    flat = CurveParams(a=0.0, phi_target=0.0)
-    search = CurveGrid(flat, search_grid_points(frame.delta_tilde, frame.design_beta))
-    report = CurveGrid(flat)
     best = None
     start_costs = []
     for x0 in starts:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from geodesic_gates.curves import (
     CHI_GRID_POINTS,
+    SEARCH_PHASE_STEP,
     CurveGrid,
     CurveParams,
     GridResolutionError,
@@ -205,28 +206,41 @@ def test_optimize_on_one_refilled_grid_matches_fresh_grids(monkeypatch):
 
 
 def _record_grids(patch, optimizer_module):
-    """Record the grid size of every search evaluation, and the params and grid
-    size of every cost `optimize` reports."""
-    search_sizes, reported = [], []
+    """Per start, the (params, grid size) of each search evaluation, and the
+    (params, grid size) of each cost `optimize` reports, one per start."""
+    starts, reported = [[]], []
     total_cost, channel_costs_ = optimizer_module.total_cost, optimizer_module.channel_costs
 
     def recording_total_cost(grid, *args):
-        search_sizes.append(len(grid.chi))
+        starts[-1].append((grid.params, len(grid.chi)))
         return total_cost(grid, *args)
 
     def recording_channel_costs(grid, *args):
         reported.append((grid.params, len(grid.chi)))
+        starts.append([])
         return channel_costs_(grid, *args)
 
     patch.setattr(optimizer_module, "total_cost", recording_total_cost)
     patch.setattr(optimizer_module, "channel_costs", recording_channel_costs)
-    return search_sizes, reported
+    return starts, reported
+
+
+def _search_resolves(params, n, frame):
+    """Whether the n-node grid resolves the curve, by the rule `optimize` applies."""
+    try:
+        grid = CurveGrid(params, n)
+    except GridResolutionError:
+        return False
+    step = abs(frame.delta_tilde / frame.design_beta) * grid.h * grid.tprime.max()
+    return step <= SEARCH_PHASE_STEP
 
 
 def test_optimize_searches_on_the_rule_grid_and_reports_on_the_default_grid(monkeypatch):
-    # at Delta = 20 J every setting searches 2048 nodes; at 200 J the rule
-    # returns the default grid and the run equals one that searches it. Every
-    # reported cost is the one a new default grid gives for the same point
+    # at Delta = 20 J every setting searches 2048 nodes from the preset row. A
+    # start moves to the default grid for good at its first curve the search
+    # grid does not resolve. At 200 J the rule returns the default grid and the
+    # run equals one that searches it. Every reported cost is the one a new
+    # default grid gives for the same point
     import geodesic_gates.optimizer as optimizer_module
 
     cfg = OptimizerConfig(starts=2, seed=7, max_iters=30)
@@ -236,10 +250,18 @@ def test_optimize_searches_on_the_rule_grid_and_reports_on_the_default_grid(monk
             frame = dressing(system)
             assert search_grid_points(frame.delta_tilde, frame.design_beta) == size
             with monkeypatch.context() as patch:
-                search_sizes, reported = _record_grids(patch, optimizer_module)
+                starts, reported = _record_grids(patch, optimizer_module)
                 result = optimize(np.pi, system, cfg)
-            assert set(search_sizes) == {size}, (setting, delta)
-            assert len(search_sizes) == result.n_evaluations
+            starts = starts[:-1]
+            assert sum(map(len, starts)) == result.n_evaluations
+            assert {n for _, n in starts[0]} == {size}, (setting, delta)
+            for evaluations in starts:
+                sizes = [n for _, n in evaluations]
+                k = sizes.index(CHI_GRID_POINTS) if CHI_GRID_POINTS in sizes else len(sizes)
+                assert sizes == [size] * k + [CHI_GRID_POINTS] * (len(sizes) - k)
+                if size < CHI_GRID_POINTS:
+                    assert all(_search_resolves(p, size, frame) for p, _ in evaluations[:k])
+                    assert k == len(sizes) or not _search_resolves(evaluations[k][0], size, frame)
             assert [n for _, n in reported] == [CHI_GRID_POINTS] * cfg.starts
             fresh = [cfg.channel_weights.cost(channel_costs(CurveGrid(p), system, frame))
                      for p, _ in reported]
@@ -252,6 +274,27 @@ def test_optimize_searches_on_the_rule_grid_and_reports_on_the_default_grid(monk
                                   lambda *_: CHI_GRID_POINTS)
                     default = optimize(np.pi, system, cfg)
                 assert repr(result) == repr(default), setting
+
+
+def test_optimize_without_a_preset_row_matches_a_default_grid_search(monkeypatch):
+    # pi/4 has no preset row, so every start is a draw from the +-300 box,
+    # where most curves are too steep for the search grid: their crosstalk
+    # phase aliases. Each start's cost must be the one a search on the
+    # default grid reaches. Measured with 16 starts at pi/4 and 2pi, seeds 1-3:
+    # every final cost within 2e-10 relative of the default-grid search
+    # (284 of 288 starts bit-equal); searching those starts on 2048 nodes
+    # instead made 13 of the 18 final costs worse, up to 262 times
+    import geodesic_gates.optimizer as optimizer_module
+
+    cfg = OptimizerConfig(starts=3, seed=1, max_iters=40)
+    for setting in SETTINGS:
+        system = SystemConfig(**SETTINGS[setting])
+        result = optimize(np.pi / 4.0, system, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer_module, "search_grid_points", lambda *_: CHI_GRID_POINTS)
+            default = optimize(np.pi / 4.0, system, cfg)
+        for cost, reference in zip(result.start_costs, default.start_costs):
+            assert abs(cost - reference) <= 1e-6 * reference, setting
 
 
 def test_optimize_continues_past_a_start_the_search_grid_cannot_resolve(monkeypatch):
@@ -271,10 +314,10 @@ def test_optimize_continues_past_a_start_the_search_grid_cannot_resolve(monkeypa
     cfg = OptimizerConfig(starts=1, max_iters=120)
     with monkeypatch.context() as patch:
         patch.setattr(optimizer_module, "preset_curve", lambda key: steep)
-        search_sizes, _ = _record_grids(patch, optimizer_module)
+        starts, _ = _record_grids(patch, optimizer_module)
         result = optimize(np.pi, system, cfg)
-    assert search_sizes[0] == CHI_GRID_POINTS
-    assert len(search_sizes) == result.n_evaluations
+    assert starts[0][0] == (steep, CHI_GRID_POINTS)
+    assert len(starts[0]) == result.n_evaluations
     assert result.converged
     assert result.cost == cfg.channel_weights.cost(
         channel_costs(CurveGrid(result.params), system, frame))
