@@ -54,7 +54,9 @@ from .optimizer import (
 from .simulate import (
     MODEL_LAB,
     MODEL_REDUCED,
+    NOISE_LIMIT,
     SLOPE_MIN_POINTS,
+    SWEEP_POINTS_LIMIT,
     NoiseSetting,
     matched_cosine_baseline,
     noise_sweep,
@@ -111,14 +113,15 @@ class CurveSource(argparse.Action):
 
 
 def parse_grid(text: str) -> int:
-    """The argparse type of `sweep --grid`: an odd count from 3 to 201, so that
-    the centre point, where the summary reads the floor and the slopes, is zero noise."""
+    """The argparse type of `sweep --grid`: an odd count from 3 to `SWEEP_POINTS_LIMIT`, so
+    that the centre point, where the summary reads the floor and the slopes, is zero noise."""
     try:
         n = int(text)
     except ValueError:
         n = 0
-    if not (3 <= n <= 201 and n % 2):
-        raise argparse.ArgumentTypeError(f"expected an odd count from 3 to 201, got {text!r}")
+    if not (3 <= n <= SWEEP_POINTS_LIMIT and n % 2):
+        raise argparse.ArgumentTypeError(
+            f"expected an odd count from 3 to {SWEEP_POINTS_LIMIT}, got {text!r}")
     return n
 
 
@@ -212,6 +215,13 @@ def _curve_from_args(args):
         raise ConfigError(f"bad params file: {exc}") from None
 
 
+def _grid_from_args(args):
+    """(params, key, system, frame, grid) of the curve; the grid last, as it can fail (exit 4)."""
+    params, key = _curve_from_args(args)
+    system = _system_from_args(args, default_key=key)
+    return params, key, system, dressing(system), CurveGrid(params)
+
+
 def _gate_from_args(args):
     """(params, key, system, frame, waveform) of the gate `simulate` and `sweep` propagate.
 
@@ -221,15 +231,12 @@ def _gate_from_args(args):
     is built first, so a curve the grid cannot resolve fails (exit 4) before
     this check (exit 2), and the waveform is synthesized from the same grid.
     """
-    params, key = _curve_from_args(args)
-    system = _system_from_args(args, default_key=key)
-    grid = CurveGrid(params)
+    params, key, system, frame, grid = _grid_from_args(args)
     if area_zero_required(system):
         area = area_functional(grid)
         if not abs(area) <= 1e-8:
             raise ConfigError(f"this system has a resonant block, which needs a curve "
                               f"of zero enclosed area, but C_target = {area:.3g}")
-    frame = dressing(system)
     wave = waveform_from_grid(grid, frame.design_beta, n_samples=args.n_samples)
     return params, key, system, frame, wave
 
@@ -264,11 +271,8 @@ def _meta(args, **records) -> dict:
 
 
 def cmd_synth(args) -> int:
-    params, key = _curve_from_args(args)
-    system = _system_from_args(args, default_key=key)
-    beta = dressing(system).design_beta
-    grid = CurveGrid(params)
-    wave = waveform_from_grid(grid, beta, n_samples=args.n_samples)
+    params, key, system, frame, grid = _grid_from_args(args)
+    wave = waveform_from_grid(grid, frame.design_beta, n_samples=args.n_samples)
     out = _out_dir(args)
     write_table(out, "waveform", {"t": wave.times, "omega": wave.samples}, args.format)
     write_table(out, "curve", {"chi": grid.chi, "phi": grid.phi, "theta": grid.theta},
@@ -278,7 +282,7 @@ def cmd_synth(args) -> int:
         "Phi": rotation_angle(grid),
         "C_target": area_functional(grid),
         "peak_amplitude": wave.peak_amplitude,
-        "beta": beta,
+        "beta": frame.design_beta,
         "preset": key,
         "params": {"a": params.a, "b1": params.b1, "b2": params.b2,
                    "b3": params.b3, "c": params.c},
@@ -291,11 +295,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    params, key = _curve_from_args(args)
-    system = _system_from_args(args, default_key=key)
-    frame = dressing(system)
-    weights = _optimizer_from_args(args).channel_weights
-    grid = CurveGrid(params)
+    weights = _optimizer_from_args(args).channel_weights  # exit 2 before a grid's exit 4
+    params, key, system, frame, grid = _grid_from_args(args)
     channels = channel_costs(grid, system, frame)
     cost = weights.cost(channels)
     ct1, ct2 = crosstalk_amplitudes(grid, frame.delta_tilde, frame.design_beta)
@@ -364,9 +365,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    # a positive test, so NaN fails it; the upper end is NoiseSetting's bound
-    if not 0.0 < args.range <= 0.5:
-        raise ConfigError(f"--range must be in (0, 0.5] (units of J), got {args.range!r}")
+    # a positive test, so NaN fails it
+    if not 0.0 < args.range <= NOISE_LIMIT:
+        raise ConfigError(f"--range must be in (0, {NOISE_LIMIT}] (units of J), got {args.range!r}")
     params, key, system, frame, wave = _gate_from_args(args)
     phi_target = params.phi_target
     n = args.grid
@@ -559,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the CPU count (default: machine parallelism)")
     p.add_argument("--model", choices=(MODEL_REDUCED, MODEL_LAB), default=MODEL_REDUCED)
     p.add_argument("--grid", type=parse_grid, default=41,
-                   help="points per noise axis, odd, from 3 to 201")
+                   help=f"points per noise axis, odd, from 3 to {SWEEP_POINTS_LIMIT}")
     p.add_argument("--range", type=float, default=0.1)
     p.add_argument("--crosstalk", choices=("on", "off"), default="on")
     p.set_defaults(func=cmd_sweep)

@@ -25,8 +25,9 @@ reals per stack. Each dense step is carried in the real representation
 R(A) = [[Re A, -Im A], [Im A, Re A]] of its generator A = -i dt H_eff
 (`linalg.real_form`), a real 2d x 2d matrix. A is linear in the term
 coefficients at the step's Gauss nodes and in their pairwise products, so
-a chunk's generators are one GEMM against the table of R(-i T_a) and
-R([T_a, T_b]), a < b (`_magnus_steps`). R maps products to products, so the
+a chunk's generators are one GEMM against the table's K + P rows, R(-i T_a)
+and R([T_a, T_b]) for the P pairs a < b that do not commute (2q, chain: lab
+6, 3; reduced 10, 17; `_magnus_steps`). R maps products to products, so the
 exponentials (`linalg.expm_batch`, a Taylor polynomial whose degree follows
 the stack's norm) and their ordered product (`linalg.product_reduce`) run on
 real GEMM, and U is converted back once per gate. The result is the complex
@@ -97,6 +98,8 @@ _STACK_REALS = 65536
 # 262144 steps for two qubits and 65536 for three (|delta_tilde| up to about
 # 900 and 250 for the xpi presets at 8192 samples)
 _DENSE_STEP_LIMIT = 2**24
+NOISE_LIMIT = 0.5  # largest |dw| and |dJ| of a NoiseSetting (units of J)
+SWEEP_POINTS_LIMIT = 201  # most points per axis of a noise sweep
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,8 @@ class NoiseSetting:
 
     def __post_init__(self):
         # a positive test, so NaN fails it
-        if not (abs(self.delta_omega) <= 0.5 and abs(self.delta_j) <= 0.5):
-            raise ValueError("quasi-static noise magnitudes must be finite and <= 0.5 "
+        if not (abs(self.delta_omega) <= NOISE_LIMIT and abs(self.delta_j) <= NOISE_LIMIT):
+            raise ValueError(f"quasi-static noise magnitudes must be finite and <= {NOISE_LIMIT} "
                              "(units of J)")
 
 
@@ -227,7 +230,7 @@ def _magnus_steps(system: SystemConfig, frame: FrameData, waveform: Waveform,
     [H2, H1] = sum_{a<b} (c2_a c1_b - c2_b c1_a) [T_a, T_b], so `steps`, the
     stack of its real forms (`linalg.real_form`), is one GEMM of the rows
     [dt (c1 + c2)/2, -w dt^2 (c2_a c1_b - c2_b c1_a)] against the term table
-    (pairs a < b in its order). `y` holds
+    (pairs a < b in its `pairs` order; a commuting pair adds nothing). `y` holds
     (dt, -w dt^2 (c2 - c1)_a for a >= 1) per step, shape (steps, K): the
     coefficients of R(-i N) and R([T_a, N]) that a constant noise N adds
     (`_dense_gate`). The coefficients are formed once per gate and the steps
@@ -244,12 +247,11 @@ def _magnus_steps(system: SystemConfig, frame: FrameData, waveform: Waveform,
                 f"{_DENSE_STEP_LIMIT // size} for {system.n_qubits} qubits "
                 f"(delta_tilde = {frame.delta_tilde:.6g}, {len(waveform.samples)} samples)")
     dt, t1, t2 = gauss_nodes(waveform.T, n_steps)
-    nu, terms, table = dense_terms(system, model)
+    nu, _, (i, j), table = dense_terms(system, model)
     c1, c2 = (_term_coefficients(waveform, nu, t) for t in (t1, t2))
     y = (-MAGNUS4_WEIGHT * dt * dt) * (c2 - c1)
     y[:, 0] = dt
     chunk = _STACK_REALS // size
-    i, j = np.triu_indices(len(terms), 1)
 
     def chunks():
         for lo in range(0, n_steps, chunk):
@@ -355,8 +357,8 @@ def noise_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
     """
     domega_values = np.atleast_1d(np.asarray(domega_values, dtype=float))
     dj_values = np.atleast_1d(np.asarray(dj_values, dtype=float))
-    if not (0 < domega_values.size <= 201 and 0 < dj_values.size <= 201):
-        raise ValueError("sweep grids need 1 to 201 points per axis")
+    if not all(0 < axis.size <= SWEEP_POINTS_LIMIT for axis in (domega_values, dj_values)):
+        raise ValueError(f"sweep grids need 1 to {SWEEP_POINTS_LIMIT} points per axis")
     # NoiseSetting's bound, at the grid corner: the block path builds no NoiseSetting
     NoiseSetting(np.max(np.abs(domega_values), initial=0), np.max(np.abs(dj_values), initial=0))
     if _block_path(frame, waveform, model, crosstalk_on):

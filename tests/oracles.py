@@ -156,7 +156,7 @@ def hamiltonian_samples(config, model: str, pulse, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.size and (times.min() < -1e-12 or times.max() > pulse.T + 1e-12):
         raise ValueError(f"sample times outside the pulse window [0, {pulse.T}]")
-    nu, terms, _ = dense_terms(config, model)
+    nu, terms, _, _ = dense_terms(config, model)
     omega = pulse.envelope(times)[:, None]
     phase = times[:, None] * nu
     coefs = np.concatenate([omega * np.cos(phase), omega * np.sin(phase[:, nu != 0.0])], axis=1)
@@ -179,7 +179,7 @@ def reduced_block_samples(config, pulse, times) -> np.ndarray:
     Terms 0 and 1 of the reduced model's `frames.dense_terms` table: the
     block detunings h0 and the target drive at nu = 0.
     """
-    _, terms, _ = dense_terms(config, MODEL_REDUCED)
+    _, terms, _, _ = dense_terms(config, MODEL_REDUCED)
     return terms[0] + pulse.envelope(np.asarray(times, dtype=float))[:, None, None] * terms[1]
 
 

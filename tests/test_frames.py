@@ -277,20 +277,44 @@ def test_three_qubit_crosstalk_matches_hand_expansion():
 @pytest.mark.parametrize("setting, model, rows", [
     ("2q-midpoint", MODEL_LAB, 6), ("2q-resonant", MODEL_LAB, 6), ("3q-chain", MODEL_LAB, 3),
     ("2q-midpoint", MODEL_REDUCED, 10), ("2q-resonant", MODEL_REDUCED, 10),
-    ("3q-chain", MODEL_REDUCED, 21)])
+    ("3q-chain", MODEL_REDUCED, 17)])
 def test_dense_table_holds_each_term_and_each_pair_once(setting, model, rows):
-    # R(-i T_a) per term, then R([T_a, T_b]) for a < b only: [T_b, T_a] is
-    # -[T_a, T_b] and [T_a, T_a] is zero, and a term at nu = 0 has no sine part
-    # (the reduced target drive, the chain's lab drive at omega_d = 0)
-    _, terms, table = dense_terms(SystemConfig(**SETTINGS[setting]), model)
-    k = len(terms)
-    assert len(table) == k + k * (k - 1) // 2 == rows
-    for a in range(k):
-        assert np.array_equal(table[a], real_form(-1.0j * terms[a]).ravel()), a
-    for p, (a, b) in enumerate(zip(*np.triu_indices(k, 1))):
-        commutator = terms[a] @ terms[b] - terms[b] @ terms[a]
-        assert max_abs(table[k + p] - real_form(commutator).ravel()) <= 1e-15 * max_abs(table)
-    assert not np.any(np.all(terms == 0, axis=(1, 2)))
+    # R(-i T_a) per term, then R([T_a, T_b]) for the stored pairs a < b only:
+    # [T_b, T_a] is -[T_a, T_b], [T_a, T_a] is zero, a pair left out commutes
+    # (the chain's reduced h0 and X_t/2 with its drive terms at 2 delta_tilde),
+    # and a term at nu = 0 has no sine part (the reduced target drive, the
+    # chain's lab drive at omega_d = 0). Seeded random systems store the
+    # default's pairs: the zeros come from the structure of the terms
+    default = SystemConfig(**SETTINGS[setting])
+    rng = np.random.default_rng(43)
+    systems = [default]
+    for _ in range(4):
+        delta = float(rng.choice([-1.0, 1.0]) * rng.uniform(2.0, 2000.0))
+        lam = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.005, 0.2))
+        g2 = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 5.0))
+        systems.append(SystemConfig(delta=delta, g1=lam * delta, g2=g2, **SETTINGS[setting]))
+    default_pairs = dense_terms(default, model)[2]
+    for config in systems:
+        _, terms, pairs, table = dense_terms(config, model)
+        k = len(terms)
+        assert len(table) == k + pairs.shape[1] == rows, config
+        assert np.array_equal(pairs, default_pairs), config
+        assert not pairs.flags.writeable
+        for a in range(k):
+            assert np.array_equal(table[a], real_form(-1.0j * terms[a]).ravel()), a
+        stored = set(zip(*pairs.tolist()))
+        assert np.all(np.diff(k * pairs[0] + pairs[1]) > 0)  # np.triu_indices order
+        p = 0
+        for a, b in zip(*np.triu_indices(k, 1)):
+            if (a, b) not in stored:
+                assert np.array_equal(terms[a] @ terms[b], terms[b] @ terms[a]), (config, a, b)
+                continue
+            commutator = terms[a] @ terms[b] - terms[b] @ terms[a]
+            assert max_abs(table[k + p] - real_form(commutator).ravel()) <= 1e-15 * max_abs(table)
+            p += 1
+        assert p == pairs.shape[1]
+        assert not np.any(np.all(table == 0, axis=1)), config
+        assert not np.any(np.all(terms == 0, axis=(1, 2))), config
 
 
 def test_logical_targets():
