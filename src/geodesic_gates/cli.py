@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .curves import (
+    WAVEFORM_SAMPLES,
     CurveGrid,
     CurveParams,
     GridResolutionError,
@@ -351,8 +352,7 @@ def cmd_simulate(args) -> int:
     payload = {
         "infidelity": infid,
         "model": args.model,
-        "noise": {"delta_omega": args.domega, "delta_j": args.dj,
-                  "crosstalk_on": args.crosstalk == "on"},
+        "noise": asdict(noise),
         "gate_angle": phi_target,
         "T": wave.T,
         "preset": key,
@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON file with CurveParams fields")
         p.add_argument("--setting", default=None, choices=sorted(SETTINGS))
         if n_samples:
-            p.add_argument("--n-samples", type=int, default=8192)
+            p.add_argument("--n-samples", type=int, default=WAVEFORM_SAMPLES)
 
     p = sub.add_parser("synth", help="synthesize a waveform from a curve")
     common(p); table_format(p); curve_opts(p)

@@ -61,6 +61,9 @@ CHI_MAX = 4.0 * np.pi
 #: Number of uniform chi-grid points shared by synthesis and all quadratures.
 CHI_GRID_POINTS = 16384
 
+#: Default number of uniform time samples of a synthesized waveform.
+WAVEFORM_SAMPLES = 8192
+
 
 def search_grid_points(delta_tilde: float, beta: float) -> int:
     """chi-grid points of the optimizer's search at crosstalk detuning delta_tilde, time scale beta.
@@ -328,9 +331,13 @@ class Waveform:
     """
 
     T: float
-    dt: float
     samples: np.ndarray = field(repr=False)
     beta_design: float
+
+    @property
+    def dt(self) -> float:
+        """Sample spacing: the step `np.linspace(0, T, len(samples))` forms."""
+        return self.T / (len(self.samples) - 1)
 
     @property
     def times(self) -> np.ndarray:
@@ -345,7 +352,8 @@ class Waveform:
         return float(np.max(np.abs(self.samples)))
 
 
-def waveform_from_grid(grid: CurveGrid, beta: float, n_samples: int = 8192) -> Waveform:
+def waveform_from_grid(grid: CurveGrid, beta: float,
+                       n_samples: int = WAVEFORM_SAMPLES) -> Waveform:
     """Waveform realizing the curve on a block with detuning beta.
 
     Omega(chi) = (theta' + cos(chi) phi') / t' * |beta| is resampled from the
@@ -368,11 +376,11 @@ def waveform_from_grid(grid: CurveGrid, beta: float, n_samples: int = 8192) -> W
     T = t_nodes[-1]
     t_uniform = np.linspace(0.0, T, n_samples)
     samples = np.interp(t_uniform, t_nodes, omega_nodes)
-    return Waveform(T=T, dt=t_uniform[1] - t_uniform[0], samples=samples,
-                    beta_design=beta)
+    return Waveform(T=T, samples=samples, beta_design=beta)
 
 
-def synthesize_waveform(params: CurveParams, beta: float, n_samples: int = 8192) -> Waveform:
+def synthesize_waveform(params: CurveParams, beta: float,
+                        n_samples: int = WAVEFORM_SAMPLES) -> Waveform:
     """`waveform_from_grid` on the curve's own default grid."""
     return waveform_from_grid(CurveGrid(params), beta, n_samples)
 

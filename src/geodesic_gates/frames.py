@@ -141,16 +141,18 @@ def lab_static(config: SystemConfig) -> np.ndarray:
 def two_qubit_dressing(config: SystemConfig) -> FrameData:
     """Exact diagonalizing transform for the two-qubit model.
 
-    theta = -arctan(g1/delta)/2 rotates the single-excitation subspace;
-    the dressed target frequency splits to w2_tilde +- g2/2 depending on the
-    neighbor state, and the drive choice picks the block detunings and the
+    theta = -arctan(g1/delta)/2 rotates the single-excitation subspace; the
+    formula holds for either sign of delta, so S stays near the identity and
+    each dressed state stays on the bare state it grew from. The dressed
+    target frequency splits to w2_tilde +- g2/2 depending on the neighbor
+    state, and the drive choice picks the block detunings and the
     coupling-noise channel (paper: dJ ZZ or dJ (IZ + ZZ)).
     """
     if config.n_qubits != 2:
         raise ValueError("two_qubit_dressing needs a 2-qubit config")
     # Python floats, like the chain's scalars: numpy's scalar trigonometry,
     # kept for its rounding, would otherwise leave numpy.float64 in every field
-    theta = -0.5 * float(np.arctan2(config.g1, config.delta))
+    theta = -0.5 * math.copysign(float(np.arctan2(config.g1, abs(config.delta))), config.delta)
     c, s = float(np.cos(theta)), float(np.sin(theta))
     S = np.array([
         [1, 0, 0, 0],
@@ -159,7 +161,8 @@ def two_qubit_dressing(config: SystemConfig) -> FrameData:
         [0, 0, 0, 1],
     ], dtype=complex)
     w1, w2 = config.qubit_frequencies
-    root = math.hypot(config.g1, config.delta)  # no overflow at |delta| or |g1| > 1e154
+    # signed like delta; hypot does not overflow at |delta| or |g1| > 1e154
+    root = math.copysign(math.hypot(config.g1, config.delta), config.delta)
     shift = 0.5 * (config.delta - root)
     w2_t = w2 + shift
     w1_t = w1 - shift

@@ -76,8 +76,6 @@ BOX_HALFWIDTH = 300.0
 
 @dataclass(frozen=True)
 class PresetRow:
-    key: str
-    gate: str          # "xpi" | "xhalfpi"
     setting: str       # "2q" | "3q"
     robust: bool
     phi_target: float
@@ -95,8 +93,7 @@ def presets() -> dict:
         gate, setting, flavor = key.split("-")
         phi_t = np.pi if gate == "xpi" else np.pi / 2.0
         b1, b2, b3, c = _TABLE_ROWS[key]
-        table[key] = PresetRow(key=key, gate=gate, setting=setting,
-                               robust=flavor == "robust", phi_target=phi_t,
+        table[key] = PresetRow(setting=setting, robust=flavor == "robust", phi_target=phi_t,
                                a=coefficient_for_angle(phi_t), b1=b1, b2=b2, b3=b3, c=c)
     return table
 

@@ -419,7 +419,7 @@ def cosine_baseline(gate_angle: float, T: float, n_samples: int = 4096) -> Wavef
         raise ValueError("gate angle and duration must be positive")
     t = np.linspace(0.0, T, n_samples)
     samples = (gate_angle / T) * (1.0 - np.cos(2.0 * np.pi * t / T))
-    return Waveform(T=T, dt=t[1] - t[0], samples=samples, beta_design=0.0)
+    return Waveform(T=T, samples=samples, beta_design=0.0)
 
 
 def matched_cosine_baseline(gate_angle: float, reference: Waveform) -> Waveform:

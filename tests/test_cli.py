@@ -358,6 +358,17 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_package_import_loads_no_submodule():
+    # the package root holds only __version__; every name comes from its module
+    code = ("import sys, geodesic_gates; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('geodesic_gates.') or m.split('.')[0] == 'numpy'))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("threads", ["0", "-3", "zebra"])
 def test_sweep_refuses_a_thread_count_below_one(tmp_path, capsys, threads):
     with pytest.raises(SystemExit) as exc:

@@ -96,7 +96,7 @@ def test_lab_static_three_qubit_matches_explicit_kron():
 
 def test_lab_hamiltonian_hermitian_and_window():
     cfg = SystemConfig(n_qubits=2, delta=20.0)
-    pulse = Waveform(T=2.0, dt=0.5, samples=np.array([0.0, 1.0, 1.0, 0.5, 0.0]),
+    pulse = Waveform(T=2.0, samples=np.array([0.0, 1.0, 1.0, 0.5, 0.0]),
                      beta_design=0.5)
     assert is_hermitian(hamiltonian_samples(cfg, MODEL_LAB, pulse, np.array([0.7]))[0])
     with pytest.raises(ValueError):
@@ -112,7 +112,7 @@ def test_lab_samples_drive_is_envelope_over_drive_scale(cfg):
     # is Omega / drive_scale
     frame = dressing(cfg)
     rng = np.random.default_rng(17)
-    pulse = Waveform(T=3.0, dt=0.5, samples=rng.uniform(-1.0, 1.0, 7), beta_design=0.0)
+    pulse = Waveform(T=3.0, samples=rng.uniform(-1.0, 1.0, 7), beta_design=0.0)
     times = rng.uniform(0.0, pulse.T, 32)
     xt = embed_single(SIGMA_X, cfg.n_qubits, cfg.n_qubits)
     yt = embed_single(SIGMA_Y, cfg.n_qubits, cfg.n_qubits)
@@ -123,29 +123,35 @@ def test_lab_samples_drive_is_envelope_over_drive_scale(cfg):
 
 
 def test_two_qubit_dressing_angle_oracle():
-    cfg = SystemConfig(n_qubits=2, delta=20.0, g1=1.0)
-    frame = two_qubit_dressing(cfg)
-    theta = -0.5 * np.arctan(1.0 / 20.0)
-    assert abs(theta - (-0.024979201)) < 1e-8
-    assert abs(frame.drive_scale - np.cos(theta)) < 1e-14
-    assert abs(frame.epsilon - 0.5 * np.tan(theta)) < 1e-14
+    # theta = -arctan(g1/delta)/2 for either sign of delta
+    for delta in (20.0, -20.0):
+        cfg = SystemConfig(n_qubits=2, delta=delta, g1=1.0)
+        frame = two_qubit_dressing(cfg)
+        theta = -0.5 * np.arctan(1.0 / delta)
+        assert abs(theta + np.sign(delta) * 0.024979201) < 1e-8
+        assert abs(frame.drive_scale - np.cos(theta)) < 1e-14
+        assert abs(frame.epsilon - 0.5 * np.tan(theta)) < 1e-14
 
 
 def test_two_qubit_dressing_decoupled_is_identity():
-    cfg = SystemConfig(n_qubits=2, delta=20.0, g1=0.0)
-    frame = two_qubit_dressing(cfg)
-    assert max_abs(frame.S - np.eye(4)) < 1e-14
-    assert abs(frame.drive_scale - 1.0) < 1e-14
+    for delta in (20.0, -20.0):
+        cfg = SystemConfig(n_qubits=2, delta=delta, g1=0.0)
+        frame = two_qubit_dressing(cfg)
+        assert max_abs(frame.S - np.eye(4)) < 1e-14
+        assert abs(frame.drive_scale - 1.0) < 1e-14
 
 
 def test_two_qubit_block_detunings():
-    mid = two_qubit_dressing(SystemConfig(n_qubits=2, delta=20.0, g2=1.0))
-    assert mid.betas == (0.5, -0.5)
-    assert abs(mid.delta_tilde + np.sqrt(20.0**2 + 1.0)) < 1e-12
-    res = two_qubit_dressing(SystemConfig(n_qubits=2, delta=20.0, g2=1.0,
-                                          drive_choice="resonant_lower"))
-    assert res.betas == (1.0, 0.0)
-    assert abs(res.delta_tilde + np.sqrt(401.0) + 0.5) < 1e-12
+    # delta_tilde = -sign(delta) sqrt(delta^2 + g1^2), less g2/2 for the resonant drive
+    for delta in (20.0, -20.0):
+        sign = np.sign(delta)
+        mid = two_qubit_dressing(SystemConfig(n_qubits=2, delta=delta, g2=1.0))
+        assert mid.betas == (0.5, -0.5)
+        assert abs(mid.delta_tilde + sign * np.sqrt(20.0**2 + 1.0)) < 1e-12
+        res = two_qubit_dressing(SystemConfig(n_qubits=2, delta=delta, g2=1.0,
+                                              drive_choice="resonant_lower"))
+        assert res.betas == (1.0, 0.0)
+        assert abs(res.delta_tilde + sign * np.sqrt(401.0) + 0.5) < 1e-12
 
 
 def test_two_qubit_dressing_diagonalizes_exactly():
@@ -221,7 +227,7 @@ def test_reduced_hamiltonian_idle_is_block_detunings():
     for cfg in (SystemConfig(n_qubits=2, delta=20.0),
                 SystemConfig(n_qubits=3, delta=20.0, drive_choice="center")):
         frame = dressing(cfg)
-        idle = Waveform(T=1.0, dt=1.0, samples=np.zeros(2), beta_design=0.0)
+        idle = Waveform(T=1.0, samples=np.zeros(2), beta_design=0.0)
         h = hamiltonian_samples(cfg, MODEL_REDUCED, idle, np.array([0.3]))[0]
         assert offdiag_norm(h) < 1e-14
         blocks = block_diagonal(0.5 * np.asarray(frame.betas))
@@ -232,7 +238,7 @@ def test_reduced_crosstalk_entries_at_t0():
     cfg = SystemConfig(n_qubits=2, delta=20.0)
     frame = dressing(cfg)
     omega0 = 0.8
-    pulse = Waveform(T=1.0, dt=1.0, samples=np.full(2, omega0), beta_design=0.0)
+    pulse = Waveform(T=1.0, samples=np.full(2, omega0), beta_design=0.0)
     h = hamiltonian_samples(cfg, MODEL_REDUCED, pulse, np.array([0.0]))[0]
     theta = -0.5 * np.arctan(1.0 / 20.0)
     amp = 0.5 * np.tan(theta) * omega0
@@ -243,7 +249,7 @@ def test_reduced_crosstalk_entries_at_t0():
 
 def _crosstalk_term(cfg, frame, omega_lab, t):
     """V_cr(t) at lab envelope omega_lab: the reduced model with minus without crosstalk."""
-    pulse = Waveform(T=1.0, dt=1.0, samples=np.full(2, omega_lab * frame.drive_scale),
+    pulse = Waveform(T=1.0, samples=np.full(2, omega_lab * frame.drive_scale),
                      beta_design=0.0)
     times = np.array([t])
     h_on = hamiltonian_samples(cfg, MODEL_REDUCED, pulse, times)

@@ -105,6 +105,17 @@ def test_lab_and_reduced_agree_two_qubit_relative():
     assert abs(infid_lab - infid_red) / infid_red < 1e-4
 
 
+def test_two_qubit_gate_at_negative_delta():
+    # a neighbour below the target dresses each state onto its own bare state,
+    # as one above does, so the robust pulse keeps its zero-noise fidelity
+    system = replace(preset_system("xpi-2q-robust"), delta=-20.0)
+    frame = dressing(system)
+    wave = synthesize_waveform(preset_curve("xpi-2q-robust"), frame.design_beta)
+    for model in (MODEL_REDUCED, MODEL_LAB):
+        _, infid = simulate_gate(system, frame, wave, NoiseSetting(), model=model)
+        assert infid < 1e-7, model
+
+
 def test_single_point_sweep_matches_simulate():
     system, frame, wave = _setup("xpi-2q-robust")
     noise = NoiseSetting(0.01, -0.02, crosstalk_on=False)
