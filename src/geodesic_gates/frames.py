@@ -152,7 +152,8 @@ def two_qubit_dressing(config: SystemConfig) -> FrameData:
         raise ValueError("two_qubit_dressing needs a 2-qubit config")
     # Python floats, like the chain's scalars: numpy's scalar trigonometry,
     # kept for its rounding, would otherwise leave numpy.float64 in every field
-    theta = -0.5 * math.copysign(float(np.arctan2(config.g1, abs(config.delta))), config.delta)
+    sign = math.copysign(1.0, config.delta)
+    theta = -0.5 * float(np.arctan2(sign * config.g1, abs(config.delta)))
     c, s = float(np.cos(theta)), float(np.sin(theta))
     S = np.array([
         [1, 0, 0, 0],
@@ -162,7 +163,7 @@ def two_qubit_dressing(config: SystemConfig) -> FrameData:
     ], dtype=complex)
     w1, w2 = config.qubit_frequencies
     # signed like delta; hypot does not overflow at |delta| or |g1| > 1e154
-    root = math.copysign(math.hypot(config.g1, config.delta), config.delta)
+    root = sign * math.hypot(config.g1, config.delta)
     shift = 0.5 * (config.delta - root)
     w2_t = w2 + shift
     w1_t = w1 - shift

@@ -347,26 +347,28 @@ def test_module_entrypoint_runs():
     assert proc.returncode == 0
 
 
-def test_cli_import_loads_no_scipy():
-    # every command is its own process; only `optimize` needs scipy, and
-    # imports it when it runs
-    code = ("import sys, geodesic_gates.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _modules_after_import(statement, keep):
+    """Sorted names in sys.modules that `keep` selects, after `statement`
+    runs in a fresh interpreter."""
+    code = f"import sys; {statement}; print(sorted(m for m in sys.modules if {keep}))"
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # every command is its own process; only `optimize` needs scipy, and
+    # imports it when it runs
+    assert _modules_after_import("import geodesic_gates.cli",
+                                 "m.split('.')[0] == 'scipy'") == "[]"
 
 
 def test_package_import_loads_no_submodule():
     # the package root holds only __version__; every name comes from its module
-    code = ("import sys, geodesic_gates; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith('geodesic_gates.') or m.split('.')[0] == 'numpy'))")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=_child_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _modules_after_import(
+        "import geodesic_gates",
+        "m.startswith('geodesic_gates.') or m.split('.')[0] == 'numpy'") == "[]"
 
 
 @pytest.mark.parametrize("threads", ["0", "-3", "zebra"])

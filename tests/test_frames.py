@@ -156,9 +156,11 @@ def test_two_qubit_block_detunings():
 
 def test_two_qubit_dressing_diagonalizes_exactly():
     rng = np.random.default_rng(31)
-    for _ in range(8):
-        cfg = SystemConfig(n_qubits=2, delta=float(rng.uniform(2.0, 40.0)),
-                           g1=float(rng.uniform(0.0, 2.0)),
+    # both signs of delta and of g1
+    for _ in range(16):
+        cfg = SystemConfig(n_qubits=2,
+                           delta=float(rng.choice([-1.0, 1.0]) * rng.uniform(2.0, 40.0)),
+                           g1=float(rng.uniform(-2.0, 2.0)),
                            g2=float(rng.uniform(0.0, 2.0)))
         frame = two_qubit_dressing(cfg)
         dressed = frame.S @ lab_static(cfg) @ frame.S.conj().T
