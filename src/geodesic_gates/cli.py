@@ -14,6 +14,7 @@ Hamiltonian in a dense step exponential).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -36,7 +37,7 @@ from .curves import (
     solve_b1_zero_area,
     waveform_from_grid,
 )
-from .frames import SETTINGS, SystemConfig, dressing
+from .frames import MODEL_LAB, MODEL_REDUCED, SETTINGS, SystemConfig, dressing
 from .magnus import (
     channel_costs,
     crosstalk_amplitudes,
@@ -46,15 +47,12 @@ from .magnus import (
 from .optimizer import (
     OptimizerConfig,
     area_zero_required,
-    config_digest,
     optimize,
     preset_curve,
     preset_system,
     presets,
 )
 from .simulate import (
-    MODEL_LAB,
-    MODEL_REDUCED,
     NOISE_LIMIT,
     SLOPE_MIN_POINTS,
     SWEEP_POINTS_LIMIT,
@@ -88,21 +86,32 @@ def write_table(out_dir: Path, stem: str, columns: dict, fmt: str) -> None:
         path.write_text("\n".join(lines) + "\n")
 
 
-def parse_phi(text: str) -> float:
-    """The argparse type of `optimize --phi`: pi, pi/2, pi/4, 2pi or a finite float.
+def _checked(convert, accept, expected):
+    """An argparse type: `convert` the text and `accept` the value, or raise an
+    `ArgumentTypeError` naming what was `expected`, which argparse prints as it stands."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
 
-    A refused value raises `argparse.ArgumentTypeError`, whose message
-    argparse prints as it stands: it names the accepted forms.
-    """
-    canned = {"pi": np.pi, "pi/2": np.pi / 2.0, "pi/4": np.pi / 4.0, "2pi": 2.0 * np.pi}
-    try:
-        phi = canned[text] if text in canned else float(text)
-    except ValueError:
-        phi = np.nan
-    if not np.isfinite(phi):
-        raise argparse.ArgumentTypeError(
-            f"expected pi, pi/2, pi/4, 2pi or a finite float, got {text!r}")
-    return phi
+
+_CANNED_PHI = {"pi": np.pi, "pi/2": np.pi / 2.0, "pi/4": np.pi / 4.0, "2pi": 2.0 * np.pi}
+#: the argparse type of `optimize --phi`
+parse_phi = _checked(lambda text: _CANNED_PHI[text] if text in _CANNED_PHI else float(text),
+                     np.isfinite, "pi, pi/2, pi/4, 2pi or a finite float")
+
+
+#: the argparse type of `sweep --grid`: odd, so that the centre point, where the
+#: summary reads the floor and the slopes, is zero noise
+parse_grid = _checked(int, lambda n: 3 <= n <= SWEEP_POINTS_LIMIT and n % 2,
+                      f"an odd count from 3 to {SWEEP_POINTS_LIMIT}")
+#: the argparse type of `sweep --threads`: a worker-thread count
+parse_threads = _checked(int, lambda n: n >= 1, "an integer of at least 1")
 
 
 class CurveSource(argparse.Action):
@@ -111,30 +120,6 @@ class CurveSource(argparse.Action):
     def __call__(self, parser, namespace, value, option_string=None):
         namespace.preset = namespace.params = None
         setattr(namespace, self.dest, value)
-
-
-def parse_grid(text: str) -> int:
-    """The argparse type of `sweep --grid`: an odd count from 3 to `SWEEP_POINTS_LIMIT`, so
-    that the centre point, where the summary reads the floor and the slopes, is zero noise."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if not (3 <= n <= SWEEP_POINTS_LIMIT and n % 2):
-        raise argparse.ArgumentTypeError(
-            f"expected an odd count from 3 to {SWEEP_POINTS_LIMIT}, got {text!r}")
-    return n
-
-
-def parse_threads(text: str) -> int:
-    """The argparse type of `sweep --threads`: a worker-thread count of at least 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return n
 
 
 #: run-config keys that stand for flags, by section; `output.dir` is --out
@@ -154,7 +139,10 @@ def run_config_argv(args, argv) -> tuple:
     given in argv comes later and wins. Other keys are dropped. A flag value
     must be a JSON string or number: true, false and null have no flag spelling.
     """
-    config = read_json(Path(args.config)) if args.config else {}
+    try:
+        config = read_json(Path(args.config)) if args.config else {}
+    except ValueError as exc:
+        raise ConfigError(f"run config {args.config} is not JSON: {exc}") from None
     sections = ("system", "optimizer", *_CONFIG_FLAGS)
     if not isinstance(config, dict) or not all(isinstance(config.get(s, {}), dict) for s in sections):
         raise ConfigError(f"run config and its sections {sections} must be JSON objects")
@@ -253,6 +241,12 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def config_digest(payload: dict) -> str:
+    """Stable hash of a JSON-serializable config, for output provenance."""
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 def _meta(args, **records) -> dict:

@@ -73,8 +73,9 @@ class SystemConfig:
             raise ValueError(f"(n_qubits, drive_choice) must be one of "
                              f"{[tuple(s.values()) for s in SETTINGS.values()]}, got {tuple(pair.values())}")
         real_fields(self, "delta", "g1", "g2")
-        if self.delta == 0:
-            raise ValueError("delta must be nonzero")
+        for name in ("delta", "g2"):  # g2 is J, the unit of every block detuning
+            if getattr(self, name) == 0:
+                raise ValueError(f"{name} must be nonzero")
         if self.n_qubits == 3:
             if self.g1 == 0:  # the dressing's second-order terms divide by g1
                 raise ValueError("three-qubit dressing needs a nonzero g1, got 0")
@@ -123,12 +124,17 @@ class FrameData:
         return max(abs(b) for b in self.betas)
 
 
+def _z_field(freqs) -> np.ndarray:
+    """sum_i f_i Z_i / 2 over the qubits, qubit 1 most significant."""
+    n = len(freqs)
+    return sum(0.5 * f * pauli_string("I" * i + "Z" + "I" * (n - 1 - i))
+               for i, f in enumerate(freqs))
+
+
 def lab_static(config: SystemConfig) -> np.ndarray:
     """Undriven lab Hamiltonian H0."""
-    w = config.qubit_frequencies
-    n = config.n_qubits
-    h = sum(0.5 * w[i] * pauli_string("I" * i + "Z" + "I" * (n - 1 - i)) for i in range(n))
-    if n == 2:
+    h = _z_field(config.qubit_frequencies)
+    if config.n_qubits == 2:
         h = h + 0.25 * config.g1 * (pauli_string("XX") + pauli_string("YY"))
         h = h + 0.25 * config.g2 * pauli_string("ZZ")
     else:
@@ -238,10 +244,11 @@ def block_diagonal(z) -> np.ndarray:
 def dense_terms(config: SystemConfig, model: str):
     """Term table (nu, terms, pairs, table) of a dense model; the arrays are read-only.
 
-    H(t) = sum_a c_a(t) T_a with c(t) = (1, Omega(t) cos(nu t), Omega(t) sin(nu t)),
-    the sine part only where nu != 0, so no c_a is identically zero: `terms`
-    is the (K, d, d) stack T = (h0, a_0..a_{M-1}, b_m for nu_m != 0), Omega(t)
-    the synthesized envelope and every amplitude folded into a_m, b_m.
+    H(t) = sum_a c_a(t) T_a, c(t) = (1, Omega cos(nu t), Omega sin(nu t)) the
+    `term_coefficients`, with the sine part only where nu != 0, so no c_a is
+    identically zero: `terms` is the (K, d, d) stack T = (h0, a_0..a_{M-1},
+    b_m for nu_m != 0), Omega(t) the synthesized envelope and every amplitude
+    folded into a_m, b_m.
     `table` holds the real forms (`linalg.real_form`) a fourth-order Magnus
     step is linear in, flattened to rows of (2d)^2: R(-i T_a) for each term,
     then R([T_a, T_b]) for the P pairs a < b that do not commute, `pairs` (2, P),
@@ -289,6 +296,15 @@ def dense_terms(config: SystemConfig, model: str):
     return tables
 
 
+def term_coefficients(nu: np.ndarray, omega: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """c(t) of a `dense_terms` table with frequencies `nu`, (N, K): (1, Omega cos(nu t),
+    Omega sin(nu t) for nu != 0), `omega` the envelope Omega(t) at `times`."""
+    omega = omega[:, None]
+    phase = times[:, None] * nu
+    return np.concatenate([np.ones_like(omega), omega * np.cos(phase),
+                           omega * np.sin(phase[:, nu != 0.0])], axis=1)
+
+
 def logical_target(config: SystemConfig, gate_angle: float) -> np.ndarray:
     """Ideal gate: identity on the neighbors, R_X = exp(-i gate_angle X/2) on the target."""
     c, s = math.cos(gate_angle / 2.0), math.sin(gate_angle / 2.0)
@@ -299,9 +315,7 @@ def logical_target(config: SystemConfig, gate_angle: float) -> np.ndarray:
 
 def frame_unwind_diag(frame: FrameData, t: float) -> np.ndarray:
     """Diagonal of R(t) = exp(-i K t), K = sum_i rot_freq_i Z_i / 2."""
-    n = frame.n_qubits
-    k = sum(0.5 * freq * np.diag(pauli_string("I" * i + "Z" + "I" * (n - 1 - i))).real
-            for i, freq in enumerate(frame.rotating_freqs))
+    k = np.diag(_z_field(frame.rotating_freqs)).real
     return np.exp(-1.0j * k * t)
 
 

@@ -163,17 +163,15 @@ def _crosstalk_pair(g: CurveGrid, delta_tilde: float, beta: float):
     rot = g.work[2:]
     _cos_sin(angle, rot[0], rot[1], g.work[1])
     # the weighted ct1 and ct2 integrands without e^{i dt~ t}, as the two
-    # columns of g.amps. The factors i - s and -i - s are written part by
-    # part, as numpy forms them from a complex scalar: (0 - s) + i, (-0 - s) - i
+    # columns of g.amps; their factors i - s and -i - s share the real part -s
     f1, f2 = g.cwork
     np.conjugate(g.e_S, out=f1)
     f1 *= g.e_phi
-    np.subtract(0.0, g.s, out=f2.real)
+    np.negative(g.s, out=f2.real)
     f2.imag = 1.0
     f1 *= f2
     weight = g.work[0]
     np.multiply(f1, np.multiply(w.ct1, g.omega_over_beta, out=weight), out=g.amps[:, 0])
-    np.subtract(-0.0, g.s, out=f2.real)
     f2.imag = -1.0
     f2 *= g.e_S
     np.multiply(f2, np.multiply(w.ct2, g.omega_over_beta, out=weight), out=g.amps[:, 1])

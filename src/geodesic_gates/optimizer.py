@@ -34,8 +34,6 @@ of C_target on the coefficients, read from the default grid's table.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import numbers
 from dataclasses import dataclass, field, replace
 
@@ -142,6 +140,8 @@ class OptimizerConfig:
         if self.starts < 1 or self.max_iters < 1:
             raise ValueError(f"starts and max_iters must be at least 1, got "
                              f"{self.starts} and {self.max_iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":
@@ -280,8 +280,3 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
                           start_costs=tuple(start_costs),
                           n_evaluations=eval_count)
 
-
-def config_digest(payload: dict) -> str:
-    """Stable hash of a JSON-serializable config, for output provenance."""
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]

@@ -19,9 +19,9 @@ the blocks back to the points; a block at -beta is the X-conjugate of the
 one at +beta, so +-beta are folded into one propagation.
 With crosstalk on, or in the lab frame, the same fourth-order Magnus steps
 are taken on the full d x d Hamiltonian H(t) = sum_a c_a(t) T_a of
-`frames.dense_terms` (a sine part only where nu != 0, so no c_a is
-identically zero). Both paths work in chunks of at most `_STACK_REALS`
-reals per stack. Each dense step is carried in the real representation
+`frames.dense_terms`, with the coefficients c(t) of `frames.term_coefficients`.
+Both paths work in chunks of at most `_STACK_REALS` reals per stack. Each
+dense step is carried in the real representation
 R(A) = [[Re A, -Im A], [Im A, Re A]] of its generator A = -i dt H_eff
 (`linalg.real_form`), a real 2d x 2d matrix. A is linear in the term
 coefficients at the step's Gauss nodes and in their pairwise products, so
@@ -68,6 +68,7 @@ from .frames import (
     dressing,
     logical_from_lab,
     logical_target,
+    term_coefficients,
 )
 from .linalg import (
     MAGNUS4_WEIGHT,
@@ -161,7 +162,7 @@ def propagate_blocks(wave: Waveform, betas, n_steps: int | None = None) -> np.nd
     term is exactly (sqrt(3)/24) dt^2 beta (Omega_1 - Omega_2) Y per step, so
     every step stays a closed-form SU(2) exponential, and `su2_ordered_exp`
     multiplies the steps as unit quaternions. The default step count is
-    `_BLOCK_PER_INTERVAL` (two) per waveform sample interval (`_step_grid`).
+    `_BLOCK_PER_INTERVAL` (two) per waveform sample interval.
 
     The result depends on |beta| alone up to a fold: X (beta Z + Omega X) X
     = -beta Z + Omega X, so U(-beta) = X U(beta) X, the entries of U(|beta|)
@@ -171,12 +172,13 @@ def propagate_blocks(wave: Waveform, betas, n_steps: int | None = None) -> np.nd
     equality, no rounding) is propagated once and scattered back: equal
     entries get bit-identical blocks. Returns shape np.shape(betas) + (2, 2).
     """
-    dt, t1, t2 = _step_grid(wave, n_steps, _BLOCK_PER_INTERVAL)
-    n_steps = t1.size
+    if n_steps is None:
+        n_steps = _BLOCK_PER_INTERVAL * (len(wave.samples) - 1)
+    dt, t1, t2 = gauss_nodes(wave.T, n_steps)
     om1 = wave.envelope(t1)
     om2 = wave.envelope(t2)
     x_row = 0.25 * (om1 + om2) * dt
-    y_row = -np.sqrt(3.0) / 24.0 * dt * dt * (om2 - om1)
+    y_row = -0.5 * MAGNUS4_WEIGHT * dt * dt * (om2 - om1)
     betas = np.asarray(betas, dtype=float)
     distinct, where = np.unique(np.abs(betas), return_inverse=True)
     out = np.empty((distinct.size, 2, 2), dtype=complex)
@@ -190,22 +192,12 @@ def propagate_blocks(wave: Waveform, betas, n_steps: int | None = None) -> np.nd
     return blocks
 
 
-def _step_grid(wave: Waveform, n_steps: int | None, per_interval: int):
-    """(dt, t1, t2): equal steps over [0, T] and their Gauss-Legendre nodes.
-
-    `n_steps` defaults to `per_interval` steps per waveform sample interval.
-    The envelope is linear within each interval, so steps aligned with the
-    samples never straddle a kink and keep their full order.
-    """
-    if n_steps is None:
-        n_steps = per_interval * (len(wave.samples) - 1)
-    return gauss_nodes(wave.T, n_steps)
-
-
-#: steps per waveform sample interval of the block path. Against doubled steps
-#: U moves by at most 6.9e-12 over the presets at noise (0.02, 0.01), and by
-#: 3.0e-11 at NoiseSetting's corners; one step per interval would move it by
-#: 1.1e-10 (xpi-3q-robust at (0.02, 0.01))
+#: steps per waveform sample interval of the block path. The envelope is linear
+#: within each interval, so steps aligned with the samples never straddle a kink
+#: and keep their full order. Against doubled steps U moves by at most 6.9e-12
+#: over the presets at noise (0.02, 0.01), and by 3.0e-11 at NoiseSetting's
+#: corners; one step per interval would move it by 1.1e-10 (xpi-3q-robust at
+#: (0.02, 0.01))
 _BLOCK_PER_INTERVAL = 2
 
 
@@ -248,7 +240,7 @@ def _magnus_steps(system: SystemConfig, frame: FrameData, waveform: Waveform,
                 f"(delta_tilde = {frame.delta_tilde:.6g}, {len(waveform.samples)} samples)")
     dt, t1, t2 = gauss_nodes(waveform.T, n_steps)
     nu, _, (i, j), table = dense_terms(system, model)
-    c1, c2 = (_term_coefficients(waveform, nu, t) for t in (t1, t2))
+    c1, c2 = (term_coefficients(nu, waveform.envelope(t), t) for t in (t1, t2))
     y = (-MAGNUS4_WEIGHT * dt * dt) * (c2 - c1)
     y[:, 0] = dt
     chunk = _STACK_REALS // size
@@ -261,14 +253,6 @@ def _magnus_steps(system: SystemConfig, frame: FrameData, waveform: Waveform,
             yield (rows @ table).reshape(len(a), 2 * system.dim, 2 * system.dim), y[lo:lo + chunk]
 
     return chunks()
-
-
-def _term_coefficients(waveform: Waveform, nu: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """c(t) = (1, Omega cos(nu t), Omega sin(nu t) for nu != 0) of `frames.dense_terms`, (N, K)."""
-    omega = waveform.envelope(times)[:, None]
-    phase = times[:, None] * nu
-    return np.concatenate([np.ones_like(omega), omega * np.cos(phase),
-                           omega * np.sin(phase[:, nu != 0.0])], axis=1)
 
 
 def _dense_workspace(system: SystemConfig) -> np.ndarray:
@@ -409,7 +393,7 @@ def slope_fit(noise_values, infidelities, floor: float = 0.0,
     return float(slope)
 
 
-def cosine_baseline(gate_angle: float, T: float, n_samples: int = 4096) -> Waveform:
+def cosine_baseline(gate_angle: float, T: float, n_samples: int) -> Waveform:
     """Plain cosine pulse Omega(t) = (Phi/T)(1 - cos(2 pi t / T)).
 
     Its exact integral is Phi; the uniform sampling preserves that under the

@@ -228,13 +228,15 @@ def test_bad_phi_names_the_accepted_forms(tmp_path, capsys, value):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--starts", "0"), ("--starts", "-3"),
-                                         ("--max-iters", "-2")])
-def test_optimize_count_below_one_exits_2(tmp_path, capsys, flag, value):
+@pytest.mark.parametrize("flag, value, expected", [
+    ("--starts", "0", "at least 1"), ("--starts", "-3", "at least 1"),
+    ("--max-iters", "-2", "at least 1"), ("--seed", "-1", "seed must be non-negative")],
+    ids=["--starts-0", "--starts--3", "--max-iters--2", "--seed--1"])
+def test_optimize_count_below_one_exits_2(tmp_path, capsys, flag, value, expected):
     argv = ["optimize", "--setting", "2q-midpoint", "--phi", "pi", "--starts", "1",
             "--max-iters", "5"]
     assert run(tmp_path, *argv, flag, value) == 2
-    assert "at least 1" in capsys.readouterr().err
+    assert expected in capsys.readouterr().err
 
 
 def test_optimize_nonconvergence_exit_3(tmp_path):
@@ -262,6 +264,22 @@ def test_chain_with_zero_g1_exits_2(tmp_path, capsys):
             assert out.exists() == (code == 0)
             if code:
                 assert "nonzero g1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system, key", [
+    ({"n_qubits": 2, "g2": 0}, "xpi-2q-robust"),
+    ({"n_qubits": 3, "g2": 0, "drive_choice": "center"}, "xpi-3q-robust")], ids=["2q", "chain"])
+@pytest.mark.parametrize("command", [["cost"], ["synth"], ["simulate"], ["optimize", "--phi", "pi"]],
+                         ids=["cost", "synth", "simulate", "optimize"])
+def test_zero_g2_exits_2(tmp_path, capsys, system, key, command):
+    # g2 is J, the unit of every block detuning, so no gate exists without it
+    write_json(tmp_path / "run.json", {"system": system})
+    curve = [] if command[0] == "optimize" else ["--preset", key]
+    assert main([*command, *curve, "--config", str(tmp_path / "run.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "g2" in err[0], err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unresolvable_curve_exits_4(tmp_path, capsys):
@@ -946,12 +964,14 @@ def test_unlisted_run_config_key_is_dropped(tmp_path, extra):
 
 
 def test_bad_run_config_value_names_the_file(tmp_path, capsys):
-    # argparse reports the value under its flag's name; one more line names the file
+    # argparse reports a value under its flag's name, and one more line names the
+    # file; a file that does not parse is named in its one error line
     cfg_path = tmp_path / "run.json"
-    write_json(cfg_path, {"sweep": {"grid": "x"}})
-    assert run(tmp_path, "sweep", "--preset", "xpi-2q-robust", "--config", str(cfg_path)) == 2
-    err = capsys.readouterr().err
-    assert "--grid" in err and f"run config {cfg_path}" in err
+    for text, expected in ((json.dumps({"sweep": {"grid": "x"}}), "--grid"), ("{", "is not JSON")):
+        cfg_path.write_text(text)
+        assert run(tmp_path, "sweep", "--preset", "xpi-2q-robust", "--config", str(cfg_path)) == 2
+        err = capsys.readouterr().err
+        assert expected in err and f"run config {cfg_path}" in err
 
 
 @pytest.mark.parametrize("argv, files", [

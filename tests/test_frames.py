@@ -70,9 +70,10 @@ def test_system_config_accepts_exactly_the_settings_pairs():
 
 
 def test_lab_static_decoupled_limit():
-    cfg = SystemConfig(n_qubits=2, delta=20.0, g1=0.0, g2=0.0)
+    cfg = SystemConfig(n_qubits=2, delta=20.0, g1=0.0)
     w1, w2 = cfg.qubit_frequencies
-    expected = 0.5 * w1 * pauli_string("ZI") + 0.5 * w2 * pauli_string("IZ")
+    expected = (0.5 * w1 * pauli_string("ZI") + 0.5 * w2 * pauli_string("IZ")
+                + 0.25 * cfg.g2 * pauli_string("ZZ"))
     assert max_abs(lab_static(cfg) - expected) < 1e-14
 
 

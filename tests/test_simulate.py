@@ -9,13 +9,14 @@ import pytest
 from conftest import random_curve
 from geodesic_gates import simulate
 from geodesic_gates.curves import CurveGrid, solve_b3_zero_area, synthesize_waveform
-from geodesic_gates.frames import SystemConfig, dressing, logical_from_lab
+from geodesic_gates.frames import MODEL_LAB, MODEL_REDUCED, SystemConfig, dressing, logical_from_lab
 from geodesic_gates.linalg import (
     SIGMA_X,
     SIGMA_Z,
     complex_form,
     expm_batch,
     gate_fidelity,
+    gauss_nodes,
     pauli_string,
     real_form,
     su2_ordered_exp,
@@ -23,8 +24,6 @@ from geodesic_gates.linalg import (
 from geodesic_gates.magnus import CHANNEL_COUPLING, CHANNEL_FREQ, channel_costs
 from geodesic_gates.optimizer import PRESET_KEYS, preset_curve, preset_system
 from geodesic_gates.simulate import (
-    MODEL_LAB,
-    MODEL_REDUCED,
     NoiseSetting,
     cosine_baseline,
     matched_cosine_baseline,
@@ -40,7 +39,6 @@ from geodesic_gates.simulate import (
     _dense_per_interval,
     _dense_workspace,
     _magnus_steps,
-    _step_grid,
 )
 from oracles import (
     embed_single,
@@ -214,7 +212,7 @@ def test_dense_steps_match_sampled_magnus_oracle(key, model):
     # construction they replace: H sampled at both Gauss nodes, the complex
     # fourth-order Magnus step, then its real form
     system, frame, wave = _setup(key)
-    dt, t1, t2 = _step_grid(wave, None, _dense_per_interval(wave, frame))
+    dt, t1, t2 = gauss_nodes(wave.T, _dense_per_interval(wave, frame) * (len(wave.samples) - 1))
     lo = 0
     for steps, _ in _magnus_steps(system, frame, wave, model, None):
         hi = lo + len(steps)
@@ -235,7 +233,7 @@ def test_dense_noise_rows_match_sampled_noise_oracle(key, model):
     system, frame, wave = _setup(key)
     noise = NoiseSetting(0.03, -0.02)
     u, _ = simulate_gate(system, frame, wave, noise, model=model)
-    dt, t1, t2 = _step_grid(wave, None, _dense_per_interval(wave, frame))
+    dt, t1, t2 = gauss_nodes(wave.T, _dense_per_interval(wave, frame) * (len(wave.samples) - 1))
     n_op = noise_operator(system, noise)
     h1 = hamiltonian_samples(system, model, wave, t1) + n_op
     h2 = hamiltonian_samples(system, model, wave, t2) + n_op
@@ -347,7 +345,7 @@ def test_propagate_blocks_sign_fold_is_exact(key):
     # U(-beta) = X U(beta) X, taken as the reversed entries of U(|beta|), is
     # bit for bit the product of the steps at -beta
     _, frame, wave = _setup(key)
-    dt, t1, t2 = _step_grid(wave, None, _BLOCK_PER_INTERVAL)
+    dt, t1, t2 = gauss_nodes(wave.T, _BLOCK_PER_INTERVAL * (len(wave.samples) - 1))
     om1, om2 = wave.envelope(t1), wave.envelope(t2)
     x_row = 0.25 * (om1 + om2) * dt
     y_row = -np.sqrt(3.0) / 24.0 * dt * dt * (om2 - om1)
@@ -535,7 +533,7 @@ def test_cosine_baseline_shape_and_area():
     assert abs(mid - 2.0 * np.pi / T) < 1e-12
     assert abs(pulse_area(wave) - np.pi) < 1e-12
     with pytest.raises(ValueError):
-        cosine_baseline(np.pi, -1.0)
+        cosine_baseline(np.pi, -1.0, 4097)
 
 
 def test_cosine_baseline_resonant_block_exact():
