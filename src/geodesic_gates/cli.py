@@ -7,8 +7,8 @@ reproduced and compared byte for byte. Each command declares only the flags
 it reads.
 
 Exit codes: 0 success, 2 invalid configuration, 3 optimizer non-convergence,
-4 numerical failure (a curve the chi grid cannot resolve, or a non-finite
-Hamiltonian in a dense step exponential).
+4 numerical failure (a curve the chi grid cannot resolve, a crosstalk phase
+that overflows, or a non-finite Hamiltonian in a dense step exponential).
 """
 
 from __future__ import annotations

@@ -213,29 +213,46 @@ def _cos_sin(angle: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray,
 
 
 class GridResolutionError(ArithmeticError):
-    """The shared chi grid cannot resolve the curve (a numerical failure)."""
+    """The shared chi grid cannot resolve the curve or its crosstalk phase (a numerical failure)."""
 
 
 @lru_cache(maxsize=4)
 def _grid_tables(n: int):
-    """chi, sin(chi), cos(chi), the ansatz basis and its running areas on the n-point grid.
+    """chi, sin(chi), cos(chi), the ansatz basis, its running areas and weights on the n-point grid.
 
     Row k of the running-area table, shape (5, n), is S(chi) of basis term k
     alone: half the running integral of (1 - cos chi) phi_k', by the
     endpoint-corrected cumulative trapezoid. The c term's row is its closed
     form (3/5) sin^5(chi/2), which vanishes at 4 pi to rounding, so c moves
-    no curve's C_target. All tables are read-only.
+    no curve's C_target.
+
+    The (5, n) quadrature weights of the `magnus` integrals fold in their
+    fixed factors: the composite trapezoid times 1, sin(chi) and cos(chi)
+    for the susceptibilities, a corrected trapezoid times cos(chi/2) and
+    sin(chi/2) for the crosstalk amplitudes. Those cancel down to ~1e-4 of
+    their integrand mass, where the trapezoid's endpoint error is visible, so
+    their rule drops the h^2/12 Euler-Maclaurin endpoint term, with boundary
+    derivatives from one-sided 3-point stencils: O(h^4). All are read-only.
     """
     chi = np.linspace(0.0, CHI_MAX, n)
     sin_chi, cos_chi, basis = np.sin(chi), np.cos(chi), _basis(chi)
+    h = chi[1] - chi[0]
     integrand = (1.0 - cos_chi) * basis[1, :4]
     deriv = sin_chi * basis[1, :4] + (1.0 - cos_chi) * basis[2, :4]
     area = np.empty((5, n))
     # halved in place, exactly: 0.5 is a power of two
-    _cumtrapz_corrected(integrand, deriv, chi[1] - chi[0], area[:4], np.empty_like(integrand))
+    _cumtrapz_corrected(integrand, deriv, h, area[:4], np.empty_like(integrand))
     area[:4] *= 0.5
     area[4] = 0.6 * np.sin(chi / 2.0) ** 5
-    tables = (chi, sin_chi, cos_chi, basis, area)
+    trap = np.full(n, h)
+    trap[[0, -1]] = 0.5 * h
+    corrected = trap.copy()
+    stencil = h / 24.0 * np.array([-3.0, 4.0, -1.0])
+    corrected[:3] += stencil
+    corrected[-3:] += stencil[::-1]
+    weights = np.stack([trap, trap * sin_chi, trap * cos_chi,
+                        corrected * np.cos(chi / 2.0), corrected * np.sin(chi / 2.0)])
+    tables = (chi, sin_chi, cos_chi, basis, area, weights)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -247,7 +264,9 @@ class CurveGrid:
     Passing one grid to waveform synthesis, the susceptibility integrals and
     the area functional keeps them on an identical discretization, so oracle
     comparisons see no grid-mismatch noise. `s`, `e_phi` and `e_S`, formed
-    by the half-angle identities, are shared by every `magnus` integral.
+    by the half-angle identities, are shared by every `magnus` integral, as
+    are the quadrature weights `trap`, `trap_sin`, `trap_cos`, `ct1_weight`
+    and `ct2_weight` (read-only, see `_grid_tables`).
 
     The field arrays are allocated once. `refill` recomputes them in place
     for another parameter set, so a caller that evaluates many curves (the
@@ -260,7 +279,8 @@ class CurveGrid:
     """
 
     def __init__(self, params: CurveParams, n: int = CHI_GRID_POINTS):
-        self.chi, self.sin_chi, self.cos_chi, self._basis, self._area = _grid_tables(n)
+        self.chi, self.sin_chi, self.cos_chi, self._basis, self._area, weights = _grid_tables(n)
+        self.trap, self.trap_sin, self.trap_cos, self.ct1_weight, self.ct2_weight = weights
         self.h = self.chi[1] - self.chi[0]
         # one block of 14 real and 6 complex rows (3.4 MB at 16384 points):
         # above glibc's mmap threshold, so a dropped grid goes back to the OS

@@ -115,10 +115,6 @@ class FrameData:
         return self.rotating_freqs[-1]
 
     @property
-    def n_qubits(self) -> int:
-        return len(self.rotating_freqs)
-
-    @property
     def design_beta(self) -> float:
         """The block detuning the waveform time scaling is built for."""
         return max(abs(b) for b in self.betas)
@@ -313,16 +309,12 @@ def logical_target(config: SystemConfig, gate_angle: float) -> np.ndarray:
     return np.kron(out, rx)
 
 
-def frame_unwind_diag(frame: FrameData, t: float) -> np.ndarray:
-    """Diagonal of R(t) = exp(-i K t), K = sum_i rot_freq_i Z_i / 2."""
-    k = np.diag(_z_field(frame.rotating_freqs)).real
-    return np.exp(-1.0j * k * t)
-
-
 def logical_from_lab(u_lab: np.ndarray, frame: FrameData, T: float) -> np.ndarray:
     """Transform a lab propagator to the logical rotating frame.
 
-    U_logical = R(T)^dag S U_lab S^dag R(0), with R(0) = identity.
+    U_logical = R(T)^dag S U_lab S^dag R(0), with R(0) = identity and the
+    diagonal R(t) = exp(-i K t), K = sum_i rot_freq_i Z_i / 2.
     """
-    r_T = frame_unwind_diag(frame, T)
+    k = np.diag(_z_field(frame.rotating_freqs)).real
+    r_T = np.exp(-1.0j * k * T)
     return (r_T.conj()[:, None] * (frame.S @ u_lab @ frame.S.conj().T))

@@ -43,8 +43,9 @@ with Omega/beta = `CurveGrid.omega_over_beta` and t(chi) = arc(chi)/|beta|.
 The grid carries s, e^{i phi} and e^{i S}; a cost evaluation adds one phase
 factor, e^{i dt~ t}, from one tan by the half-angle identities, and the
 chain's second neighbour, at -dt~, reads its conjugate. The quadratures are
-fixed weight vectors of the grid, so every integral is a weighted sum. The
-theta-trig integrands are kept as the reference in tests/oracles.py.
+fixed weight vectors that come from the grid (`CurveGrid.trap` and its
+kin), so every integral is a weighted sum. The theta-trig integrands are
+kept as the reference in tests/oracles.py.
 
 Every integral is a function of one `CurveGrid`, which `robust_cost` builds
 once per parameter set and the optimizer refills for each evaluation. The
@@ -61,53 +62,17 @@ a new array, never a view of the scratch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .curves import CurveGrid, CurveParams, _cos_sin, _grid_tables, real_fields
+from .curves import CurveGrid, CurveParams, GridResolutionError, _cos_sin, real_fields
 from .frames import FrameData, SystemConfig
 
 CHANNEL_FREQ = "freq_noise"
 CHANNEL_COUPLING = "coupling_noise"
 CHANNEL_CROSSTALK = "control_crosstalk"
-
-
-@dataclass(frozen=True)
-class _Weights:
-    """Quadrature weights of one chi grid with the integrands' fixed factors folded in."""
-
-    trap: np.ndarray      # composite trapezoid
-    trap_sin: np.ndarray  # trap * sin(chi)
-    trap_cos: np.ndarray  # trap * cos(chi)
-    ct1: np.ndarray       # corrected * cos(chi/2)
-    ct2: np.ndarray       # corrected * sin(chi/2)
-
-
-@lru_cache(maxsize=4)
-def _weights(n: int) -> _Weights:
-    """The weight vectors of the n-point grid, read-only.
-
-    The susceptibilities use the composite trapezoid. The crosstalk
-    amplitudes cancel down to ~1e-4 of their integrand mass, where its
-    endpoint error is visible, so they use the trapezoid with the h^2/12
-    Euler-Maclaurin endpoint term removed; its boundary derivatives come
-    from one-sided 3-point stencils, which pushes the rule to O(h^4).
-    """
-    chi, sin_chi, cos_chi = _grid_tables(n)[:3]
-    h = chi[1] - chi[0]
-    trap = np.full(n, h)
-    trap[[0, -1]] = 0.5 * h
-    corrected = trap.copy()
-    stencil = h / 24.0 * np.array([-3.0, 4.0, -1.0])
-    corrected[:3] += stencil
-    corrected[-3:] += stencil[::-1]
-    weights = _Weights(trap, trap * sin_chi, trap * cos_chi,
-                       corrected * np.cos(chi / 2.0), corrected * np.sin(chi / 2.0))
-    for w in vars(weights).values():
-        w.flags.writeable = False
-    return weights
 
 
 # The susceptibilities cancel to ~1e-5 of their integrand mass on robust
@@ -127,10 +92,9 @@ def _integrand(g: CurveGrid, real: np.ndarray, imag_weight: np.ndarray) -> np.nd
 
 def susceptibility_beta(g: CurveGrid):
     """Pauli components (A_X, A_Y, A_Z) of the detuned-block Z response."""
-    w = _weights(len(g.chi))
-    ax = np.sum(np.multiply(g.s, w.trap_sin, out=g.work[0]))
+    ax = np.sum(np.multiply(g.s, g.trap_sin, out=g.work[0]))
     # A_Y + i A_Z = int (1 - i s cos chi) e^{-i phi} = conj(int (1 + i s cos chi) e^{i phi})
-    integrand = _integrand(g, w.trap, w.trap_cos)
+    integrand = _integrand(g, g.trap, g.trap_cos)
     integrand *= g.e_phi
     ay_az = integrand.sum().conjugate()
     return float(ax), float(ay_az.real), float(ay_az.imag)
@@ -142,12 +106,11 @@ def susceptibility_beta0(g: CurveGrid):
     The phase is the running rotation angle of the block,
     [theta(chi)-theta(0)] + [phi(chi)-phi(0)] - 2 S(chi).
     """
-    w = _weights(len(g.chi))
     # A_Z0 + i A_Y0 = int (1 + i s) e^{i (phi - 2 S)}
     phase = np.multiply(g.e_S, g.e_S, out=g.cwork[1])
     np.conjugate(phase, out=phase)
     phase *= g.e_phi
-    integrand = _integrand(g, w.trap, w.trap)
+    integrand = _integrand(g, g.trap, g.trap)
     integrand *= phase
     az_ay = integrand.sum()
     return float(az_ay.imag), float(az_ay.real)
@@ -157,7 +120,11 @@ def _crosstalk_pair(g: CurveGrid, delta_tilde: float, beta: float):
     """((ct1, ct2) at +delta_tilde, (ct1, ct2) at -delta_tilde), in one pass."""
     if beta == 0.0:
         raise ValueError("crosstalk amplitudes need beta != 0 for the time map")
-    w = _weights(len(g.chi))
+    # arc rises from 0, so the phase is finite on every node if it is on the
+    # last one; checked in Python floats, before any array raises a warning
+    if not math.isfinite(float(g.arc[-1]) / abs(float(beta)) * float(delta_tilde)):
+        raise GridResolutionError(f"the crosstalk phase delta_tilde t overflows at "
+                                  f"delta_tilde = {delta_tilde:.6g}")
     angle = np.divide(g.arc, abs(beta), out=g.work[0])
     angle *= delta_tilde
     rot = g.work[2:]
@@ -171,10 +138,10 @@ def _crosstalk_pair(g: CurveGrid, delta_tilde: float, beta: float):
     f2.imag = 1.0
     f1 *= f2
     weight = g.work[0]
-    np.multiply(f1, np.multiply(w.ct1, g.omega_over_beta, out=weight), out=g.amps[:, 0])
+    np.multiply(f1, np.multiply(g.ct1_weight, g.omega_over_beta, out=weight), out=g.amps[:, 0])
     f2.imag = -1.0
     f2 *= g.e_S
-    np.multiply(f2, np.multiply(w.ct2, g.omega_over_beta, out=weight), out=g.amps[:, 1])
+    np.multiply(f2, np.multiply(g.ct2_weight, g.omega_over_beta, out=weight), out=g.amps[:, 1])
     # row 0 integrates them against cos(dt~ t), row 1 against sin(dt~ t),
     # so the amplitudes at +-dt~ are row 0 +- i row 1
     parts = rot @ g.amps.view(np.float64)

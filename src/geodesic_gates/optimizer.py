@@ -15,18 +15,18 @@ Optimization is a deterministic seeded multi-start trust-region least
 squares over the free parameters: |C_robust|^2 is the squared norm of the
 short residual vector `magnus.cost_residuals`, so each start runs
 `scipy.optimize.least_squares` (method "trf") on that vector with a
-finite-difference Jacobian. Every evaluation, the finite-difference ones
-included, refills one search `CurveGrid`, sized by `search_grid_points`
-from the crosstalk detuning: 2048 nodes at the default Delta = 20 J, where
-the default grid has 16384. The search needs only the minimiser; from the
-preset rows, the coarse grid moves it by at most 4.2e-10 relative. A start
-continues on the default grid from its first curve that the search grid
-does not resolve: one whose theta jumps too far between nodes
-(GridResolutionError), or one whose crosstalk phase advances more than
-`SEARCH_PHASE_STEP` between nodes, on which the search grid's residuals
-are off by up to 9e-2 of the largest. Most random starts in the
-+-BOX_HALFWIDTH box are such curves, and search the default grid from
-their first evaluation. Each start's reported cost and the gate time are
+finite-difference Jacobian; the first start is looked up in `presets()`.
+Every evaluation, the finite-difference ones included, refills one search
+`CurveGrid`, sized by `search_grid_points` from the crosstalk detuning:
+2048 nodes at the default Delta = 20 J, where the default grid has 16384.
+The search needs only the minimiser; from the preset rows, the coarse grid
+moves it by at most 4.2e-10 relative. A start continues on the default grid
+from its first curve that the search grid does not resolve: one whose theta
+jumps too far between nodes (GridResolutionError), or one whose crosstalk
+phase advances more than `SEARCH_PHASE_STEP` between nodes, on which the
+search grid's residuals are off by up to 9e-2 of the largest. Most random
+starts in the +-BOX_HALFWIDTH box are such curves, and search the default
+grid from their first evaluation. Each start's reported cost and the gate time are
 computed on the default grid, so they equal what `cost --params` reports.
 The area constraint is eliminated exactly through the affine dependence
 of C_target on the coefficients, read from the default grid's table.
@@ -179,28 +179,17 @@ class OptimizeResult:
     n_evaluations: int
 
 
-def _matching_preset_key(gate_angle: float, system: SystemConfig):
-    gate = None
-    if abs(gate_angle - np.pi) < 1e-12:
-        gate = "xpi"
-    elif abs(gate_angle - np.pi / 2.0) < 1e-12:
-        gate = "xhalfpi"
-    if gate is None:
-        return None
-    setting = "2q" if system.n_qubits == 2 else "3q"
-    return f"{gate}-{setting}-robust"
-
-
 def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> OptimizeResult:
     """Minimize the robustness cost over the free ansatz parameters.
 
     a is pinned by the gate angle. Where a resonant block requires zero
     area, b3 is eliminated exactly via the affine area relation and
     (b1, b2, c) are free; for the midpoint two-qubit drive the area is moot,
-    b2 = b3 = 0, and (b1, c) are free. Restart 0 starts from the matching
-    robust published row when one exists, the rest from seeded uniform draws
-    in the +-BOX_HALFWIDTH box; with a fixed seed the result is reproducible
-    bit for bit, and ties break by restart index.
+    b2 = b3 = 0, and (b1, c) are free. Restart 0 starts from the robust row
+    of `presets()` with this gate angle (to 1e-12) and qubit count when one
+    exists, the rest from seeded uniform draws in the +-BOX_HALFWIDTH box;
+    with a fixed seed the result is reproducible bit for bit, and ties break
+    by restart index.
     """
     # here rather than at module level: no other command needs scipy, and a
     # module-level import made `import geodesic_gates.cli` take 0.84 s instead
@@ -252,11 +241,10 @@ def optimize(gate_angle: float, system: SystemConfig, cfg: OptimizerConfig) -> O
         return total_cost(filled, system, frame, cfg)
 
     rng = np.random.default_rng(cfg.seed)
-    starts = []
-    key = _matching_preset_key(gate_angle, system)
-    if key is not None:
-        row = preset_curve(key)
-        starts.append(np.array([getattr(row, n) for n in names]))
+    starts = [np.array([getattr(preset_curve(key), n) for n in names])
+              for key, row in presets().items()
+              if row.robust and abs(gate_angle - row.phi_target) < 1e-12
+              and preset_system(key).n_qubits == system.n_qubits]
     while len(starts) < cfg.starts:
         starts.append(rng.uniform(-BOX_HALFWIDTH, BOX_HALFWIDTH, size=len(names)))
     starts = starts[: cfg.starts]

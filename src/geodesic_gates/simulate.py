@@ -204,10 +204,11 @@ _BLOCK_PER_INTERVAL = 2
 def _dense_per_interval(wave: Waveform, frame: FrameData) -> int:
     """Steps per sample interval resolving the crosstalk oscillation at delta_tilde.
 
-    The fewest that give T max(64, 10 |delta_tilde|) steps in all.
+    The fewest that give T max(64, 10 |delta_tilde|) steps in all, capped at
+    `_DENSE_STEP_LIMIT`, which `_magnus_steps` refuses, so an inf need stays a count.
     """
     need = wave.T * max(64.0, 10.0 * abs(frame.delta_tilde))
-    return max(1, int(np.ceil(need / (len(wave.samples) - 1))))
+    return max(1, int(np.ceil(min(need / (len(wave.samples) - 1), _DENSE_STEP_LIMIT))))
 
 
 def _magnus_steps(system: SystemConfig, frame: FrameData, waveform: Waveform,

@@ -1,10 +1,9 @@
-"""Shared fixtures: quadrature self-check, preset shorthands, acceptance log."""
+"""Shared test setup: quadrature self-check, curve builders, acceptance log."""
 
 import numpy as np
 import pytest
 
 from geodesic_gates.curves import CurveGrid, CurveParams, area_functional, coefficient_for_angle
-from geodesic_gates.frames import SystemConfig
 from geodesic_gates.magnus import susceptibility_beta
 from geodesic_gates.optimizer import preset_curve
 
@@ -40,28 +39,6 @@ def quadrature_richardson_check():
     sus_coarse = np.array(susceptibility_beta(CurveGrid(params, 16384)))
     sus_fine = np.array(susceptibility_beta(CurveGrid(params, 32768)))
     assert np.max(np.abs(sus_coarse - sus_fine)) < 1e-9
-
-
-@pytest.fixture(scope="session")
-def system_2q():
-    return SystemConfig(n_qubits=2, delta=20.0)
-
-
-@pytest.fixture(scope="session")
-def system_2q_resonant():
-    return SystemConfig(n_qubits=2, delta=20.0, drive_choice="resonant_lower")
-
-
-@pytest.fixture(scope="session")
-def system_3q():
-    return SystemConfig(n_qubits=3, delta=20.0, drive_choice="center")
-
-
-@pytest.fixture(scope="session")
-def preset_curves():
-    from geodesic_gates.optimizer import PRESET_KEYS
-
-    return {key: preset_curve(key) for key in PRESET_KEYS}
 
 
 def curve_for_angle(phi_target, **coefficients) -> CurveParams:

@@ -1003,10 +1003,13 @@ def test_json_true_false_null_are_not_numbers_or_flag_values(tmp_path, capsys, m
     ["simulate", "--delta", "1e6"],
     ["sweep", "--grid", "3", "--delta", "1e4", "--model", "reduced"],
     ["sweep", "--grid", "3", "--delta", "1e4", "--model", "lab"],
-], ids=["simulate", "sweep-reduced", "sweep-lab"])
+    ["simulate", "--delta", "1e308", "--model", "lab"],
+    ["sweep", "--grid", "3", "--delta", "1e308"],
+], ids=["simulate", "sweep-reduced", "sweep-lab", "simulate-lab-overflow", "sweep-overflow"])
 def test_dense_step_count_above_limit_exits_2(tmp_path, capsys, argv):
     # the dense step count grows with |delta_tilde|; far above the limit the
-    # run is refused before its step nodes are allocated
+    # run is refused before its step nodes are allocated, also where the
+    # count's T |delta_tilde| overflows to inf
     assert run(tmp_path / "out", argv[0], "--preset", "xpi-2q-robust", *argv[1:]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
@@ -1023,3 +1026,18 @@ def test_huge_delta_gives_finite_output(tmp_path, command):
     assert "Infinity" not in text and "NaN" not in text
     if command == "synth":
         assert np.all(np.isfinite(np.loadtxt(tmp_path / "waveform.csv", delimiter=",", skiprows=1)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["cost", "--preset", "xpi-2q-robust"],
+    ["cost", "--preset", "xpi-3q-robust"],
+    ["optimize", "--setting", "2q-midpoint", "--phi", "pi"],
+    ["optimize", "--setting", "3q-chain", "--phi", "pi"],
+], ids=["cost-2q", "cost-chain", "optimize-2q", "optimize-chain"])
+def test_overflowing_crosstalk_phase_exits_4(tmp_path, capsys, argv):
+    # delta_tilde t overflows to inf: a numerical failure, not a cost of nan
+    # and not an invalid configuration
+    assert run(tmp_path / "out", *argv, "--delta", "1e308") == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:"), err
+    assert not tmp_path.joinpath("out").exists()
