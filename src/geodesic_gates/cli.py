@@ -565,8 +565,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the float flags whose values may be negative. argparse takes only -digits and
+#: -digits.digits for negative numbers, so it reads a value such as -2e1 as an
+#: unknown option and refuses the flag for want of an argument
+_SIGNED_FLOATS = ("--delta", "--domega", "--dj")
+
+
+def _glue_signed_floats(argv: list) -> list:
+    """argv with each `_SIGNED_FLOATS` flag and a following negative float as one
+    token, --delta=-2e1, spelled as the run config's tokens are."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_FLOATS and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += f"={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _glue_signed_floats(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -56,6 +56,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .linalg import _cos_sin
+
 CHI_MAX = 4.0 * np.pi
 
 #: Number of uniform chi-grid points shared by synthesis and all quadratures.
@@ -190,26 +192,6 @@ def _cumtrapz_corrected(values: np.ndarray, derivs: np.ndarray, h: float,
     correction *= h * h / 12.0
     out -= correction
     return out
-
-
-def _cos_sin(angle: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray,
-             work: np.ndarray) -> None:
-    """cos and sin of `angle` from t = tan(angle/2), by the half-angle identities.
-
-    With u = 2/(1 + t^2), cos = u - 1 and sin = t u. On an AVX-512 x86-64
-    host with numpy 2.4, np.tan over 16384 points takes 0.045 ms and np.sin
-    or np.cos 0.24 ms each, so the pair costs about a quarter of theirs. It
-    agrees with np.cos and np.sin to 3.3e-16 for arguments up to 1e6. `t`
-    goes to `work`, a contiguous array shaped like `angle`: np.tan's vector
-    loop runs only on contiguous data, and its scalar loop rounds differently.
-    """
-    t = np.multiply(angle, 0.5, out=work)
-    np.tan(t, out=t)
-    u = np.multiply(t, t, out=cos_out)
-    u += 1.0
-    np.divide(2.0, u, out=u)
-    np.multiply(t, u, out=sin_out)
-    np.subtract(u, 1.0, out=cos_out)
 
 
 class GridResolutionError(ArithmeticError):

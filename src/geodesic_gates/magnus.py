@@ -67,8 +67,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveGrid, CurveParams, GridResolutionError, _cos_sin, real_fields
+from .curves import CurveGrid, CurveParams, GridResolutionError, real_fields
 from .frames import FrameData, SystemConfig
+from .linalg import _cos_sin
 
 CHANNEL_FREQ = "freq_noise"
 CHANNEL_COUPLING = "coupling_noise"

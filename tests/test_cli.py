@@ -245,6 +245,30 @@ def test_optimize_nonconvergence_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["cost", "--preset", "xpi-2q-robust"], "--delta", "-2e1"),
+    (["simulate", "--preset", "xpi-2q-robust", "--crosstalk", "off", "--n-samples", "1025"],
+     "--domega", "-1e-2"),
+    (["simulate", "--preset", "xpi-2q-robust", "--crosstalk", "off", "--n-samples", "1025"],
+     "--dj", "-1E-2"),
+], ids=["delta", "domega", "dj"])
+def test_negative_float_in_exponent_notation_parses_in_both_spellings(tmp_path, argv, flag, value):
+    # argparse alone reads "-2e1" as an option and refuses the flag for want of a value
+    apart, glued = tmp_path / "apart", tmp_path / "glued"
+    assert run(apart, *argv, flag, value) == 0
+    assert run(glued, *argv, f"{flag}={value}") == 0
+    names = sorted(p.name for p in apart.iterdir())
+    assert names and names == sorted(p.name for p in glued.iterdir())
+    assert all((apart / n).read_bytes() == (glued / n).read_bytes() for n in names)
+
+
+def test_signed_flag_leaves_a_non_number_to_argparse(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "cost", "--preset", "xpi-2q-robust", "--delta", "-x")
+    assert exc.value.code == 2
+    assert "argument --delta: expected one argument" in capsys.readouterr().err
+
+
 def test_delta_zero_exits_2(tmp_path, capsys):
     assert run(tmp_path, "cost", "--preset", "xpi-2q-robust", "--delta", "0") == 2
     assert "delta must be nonzero" in capsys.readouterr().err

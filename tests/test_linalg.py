@@ -11,6 +11,7 @@ from geodesic_gates.linalg import (
     SIGMA_Z,
     _TAYLOR6_THETA,
     _TAYLOR9_THETA,
+    _cos_sin,
     complex_form,
     expm_batch,
     gate_fidelity,
@@ -192,6 +193,37 @@ def test_su2_ordered_exp_matches_complex_oracle():
         x, y, z = rng.normal(scale=0.3, size=(3, 2, 3, n))
         expected = product_reduce_allocating(su2_exp_batch(x, y, z))
         assert max_abs(su2_ordered_exp(x, y, z) - expected) < 1e-12, n
+
+
+def test_su2_ordered_exp_matches_complex_oracle_at_large_step_angles():
+    # each step's cos r and sin r come from tan(r/2), which has its pole at
+    # r = pi; steps at r = 0, pi, 2 pi and random r up to 10 match the oracle's
+    # np.cos and np.sin, alone and multiplied
+    rng = np.random.default_rng(16)
+    axis = rng.normal(size=(3, 64))
+    axis /= np.linalg.norm(axis, axis=0)
+    r = np.concatenate([[0.0, np.pi, 2.0 * np.pi, np.nextafter(np.pi, 4.0), 3.0 * np.pi],
+                        rng.uniform(0.0, 10.0, 59)])
+    x, y, z = axis * r
+    single = su2_ordered_exp(x[:, None], y[:, None], z[:, None])
+    assert max_abs(single - su2_exp_batch(x, y, z)) < 1e-12
+    assert max_abs(single[0] - np.eye(2)) == 0.0
+    for shape in ((64,), (8, 8), (2, 32)):
+        xs, ys, zs = (v.reshape(shape) for v in (x, y, z))
+        expected = product_reduce_allocating(su2_exp_batch(xs, ys, zs))
+        assert max_abs(su2_ordered_exp(xs, ys, zs) - expected) < 1e-12, shape
+
+
+def test_cos_sin_matches_numpy_up_to_a_million():
+    rng = np.random.default_rng(17)
+    angle = np.concatenate([rng.uniform(-1e6, 1e6, 4096), rng.uniform(-10.0, 10.0, 4096),
+                            np.geomspace(1e-300, 1e6, 2048), [0.0, np.pi, -np.pi, 2.0 * np.pi,
+                                                              1e6, -1e6]])
+    cos, sin, work = np.empty((3,) + angle.shape)
+    _cos_sin(angle, cos, sin, work)
+    # 3.3e-16, one and a half ulps of 1
+    assert np.max(np.abs(cos - np.cos(angle))) <= 3 * 2.0**-53
+    assert np.max(np.abs(sin - np.sin(angle))) <= 3 * 2.0**-53
 
 
 def test_su2_ordered_exp_broadcasts_and_stays_unitary():

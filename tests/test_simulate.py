@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,14 @@ import pytest
 from conftest import random_curve
 from geodesic_gates import simulate
 from geodesic_gates.curves import CurveGrid, solve_b3_zero_area, synthesize_waveform
-from geodesic_gates.frames import MODEL_LAB, MODEL_REDUCED, SystemConfig, dressing, logical_from_lab
+from geodesic_gates.frames import (
+    MODEL_LAB,
+    MODEL_REDUCED,
+    SETTINGS,
+    SystemConfig,
+    dressing,
+    logical_from_lab,
+)
 from geodesic_gates.linalg import (
     SIGMA_X,
     SIGMA_Z,
@@ -356,15 +364,10 @@ def test_propagate_blocks_sign_fold_is_exact(key):
         assert np.array_equal(pair[1], direct), b
 
 
-def test_sweep_propagates_each_distinct_magnitude_once(monkeypatch):
-    # a 41x41 grid's 3362 block detunings hold 251 distinct values, and 140
-    # distinct magnitudes; only the magnitudes are propagated, in chunks whose
-    # (4, chunk, n_steps) quaternion stack keeps to the stack budget
-    system, frame, wave = _setup("xpi-2q-robust")
-    axis = np.linspace(-0.1, 0.1, 41)
-    dw_grid, dj_grid = np.meshgrid(axis, axis, indexing="ij")
-    betas = _block_betas(frame, dw_grid, dj_grid)
-    assert betas.size == 3362 and np.unique(betas).size == 251
+def _counted_block_rows(monkeypatch):
+    """A list that collects the |beta| rows of every `su2_ordered_exp` call of
+    `simulate`, each call's (4, chunk, n_steps) quaternion stack checked against
+    the stack budget."""
     rows = []
 
     def counted(x, y, z):
@@ -373,8 +376,98 @@ def test_sweep_propagates_each_distinct_magnitude_once(monkeypatch):
         return su2_ordered_exp(x, y, z)
 
     monkeypatch.setattr(simulate, "su2_ordered_exp", counted)
+    return rows
+
+
+def test_sweep_propagates_each_distinct_magnitude_once(monkeypatch):
+    # a 41x41 grid's 3362 block detunings, their shifts on the 2^-40 grid,
+    # hold 162 distinct values (251 as exact floats), and 81 distinct
+    # magnitudes; only the magnitudes are propagated, in chunks whose
+    # (4, chunk, n_steps) quaternion stack keeps to the stack budget
+    system, frame, wave = _setup("xpi-2q-robust")
+    axis = np.linspace(-0.1, 0.1, 41)
+    dw_grid, dj_grid = np.meshgrid(axis, axis, indexing="ij")
+    betas = _block_betas(frame, dw_grid, dj_grid)
+    assert betas.size == 3362 and np.unique(betas).size == 162
+    rows = _counted_block_rows(monkeypatch)
     noise_sweep(system, frame, wave, axis, axis, crosstalk_on=False)
-    assert sum(rows) == 140
+    assert sum(rows) == 81
+
+
+def _exact_betas(frame, dw, dj):
+    """beta_b + 2 (dw + c_b dJ) of the float inputs in exact rational arithmetic."""
+    return [[Fraction(b) + 2 * (Fraction(w) + Fraction(c) * Fraction(j)) for w, j in zip(dw, dj)]
+            for b, c in zip(frame.betas, frame.coupling_coefs)]
+
+
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+def test_block_betas_lie_within_half_a_quantum_of_the_exact_detunings(setting):
+    frame = dressing(SystemConfig(**SETTINGS[setting]))
+    rng = np.random.default_rng(31)
+    axis = np.linspace(-0.1, 0.1, 41)
+    dw = np.concatenate([np.repeat(axis, 41), rng.uniform(-0.5, 0.5, 200), [0.5, -0.5]])
+    dj = np.concatenate([np.tile(axis, 41), rng.uniform(-0.5, 0.5, 200), [-0.5, 0.5]])
+    betas = _block_betas(frame, dw, dj)
+    assert betas.shape == (len(frame.betas), dw.size)
+    half = Fraction(2) ** -41
+    for row, exact in zip(betas, _exact_betas(frame, dw, dj)):
+        assert all(abs(Fraction(b) - e) <= half for b, e in zip(row.tolist(), exact))
+    # every entry lies on the 2^-40 grid, as the presets' betas do
+    assert np.array_equal(np.round(np.ldexp(betas, 40)), np.ldexp(betas, 40))
+
+
+@pytest.mark.parametrize("g2", [1.0, 0.3, -np.pi, 1e300])
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+def test_block_betas_keep_the_frame_betas_at_zero_noise(setting, g2):
+    # only the noise shift is rounded: zero noise leaves any beta_b as it is,
+    # and a beta_b of 1e300 (5e299 on the midpoint's blocks) stays finite
+    frame = dressing(SystemConfig(**SETTINGS[setting], g2=g2))
+    zero = _block_betas(frame, 0.0, 0.0)
+    assert zero.tobytes() == np.asarray(frame.betas, dtype=float).tobytes()
+    corners = _block_betas(frame, np.array([0.5, -0.5]), np.array([-0.5, 0.5]))
+    assert np.all(np.isfinite(corners))
+    huge = np.abs(zero) > 1e299
+    assert np.array_equal(corners[huge], np.repeat(zero[huge, None], 2, axis=1))
+
+
+@pytest.mark.parametrize("key", PRESET_KEYS)
+def test_rounded_detunings_move_block_sweeps_below_the_step_error(key, monkeypatch):
+    # the grid's 9.1e-13 moves a 41x41 block sweep at range 0.1 by far less than
+    # the block path's step error (6.9e-12); at most 4.1e-12 over the presets
+    system, frame, wave = _setup(key)
+    phi_t = preset_curve(key).phi_target
+    axis = np.linspace(-0.1, 0.1, 41)
+    rounded = noise_sweep(system, frame, wave, axis, axis, crosstalk_on=False, gate_angle=phi_t)
+
+    def unrounded(frame, dw, dj):
+        betas = np.reshape(frame.betas, (-1,) + (1,) * np.ndim(dw))
+        return betas + 2.0 * simulate._block_z_shift(frame, dw, dj)
+
+    monkeypatch.setattr(simulate, "_block_betas", unrounded)
+    exact = noise_sweep(system, frame, wave, axis, axis, crosstalk_on=False, gate_angle=phi_t)
+    assert np.max(np.abs(rounded - exact)) <= 1e-11
+
+
+@pytest.mark.parametrize("key, grid, propagations", [("xpi-2q-robust", 17, 33),
+                                                     ("xpi-3q-robust", 11, 37)])
+def test_block_sweep_propagation_counts(key, grid, propagations, monkeypatch):
+    # the crosstalk-off sweeps of the benchmark's sweep-fast shape, at range 0.1:
+    # 33 and 37 distinct magnitudes (53 and 50 as exact floats)
+    system, frame, wave = _setup(key)
+    rows = _counted_block_rows(monkeypatch)
+    axis = np.linspace(-0.1, 0.1, grid)
+    noise_sweep(system, frame, wave, axis, axis, crosstalk_on=False)
+    assert sum(rows) == propagations
+
+
+def test_zero_noise_preset_gates_propagate_twelve_blocks(monkeypatch):
+    # one |beta| per 2q preset (+-1/2 folded) and two per 3q preset (1 and 0)
+    rows = _counted_block_rows(monkeypatch)
+    for key in PRESET_KEYS:
+        system, frame, wave = _setup(key)
+        simulate_gate(system, frame, wave, NoiseSetting(crosstalk_on=False),
+                      gate_angle=preset_curve(key).phi_target)
+    assert sum(rows) == 12
 
 
 def test_crosstalk_off_sweep_matches_simulate_at_every_point():
