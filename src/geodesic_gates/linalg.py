@@ -5,9 +5,9 @@ carry them in real form, below). Pauli strings, the one step exponential,
 time-ordered products and gate fidelity live here; everything above this
 layer builds on these primitives.
 
-Time-ordered propagators are built from fourth-order Magnus steps on the two
-Gauss-Legendre nodes t_1, t_2 of each step (Blanes, Casas, Oteo & Ros,
-Phys. Rep. 470 (2009)),
+Dense time-ordered propagators are built from fourth-order Magnus steps on
+the two Gauss-Legendre nodes t_1, t_2 of each step (Blanes, Casas, Oteo &
+Ros, Phys. Rep. 470 (2009)),
 
     U(T) = exp(-i H_eff,N-1 dt) ... exp(-i H_eff,0 dt),
     H_eff = (H(t_1) + H(t_2))/2 - i (sqrt(3)/12) dt [H(t_2), H(t_1)],
@@ -276,8 +276,8 @@ def su2_ordered_exp(x, y, z) -> np.ndarray:
             nxt[..., half] = q[..., n - 1]
         q = nxt
     # the rounding of each step's norm accumulates along the product (up to
-    # 2.3e-13 over 16382 steps, the block default at 8192 samples, for betas
-    # in [-1.2, 1.2]); projecting back onto the unit sphere removes it
+    # 2.3e-13 over 16382 steps, two per sample interval at 8192 samples, for
+    # betas in [-1.2, 1.2]); projecting back onto the unit sphere removes it
     w, a, b, c = q[..., 0] / np.sqrt(np.sum(q[..., 0] ** 2, axis=0))
     out = np.empty(w.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = w - 1.0j * c

@@ -15,14 +15,14 @@ The reduced model without control crosstalk is block diagonal: block b is
 `_block_betas` rounds that shift to a multiple of 2^-40, so shifts that are
 equal in exact arithmetic are equal floats, and `propagate_blocks`
 propagates each distinct |beta| of a whole noise grid once, as closed-form
-SU(2) steps (fourth-order Magnus on Gauss nodes, two per sample interval)
-multiplied as unit quaternions, and scatters the blocks back to the points;
-a block at -beta is the X-conjugate of the one at +beta, so +-beta are
-folded into one propagation. On a 41 x 41 grid at range 0.1 that is 81
-propagations for the 3362 blocks of xpi-2q-robust and 142 for the 6724 of
-xpi-3q-robust (140 and 213 without the rounding).
-With crosstalk on, or in the lab frame, the same fourth-order Magnus steps
-are taken on the full d x d Hamiltonian H(t) = sum_a c_a(t) T_a of
+SU(2) steps (sixth-order Magnus, one per sample interval, formed from the
+samples) multiplied as unit quaternions, and scatters the blocks back to
+the points; a block at -beta is the X-conjugate of the one at +beta, so
++-beta are folded into one propagation. On a 41 x 41 grid at range 0.1
+that is 81 propagations for the 3362 blocks of xpi-2q-robust and 142 for
+the 6724 of xpi-3q-robust (140 and 213 without the rounding).
+With crosstalk on, or in the lab frame, fourth-order Magnus steps on Gauss
+nodes are taken on the full d x d Hamiltonian H(t) = sum_a c_a(t) T_a of
 `frames.dense_terms`, with the coefficients c(t) of `frames.term_coefficients`.
 Both paths work in chunks of at most `_STACK_REALS` reals per stack. Each
 dense step is carried in the real representation
@@ -56,6 +56,7 @@ with a ValueError before anything is allocated.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -87,15 +88,16 @@ from .linalg import (
 )
 
 # reals per stack of a time chunk (512 KiB): the (4, distinct |beta|, n_steps)
-# quaternion stack of a block chunk, one |beta| at 8192 samples, and each
+# quaternion stack of a block chunk, two |beta| at 8192 samples, and each
 # (steps, 2d, 2d) stack of a dense chunk, 1024 steps for two qubits and 256 for
 # three. A chunk's stack and temporaries then stay under the 2 MiB trim
 # threshold the benchmark pins (1 MiB mmap), so freed memory is reused rather
 # than faulted in afresh; a dense workspace holds five stacks (2.5 MiB, faulted
-# in once per gate or sweep thread). Block sweeps (17 x 17 2q, 11 x 11 3q) took
-# 94 and 88-111 ms at 2 million reals against 55-56 and 50-52 ms here, and a
-# crosstalk-on sweep point with fresh temporaries 25 ms (2q) and 81-91 ms (3q)
-# at 1 MiB stacks against 12 and 32-36 ms (one BLAS thread, 2-vCPU host)
+# in once per gate or sweep thread). Block sweeps (17 x 17 2q, 11 x 11 3q, at two
+# fourth-order steps per interval) took 94 and 88-111 ms at 2 million reals
+# against 55-56 and 50-52 ms here, and a crosstalk-on sweep point with fresh
+# temporaries 25 ms (2q) and 81-91 ms (3q) at 1 MiB stacks against 12 and
+# 32-36 ms (one BLAS thread, 2-vCPU host)
 _STACK_REALS = 65536
 # reals in the shared noise-free steps of a dense run's default step count,
 # n_steps (2d)^2: the step stacks then hold at most 128 MiB, next to the
@@ -154,9 +156,10 @@ def _block_path(frame: FrameData, waveform: Waveform, model: str, crosstalk_on: 
 
 #: the binary grid of the block detunings' noise shifts, 2^-40 (9.1e-13). It lies
 #: far above the last-bit spread of shifts that are equal in exact arithmetic
-#: (about 1e-16) and far below the block path's step error (6.9e-12, see
-#: `_BLOCK_PER_INTERVAL`); on 41 x 41 grids at range 0.1 the rounding moves no
-#: preset's block-sweep infidelity by more than 4.1e-12
+#: (about 1e-16); on 41 x 41 grids at range 0.1 the rounding moves no preset's
+#: block-sweep infidelity by more than 4.1e-12, far below the error of the
+#: linearly interpolated envelope (5e-9 to 9e-8 in I at noise 0.02, 8192
+#: samples), though above the block path's step error (below 2e-15 in U)
 _DETUNING_QUANTUM = 2.0**-40
 
 
@@ -181,51 +184,78 @@ def _block_betas(frame: FrameData, delta_omega, delta_j) -> np.ndarray:
 def propagate_blocks(wave: Waveform, betas, n_steps: int | None = None) -> np.ndarray:
     """Propagators of the blocks (beta Z + Omega(t) X)/2, one per entry of `betas`.
 
-    Fourth-order Magnus steps on two Gauss-Legendre nodes (Blanes, Casas,
-    Oteo & Ros, Phys. Rep. 470 (2009)). For this Hamiltonian the commutator
-    term is exactly (sqrt(3)/24) dt^2 beta (Omega_1 - Omega_2) Y per step, so
-    every step stays a closed-form SU(2) exponential, and `su2_ordered_exp`
-    multiplies the steps as unit quaternions. The default step count is
-    `_BLOCK_PER_INTERVAL` (two) per waveform sample interval.
+    Sixth-order Magnus steps, by default one per waveform sample interval;
+    an `n_steps` that is a multiple k of the interval count takes k equal
+    sub-steps per interval. The envelope is linear on each step, so with
+    H = m.sigma/2, m = (Omega_m, 0, beta) at the step's midpoint and
+    m' = (Omega', 0, 0), the sixth-order Magnus vector of a step of length h
+    has two cross-product terms beyond the fourth-order one (Blanes, Casas &
+    Ros, BIT 40 (2000) 434; Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009)
+    151, the Omega^[6] form with alpha_3 = 0):
+
+        g = h m - (h^3/12) m x m' - (h^5/240) m' x (m x m')
+            + (h^5/720) m x (m x (m x m')),
+
+    and the step is exp(-i g.sigma/2), a closed-form SU(2) exponential with
+
+        x = h Omega_m / 2,
+        y = -beta Omega' h^3/24 - beta Omega' (beta^2 + Omega_m^2) h^5/1440,
+        z = beta h/2 - beta Omega'^2 h^5/480,
+
+    taken from the samples alone. `su2_ordered_exp` multiplies the steps as
+    unit quaternions. Over the presets at 8192 samples, from zero noise to
+    NoiseSetting's corners, U moves by at most 1.8e-15 against four
+    sub-steps per interval and 4.8e-15 against the fourth-order Gauss-node
+    rule at 32 steps per interval; at 1024 and 256 samples the step error
+    is 5.2e-10 and 2.1e-6.
 
     The result depends on |beta| alone up to a fold: X (beta Z + Omega X) X
     = -beta Z + Omega X, so U(-beta) = X U(beta) X, the entries of U(|beta|)
-    reversed. Negating beta flips the Y and Z coefficients of every step,
-    and every float operation of the quaternion product is symmetric under
-    that flip, so the fold is exact. Each distinct |beta| is propagated once
-    and scattered back: equal entries get bit-identical blocks. Distinct
-    means distinct floats; this function rounds nothing, and a sweep's
-    detunings come from `_block_betas`, which puts their noise shifts on a
-    binary grid so that equal values are equal floats. Returns shape
-    np.shape(betas) + (2, 2).
+    reversed. y and z are odd in beta, as floats too (beta times a row that
+    reads beta only through beta^2), and every float operation of the
+    quaternion product is symmetric under flipping them, so the fold is
+    exact. Each distinct |beta| is propagated once and scattered back: equal
+    entries get bit-identical blocks. Distinct means distinct floats; this
+    function rounds nothing, and a sweep's detunings come from
+    `_block_betas`, which puts their noise shifts on a binary grid so that
+    equal values are equal floats. Returns shape np.shape(betas) + (2, 2).
     """
+    samples = wave.samples
+    intervals = len(samples) - 1
     if n_steps is None:
-        n_steps = _BLOCK_PER_INTERVAL * (len(wave.samples) - 1)
-    dt, t1, t2 = gauss_nodes(wave.T, n_steps)
-    om1 = wave.envelope(t1)
-    om2 = wave.envelope(t2)
-    x_row = 0.25 * (om1 + om2) * dt
-    y_row = -0.5 * MAGNUS4_WEIGHT * dt * dt * (om2 - om1)
+        n_steps = intervals
+    n_steps = operator.index(n_steps)
+    if n_steps <= 0 or n_steps % intervals:
+        raise ValueError(f"n_steps must be a positive multiple of the {intervals} sample "
+                         f"intervals, got {n_steps}")
+    per_interval = n_steps // intervals
+    h = wave.dt / per_interval
+    # the linear envelope at the step ends: the samples themselves at one step
+    # per interval, where the fractions are 0
+    fractions = np.arange(per_interval) / per_interval
+    ends = samples[:-1, None] + fractions * np.diff(samples)[:, None]
+    samples = np.append(ends.ravel(), samples[-1])
+    mid = 0.5 * (samples[:-1] + samples[1:])
+    slope = np.diff(samples) / h
+    x_row = 0.5 * h * mid
+    # y = beta (y_row + beta^2 y3_row) and z = beta z_row
+    y3_row = (-h**5 / 1440.0) * slope
+    y_row = (-h**3 / 24.0) * slope + y3_row * mid * mid
+    z_row = 0.5 * h - (h**5 / 480.0) * slope * slope
     betas = np.asarray(betas, dtype=float)
     distinct, where = np.unique(np.abs(betas), return_inverse=True)
     out = np.empty((distinct.size, 2, 2), dtype=complex)
     chunk = max(1, _STACK_REALS // (4 * n_steps))
     for lo in range(0, distinct.size, chunk):
         beta = distinct[lo:lo + chunk, None]
-        out[lo:lo + chunk] = su2_ordered_exp(x_row, y_row * beta, 0.5 * dt * beta)
+        y = y3_row * (beta * beta)
+        y += y_row
+        y *= beta
+        out[lo:lo + chunk] = su2_ordered_exp(x_row, y, z_row * beta)
     blocks = out[where.reshape(betas.shape)]
     negative = betas < 0
     blocks[negative] = blocks[negative][..., ::-1, ::-1]
     return blocks
-
-
-#: steps per waveform sample interval of the block path. The envelope is linear
-#: within each interval, so steps aligned with the samples never straddle a kink
-#: and keep their full order. Against doubled steps U moves by at most 6.9e-12
-#: over the presets at noise (0.02, 0.01), and by 3.0e-11 at NoiseSetting's
-#: corners; one step per interval would move it by 1.1e-10 (xpi-3q-robust at
-#: (0.02, 0.01))
-_BLOCK_PER_INTERVAL = 2
 
 
 def _dense_per_interval(wave: Waveform, frame: FrameData) -> int:
@@ -328,12 +358,13 @@ def simulate_gate(system: SystemConfig, frame: FrameData, waveform: Waveform,
     """Propagate one gate and return (U_final, infidelity vs R_X target).
 
     The reduced model without crosstalk takes the block fast path
-    (`propagate_blocks`, two steps per sample interval by default, +-beta
-    folded into one propagation); the reduced model with crosstalk and the
-    lab model take dense fourth-order Magnus steps, by default one per sample
-    interval or the smallest multiple of that which resolves delta_tilde
-    (`_dense_per_interval`). `n_steps` overrides the step count and must be
-    positive.
+    (`propagate_blocks`, one sixth-order step per sample interval by
+    default, +-beta folded into one propagation); the reduced model with
+    crosstalk and the lab model take dense fourth-order Magnus steps, by
+    default one per sample interval or the smallest multiple of that which
+    resolves delta_tilde (`_dense_per_interval`). `n_steps` overrides the
+    step count and must be positive, and on the block path a multiple of
+    the sample interval count.
     """
     if _block_path(frame, waveform, model, noise.crosstalk_on):
         blocks, infid = _block_sweep(system, frame, waveform, noise.delta_omega,

@@ -28,8 +28,9 @@ from geodesic_gates.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     gate_fidelity,
+    gauss_nodes,
+    su2_ordered_exp,
 )
-from geodesic_gates.simulate import _BLOCK_PER_INTERVAL
 
 
 def trapz(g: CurveGrid, integrand: np.ndarray):
@@ -261,25 +262,52 @@ def su2_exp_batch(x, y, z) -> np.ndarray:
 def propagate_blocks_oracle(wave, betas, n_steps=None) -> np.ndarray:
     """The block propagator as complex 2x2 stacks, one beta at a time.
 
-    The same fourth-order Magnus steps on two Gauss-Legendre nodes as
-    `simulate.propagate_blocks`, on the same default step grid, exponentiated
-    by `su2_exp_batch` and multiplied by `product_reduce_allocating`, with no sharing
-    between betas and no sign fold.
+    The sixth-order Magnus steps of `simulate.propagate_blocks`, written as
+    the cross products of the Magnus vector: with m = (Omega_m, 0, beta) at
+    the step's midpoint and m' = (Omega', 0, 0), a step of length h is
+    exp(-i g.sigma/2), g = h m - (h^3/12) m x m' - (h^5/240) m' x (m x m')
+    + (h^5/720) m x (m x (m x m')). The envelope comes from `wave.envelope`
+    at the step ends and midpoints, on the same default step grid (one step
+    per sample interval); the steps are exponentiated by `su2_exp_batch`
+    and multiplied by `product_reduce_allocating`, with no sharing between
+    betas and no sign fold.
     """
     if n_steps is None:
-        n_steps = _BLOCK_PER_INTERVAL * (len(wave.samples) - 1)
-    dt = wave.T / n_steps
-    t0 = np.arange(n_steps) * dt
-    gauss = 0.5 * np.sqrt(3.0) / 3.0
-    om1 = wave.envelope(t0 + (0.5 - gauss) * dt)
-    om2 = wave.envelope(t0 + (0.5 + gauss) * dt)
-    x = 0.25 * (om1 + om2) * dt
-    y = -np.sqrt(3.0) / 24.0 * dt * dt * (om2 - om1)
-    flat = np.atleast_1d(np.asarray(betas, dtype=float)).ravel()
-    out = np.stack([product_reduce_allocating(su2_exp_batch(x, y * beta,
-                                                            np.full(n_steps, 0.5 * dt * beta)))
-                    for beta in flat])
-    return out.reshape(np.shape(betas) + (2, 2))
+        n_steps = len(wave.samples) - 1
+    h = wave.T / n_steps
+    starts = np.arange(n_steps) * h
+    mid = wave.envelope(starts + 0.5 * h)
+    slope = (wave.envelope(starts + h) - wave.envelope(starts)) / h
+    dm = np.stack([slope, np.zeros(n_steps), np.zeros(n_steps)], axis=-1)
+    out = []
+    for beta in np.atleast_1d(np.asarray(betas, dtype=float)).ravel():
+        m = np.stack([mid, np.zeros(n_steps), np.full(n_steps, beta)], axis=-1)
+        c1 = np.cross(m, dm)
+        g = h * m - h**3 / 12.0 * c1 - h**5 / 240.0 * np.cross(dm, c1) \
+            + h**5 / 720.0 * np.cross(m, np.cross(m, c1))
+        out.append(product_reduce_allocating(su2_exp_batch(*(0.5 * g.T))))
+    return np.reshape(out, np.shape(betas) + (2, 2))
+
+
+def gauss4_block_rows(wave, n_steps: int):
+    """(dt, x, y) of fourth-order Magnus steps of the block (beta Z + Omega X)/2.
+
+    On the two Gauss-Legendre nodes of each step (`linalg.gauss_nodes`,
+    `wave.envelope`), the step is exp(-i (x X + beta y Y + beta dt/2 Z)) with
+    x = (Omega_1 + Omega_2) dt/4 and y = -(sqrt(3)/24) dt^2 (Omega_2 - Omega_1).
+    """
+    dt, t1, t2 = gauss_nodes(wave.T, n_steps)
+    om1, om2 = wave.envelope(t1), wave.envelope(t2)
+    return dt, 0.25 * (om1 + om2) * dt, -0.5 * MAGNUS4_WEIGHT * dt * dt * (om2 - om1)
+
+
+def propagate_blocks_gauss4(wave, betas, n_steps: int) -> np.ndarray:
+    """The block propagator by the fourth-order rule the sixth-order steps replaced:
+    `gauss4_block_rows`, one beta at a time, multiplied by `linalg.su2_ordered_exp`."""
+    dt, x_row, y_row = gauss4_block_rows(wave, n_steps)
+    out = [su2_ordered_exp(x_row, y_row * beta, 0.5 * dt * beta)
+           for beta in np.atleast_1d(np.asarray(betas, dtype=float)).ravel()]
+    return np.reshape(out, np.shape(betas) + (2, 2))
 
 
 def propagate(hamiltonian_at: Callable[[float], np.ndarray], T: float, dt: float) -> np.ndarray:
@@ -411,21 +439,16 @@ RX90 = expm_hermitian(SIGMA_X, np.pi / 4.0)
 def cumulative_propagators(wave, beta, n, block=512):
     """U0 at n+1 uniform grid points for the block (beta Z + Omega X)/2.
 
-    Fourth-order Magnus steps on Gauss nodes, so the remaining oracle error
-    is the trapezoid quadrature of the integrand plus the sampled-waveform
-    representation, both far below the 1e-5 comparison tolerance. The
+    Fourth-order Magnus steps on Gauss nodes (`gauss4_block_rows`), so the
+    remaining oracle error is the trapezoid quadrature of the integrand plus
+    the sampled-waveform representation, both far below the 1e-5 comparison
+    tolerance. The
     running product is a two-level blocked prefix product: sequential within
     blocks of `block` steps, vectorized across the blocks, then each block is
     carried by the product of all blocks before it.
     """
-    dt = wave.T / n
-    t0 = np.arange(n) * dt
-    gauss = 0.5 * np.sqrt(3.0) / 3.0
-    om1 = wave.envelope(t0 + (0.5 - gauss) * dt)
-    om2 = wave.envelope(t0 + (0.5 + gauss) * dt)
-    x = 0.25 * (om1 + om2) * dt
-    y = -np.sqrt(3.0) / 24.0 * dt * dt * beta * (om2 - om1)
-    steps = su2_exp_batch(x, y, np.full(n, 0.5 * beta * dt))
+    dt, x, y = gauss4_block_rows(wave, n)
+    steps = su2_exp_batch(x, y * beta, np.full(n, 0.5 * beta * dt))
     blocks = steps.reshape(-1, block, 2, 2)  # n is a multiple of `block`
     within = np.empty_like(blocks)
     within[:, 0] = blocks[:, 0]

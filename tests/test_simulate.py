@@ -40,7 +40,6 @@ from geodesic_gates.simulate import (
     propagate_blocks,
     simulate_gate,
     slope_fit,
-    _BLOCK_PER_INTERVAL,
     _STACK_REALS,
     _block_betas,
     _dense_gate,
@@ -56,6 +55,7 @@ from oracles import (
     hamiltonian_samples,
     magnus4_hamiltonians,
     product_reduce_allocating,
+    propagate_blocks_gauss4,
     propagate_blocks_oracle,
     propagate_sampled,
     pulse_area,
@@ -163,13 +163,13 @@ def test_dense_step_doubling(key, model):
 @pytest.mark.parametrize("key", PRESET_KEYS)
 def test_block_step_doubling(key):
     # the same estimate for the crosstalk-off block path, whose default grid
-    # is two steps per waveform sample interval, +-beta folded
+    # is one sixth-order step per waveform sample interval, +-beta folded
     system, frame, wave = _setup(key)
     noise = NoiseSetting(0.02, 0.01, crosstalk_on=False)
     u_default, _ = simulate_gate(system, frame, wave, noise)
     u_double, _ = simulate_gate(system, frame, wave, noise,
-                                n_steps=2 * _BLOCK_PER_INTERVAL * (len(wave.samples) - 1))
-    assert np.max(np.abs(u_default - u_double)) < 1e-11
+                                n_steps=2 * (len(wave.samples) - 1))
+    assert np.max(np.abs(u_default - u_double)) < 1e-13
 
 
 @pytest.mark.parametrize("key", PRESET_KEYS)
@@ -177,13 +177,13 @@ def test_block_step_doubling_at_the_noise_corners(key):
     # NoiseSetting's largest noise moves the detunings furthest from the
     # design; the step error there stays far below the sampling error
     system, frame, wave = _setup(key)
-    n_double = 2 * _BLOCK_PER_INTERVAL * (len(wave.samples) - 1)
+    n_double = 2 * (len(wave.samples) - 1)
     for dw in (-0.5, 0.5):
         for dj in (-0.5, 0.5):
             noise = NoiseSetting(dw, dj, crosstalk_on=False)
             u_default, _ = simulate_gate(system, frame, wave, noise)
             u_double, _ = simulate_gate(system, frame, wave, noise, n_steps=n_double)
-            assert np.max(np.abs(u_default - u_double)) < 1e-10, (dw, dj)
+            assert np.max(np.abs(u_default - u_double)) < 1e-13, (dw, dj)
 
 
 @pytest.mark.parametrize("key", ["xpi-2q-robust", "xpi-3q-robust"])
@@ -322,6 +322,12 @@ def test_step_counts_must_be_positive():
                 simulate_gate(system, frame, wave, noise, model=model, n_steps=bad)
         with pytest.raises(ValueError, match="n_steps"):
             propagate_blocks(wave, frame.betas, n_steps=bad)
+    # the block path takes whole sample intervals, so its count is a multiple of theirs
+    with pytest.raises(ValueError, match="n_steps"):
+        propagate_blocks(wave, frame.betas, n_steps=len(wave.samples))
+    with pytest.raises(ValueError, match="n_steps"):
+        simulate_gate(system, frame, wave, NoiseSetting(crosstalk_on=False),
+                      n_steps=len(wave.samples))
 
 
 @pytest.mark.parametrize("key", PRESET_KEYS)
@@ -353,30 +359,59 @@ def test_propagate_blocks_sign_fold_is_exact(key):
     # U(-beta) = X U(beta) X, taken as the reversed entries of U(|beta|), is
     # bit for bit the product of the steps at -beta
     _, frame, wave = _setup(key)
-    dt, t1, t2 = gauss_nodes(wave.T, _BLOCK_PER_INTERVAL * (len(wave.samples) - 1))
-    om1, om2 = wave.envelope(t1), wave.envelope(t2)
-    x_row = 0.25 * (om1 + om2) * dt
-    y_row = -np.sqrt(3.0) / 24.0 * dt * dt * (om2 - om1)
+    # the sixth-order rows of one step per sample interval, as propagate_blocks
+    # forms them: y = beta (y_row + beta^2 y3_row), z = beta z_row
+    h, s = wave.dt, wave.samples
+    mid = 0.5 * (s[:-1] + s[1:])
+    slope = np.diff(s) / h
+    x_row = 0.5 * h * mid
+    y3_row = (-h**5 / 1440.0) * slope
+    y_row = (-h**3 / 24.0) * slope + y3_row * mid * mid
+    z_row = 0.5 * h - (h**5 / 480.0) * slope * slope
     for b in np.concatenate([np.asarray(frame.betas) + 0.07, np.asarray(frame.betas) - 0.07]):
         pair = propagate_blocks(wave, [b, -b])
         assert np.array_equal(pair[1], pair[0][::-1, ::-1]), b
-        direct = su2_ordered_exp(x_row, y_row * -b, 0.5 * dt * -b)
+        direct = su2_ordered_exp(x_row, (y3_row * (b * b) + y_row) * -b, z_row * -b)
         assert np.array_equal(pair[1], direct), b
 
 
+@pytest.mark.parametrize("key", PRESET_KEYS)
+def test_block_steps_match_the_fourth_order_rule_they_replaced(key):
+    # the sixth-order default against the fourth-order Gauss-node rule at 16
+    # steps per sample interval, from zero noise to NoiseSetting's corners;
+    # the fourth-order rule's own default, two steps per interval, was off by
+    # up to 3.2e-11
+    _, frame, wave = _setup(key)
+    noises = [(0.0, 0.0)] + [(dw, dj) for dw in (-0.5, 0.5) for dj in (-0.5, 0.5)]
+    betas = np.unique(np.abs([_block_betas(frame, dw, dj) for dw, dj in noises]))
+    reference = propagate_blocks_gauss4(wave, betas, 16 * (len(wave.samples) - 1))
+    assert np.max(np.abs(propagate_blocks(wave, betas) - reference)) < 1e-14
+
+
 def _counted_block_rows(monkeypatch):
-    """A list that collects the |beta| rows of every `su2_ordered_exp` call of
-    `simulate`, each call's (4, chunk, n_steps) quaternion stack checked against
-    the stack budget."""
-    rows = []
+    """A list that collects the (|beta| rows, steps) of every `su2_ordered_exp`
+    call of `simulate`, each call's (4, chunk, n_steps) quaternion stack checked
+    against the stack budget."""
+    calls = []
 
     def counted(x, y, z):
-        rows.append(np.shape(z)[0])
+        calls.append(np.broadcast(x, y, z).shape)
         assert 4 * np.broadcast(x, y, z).size <= _STACK_REALS
         return su2_ordered_exp(x, y, z)
 
     monkeypatch.setattr(simulate, "su2_ordered_exp", counted)
-    return rows
+    return calls
+
+
+def test_block_path_takes_one_step_per_sample_interval(monkeypatch):
+    # 8191 steps per propagated |beta| at 8192 samples (16382 under the
+    # fourth-order rule), two |beta| per call within the stack budget: the
+    # sweep-fast 3q sweep's 37 magnitudes in 18 calls of two and one of one
+    system, frame, wave = _setup("xpi-3q-robust")
+    calls = _counted_block_rows(monkeypatch)
+    axis = np.linspace(-0.1, 0.1, 11)
+    noise_sweep(system, frame, wave, axis, axis, crosstalk_on=False)
+    assert calls == [(2, 8191)] * 18 + [(1, 8191)]
 
 
 def test_sweep_propagates_each_distinct_magnitude_once(monkeypatch):
@@ -389,9 +424,9 @@ def test_sweep_propagates_each_distinct_magnitude_once(monkeypatch):
     dw_grid, dj_grid = np.meshgrid(axis, axis, indexing="ij")
     betas = _block_betas(frame, dw_grid, dj_grid)
     assert betas.size == 3362 and np.unique(betas).size == 162
-    rows = _counted_block_rows(monkeypatch)
+    calls = _counted_block_rows(monkeypatch)
     noise_sweep(system, frame, wave, axis, axis, crosstalk_on=False)
-    assert sum(rows) == 81
+    assert sum(rows for rows, _ in calls) == 81
 
 
 def _exact_betas(frame, dw, dj):
@@ -432,8 +467,9 @@ def test_block_betas_keep_the_frame_betas_at_zero_noise(setting, g2):
 
 @pytest.mark.parametrize("key", PRESET_KEYS)
 def test_rounded_detunings_move_block_sweeps_below_the_step_error(key, monkeypatch):
-    # the grid's 9.1e-13 moves a 41x41 block sweep at range 0.1 by far less than
-    # the block path's step error (6.9e-12); at most 4.1e-12 over the presets
+    # the grid's 9.1e-13 moves a 41x41 block sweep at range 0.1 by at most
+    # 4.1e-12 over the presets, far below the error of the linearly
+    # interpolated envelope (5e-9 to 9e-8 in I at noise 0.02)
     system, frame, wave = _setup(key)
     phi_t = preset_curve(key).phi_target
     axis = np.linspace(-0.1, 0.1, 41)
@@ -454,20 +490,20 @@ def test_block_sweep_propagation_counts(key, grid, propagations, monkeypatch):
     # the crosstalk-off sweeps of the benchmark's sweep-fast shape, at range 0.1:
     # 33 and 37 distinct magnitudes (53 and 50 as exact floats)
     system, frame, wave = _setup(key)
-    rows = _counted_block_rows(monkeypatch)
+    calls = _counted_block_rows(monkeypatch)
     axis = np.linspace(-0.1, 0.1, grid)
     noise_sweep(system, frame, wave, axis, axis, crosstalk_on=False)
-    assert sum(rows) == propagations
+    assert sum(rows for rows, _ in calls) == propagations
 
 
 def test_zero_noise_preset_gates_propagate_twelve_blocks(monkeypatch):
     # one |beta| per 2q preset (+-1/2 folded) and two per 3q preset (1 and 0)
-    rows = _counted_block_rows(monkeypatch)
+    calls = _counted_block_rows(monkeypatch)
     for key in PRESET_KEYS:
         system, frame, wave = _setup(key)
         simulate_gate(system, frame, wave, NoiseSetting(crosstalk_on=False),
                       gate_angle=preset_curve(key).phi_target)
-    assert sum(rows) == 12
+    assert sum(rows for rows, _ in calls) == 12
 
 
 def test_crosstalk_off_sweep_matches_simulate_at_every_point():
