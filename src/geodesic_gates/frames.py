@@ -25,8 +25,7 @@ most significant and Z|0> = +|0>.
 Both dense models, the lab frame and the reduced model with crosstalk, are
 H(t) = h0 + Omega(t) sum_m [cos(nu_m t) a_m + sin(nu_m t) b_m], with no b_m
 at nu_m = 0: one term table each (`dense_terms`), with the real forms of the
-terms and of their nonzero commutators [T_a, T_b], a < b, and the list of
-those pairs, from which the propagator forms its Magnus steps.
+terms, from which the propagator forms the moments of its Magnus steps.
 """
 
 from __future__ import annotations
@@ -238,17 +237,16 @@ def block_diagonal(z) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def dense_terms(config: SystemConfig, model: str):
-    """Term table (nu, terms, pairs, table) of a dense model; the arrays are read-only.
+    """Term table (nu, terms, table) of a dense model; the arrays are read-only.
 
     H(t) = sum_a c_a(t) T_a, c(t) = (1, Omega cos(nu t), Omega sin(nu t)) the
     `term_coefficients`, with the sine part only where nu != 0, so no c_a is
     identically zero: `terms` is the (K, d, d) stack T = (h0, a_0..a_{M-1},
     b_m for nu_m != 0), Omega(t) the synthesized envelope and every amplitude
-    folded into a_m, b_m.
-    `table` holds the real forms (`linalg.real_form`) a fourth-order Magnus
-    step is linear in, flattened to rows of (2d)^2: R(-i T_a) for each term,
-    then R([T_a, T_b]) for the P pairs a < b that do not commute, `pairs` (2, P),
-    in `np.triu_indices(K, 1)` order: K + P rows (2q, chain: lab 6, 3; reduced 10, 17).
+    folded into a_m, b_m. `table` holds the real forms R(-i T_a)
+    (`linalg.real_form`) flattened to rows of (2d)^2, K rows (2q, chain: lab
+    3, 2; reduced 4, 6): a Magnus moment of the step generators is linear in
+    them.
     Lab: h0 = H0 and one drive term at omega_d, X_t and Y_t over 2 drive_scale.
     Reduced: h0 the block detunings, drive term 0 the target drive X_t/2 at
     nu = 0, then V_cr: (tan(theta)/2) (XZ, YZ) at delta_tilde for two
@@ -281,12 +279,8 @@ def dense_terms(config: SystemConfig, model: str):
     nu, a, b = zip(*terms)
     terms = np.array((h0,) + a + tuple(b_m for nu_m, b_m in zip(nu, b) if nu_m != 0.0),
                      dtype=complex)
-    i, j = np.triu_indices(len(terms), 1)
-    commutators = terms[i] @ terms[j] - terms[j] @ terms[i]
-    kept = np.any(commutators != 0, axis=(1, 2))
-    table = real_form(np.concatenate([-1.0j * terms, commutators[kept]]))
-    tables = (np.array(nu, dtype=float), terms, np.stack([i[kept], j[kept]]),
-              table.reshape(len(table), -1))
+    table = real_form(-1.0j * terms)
+    tables = (np.array(nu, dtype=float), terms, table.reshape(len(table), -1))
     for array in tables:
         array.flags.writeable = False
     return tables

@@ -5,14 +5,13 @@ carry them in real form, below). Pauli strings, the one step exponential,
 time-ordered products and gate fidelity live here; everything above this
 layer builds on these primitives.
 
-Dense time-ordered propagators are built from fourth-order Magnus steps on
-the two Gauss-Legendre nodes t_1, t_2 of each step (Blanes, Casas, Oteo &
-Ros, Phys. Rep. 470 (2009)),
+Dense time-ordered propagators are products of Magnus steps,
 
-    U(T) = exp(-i H_eff,N-1 dt) ... exp(-i H_eff,0 dt),
-    H_eff = (H(t_1) + H(t_2))/2 - i (sqrt(3)/12) dt [H(t_2), H(t_1)],
+    U(T) = exp(Omega_{N-1}) ... exp(Omega_0),
 
-which is Hermitian, so every step is unitary. Batched variants (arrays of
+each generator Omega_k anti-Hermitian, so every step is unitary; `simulate`
+forms them (sixth order, from each step's moments of -i H(t)) and this
+layer exponentiates and multiplies them. Batched variants (arrays of
 small matrices) are provided because single-step Python loops dominate the
 runtime otherwise; the batched product is reduced pairwise so the work is
 done by vectorized matmul. Products of SU(2) steps are reduced the same way
@@ -22,7 +21,7 @@ step's cos r and sin r come from one tan(r/2) by the half-angle identities
 too): np.tan costs a fraction of np.cos plus np.sin.
 
 The package's one matrix exponential (`expm_batch`) is matmuls too: a
-Taylor polynomial of the generator A = -i dt H, evaluated in the
+Taylor polynomial of a step generator A, evaluated in the
 Paterson-Stockmeyer form (Bader, Blanes & Casas, Mathematics 7 (2019) 1174).
 Its degree comes from the stack's largest one-norm, by the rule of Al-Mohy &
 Higham (SIAM J. Matrix Anal. Appl. 31 (2009) 970) that the first dropped
@@ -55,7 +54,6 @@ chosen from the real form's norm is at least the one the complex form needs.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -66,9 +64,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 PAULI = {"I": SIGMA_I, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
-_GAUSS_OFFSET = 0.5 * np.sqrt(3.0) / 3.0
-#: commutator weight of the fourth-order Magnus step, sqrt(3)/12
-MAGNUS4_WEIGHT = np.sqrt(3.0) / 12.0
 #: one-norm bounds of the Taylor steps: ||A||^(m+1) / (m+1)! reaches 2^-53 at
 #: ||A|| = theta_m, 0.0178 for degree 6 and 0.115 for degree 9
 _TAYLOR6_THETA = (2.0**-53 * 5040.0) ** (1.0 / 7.0)
@@ -187,20 +182,6 @@ def expm_batch(a: np.ndarray, work: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         out, t = np.matmul(out, out, out=t), out
     return out
-
-
-def gauss_nodes(T: float, n_steps: int):
-    """Step length dt = T / n_steps and the two Gauss-Legendre nodes of each step.
-
-    Returns (dt, t1, t2) with t1, t2 = t_k + (1/2 -+ sqrt(3)/6) dt for the
-    step starts t_k = k dt, k = 0 .. n_steps - 1.
-    """
-    n_steps = operator.index(n_steps)
-    if n_steps <= 0:
-        raise ValueError(f"n_steps must be positive, got {n_steps}")
-    dt = T / n_steps
-    t0 = np.arange(n_steps) * dt
-    return dt, t0 + (0.5 - _GAUSS_OFFSET) * dt, t0 + (0.5 + _GAUSS_OFFSET) * dt
 
 
 def _cos_sin(angle: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray,

@@ -21,41 +21,50 @@ the points; a block at -beta is the X-conjugate of the one at +beta, so
 +-beta are folded into one propagation. On a 41 x 41 grid at range 0.1
 that is 81 propagations for the 3362 blocks of xpi-2q-robust and 142 for
 the 6724 of xpi-3q-robust (140 and 213 without the rounding).
-With crosstalk on, or in the lab frame, fourth-order Magnus steps on Gauss
-nodes are taken on the full d x d Hamiltonian H(t) = sum_a c_a(t) T_a of
-`frames.dense_terms`, with the coefficients c(t) of `frames.term_coefficients`.
-Both paths work in chunks of at most `_STACK_REALS` reals per stack. Each
-dense step is carried in the real representation
-R(A) = [[Re A, -Im A], [Im A, Re A]] of its generator A = -i dt H_eff
-(`linalg.real_form`), a real 2d x 2d matrix. A is linear in the term
-coefficients at the step's Gauss nodes and in their pairwise products, so
-a chunk's generators are one GEMM against the table's K + P rows, R(-i T_a)
-and R([T_a, T_b]) for the P pairs a < b that do not commute (2q, chain: lab
-6, 3; reduced 10, 17; `_magnus_steps`). R maps products to products, so the
+With crosstalk on, or in the lab frame, sixth-order Magnus steps are taken
+on the full d x d Hamiltonian H(t) = sum_a c_a(t) T_a of `frames.dense_terms`,
+with the coefficients c(t) of `frames.term_coefficients`. Their length
+follows the dynamics, not the sample count (`_dense_grid`): at most
+0.07 / max|Omega| and 0.7 / nu_max, nu_max the model's fastest frequency,
+which at 8192 samples spans 8 to 11 sample intervals per step for two
+qubits and 4 to 9 for three (745 to 2048 steps, where one step per interval
+took 8191). Each step is formed from its moments
+B_j = int ((t - t_mid)/h)^j A(t) dt of A = -i H, j = 0, 1, 2, which are exact
+sums of three-node Gauss rules over the linear pieces of the envelope
+(`_magnus_chunks`); so a step may span kinks of the envelope without losing
+its order. Both paths work in chunks of at most `_STACK_REALS` reals per
+stack. Each dense step is carried in the real representation
+R(A) = [[Re A, -Im A], [Im A, Re A]] (`linalg.real_form`), a real 2d x 2d
+matrix; the moments are linear in the term coefficients at the nodes, so a
+chunk's alpha_1, alpha_2 and alpha_3 are one GEMM against the table's K rows
+R(-i T_a). R maps products to products, so the generators' commutators, the
 exponentials (`linalg.expm_batch`, a Taylor polynomial whose degree follows
 the stack's norm) and their ordered product (`linalg.product_reduce`) run on
 real GEMM, and U is converted back once per gate. The result is the complex
 computation's up to rounding.
-A gate's chunks are exponentiated and multiplied in one workspace, a single
-block holding the generator stack and the exponential's four scratch stacks
-(`_dense_workspace`, sized by the system alone); the spent generator stack
-is the product's second buffer. `simulate_gate` allocates one per gate, and
-`noise_sweep` one per thread that its points run on, reused from point to
-point; it is a `threading.local` made for each sweep, so no two threads
-share one.
-The noise is a constant diagonal operator N, so `noise_sweep`, the one loop
-over sweep points, builds the noise-free steps once, adds N to each point's
-steps as one more GEMM per chunk, against rows built from N (`_dense_gate`),
-and maps the points through a `map` callable (the CLI passes a thread
-pool's). It returns the infidelity grid as an array indexed [dw, dJ], and
-every point equals `simulate_gate` bit for bit at the default step count,
-the only one a sweep takes. A dense run whose default step count
-would make its shared steps more than `_DENSE_STEP_LIMIT` reals is refused
-with a ValueError before anything is allocated.
+A gate's chunks are formed, exponentiated and multiplied in one workspace,
+a single block of five stacks (`_dense_workspace`, sized by the system
+alone): the generators, and four scratch stacks for their commutators and
+then the exponential; the spent generator stack is the product's second
+buffer. `simulate_gate` allocates one per gate, and `noise_sweep` one per
+thread that its points run on, reused from point to point; it is a
+`threading.local` made for each sweep, so no two threads share one.
+The noise is a constant diagonal operator N, which enters a step's alpha_1
+alone (`_dense_generators`), so `noise_sweep`, the one loop over sweep
+points, forms the alphas and C_1 = [alpha_1, alpha_2] once, and each point
+adds h R(-i N) to alpha_1 and [h R(-i N), alpha_2] to C_1 before its two
+commutators, six real products per step in all. It maps the points through
+a `map` callable (the CLI passes a thread pool's), returns the infidelity
+grid as an array indexed [dw, dJ], and every point equals `simulate_gate`
+bit for bit at the default step count, the only one a sweep takes. A dense
+run whose default step count would make each shared stack more than
+`_DENSE_STEP_LIMIT` reals is refused with a ValueError before anything is
+allocated.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import threading
 from dataclasses import dataclass
@@ -76,13 +85,10 @@ from .frames import (
     term_coefficients,
 )
 from .linalg import (
-    MAGNUS4_WEIGHT,
     complex_form,
     expm_batch,
     gate_fidelity,
-    gauss_nodes,
     product_reduce,
-    real_form,
     su2_ordered_exp,
     trace_fidelity,
 )
@@ -93,17 +99,18 @@ from .linalg import (
 # three. A chunk's stack and temporaries then stay under the 2 MiB trim
 # threshold the benchmark pins (1 MiB mmap), so freed memory is reused rather
 # than faulted in afresh; a dense workspace holds five stacks (2.5 MiB, faulted
-# in once per gate or sweep thread). Block sweeps (17 x 17 2q, 11 x 11 3q, at two
-# fourth-order steps per interval) took 94 and 88-111 ms at 2 million reals
-# against 55-56 and 50-52 ms here, and a crosstalk-on sweep point with fresh
-# temporaries 25 ms (2q) and 81-91 ms (3q) at 1 MiB stacks against 12 and
-# 32-36 ms (one BLAS thread, 2-vCPU host)
+# in once per gate or sweep thread). Block sweeps (17 x 17 2q, 11 x 11 3q, one
+# sixth-order step per interval) took 30 and 42 ms at 2 million reals against
+# 26 and 28 ms here; a crosstalk-on sweep point (820 and 2048 steps, 2q and 3q)
+# takes 2.7 and 21 ms here, no less at 2 million reals (medians of alternating
+# runs, one BLAS thread, 2-vCPU host)
 _STACK_REALS = 65536
-# reals in the shared noise-free steps of a dense run's default step count,
-# n_steps (2d)^2: the step stacks then hold at most 128 MiB, next to the
-# (n_steps, K) term coefficients (8 MiB each at the two-qubit limit); that is
-# 262144 steps for two qubits and 65536 for three (|delta_tilde| up to about
-# 900 and 250 for the xpi presets at 8192 samples)
+# reals in each shared stack of a dense run's default step count, n_steps
+# (2d)^2: the four stacks of alphas and C_1 then hold at most 512 MiB, next to
+# the (3, n_steps, K) moment coefficients; that is 262144 steps for two qubits
+# and 65536 for three (|delta_tilde| up to about 6400 and 900 for the xpi
+# presets at 8192 samples, where one step per interval reached the limit at
+# about 900 and 250)
 _DENSE_STEP_LIMIT = 2**24
 NOISE_LIMIT = 0.5  # largest |dw| and |dJ| of a NoiseSetting (units of J)
 SWEEP_POINTS_LIMIT = 201  # most points per axis of a noise sweep
@@ -258,98 +265,221 @@ def propagate_blocks(wave: Waveform, betas, n_steps: int | None = None) -> np.nd
     return blocks
 
 
-def _dense_per_interval(wave: Waveform, frame: FrameData) -> int:
-    """Steps per sample interval resolving the crosstalk oscillation at delta_tilde.
+#: the dense step rule: a default step is at most _DENSE_DRIVE_ANGLE / max|Omega|
+#: and _DENSE_PHASE_ANGLE / nu_max long, nu_max the model's fastest frequency
+#: (`_dense_grid`); at 8192 samples that is 8 to 11 sample intervals per step
+#: on the 2q presets and 4 to 9 on the 3q presets, where U moves by at most
+#: 1.7e-10 against the fourth-order Gauss-node rule at 8 steps per interval
+_DENSE_DRIVE_ANGLE = 0.07
+_DENSE_PHASE_ANGLE = 0.7
+#: the three Gauss-Legendre nodes of [-1/2, 1/2], -sqrt(15)/10, 0 and sqrt(15)/10,
+#: and their weights
+_GAUSS3_NODES = np.array([-1.0, 0.0, 1.0]) * (np.sqrt(15.0) / 10.0)
+_GAUSS3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
-    The fewest that give T max(64, 10 |delta_tilde|) steps in all, capped at
-    `_DENSE_STEP_LIMIT`, which `_magnus_steps` refuses, so an inf need stays a count.
+
+def _dense_grid(system: SystemConfig, frame: FrameData, waveform: Waveform, model: str,
+                n_steps: int | None):
+    """(starts, h), the start time and the length of each step of a dense gate.
+
+    An explicit `n_steps` gives that many equal steps. By default the steps
+    follow the dynamics: each is at most h = min(_DENSE_DRIVE_ANGLE /
+    max|Omega|, _DENSE_PHASE_ANGLE / nu_max) long, nu_max the larger of the
+    term table's largest |nu| and the spread of its h0 diagonal (about 20 J
+    for two qubits and 40 J for three, in either model, at Delta = 20 J). A
+    step spans as many whole sample intervals as fit in h, the last step
+    what is left; where h is shorter than one interval, every interval is
+    split into the fewest equal steps that fit. A default count above
+    `_DENSE_STEP_LIMIT` reals per stack raises ValueError before anything is
+    allocated.
     """
-    need = wave.T * max(64.0, 10.0 * abs(frame.delta_tilde))
-    return max(1, int(np.ceil(min(need / (len(wave.samples) - 1), _DENSE_STEP_LIMIT))))
-
-
-def _magnus_steps(system: SystemConfig, frame: FrameData, waveform: Waveform,
-                  model: str, n_steps: int | None):
-    """Noise-free fourth-order Magnus steps of a dense model, in time chunks.
-
-    Returns an iterator of chunks; each chunk is a pair (steps, y) over at
-    most `_STACK_REALS` / (2d)^2 consecutive steps, in time order. With
-    c1, c2 the term coefficients c(t) of `frames.dense_terms` at a step's two
-    Gauss nodes, the generator -i dt H_eff = -i dt (H1 + H2)/2 - w dt^2 [H2, H1],
-    w = sqrt(3)/12, is linear in the terms and their commutators, with
-    [H2, H1] = sum_{a<b} (c2_a c1_b - c2_b c1_a) [T_a, T_b], so `steps`, the
-    stack of its real forms (`linalg.real_form`), is one GEMM of the rows
-    [dt (c1 + c2)/2, -w dt^2 (c2_a c1_b - c2_b c1_a)] against the term table
-    (pairs a < b in its `pairs` order; a commuting pair adds nothing). `y` holds
-    (dt, -w dt^2 (c2 - c1)_a for a >= 1) per step, shape (steps, K): the
-    coefficients of R(-i N) and R([T_a, N]) that a constant noise N adds
-    (`_dense_gate`). The coefficients are formed once per gate and the steps
-    lazily, so a single gate never holds more than one chunk of them. A
-    default step count above `_DENSE_STEP_LIMIT` reals raises ValueError
-    before the nodes are made; an explicit `n_steps` is taken as given.
-    """
+    if n_steps is not None:
+        n_steps = operator.index(n_steps)
+        if n_steps <= 0:
+            raise ValueError(f"n_steps must be positive, got {n_steps}")
+        h = waveform.T / n_steps
+        return np.arange(n_steps) * h, np.full(n_steps, h)
+    nu, terms, _ = dense_terms(system, model)
+    levels = np.diag(terms[0]).real
+    # Python floats: an infinite spread (Delta near 1e308) is no numpy warning
+    nu_max = max(float(np.max(np.abs(nu))), float(np.max(levels)) - float(np.min(levels)))
+    per_interval = waveform.dt * max(waveform.peak_amplitude / _DENSE_DRIVE_ANGLE,
+                                     nu_max / _DENSE_PHASE_ANGLE)
+    intervals = len(waveform.samples) - 1
+    if per_interval > 1.0:
+        # capped at the limit before int(), so an infinite rate stays a count
+        split, span = int(np.ceil(min(per_interval, _DENSE_STEP_LIMIT))), 1
+    else:
+        split, span = 1, intervals if per_interval * intervals <= 1.0 else int(1.0 / per_interval)
+    n_steps = split * -(-intervals // span)
     size = (2 * system.dim) ** 2
-    if n_steps is None:
-        n_steps = _dense_per_interval(waveform, frame) * (len(waveform.samples) - 1)
-        if n_steps * size > _DENSE_STEP_LIMIT:
-            raise ValueError(
-                f"the dense {model} model needs {n_steps} steps, above the limit of "
-                f"{_DENSE_STEP_LIMIT // size} for {system.n_qubits} qubits "
-                f"(delta_tilde = {frame.delta_tilde:.6g}, {len(waveform.samples)} samples)")
-    dt, t1, t2 = gauss_nodes(waveform.T, n_steps)
-    nu, _, (i, j), table = dense_terms(system, model)
-    c1, c2 = (term_coefficients(nu, waveform.envelope(t), t) for t in (t1, t2))
-    y = (-MAGNUS4_WEIGHT * dt * dt) * (c2 - c1)
-    y[:, 0] = dt
-    chunk = _STACK_REALS // size
+    if n_steps * size > _DENSE_STEP_LIMIT:
+        raise ValueError(
+            f"the dense {model} model needs {n_steps} steps, above the limit of "
+            f"{_DENSE_STEP_LIMIT // size} for {system.n_qubits} qubits "
+            f"(delta_tilde = {frame.delta_tilde:.6g}, {len(waveform.samples)} samples)")
+    if split == 1:
+        first = np.arange(0, intervals, span)
+        return waveform.times[first], np.diff(first, append=intervals) * waveform.dt
+    h = waveform.dt / split
+    starts = waveform.times[:-1, None] + np.arange(split) * h
+    return starts.ravel(), np.full(n_steps, h)
+
+
+#: a sample within this fraction of a step of its start or end lies on it: sample
+#: times that fall on a step's edge miss it by a few ulps of T, 6e-11 of a step
+#: at 262144 steps, and leaving out a kink this close to an edge moves a moment
+#: by about the square of the fraction
+_KINK_TOLERANCE = 1e-9
+
+
+def _magnus_chunks(nu: np.ndarray, table: np.ndarray, waveform: Waveform,
+                   starts: np.ndarray, h: np.ndarray):
+    """Noise-free sixth-order Magnus terms of the steps (starts, h), in time chunks.
+
+    `nu` and `table` are a `frames.dense_terms` table's frequencies and real
+    term rows R(-i T_a). Returns an iterator of chunks (h, alphas, c1) over
+    at most `_STACK_REALS` / (2d)^2 consecutive steps, in time order: h the
+    step lengths, `alphas` the three (steps, 2d, 2d) stacks of the real forms
+    (`linalg.real_form`) of alpha_1, alpha_2 and alpha_3, and `c1` that of
+    C_1 = [alpha_1, alpha_2]. With A = -i H and a step's moments
+    B_j = int ((t - t_mid)/h)^j A(t) dt over it,
+
+        alpha_1 = (9/4) B_0 - 15 B_2,  alpha_2 = 12 B_1,  alpha_3 = 180 B_2 - 15 B_0
+
+    (Blanes, Casas & Ros, BIT 40 (2000) 434; Iserles & Norsett, Phil. Trans.
+    R. Soc. A 357 (1999) 983). The envelope is linear between samples, so
+    the moments are sums of three-node Gauss rules over the pieces that the
+    samples inside a step cut it into, across which no kink lies. The pieces
+    are placed in units of their step, so a step's nodes and weights keep
+    their relative precision wherever it lies in the gate. The moments are
+    linear in the term coefficients c(t) (`frames.term_coefficients`) at the
+    nodes, so a chunk's alphas are one GEMM against the table. The node sums
+    are formed once and the alphas lazily, so a single gate never holds more
+    than one chunk of them.
+    """
+    # the pieces: each step's start and the samples inside it, as fractions of it
+    knots = np.concatenate([starts, waveform.times[1:-1]])
+    step = np.searchsorted(starts, knots, side="right") - 1
+    fraction = (knots - starts[step]) / h[step]
+    kept = (fraction > _KINK_TOLERANCE) & (fraction < 1.0 - _KINK_TOLERANCE)
+    kept[:h.size] = True
+    order = np.lexsort((fraction[kept], step[kept]))
+    fraction, step = fraction[kept][order], step[kept][order]
+    first = np.flatnonzero(np.diff(step, prepend=-1))
+    length = np.diff(fraction, append=1.0)
+    length[first[1:] - 1] = 1.0 - fraction[first[1:] - 1]
+    # three Gauss nodes per piece, at x = (t - t_mid)/h in the step's units;
+    # a step of one piece has its nodes at x = _GAUSS3_NODES exactly
+    nodes = fraction[:, None] + length[:, None] * (0.5 + _GAUSS3_NODES)
+    nodes = (starts[step, None] + h[step, None] * nodes).ravel()
+    x = (fraction + 0.5 * length - 0.5)[:, None] + length[:, None] * _GAUSS3_NODES
+    x2 = x * x
+    weight = (h[step] * length)[:, None] * _GAUSS3_WEIGHTS
+    c = term_coefficients(nu, waveform.envelope(nodes), nodes)
+    # each alpha's node weights, (9/4 - 15 x^2, 12 x, 180 x^2 - 15) w, summed over its step
+    coefs = np.stack([np.add.reduceat(row.reshape(-1, 1) * c, 3 * first)
+                      for row in ((2.25 - 15.0 * x2) * weight, (12.0 * x) * weight,
+                                  (180.0 * x2 - 15.0) * weight)])
+    size = math.isqrt(table.shape[1])
+    chunk = _STACK_REALS // size**2
 
     def chunks():
-        for lo in range(0, n_steps, chunk):
-            a, b = c1[lo:lo + chunk], c2[lo:lo + chunk]
-            pairs = b[:, i] * a[:, j] - b[:, j] * a[:, i]
-            rows = np.concatenate([(0.5 * dt) * (a + b), (-MAGNUS4_WEIGHT * dt * dt) * pairs], axis=1)
-            yield (rows @ table).reshape(len(a), 2 * system.dim, 2 * system.dim), y[lo:lo + chunk]
+        for lo in range(0, h.size, chunk):
+            # one stack per alpha: each stays under the 1 MiB mmap threshold
+            alphas = [(coef[lo:lo + chunk] @ table).reshape(-1, size, size) for coef in coefs]
+            c1 = alphas[0] @ alphas[1]
+            c1 -= alphas[1] @ alphas[0]
+            yield h[lo:lo + chunk], alphas, c1
 
     return chunks()
 
 
 def _dense_workspace(system: SystemConfig) -> np.ndarray:
     """One block for every chunk of a dense gate of `system`: the generator
-    stack and `expm_batch`'s four scratch stacks, `_STACK_REALS` reals each."""
+    stack and four scratch stacks, `_STACK_REALS` reals each."""
     size = 2 * system.dim
     return np.empty((5, _STACK_REALS // size**2, size, size))
 
 
+def _dense_generators(chunk, n: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Sixth-order Magnus generators of a `_magnus_chunks` chunk under the noise diag(n).
+
+    The constant noise N = diag(n) enters alpha_1 alone, as -i h N: its
+    moments B_1 and B_2 are 0 and -i h N/12, which alpha_2 and alpha_3
+    cancel. So C_1 gains [h R(-i N), alpha_2], and each step's generator is
+
+        Omega = alpha_1 + alpha_3/12 + [-20 alpha_1 - alpha_3 + C_1, alpha_2 + C_2]/240,
+        C_2 = -[alpha_1, 2 alpha_3 + C_1]/60,
+
+    on the noisy alpha_1 and C_1: three commutators, six real products per
+    step. The noise's commutator has the entries -i h (n_i - n_j)
+    (alpha_2)_ij, but an entrywise product would broadcast h and n over the
+    stack, and a ufunc that broadcasts allocates its buffers on every chunk.
+    Returns work[0] with the chunk's generators; work[1:], a
+    `_dense_workspace`'s scratch stacks, is overwritten.
+    """
+    h, (a1, a2, a3), c1 = chunk
+    d = len(n)
+    gens, s1, s2, s3, s4 = work[:, :len(h)]
+    # h R(-i N) in s3: h n_i at (i, d + i) and -h n_i at (d + i, i), one
+    # entry at a time, so no ufunc broadcasts
+    s3.fill(0.0)
+    for i, n_i in enumerate(n):
+        np.multiply(h, n_i, out=s3[:, i, d + i])
+        np.multiply(h, -n_i, out=s3[:, d + i, i])
+    np.add(a1, s3, out=s1)
+    # C_1 + [h R(-i N), alpha_2] in s2
+    np.matmul(s3, a2, out=s2)
+    s2 -= np.matmul(a2, s3, out=s4)
+    s2 += c1
+    # alpha_2 + C_2 in s4
+    np.multiply(a3, 2.0, out=s3)
+    s3 += s2
+    np.matmul(s1, s3, out=s4)
+    s4 -= np.matmul(s3, s1, out=gens)
+    s4 *= -1.0 / 60.0
+    s4 += a2
+    # -20 alpha_1 - alpha_3 + C_1 in s2, the outer commutator over 240 in s3
+    s2 -= a3
+    s2 -= np.multiply(s1, 20.0, out=s3)
+    np.matmul(s2, s4, out=s3)
+    s3 -= np.matmul(s4, s2, out=gens)
+    s3 *= 1.0 / 240.0
+    np.multiply(a3, 1.0 / 12.0, out=gens)
+    gens += s1
+    gens += s3
+    return gens
+
+
 def _dense_gate(system: SystemConfig, frame: FrameData, waveform: Waveform, model: str,
                 chunks, noise: NoiseSetting, gate_angle: float, work: np.ndarray):
-    """(U_final, infidelity) of the dense model from the `_magnus_steps` chunks.
+    """(U_final, infidelity) of the dense model from the `_magnus_chunks` chunks.
 
-    The constant diagonal noise N = diag(n) enters each step without a new
-    commutator: [H2 + N, H1 + N] = [H2, H1] + sum_a (c2_a - c1_a) [T_a, N], with
-    [T_a, N]_ij = (T_a)_ij (n_j - n_i), so the generator gains
-    dt R(-i N) - w dt^2 sum_a (c2_a - c1_a) R([T_a, N]): the chunk's `y` times
-    the rows R(-i N), R([T_1, N]) .. R([T_{K-1}, N]), one GEMM added to the steps.
-
-    Every chunk is exponentiated and multiplied in `work`, a
-    `_dense_workspace(system)` that the call overwrites.
+    Every chunk's generators (`_dense_generators`) are formed, exponentiated
+    and multiplied in `work`, a `_dense_workspace(system)` that the call
+    overwrites.
     """
     n = _noise_diagonal(frame, noise)
-    terms = dense_terms(system, model)[1]
-    rows = real_form(np.concatenate([-1.0j * np.diag(n)[None], terms[1:] * (n - n[:, None])]))
-    rows = rows.reshape(len(rows), -1)
     u_final = None
-    for steps, y in chunks:
-        gens = work[0, :len(steps)]
-        np.matmul(y, rows, out=gens.reshape(len(steps), -1))
-        gens += steps
+    for chunk in chunks:
+        gens = _dense_generators(chunk, n, work)
         # the exponential overwrites the generators, so their stack is free
         # for the product's passes; the product is a view into the workspace
-        u_chunk = product_reduce(expm_batch(gens, work[1:, :len(steps)]), gens)
+        u_chunk = product_reduce(expm_batch(gens, work[1:, :len(gens)]), gens)
         u_final = u_chunk.copy() if u_final is None else u_chunk @ u_final
     u_final = complex_form(u_final)
     if model == MODEL_LAB:
         u_final = logical_from_lab(u_final, frame, waveform.T)
     return u_final, 1.0 - gate_fidelity(u_final, logical_target(system, gate_angle))
+
+
+def _dense_chunks(system: SystemConfig, frame: FrameData, waveform: Waveform, model: str,
+                  n_steps: int | None):
+    """`_magnus_chunks` of a dense model on its `_dense_grid` steps."""
+    nu, _, table = dense_terms(system, model)
+    return _magnus_chunks(nu, table, waveform,
+                          *_dense_grid(system, frame, waveform, model, n_steps))
 
 
 def simulate_gate(system: SystemConfig, frame: FrameData, waveform: Waveform,
@@ -360,11 +490,11 @@ def simulate_gate(system: SystemConfig, frame: FrameData, waveform: Waveform,
     The reduced model without crosstalk takes the block fast path
     (`propagate_blocks`, one sixth-order step per sample interval by
     default, +-beta folded into one propagation); the reduced model with
-    crosstalk and the lab model take dense fourth-order Magnus steps, by
-    default one per sample interval or the smallest multiple of that which
-    resolves delta_tilde (`_dense_per_interval`). `n_steps` overrides the
-    step count and must be positive, and on the block path a multiple of
-    the sample interval count.
+    crosstalk and the lab model take dense sixth-order Magnus steps, by
+    default as long as the drive amplitude and the model's fastest
+    frequency allow (`_dense_grid`). `n_steps` overrides the step count and
+    must be positive: n_steps equal steps on the dense path, and on the
+    block path a multiple of the sample interval count.
     """
     if _block_path(frame, waveform, model, noise.crosstalk_on):
         blocks, infid = _block_sweep(system, frame, waveform, noise.delta_omega,
@@ -373,7 +503,7 @@ def simulate_gate(system: SystemConfig, frame: FrameData, waveform: Waveform,
         for k, block in enumerate(blocks[:, 0, 0]):
             u[2 * k:2 * k + 2, 2 * k:2 * k + 2] = block
         return u, float(infid[0, 0])
-    chunks = _magnus_steps(system, frame, waveform, model, n_steps)
+    chunks = _dense_chunks(system, frame, waveform, model, n_steps)
     return _dense_gate(system, frame, waveform, model, chunks, noise, gate_angle,
                        _dense_workspace(system))
 
@@ -407,7 +537,8 @@ def noise_sweep(system: SystemConfig, frame: FrameData, waveform: Waveform,
     if _block_path(frame, waveform, model, crosstalk_on):
         return _block_sweep(system, frame, waveform, domega_values, dj_values,
                             gate_angle, None)[1]
-    chunks = list(_magnus_steps(system, frame, waveform, model, None))
+    # the noise-free alphas and C_1, formed once and shared by every point
+    chunks = list(_dense_chunks(system, frame, waveform, model, None))
     # one workspace per thread that `map` runs points on, reused point after
     # point: a new one per point faulted its 640 pages in each time
     workspaces = threading.local()

@@ -18,17 +18,19 @@ from geodesic_gates.curves import (
     _coefficients,
     waveform_from_grid,
 )
-from geodesic_gates.frames import MODEL_REDUCED, dense_terms
+from geodesic_gates.frames import MODEL_LAB, MODEL_REDUCED, dense_terms, logical_from_lab
 from geodesic_gates.linalg import (
     _TAYLOR6_THETA,
     _TAYLOR9_THETA,
-    MAGNUS4_WEIGHT,
     SIGMA_I,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    complex_form,
+    expm_batch,
     gate_fidelity,
-    gauss_nodes,
+    product_reduce,
+    real_form,
     su2_ordered_exp,
 )
 
@@ -157,7 +159,7 @@ def hamiltonian_samples(config, model: str, pulse, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.size and (times.min() < -1e-12 or times.max() > pulse.T + 1e-12):
         raise ValueError(f"sample times outside the pulse window [0, {pulse.T}]")
-    nu, terms, _, _ = dense_terms(config, model)
+    nu, terms, _ = dense_terms(config, model)
     omega = pulse.envelope(times)[:, None]
     phase = times[:, None] * nu
     coefs = np.concatenate([omega * np.cos(phase), omega * np.sin(phase[:, nu != 0.0])], axis=1)
@@ -165,13 +167,81 @@ def hamiltonian_samples(config, model: str, pulse, times) -> np.ndarray:
     return terms[0] + (coefs @ templates).reshape(times.size, *terms[0].shape)
 
 
+#: commutator weight of the fourth-order Magnus step, sqrt(3)/12
+MAGNUS4_WEIGHT = np.sqrt(3.0) / 12.0
+
+
+def gauss_nodes(T: float, n_steps: int):
+    """Step length dt = T / n_steps and the two Gauss-Legendre nodes of each step.
+
+    Returns (dt, t1, t2) with t1, t2 = t_k + (1/2 -+ sqrt(3)/6) dt for the
+    step starts t_k = k dt, k = 0 .. n_steps - 1.
+    """
+    if n_steps <= 0:
+        raise ValueError(f"n_steps must be positive, got {n_steps}")
+    dt = T / n_steps
+    t0 = np.arange(n_steps) * dt
+    offset = 0.5 * np.sqrt(3.0) / 3.0
+    return dt, t0 + (0.5 - offset) * dt, t0 + (0.5 + offset) * dt
+
+
 def magnus4_hamiltonians(h1: np.ndarray, h2: np.ndarray, dt: float) -> np.ndarray:
     """H_eff = (H1 + H2)/2 - i (sqrt(3)/12) dt [H2, H1] of fourth-order Magnus steps.
 
     `h1`, `h2` are stacks (..., d, d) of the Hamiltonian at the two Gauss
-    nodes of each step (`linalg.gauss_nodes`); the step is exp(-i H_eff dt).
+    nodes of each step (`gauss_nodes`); the step is exp(-i H_eff dt).
     """
     return 0.5 * (h1 + h2) - (1.0j * MAGNUS4_WEIGHT * dt) * (h2 @ h1 - h1 @ h2)
+
+
+def gauss3_nodes(T: float, n_steps: int):
+    """Step length h = T / n_steps and the three Gauss-Legendre nodes of each step,
+    t_k + (1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10) h for t_k = k h."""
+    h = T / n_steps
+    t0 = np.arange(n_steps) * h
+    offset = np.sqrt(15.0) / 10.0
+    return h, t0 + (0.5 - offset) * h, t0 + 0.5 * h, t0 + (0.5 + offset) * h
+
+
+def _commutator(a, b):
+    return a @ b - b @ a
+
+
+def magnus6_generators(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray, h: float) -> np.ndarray:
+    """Complex sixth-order Magnus generators from A = -i H at each step's three
+    Gauss nodes (`gauss3_nodes`), stacks (..., d, d); the step is exp(Omega).
+
+    alpha_1 = h A_2, alpha_2 = (sqrt(15) h/3) (A_3 - A_1),
+    alpha_3 = (10 h/3) (A_3 - 2 A_2 + A_1), C_1 = [alpha_1, alpha_2],
+    C_2 = -[alpha_1, 2 alpha_3 + C_1]/60 and
+    Omega = alpha_1 + alpha_3/12 + [-20 alpha_1 - alpha_3 + C_1, alpha_2 + C_2]/240
+    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151).
+    """
+    alpha1 = h * a2
+    alpha2 = (np.sqrt(15.0) * h / 3.0) * (a3 - a1)
+    alpha3 = (10.0 * h / 3.0) * (a3 - 2.0 * a2 + a1)
+    c1 = _commutator(alpha1, alpha2)
+    c2 = -_commutator(alpha1, 2.0 * alpha3 + c1) / 60.0
+    return alpha1 + alpha3 / 12.0 + _commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
+
+
+def dense_gate_gauss4(config, frame, pulse, noise_op, model: str, n_steps: int,
+                      chunk: int = 4096) -> np.ndarray:
+    """U of a dense model by the fourth-order Gauss-node rule the sixth-order
+    steps replaced: `magnus4_hamiltonians` on H + N sampled at `gauss_nodes`,
+    `n_steps` equal steps exponentiated by `linalg.expm_batch` in real form and
+    multiplied chunk after chunk. Lab results are unwound to the logical frame.
+    """
+    dt, t1, t2 = gauss_nodes(pulse.T, n_steps)
+    u = np.eye(2 * config.dim)
+    work = np.empty((4, chunk, 2 * config.dim, 2 * config.dim))
+    for lo in range(0, n_steps, chunk):
+        h1 = hamiltonian_samples(config, model, pulse, t1[lo:lo + chunk]) + noise_op
+        h2 = hamiltonian_samples(config, model, pulse, t2[lo:lo + chunk]) + noise_op
+        gens = real_form(-1.0j * dt * magnus4_hamiltonians(h1, h2, dt))
+        u = product_reduce(expm_batch(gens, work[:, :len(gens)]), gens) @ u
+    u = complex_form(u)
+    return logical_from_lab(u, frame, pulse.T) if model == MODEL_LAB else u
 
 
 def reduced_block_samples(config, pulse, times) -> np.ndarray:
@@ -180,7 +250,7 @@ def reduced_block_samples(config, pulse, times) -> np.ndarray:
     Terms 0 and 1 of the reduced model's `frames.dense_terms` table: the
     block detunings h0 and the target drive at nu = 0.
     """
-    _, terms, _, _ = dense_terms(config, MODEL_REDUCED)
+    _, terms, _ = dense_terms(config, MODEL_REDUCED)
     return terms[0] + pulse.envelope(np.asarray(times, dtype=float))[:, None, None] * terms[1]
 
 
@@ -292,7 +362,7 @@ def propagate_blocks_oracle(wave, betas, n_steps=None) -> np.ndarray:
 def gauss4_block_rows(wave, n_steps: int):
     """(dt, x, y) of fourth-order Magnus steps of the block (beta Z + Omega X)/2.
 
-    On the two Gauss-Legendre nodes of each step (`linalg.gauss_nodes`,
+    On the two Gauss-Legendre nodes of each step (`gauss_nodes`,
     `wave.envelope`), the step is exp(-i (x X + beta y Y + beta dt/2 Z)) with
     x = (Omega_1 + Omega_2) dt/4 and y = -(sqrt(3)/24) dt^2 (Omega_2 - Omega_1).
     """

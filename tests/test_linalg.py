@@ -15,7 +15,6 @@ from geodesic_gates.linalg import (
     complex_form,
     expm_batch,
     gate_fidelity,
-    gauss_nodes,
     pauli_string,
     product_reduce,
     real_form,
@@ -24,6 +23,7 @@ from geodesic_gates.linalg import (
 from oracles import (
     expm_batch_allocating,
     expm_hermitian,
+    gauss_nodes,
     is_hermitian,
     is_unitary,
     magnus4_hamiltonians,
